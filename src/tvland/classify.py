@@ -17,7 +17,7 @@ import numpy as np
 from .discrete import _restore_feasibility
 from .errors import SingularConstraintError, StepSolveError
 from .geometry import kkt_residual
-from .ode import frozen_time_flow
+from .ode import frozen_time_flow, frozen_time_flows
 from .problem import MinimizerCatalog, ProblemDef, Trajectory
 from .spectrum import kkt_refine, tangent_hessian_eigenvalues
 
@@ -40,6 +40,29 @@ class Verdict(enum.Enum):
     UNRESOLVED = "unresolved"
 
 
+def _match_catalog(catalog: MinimizerCatalog, limit: np.ndarray, converged: bool,
+                   tol: float) -> tuple[Optional[int], str]:
+    """Catalog id within ``tol`` of a flow limit (modulo the equivalence).
+
+    Returns ``(id, "member")``, or ``(None, reason)`` with reason
+    ``"flow_not_converged"`` or ``"no_catalog_match"``.
+    """
+    if not converged:
+        return None, "flow_not_converged"
+    if len(catalog) == 0:
+        return None, "no_catalog_match"
+    candidates = [limit]
+    if catalog.equivalence is not None:
+        candidates.append(np.asarray(catalog.equivalence(limit), dtype=float))
+    dists = np.full(len(catalog), np.inf)
+    for c in candidates:
+        dists = np.minimum(dists, np.linalg.norm(catalog.minimizers - c, axis=1))
+    best = int(np.argmin(dists))
+    if dists[best] > tol:
+        return None, "no_catalog_match"
+    return best, "member"
+
+
 def attraction_membership(p: ProblemDef, x: np.ndarray, t: float,
                           catalog: MinimizerCatalog,
                           tol: float = MEMBERSHIP_TOL) -> Optional[int]:
@@ -50,23 +73,22 @@ def attraction_membership(p: ProblemDef, x: np.ndarray, t: float,
     None when the flow does not settle or its limit matches no entry.
     """
     limit, converged = frozen_time_flow(p, x, t)
-    if not converged or len(catalog) == 0:
-        return None
-    candidates = [limit]
-    if catalog.equivalence is not None:
-        candidates.append(np.asarray(catalog.equivalence(limit), dtype=float))
-    dists = np.full(len(catalog), np.inf)
-    for c in candidates:
-        dists = np.minimum(dists, np.linalg.norm(catalog.minimizers - c, axis=1))
-    best = int(np.argmin(dists))
-    return best if dists[best] <= tol else None
+    return _match_catalog(catalog, limit, converged, tol)[0]
 
 
 @dataclass
 class MembershipRecord:
+    """One membership check.
+
+    ``reason`` says why ``member`` is what it is: ``"member"`` (a catalog
+    entry matched), ``"flow_not_converged"`` (the frozen-time flow did not
+    settle) or ``"no_catalog_match"`` (its limit matched no catalog entry).
+    """
+
     time: float
     member: Optional[int]
     is_global: bool
+    reason: str
 
 
 @dataclass
@@ -91,6 +113,13 @@ def classify_trajectory(p: ProblemDef, traj: Trajectory,
     to at most ``max_checks`` checks.  The verdict is NON_SPURIOUS when every
     check lands in a global basin, SPURIOUS when some check lands in a
     non-global basin, and UNRESOLVED otherwise.
+
+    The catalogs are built first, one per check in time order (a tracking
+    builder continues each catalog from the previous one); then the
+    membership flows of all checks run as one batch of
+    :func:`~tvland.ode.frozen_time_flows`, whose lanes fall back to the
+    scalar flow where they raise or fail the sink check in the batch.  Each record carries the
+    membership of :func:`attraction_membership` and its reason.
     """
     if not 0 <= t_bar < p.horizon:
         raise ValueError(f"t_bar must lie in [0, T), got {t_bar}")
@@ -98,22 +127,17 @@ def classify_trajectory(p: ProblemDef, traj: Trajectory,
     if idx.size > max_checks:
         sel = np.unique(np.linspace(0, idx.size - 1, max_checks).round().astype(int))
         idx = idx[sel]
+    times = [float(traj.times[i]) for i in idx]
+    catalogs = [catalog_builder(t) for t in times]
+    limits, converged = frozen_time_flows(p, traj.states[idx], times)
     records = []
-    saw_nonglobal = False
-    saw_unresolved = False
-    for i in idx:
-        t = float(traj.times[i])
-        catalog = catalog_builder(t)
-        member = attraction_membership(p, traj.states[i], t, catalog, tol)
+    for t, catalog, limit, conv in zip(times, catalogs, limits, converged):
+        member, reason = _match_catalog(catalog, limit, conv, tol)
         is_global = member is not None and member in catalog.global_ids
-        if member is None:
-            saw_unresolved = True
-        elif not is_global:
-            saw_nonglobal = True
-        records.append(MembershipRecord(t, member, is_global))
-    if saw_nonglobal:
+        records.append(MembershipRecord(t, member, is_global, reason))
+    if any(r.member is not None and not r.is_global for r in records):
         verdict = Verdict.SPURIOUS
-    elif saw_unresolved:
+    elif any(r.member is None for r in records):
         verdict = Verdict.UNRESOLVED
     else:
         verdict = Verdict.NON_SPURIOUS
@@ -156,17 +180,45 @@ def _polish_minimizer(p: ProblemDef, x: np.ndarray, t: float) -> np.ndarray:
     return refined
 
 
+def _is_strict_minimizer(p: ProblemDef, x: np.ndarray, t: float) -> bool:
+    """The catalog entry test: KKT residuals within bound and SOSC holds."""
+    res = kkt_residual(p, x, t)
+    if res.stationarity > CATALOG_KKT_TOL or res.feasibility > CATALOG_KKT_TOL:
+        return False
+    eigs = tangent_hessian_eigenvalues(p, x, t)
+    return not (eigs.size and eigs[0] <= SOSC_TOL)
+
+
+def _assemble_catalog(p: ProblemDef, t: float, reps: list[np.ndarray],
+                      equivalence, dropped: int) -> MinimizerCatalog:
+    """Catalog of ``reps`` sorted lexicographically, with their global ids."""
+    if not reps:
+        return MinimizerCatalog(t, np.zeros((0, p.n)), [], np.zeros(0),
+                                equivalence, dropped)
+    reps = sorted(reps, key=lambda r: tuple(r))
+    minimizers = np.vstack(reps)
+    values = np.array([p.objective(m, t) for m in minimizers])
+    fmin = values.min()
+    global_ids = [i for i, v in enumerate(values) if v <= fmin + 1e-9 * (1 + abs(fmin))]
+    return MinimizerCatalog(t, minimizers, global_ids, values, equivalence, dropped)
+
+
 def build_catalog(p: ProblemDef, t: float, starts: int, seed: int, box,
                   equivalence: Optional[Callable[[np.ndarray], np.ndarray]] = None,
                   cluster_radius: float = CLUSTER_RADIUS) -> MinimizerCatalog:
     """Catalog the frozen-time local minimizers found by multistart flows.
 
     Flows start from ``starts`` uniform samples of ``box = (lo, hi)``
-    (deterministic in ``seed``); limits are clustered within
-    ``cluster_radius`` and each cluster representative is kept when the
-    tangent-restricted Lagrangian Hessian is positive definite.  Flows that
-    fail to settle, end near degenerate constraints, or stop at saddles are
-    dropped and counted in ``catalog.dropped``.
+    (deterministic in ``seed``), each first restored onto the time-t leaf
+    when m > 0, and run as one batch of :func:`~tvland.ode.frozen_time_flows`
+    (a lane that raises or fails the sink check there is rerun by the
+    scalar flow).  Limits are
+    clustered within ``cluster_radius`` and each polished cluster
+    representative is kept when its KKT residuals are within
+    ``CATALOG_KKT_TOL`` and the tangent-restricted Lagrangian Hessian is
+    positive definite.  Starts whose restoration or flow raises, flows that
+    fail to settle, and clusters failing the test are dropped and counted in
+    ``catalog.dropped``.
     """
     if starts < 1:
         raise ValueError("starts must be at least 1")
@@ -176,26 +228,24 @@ def build_catalog(p: ProblemDef, t: float, starts: int, seed: int, box,
         raise ValueError("box bounds must be finite")
     rng = np.random.default_rng(seed)
     points = lo + (hi - lo) * rng.random((starts, p.n))
-    d_target = p.data_path(t) if p.m else None
 
-    limits = []
     dropped = 0
-    for x0 in points:
-        try:
-            if p.m:
-                # flows preserve h(x), so starts must sit on the time-t leaf
-                x0 = _restore_feasibility(p, x0, d_target, 1e-10)
-            limit, converged = frozen_time_flow(p, x0, t)
-        except (SingularConstraintError, StepSolveError):
-            dropped += 1
-            continue
-        if not converged:
-            dropped += 1
-            continue
-        limits.append(limit)
+    if p.m:
+        # flows preserve h(x), so starts must sit on the time-t leaf
+        d_target = p.data_path(t)
+        feasible = []
+        for x0 in points:
+            try:
+                feasible.append(_restore_feasibility(p, x0, d_target, 1e-10))
+            except (SingularConstraintError, StepSolveError):
+                dropped += 1
+        points = np.array(feasible).reshape(-1, p.n)
+    limits, converged = frozen_time_flows(
+        p, points, t, lane_errors=(SingularConstraintError, StepSolveError))
+    dropped += int(np.count_nonzero(~converged))
 
     clusters: list[list[np.ndarray]] = []
-    for lim in limits:
+    for lim in limits[converged]:
         for members in clusters:
             if np.linalg.norm(lim - members[0]) <= cluster_radius:
                 members.append(lim)
@@ -206,25 +256,11 @@ def build_catalog(p: ProblemDef, t: float, starts: int, seed: int, box,
     reps = []
     for members in clusters:
         rep = _polish_minimizer(p, np.mean(members, axis=0), t)
-        res = kkt_residual(p, rep, t)
-        if res.stationarity > CATALOG_KKT_TOL or res.feasibility > CATALOG_KKT_TOL:
+        if _is_strict_minimizer(p, rep, t):
+            reps.append(rep)
+        else:
             dropped += len(members)
-            continue
-        eigs = tangent_hessian_eigenvalues(p, rep, t)
-        if eigs.size and eigs[0] <= SOSC_TOL:
-            dropped += len(members)
-            continue
-        reps.append(rep)
-
-    if not reps:
-        return MinimizerCatalog(t, np.zeros((0, p.n)), [], np.zeros(0),
-                                equivalence, dropped)
-    reps.sort(key=lambda r: tuple(r))
-    minimizers = np.vstack(reps)
-    values = np.array([p.objective(m, t) for m in minimizers])
-    fmin = values.min()
-    global_ids = [i for i, v in enumerate(values) if v <= fmin + 1e-9 * (1 + abs(fmin))]
-    return MinimizerCatalog(t, minimizers, global_ids, values, equivalence, dropped)
+    return _assemble_catalog(p, t, reps, equivalence, dropped)
 
 
 def multistart_builder(p: ProblemDef, box, starts: int = 64, seed: int = 0,
@@ -233,45 +269,60 @@ def multistart_builder(p: ProblemDef, box, starts: int = 64, seed: int = 0,
     return lambda t: build_catalog(p, t, starts, seed, box, equivalence)
 
 
-def tracking_builder(p: ProblemDef, box, starts: int = 64, seed: int = 0,
-                     equivalence=None) -> Callable[[float], MinimizerCatalog]:
-    """Catalog builder that multistarts once, then continues minimizers in t.
+def _continue_catalog(p: ProblemDef, prev: MinimizerCatalog,
+                      t: float) -> Optional[MinimizerCatalog]:
+    """Continue every entry of ``prev`` to time t, or None when one is lost.
 
-    The first requested time pays for a full multistart; later times re-flow
-    each known minimizer from its previous location (cheap for smoothly
-    moving landscapes).  Falls back to a fresh multistart whenever a
-    continued minimizer is lost.  Suited to landscapes whose minimizer count
-    is stable over the horizon; use :func:`multistart_builder` otherwise.
+    Each entry is Newton-continued by :func:`_polish_minimizer`; a continued
+    point failing the catalog entry test is re-flowed from the old entry
+    instead.  None means a flow did not settle.
     """
-    state: dict = {"catalog": None}
-
-    def build(t: float) -> MinimizerCatalog:
-        prev = state["catalog"]
-        if prev is None or len(prev) == 0:
-            cat = build_catalog(p, t, starts, seed, box, equivalence)
-            state["catalog"] = cat
-            return cat
-        reps = []
-        for x_old in prev.minimizers:
+    reps: list[np.ndarray] = []
+    for x_old in prev.minimizers:
+        rep = _polish_minimizer(p, x_old, t)
+        try:
+            continued = _is_strict_minimizer(p, rep, t)
+        except SingularConstraintError:
+            continued = False
+        if not continued:
             try:
                 limit, converged = frozen_time_flow(p, x_old, t)
             except SingularConstraintError:
                 converged = False
             if not converged:
-                cat = build_catalog(p, t, starts, seed, box, equivalence)
-                state["catalog"] = cat
-                return cat
+                return None
             rep = _polish_minimizer(p, limit, t)
-            # a vanished well drops its flow into a neighboring basin; merge
-            if all(np.linalg.norm(rep - r) > CLUSTER_RADIUS for r in reps):
-                reps.append(rep)
-        reps.sort(key=lambda r: tuple(r))
-        minimizers = np.vstack(reps)
-        values = np.array([p.objective(m, t) for m in minimizers])
-        fmin = values.min()
-        global_ids = [i for i, v in enumerate(values)
-                      if v <= fmin + 1e-9 * (1 + abs(fmin))]
-        cat = MinimizerCatalog(t, minimizers, global_ids, values, equivalence, 0)
+        # a vanished well drops into a neighboring basin; merge
+        if all(np.linalg.norm(rep - r) > CLUSTER_RADIUS for r in reps):
+            reps.append(rep)
+    return _assemble_catalog(p, t, reps, prev.equivalence, 0)
+
+
+def tracking_builder(p: ProblemDef, box, starts: int = 64, seed: int = 0,
+                     equivalence=None) -> Callable[[float], MinimizerCatalog]:
+    """Catalog builder that multistarts once, then continues minimizers in t.
+
+    The first requested time pays for a full multistart.  Later times
+    continue each known minimizer from its previous location by a Newton
+    step (:func:`_polish_minimizer`: Newton on the gradient for m = 0,
+    ``kkt_refine`` otherwise) and keep the continued point when it passes
+    the test :func:`build_catalog` applies to its entries (KKT residuals
+    within ``CATALOG_KKT_TOL``, tangent Hessian eigenvalues above
+    ``SOSC_TOL``).  A point failing it is replaced by the polished limit of
+    the frozen-time flow from the previous location, and a flow that does
+    not settle triggers a fresh multistart, as does an empty previous
+    catalog.  Suited to landscapes whose minimizer count is stable over the
+    horizon; use :func:`multistart_builder` otherwise.
+    """
+    state: dict = {"catalog": None}
+
+    def build(t: float) -> MinimizerCatalog:
+        prev = state["catalog"]
+        cat = None
+        if prev is not None and len(prev):
+            cat = _continue_catalog(p, prev, t)
+        if cat is None:
+            cat = build_catalog(p, t, starts, seed, box, equivalence)
         state["catalog"] = cat
         return cat
 

@@ -375,6 +375,9 @@ def _sweep_cell(opt_values: dict, alpha: float, beta: float) -> tuple:
 
 
 def _cmd_sweep(opt: _Options) -> int:
+    scenario = opt.get("scenario", "example1")
+    if scenario != "example1":
+        raise UsageError(f"sweep supports only the example1 scenario, got {scenario!r}")
     alphas = sorted(_parse_grid(opt.require("alpha_grid")))
     betas = sorted(_parse_grid(opt.require("beta_grid")))
     if len(alphas) * len(betas) > 10_000:

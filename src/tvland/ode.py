@@ -10,10 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import RK45, solve_ivp
 
 from .discrete import check_local_solution, discrete_trajectory
-from .errors import ImplicitSolveError, StiffnessError
+from .errors import ImplicitSolveError, StiffnessError, TvlandError
 from .geometry import geometry, ode_rhs, trajectory_with_diagnostics
 from .problem import ProblemDef, Trajectory
 
@@ -152,9 +152,38 @@ def _polish_equilibrium(rhs, y0: np.ndarray, tol: float,
     return None
 
 
+def _frozen_field(p: ProblemDef, t: float):
+    """The frozen-time field y -> -eta(y, t)/alpha + theta(y) d'(t)."""
+    dd = np.asarray(p.data_rate(t), dtype=float)
+
+    if p.m == 0:
+        def rhs_y(y):
+            return -np.asarray(p.grad_objective(y, t), dtype=float) / p.alpha
+    else:
+        def rhs_y(y):
+            geom = geometry(p, y)
+            e = geom.projector @ np.asarray(p.grad_objective(y, t), dtype=float)
+            return -e / p.alpha + geom.theta @ dd
+    return rhs_y
+
+
+def _switch_speed(tol: float) -> float:
+    """Crossing speed under which Newton refinement of the limit is attempted."""
+    return max(1e-4, 10.0 * tol)
+
+
+def _polish_limit(rhs_y, y: np.ndarray, tol: float) -> np.ndarray | None:
+    """The verified sink Newton finds near a slow flow point, or None."""
+    return _polish_equilibrium(rhs_y, y, tol, radius=0.05 * (1.0 + np.linalg.norm(y)))
+
+
+#: Default speed under which a frozen-time flow counts as converged.
+_FLOW_TOL = 1e-8
+
+
 def frozen_time_flow(p: ProblemDef, x: np.ndarray, t: float,
                      s_max: float | None = None,
-                     tol: float = 1e-8) -> tuple[np.ndarray, bool]:
+                     tol: float = _FLOW_TOL) -> tuple[np.ndarray, bool]:
     """Integrate the time-frozen dynamics until the velocity drops below tol.
 
     The flow is dx/ds = -eta(x, t)/alpha + theta(x) d'(t) with both t and
@@ -168,16 +197,7 @@ def frozen_time_flow(p: ProblemDef, x: np.ndarray, t: float,
     if s_max is None:
         s_max = 100.0 * p.alpha
     x = np.asarray(x, dtype=float)
-    dd = np.asarray(p.data_rate(t), dtype=float)
-
-    if p.m == 0:
-        def rhs_y(y):
-            return -np.asarray(p.grad_objective(y, t), dtype=float) / p.alpha
-    else:
-        def rhs_y(y):
-            geom = geometry(p, y)
-            e = geom.projector @ np.asarray(p.grad_objective(y, t), dtype=float)
-            return -e / p.alpha + geom.theta @ dd
+    rhs_y = _frozen_field(p, t)
 
     def rhs(s, y):
         return rhs_y(y)
@@ -186,8 +206,7 @@ def frozen_time_flow(p: ProblemDef, x: np.ndarray, t: float,
     if speed <= tol:
         return x.copy(), True
 
-    # Crossing speed under which Newton refinement of the limit is attempted.
-    switch = max(1e-4, 10.0 * tol)
+    switch = _switch_speed(tol)
 
     def slow(s, y):
         return np.linalg.norm(rhs_y(y)) - switch
@@ -207,7 +226,7 @@ def frozen_time_flow(p: ProblemDef, x: np.ndarray, t: float,
         if sol.status != 1:
             break  # ran to s_max without getting slow
         speed = np.linalg.norm(rhs_y(y))
-        limit = _polish_equilibrium(rhs_y, y, tol, radius=0.05 * (1.0 + np.linalg.norm(y)))
+        limit = _polish_limit(rhs_y, y, tol)
         if limit is not None:
             return limit, True
         if speed <= tol:
@@ -220,6 +239,138 @@ def frozen_time_flow(p: ProblemDef, x: np.ndarray, t: float,
 
     speed = np.linalg.norm(rhs_y(y))
     return y, bool(speed <= tol)
+
+
+#: Step control of scipy's RK45 as :func:`frozen_time_flow` configures it.
+_FLOW_RTOL = 1e-8
+_FLOW_ATOL = 1e-11
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+_ERR_EXPONENT = -1.0 / (RK45.error_estimator_order + 1)
+
+#: Failures of one lane of :func:`frozen_time_flows`; the lane is rerun by
+#: the scalar flow, which reproduces (or recovers from) them.
+_LANE_FAILURES = (TvlandError, ValueError, ArithmeticError)
+
+
+def _rms(a: np.ndarray) -> np.ndarray:
+    """Row-wise RMS norm, as scipy's step control measures errors."""
+    return np.linalg.norm(a, axis=1) / a.shape[1] ** 0.5
+
+
+def frozen_time_flows(p: ProblemDef, X: np.ndarray, times,
+                      lane_errors: tuple = ()) -> tuple[np.ndarray, np.ndarray]:
+    """Frozen-time flows from many starts at once: ``(limits, converged)``.
+
+    Lane i is the flow of :func:`frozen_time_flow` from ``X[i]`` at time
+    ``times[i]`` (a scalar time applies to every lane) with its defaults
+    s_max = 100 alpha and tol = 1e-8.  One Dormand-Prince 5(4) stepper
+    advances all lanes together with scipy's RK45 control (rtol 1e-8, atol
+    1e-11, its initial-step rule, an adaptive step per lane); the field is
+    evaluated lane by lane.  A lane stops at its first accepted step whose
+    speed is at most the switch speed 1e-4 and converges when the Newton
+    sink check accepts an equilibrium there.  A lane that uses up s_max
+    before getting that slow is not converged, with its last state as the
+    limit, as the scalar flow reports it.
+
+    Lanes that start below the switch speed, raise, meet a non-finite stage,
+    fall under the minimum step or fail the sink check are rerun by
+    :func:`frozen_time_flow`, whose result, or exception, is theirs.  An
+    exception whose type is in ``lane_errors`` marks its lane not converged
+    with a NaN limit instead of propagating.
+    """
+    n = p.n
+    X = np.asarray(X, dtype=float).reshape(-1, n)
+    times = np.broadcast_to(np.asarray(times, dtype=float), (len(X),))
+    fields = [_frozen_field(p, float(t)) for t in times]
+    s_max = 100.0 * p.alpha
+    switch = _switch_speed(_FLOW_TOL)
+    A, B, E = RK45.A, RK45.B, RK45.E
+    limits = np.full(X.shape, np.nan)
+    converged = np.zeros(len(X), dtype=bool)
+    rerun = np.zeros(len(X), dtype=bool)
+
+    def field_values(lanes, Y, ok):
+        """Field rows of ``lanes`` at ``Y``; clears ``ok`` where a lane fails."""
+        F = np.zeros_like(Y)
+        ok &= np.isfinite(Y).all(axis=1)
+        for k in np.flatnonzero(ok):
+            try:
+                F[k] = fields[lanes[k]](Y[k])
+            except _LANE_FAILURES:
+                ok[k] = False
+        bad = ~np.isfinite(F).all(axis=1)
+        F[bad] = 0.0
+        ok &= ~bad
+        return F
+
+    lanes = np.arange(len(X))
+    ok = np.ones(len(X), dtype=bool)
+    f = field_values(lanes, X, ok)
+    ok &= np.linalg.norm(f, axis=1) > switch
+    rerun[~ok] = True
+    lanes, y, f = lanes[ok], X[ok], f[ok]
+
+    # scipy's initial step (Hairer, Norsett & Wanner, Sec. II.4)
+    scale = _FLOW_ATOL + np.abs(y) * _FLOW_RTOL
+    d0, d1 = _rms(y / scale), _rms(f / scale)
+    h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
+    h0 = np.minimum(h0, s_max)
+    ok = np.ones(len(lanes), dtype=bool)
+    d2 = _rms((field_values(lanes, y + h0[:, None] * f, ok) - f) / scale) / h0
+    h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15), np.maximum(1e-6, h0 * 1e-3),
+                  (0.01 / np.maximum(d1, d2)) ** -_ERR_EXPONENT)
+    h = np.minimum(np.minimum(100.0 * h0, h1), s_max)
+    s = np.zeros(len(lanes))
+    retry = np.zeros(len(lanes), dtype=bool)  # the current step was rejected
+
+    while lanes.size:
+        min_step = 10.0 * np.abs(np.nextafter(s, np.inf) - s)
+        h = np.where(retry, h, np.maximum(h, min_step))
+        ok &= h >= min_step
+        s_new = np.minimum(s + h, s_max)
+        h = s_new - s
+        K = np.empty((len(lanes), n, 7))
+        K[..., 0] = f
+        for st in range(1, 6):
+            K[..., st] = field_values(lanes, y + (K[..., :st] @ A[st, :st]) * h[:, None], ok)
+        y_new = y + h[:, None] * (K[..., :6] @ B)
+        K[..., 6] = field_values(lanes, y_new, ok)
+        scale = _FLOW_ATOL + np.maximum(np.abs(y), np.abs(y_new)) * _FLOW_RTOL
+        err = _rms((K @ E) * h[:, None] / scale)
+
+        accept = ok & (err < 1.0)
+        grow = _SAFETY * np.power(err, _ERR_EXPONENT, out=np.full_like(err, np.inf),
+                                  where=err > 0.0)
+        factor = np.where(accept, np.minimum(_MAX_FACTOR, grow), np.maximum(_MIN_FACTOR, grow))
+        factor = np.where(accept & retry, np.minimum(1.0, factor), factor)
+        h = h * factor
+        retry = ~accept
+        y = np.where(accept[:, None], y_new, y)
+        f = np.where(accept[:, None], K[..., 6], f)
+        s = np.where(accept, s_new, s)
+
+        slow = accept & (np.linalg.norm(f, axis=1) <= switch)
+        for k in np.flatnonzero(slow):
+            try:
+                limit = _polish_limit(fields[lanes[k]], y[k], _FLOW_TOL)
+            except _LANE_FAILURES:
+                limit = None
+            if limit is None:
+                rerun[lanes[k]] = True
+            else:
+                limits[lanes[k]], converged[lanes[k]] = limit, True
+        spent = accept & ~slow & (s >= s_max)
+        limits[lanes[spent]] = y[spent]
+        rerun[lanes[~ok]] = True
+        keep = ok & ~(slow | spent)
+        lanes, y, f, s, h, retry, ok = (a[keep] for a in (lanes, y, f, s, h, retry, ok))
+
+    for i in np.flatnonzero(rerun):
+        try:
+            limits[i], converged[i] = frozen_time_flow(p, X[i], float(times[i]))
+        except lane_errors:
+            pass
+    return limits, converged
 
 
 @dataclass

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import tvland as tv
+import tvland.classify as classify_module
 from test_discrete import scalar_quadratic
 
 BOX = (-18.0, 18.0)
@@ -108,6 +109,47 @@ class TestMembership:
         minus = z0.copy()
         minus[:2] = -minus[:2]
         assert tv.attraction_membership(frozen, minus, 0.0, cat) is None
+        # the same check inside a classification says why it is unresolved
+        traj = tv.trajectory_with_diagnostics(frozen, [0.0], minus[None, :])
+        res = tv.classify_trajectory(frozen, traj, lambda t: cat, 0.0, max_checks=1)
+        assert res.verdict is tv.Verdict.UNRESOLVED
+        assert [(r.member, r.reason) for r in res.records] == [(None, "no_catalog_match")]
+
+
+class TestTrackingBuilder:
+    def test_continuation_matches_flow_without_flowing(self, ex1_04_10, monkeypatch):
+        p, _ = ex1_04_10
+        flows = []
+        scalar = classify_module.frozen_time_flow
+        monkeypatch.setattr(classify_module, "frozen_time_flow",
+                            lambda *a, **k: flows.append(a[2]) or scalar(*a, **k))
+        builder = tv.tracking_builder(p, BOX, starts=64, seed=0)
+        first = builder(4.7)
+        cat = builder(4.72)
+        assert flows == []
+        fresh = tv.build_catalog(p, 4.72, starts=64, seed=0, box=BOX)
+        assert len(cat) == len(first) == len(fresh) == 2
+        assert np.abs(cat.minimizers - fresh.minimizers).max() <= 1e-9
+        assert cat.global_ids == fresh.global_ids
+        assert cat.dropped == 0
+
+    def test_sosc_failure_falls_back_to_flow(self, ex1_04_10, monkeypatch):
+        p, _ = ex1_04_10
+        fresh = tv.build_catalog(p, 4.72, starts=64, seed=0, box=BOX)
+        builder = tv.tracking_builder(p, BOX, starts=64, seed=0)
+        first = builder(4.7)
+        flows = []
+        scalar = classify_module.frozen_time_flow
+        monkeypatch.setattr(classify_module, "frozen_time_flow",
+                            lambda *a, **k: flows.append(a[1].copy()) or scalar(*a, **k))
+        # every continued point now fails the second-order test
+        monkeypatch.setattr(classify_module, "tangent_hessian_eigenvalues",
+                            lambda p, x, t: np.array([-1.0]))
+        cat = builder(4.72)
+        assert len(flows) == len(first) == 2
+        assert np.array_equal(np.vstack(flows), first.minimizers)
+        assert np.abs(cat.minimizers - fresh.minimizers).max() <= 1e-9
+        assert cat.global_ids == fresh.global_ids
 
 
 class TestClassifyTrajectory:
@@ -166,3 +208,21 @@ class TestClassifyTrajectory:
         res = tv.classify_trajectory(p, be_traj_04_10, builder,
                                      0.9 * p.horizon, max_checks=17)
         assert len(res.records) <= 17
+
+    @pytest.mark.parametrize("regime", ["ex1_04_10", "ex1_02_5"])
+    def test_records_match_scalar_membership(self, regime, request):
+        # the batched membership flows agree with attraction_membership
+        # check by check, against catalogs continued in the same order
+        p, _ = request.getfixturevalue(regime)
+        traj = tv.backward_euler_trajectory(p, np.array([-2.0]), 4e-3)
+        res = tv.classify_trajectory(p, traj, tv.tracking_builder(p, BOX, seed=0),
+                                     0.75 * p.horizon, max_checks=40)
+        builder = tv.tracking_builder(p, BOX, seed=0)
+        states = dict(zip(traj.times, traj.states))
+        assert len(res.records) == 40
+        for r in res.records:
+            cat = builder(r.time)
+            want = tv.attraction_membership(p, states[r.time], r.time, cat)
+            assert r.member == want
+            assert r.reason == "member"
+            assert r.is_global == (want in cat.global_ids)

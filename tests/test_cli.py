@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from tvland import cli
 from tvland.cli import run
 
 
@@ -176,9 +177,13 @@ class TestClassifyCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["verdict"] == "spurious"
 
-    def test_strict_unresolved_exit3(self, capsys):
+    def test_strict_unresolved_exit3(self, capsys, monkeypatch):
         # moving constrained data: frozen flows cannot settle, so membership
         # stays unresolved; --strict maps that to exit code 3
+        results = []
+        classify = cli._classify.classify_trajectory
+        monkeypatch.setattr(cli._classify, "classify_trajectory",
+                            lambda *a, **k: results.append(classify(*a, **k)) or results[-1])
         x0 = ",".join(map(str, [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]))
         code = run(["classify", "--scenario", "matrec", "--alpha", "1.0",
                     "--x0", x0, "--N", "40", "--checks", "2", "--starts", "2",
@@ -186,6 +191,8 @@ class TestClassifyCommand:
         assert code == 3
         payload = json.loads(capsys.readouterr().out)
         assert payload["verdict"] == "unresolved"
+        assert [r.reason for r in results[0].records] == ["flow_not_converged"] * 2
+        assert "reason" not in payload["checks"][0]
 
 
 class TestConfigFile:
@@ -260,6 +267,18 @@ class TestSweep:
         assert code == 0
         _, rows = read_csv(out)
         assert [float(r[0]) for r in rows] == pytest.approx([0.1, 0.3, 0.5])
+
+    def test_non_example1_scenario_rejected(self, capsys):
+        # the sweep only knows example1; another scenario is an error, not
+        # a silent example1 sweep
+        code = run(["sweep", "--scenario", "matrec", "--alpha-grid", "0.4",
+                    "--beta-grid", "10", "--mode", "prop1"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "usage"
+        assert "matrec" in err["message"]
 
     def test_oversized_grid_rejected(self, capsys):
         code = run(["sweep", "--scenario", "example1",

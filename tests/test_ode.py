@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import tvland as tv
+import tvland.ode as ode_module
 from conftest import linear_constraint_problem
 from test_discrete import scalar_quadratic
 
@@ -136,6 +137,113 @@ class TestFrozenTimeFlow:
         limit, converged = tv.frozen_time_flow(frozen, z, 0.0)
         assert converged
         assert np.linalg.norm(limit - z) < 1e-8
+
+
+def _scalar_flows(p, X, times):
+    out = [tv.frozen_time_flow(p, x, float(t)) for x, t in zip(X, times)]
+    return np.array([o[0] for o in out]), np.array([o[1] for o in out])
+
+
+@pytest.fixture
+def scalar_reruns(monkeypatch):
+    """Counts the lanes frozen_time_flows hands to the scalar flow."""
+    calls = []
+    scalar = tv.frozen_time_flow
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return scalar(*args, **kwargs)
+
+    monkeypatch.setattr(ode_module, "frozen_time_flow", counted)
+    return calls
+
+
+class TestFrozenTimeFlows:
+    def test_matches_scalar_across_box_and_times(self, ex1_04_10, scalar_reruns):
+        # one batch mixing starts over the whole box with several frozen times
+        p, _ = ex1_04_10
+        starts = np.linspace(-16.0, 16.0, 23)
+        times = np.repeat([0.0, 1.3, 2.9, 4.4, 5.8], starts.size)
+        X = np.tile(starts, 5)[:, None]
+        limits, converged = ode_module.frozen_time_flows(p, X, times)
+        assert scalar_reruns == []  # every lane settled in the batch
+        want_limits, want_conv = _scalar_flows(p, X, times)
+        assert np.array_equal(converged, want_conv)
+        assert converged.all()
+        assert np.abs(limits - want_limits).max() <= 1e-8
+
+    def test_scalar_time_applies_to_every_lane(self, ex1_04_10):
+        p, _ = ex1_04_10
+        X = np.array([[-5.0], [0.0], [3.0]])
+        limits, converged = ode_module.frozen_time_flows(p, X, 0.0)
+        assert converged.all()
+        assert limits[:, 0] == pytest.approx([-2.0, 2.0, 2.0], abs=1e-8)
+
+    def test_matches_scalar_on_frozen_matrix_recovery(self, matrec):
+        # Constrained limits are only defined up to the neutral leaf-normal
+        # directions (the sink polish moves along them by up to ~1e-3), so
+        # the two paths are compared after the KKT refinement that catalogs
+        # and continuation apply.
+        frozen = tv.freeze_data(matrec, 0.0)
+        rng = np.random.default_rng(5)
+        X = np.array([tv.matrix_recovery_state(frozen, f, 0.0)
+                      for f in rng.uniform(-2.0, 2.0, (8, 2))])
+        limits, converged = ode_module.frozen_time_flows(frozen, X, 0.0)
+        want_limits, want_conv = _scalar_flows(frozen, X, np.zeros(len(X)))
+        assert np.array_equal(converged, want_conv)
+        assert converged.all()
+        for got, want in zip(limits, want_limits):
+            a = tv.kkt_refine(frozen, got, 0.0)
+            b = tv.kkt_refine(frozen, want, 0.0)
+            assert np.linalg.norm(a - b) <= 1e-8
+
+    def test_moving_data_lane_spends_budget_without_rerun(self, matrec, scalar_reruns):
+        # no equilibria under moving data: the lane spends s_max in the
+        # batch and is reported not converged there, as the scalar flow does
+        z = tv.matrix_recovery_global_state(0.0)
+        limits, converged = ode_module.frozen_time_flows(matrec, z[None, :], 0.0)
+        assert scalar_reruns == []
+        want, want_conv = tv.frozen_time_flow(matrec, z, 0.0)
+        assert converged.tolist() == [want_conv] == [False]
+        assert np.abs(limits[0] - want).max() <= 1e-8
+
+    def test_raising_lane_leaves_the_others(self, ex1_04_10):
+        # the gradient raises beyond x = 100, as a degenerate constraint would
+        p, _ = ex1_04_10
+
+        def grad(x, t):
+            if x[0] > 100.0:
+                raise tv.SingularConstraintError("outside the model")
+            return ex1_04_10[0].grad_objective(x, t)
+
+        p = p.replace(grad_objective=grad)
+        X = np.array([[-5.0], [200.0], [3.0]])
+        with pytest.raises(tv.SingularConstraintError):
+            ode_module.frozen_time_flows(p, X, 0.0)
+        limits, converged = ode_module.frozen_time_flows(
+            p, X, 0.0, lane_errors=(tv.SingularConstraintError,))
+        assert converged.tolist() == [True, False, True]
+        assert np.isnan(limits[1]).all()
+        want_limits, want_conv = _scalar_flows(p, X[[0, 2]], np.zeros(2))
+        assert want_conv.all()
+        assert np.abs(limits[[0, 2]] - want_limits).max() <= 1e-8
+
+    def test_lanes_below_switch_speed_rerun(self, ex1_04_10, scalar_reruns):
+        # at the minimizer (speed 0) and just beside it (tol < speed < 1e-4)
+        p, _ = ex1_04_10
+        X = np.array([[-2.0], [2.0 + 1e-6], [0.0]])
+        limits, converged = ode_module.frozen_time_flows(p, X, 0.0)
+        assert [x[0] for x in scalar_reruns] == [-2.0, 2.0 + 1e-6]
+        want_limits, want_conv = _scalar_flows(p, X, np.zeros(3))
+        assert np.array_equal(converged, want_conv)
+        assert np.array_equal(limits[:2], want_limits[:2])
+        assert np.abs(limits[2] - want_limits[2]).max() <= 1e-8
+
+    def test_no_lanes(self, ex1_04_10):
+        p, _ = ex1_04_10
+        limits, converged = ode_module.frozen_time_flows(p, np.zeros((0, 1)), 0.0)
+        assert limits.shape == (0, 1)
+        assert converged.shape == (0,)
 
 
 class TestConvergenceStudy:
