@@ -139,22 +139,24 @@ def _simulate(p, opt: _Options) -> Trajectory:
     x0 = opt.vector("x0")
     if x0 is None:
         raise UsageError("missing required option: x0")
+    n = opt.get("N", None, int)
+    dt = opt.get("dt", None, float)
+    if n is not None and dt is not None:
+        raise UsageError("N and dt both set the grid; give only one of them")
     if method == "discrete":
-        n = opt.get("N", None, int)
         if n is None:
-            dt = opt.get("dt", None, float)
             n = DEFAULT_STEPS if dt is None else max(1, round(p.horizon / dt))
         return discrete_trajectory(p, x0, n)
     if method == "backward-euler":
-        dt = opt.get("dt", None, float)
         if dt is None:
-            n = opt.get("N", DEFAULT_STEPS, int)
-            dt = p.horizon / n
+            dt = p.horizon / (DEFAULT_STEPS if n is None else n)
         return _ode.backward_euler_trajectory(p, x0, dt)
     if method == "reference":
-        n = opt.get("N", 512, int)
+        if dt is not None:
+            raise UsageError("the reference method is adaptive; it takes N "
+                             "(output samples), not dt")
         rel_tol = opt.get("rel_tol", 1e-9, float)
-        return _ode.integrate_reference(p, x0, rel_tol, n_samples=n)
+        return _ode.integrate_reference(p, x0, rel_tol, n_samples=512 if n is None else n)
     raise UsageError(f"unknown method {method!r} "
                      "(expected discrete, backward-euler, or reference)")
 

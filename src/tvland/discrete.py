@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InitializationError, StepSolveError
-from .geometry import geometry, kkt_residual
+from .geometry import GeometryResult, geometry, kkt_residual, trajectory_with_diagnostics
 from .problem import ProblemDef, Trajectory
 
 #: Inner-solver tolerances: far below the acceptance tolerances of the
@@ -54,11 +54,15 @@ def _restore_feasibility(p: ProblemDef, x: np.ndarray, d_target: np.ndarray,
 def regularized_step(p: ProblemDef, x_prev: np.ndarray, t_next: float, dt: float,
                      stat_tol: float = STATIONARITY_TOL,
                      feas_tol: float = FEASIBILITY_TOL,
-                     max_iter: int = _MAX_ITER) -> np.ndarray:
+                     max_iter: int = _MAX_ITER, *,
+                     return_geometry: bool = False
+                     ) -> np.ndarray | tuple[np.ndarray, GeometryResult]:
     """Solve one proximally regularized problem to a KKT point.
 
     Returns x with the projected gradient of the augmented objective below
-    ``stat_tol`` and the constraint violation below ``feas_tol``.
+    ``stat_tol`` and the constraint violation below ``feas_tol``; with
+    ``return_geometry``, the pair ``(x, geometry(p, x))``, the geometry being
+    the one the solver computed at x for its stopping test.
 
     Raises
     ------
@@ -82,16 +86,21 @@ def regularized_step(p: ProblemDef, x_prev: np.ndarray, t_next: float, dt: float
     def f_aug(y):
         return p.objective(y, t_next) + inv_2dt * float(np.dot(y - x_prev, y - x_prev))
 
+    def proj_grad_aug(y, geom):
+        ga = np.asarray(p.grad_objective(y, t_next), dtype=float) + (alpha / dt) * (y - x_prev)
+        return geom.projector @ ga if p.m else ga
+
     x = _restore_feasibility(p, x_prev.copy(), d_target, feas_tol) if p.m else x_prev.copy()
     s0 = dt / alpha
+    geom = None  # geometry at x, carried over when the line search computed it
     for _ in range(max_iter):
-        geom = geometry(p, x)
-        ga = np.asarray(p.grad_objective(x, t_next), dtype=float) + (alpha / dt) * (x - x_prev)
-        eta_a = geom.projector @ ga if p.m else ga
+        if geom is None:
+            geom = geometry(p, x)
+            eta_a = proj_grad_aug(x, geom)
         gnorm = np.linalg.norm(eta_a)
         if gnorm <= stat_tol:
             if p.m == 0 or np.linalg.norm(p.constraints(x) - d_target) <= feas_tol:
-                return x
+                return (x, geom) if return_geometry else x
 
         f0 = f_aug(x)
         gg = float(np.dot(eta_a, eta_a))
@@ -104,6 +113,7 @@ def regularized_step(p: ProblemDef, x_prev: np.ndarray, t_next: float, dt: float
             predicted = _ARMIJO_C * s * gg
             if predicted >= 4e-12 * max(abs(f0), 1.0):
                 if f_aug(x_trial) <= f0 - predicted:
+                    geom_t = eta_t = None
                     accepted = True
                     break
             else:
@@ -111,9 +121,7 @@ def regularized_step(p: ProblemDef, x_prev: np.ndarray, t_next: float, dt: float
                 # of f_aug, where the objective test admits noise-driven
                 # expanding steps; accept only on gradient contraction.
                 geom_t = geometry(p, x_trial)
-                ga_t = (np.asarray(p.grad_objective(x_trial, t_next), dtype=float)
-                        + (alpha / dt) * (x_trial - x_prev))
-                eta_t = geom_t.projector @ ga_t if p.m else ga_t
+                eta_t = proj_grad_aug(x_trial, geom_t)
                 if np.linalg.norm(eta_t) < 0.9 * gnorm:
                     accepted = True
                     break
@@ -121,7 +129,7 @@ def regularized_step(p: ProblemDef, x_prev: np.ndarray, t_next: float, dt: float
         if not accepted:
             raise StepSolveError(
                 f"line search stalled at t = {t_next:.6g} with |proj grad| = {gnorm:.3e}")
-        x = x_trial
+        x, geom, eta_a = x_trial, geom_t, eta_t
 
     raise StepSolveError(
         f"inner solver exceeded {max_iter} iterations at t = {t_next:.6g}")
@@ -135,12 +143,6 @@ def check_local_solution(p: ProblemDef, x0: np.ndarray, t: float = 0.0,
         raise InitializationError(
             f"x0 is not a local solution at t = {t:g}: stationarity = "
             f"{res.stationarity:.3e}, feasibility = {res.feasibility:.3e} (tol {tol:g})")
-
-
-def _diagnostics(p: ProblemDef, x: np.ndarray, t: float, step: float):
-    geom = geometry(p, x)
-    res = kkt_residual(p, x, t, geom)
-    return res.stationarity, res.feasibility, geom.sigma_min, step
 
 
 def discrete_trajectory(p: ProblemDef, x0: np.ndarray, steps: int,
@@ -164,14 +166,9 @@ def discrete_trajectory(p: ProblemDef, x0: np.ndarray, steps: int,
     dt = p.horizon / steps
     times = np.linspace(0.0, p.horizon, steps + 1)
     states = np.empty((steps + 1, p.n))
-    diag = np.empty((steps + 1, 4))
+    geoms = [None] * (steps + 1)
     states[0] = x0
-    diag[0] = _diagnostics(p, x0, 0.0, 0.0)
-    x = x0
     for k in range(1, steps + 1):
-        x_new = regularized_step(p, x, times[k], dt, stat_tol, feas_tol)
-        step = float(np.linalg.norm(x_new - x))
-        states[k] = x_new
-        diag[k] = _diagnostics(p, x_new, times[k], step)
-        x = x_new
-    return Trajectory(times, states, diag[:, 0], diag[:, 1], diag[:, 2], diag[:, 3])
+        states[k], geoms[k] = regularized_step(p, states[k - 1], times[k], dt,
+                                               stat_tol, feas_tol, return_geometry=True)
+    return trajectory_with_diagnostics(p, times, states, geoms)

@@ -11,14 +11,20 @@ and the tracking dynamics follow
     x' = -eta(x, t) / alpha + theta(x) d'(t),
     eta(x, t) = P(x) grad f(x, t).
 
-Linear systems are solved against J J^T with a pivoted factorization; the
-matrix is never inverted explicitly.
+Both come from one thin singular value decomposition J = U S V^T (V has
+orthonormal columns spanning the row space of J):
+
+    P(x)     = I - V V^T
+    theta(x) = V S^(-1) U^T
+
+and S also gives the conditioning sigma_min(J) = S[-1].  Neither J J^T nor
+an inverse of it is ever formed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -37,6 +43,7 @@ class GeometryResult:
     projector: np.ndarray  # (n, n)
     theta: np.ndarray      # (n, m)
     sigma_min: float
+    jacobian: np.ndarray   # (m, n), the J(x) the other fields come from
 
 
 def geometry(p: ProblemDef, x: np.ndarray, c_tol: float = SINGULARITY_TOL) -> GeometryResult:
@@ -52,17 +59,16 @@ def geometry(p: ProblemDef, x: np.ndarray, c_tol: float = SINGULARITY_TOL) -> Ge
     """
     n = p.n
     if p.m == 0:
-        return GeometryResult(np.eye(n), np.zeros((n, 0)), np.inf)
+        return GeometryResult(np.eye(n), np.zeros((n, 0)), np.inf, np.zeros((0, n)))
     J = np.asarray(p.jacobian(x), dtype=float)
-    sigma = np.linalg.svd(J, compute_uv=False)[-1]
+    U, S, Vt = np.linalg.svd(J, full_matrices=False)
+    sigma = float(S[-1])
     if sigma < c_tol:
         raise SingularConstraintError(
             f"sigma_min(J) = {sigma:.3e} < {c_tol:.1e} at x = {np.asarray(x)!r}")
-    JJt = J @ J.T
-    theta = np.linalg.solve(JJt, J).T
-    P = np.eye(n) - theta @ J
-    P = 0.5 * (P + P.T)
-    return GeometryResult(P, theta, float(sigma))
+    P = np.eye(n) - Vt.T @ Vt
+    theta = (Vt.T / S) @ U.T
+    return GeometryResult(P, theta, sigma, J)
 
 
 def eta(p: ProblemDef, x: np.ndarray, t: float,
@@ -107,21 +113,28 @@ def kkt_residual(p: ProblemDef, x: np.ndarray, t: float,
     if geom is None:
         geom = geometry(p, x)
     mu = -(geom.theta.T @ grad)
-    J = np.asarray(p.jacobian(x), dtype=float)
-    stat = float(np.linalg.norm(grad + J.T @ mu))
+    stat = float(np.linalg.norm(grad + geom.jacobian.T @ mu))
     feas = float(np.linalg.norm(p.constraints(x) - p.data_path(t)))
     return KKTResidual(stat, feas, mu)
 
 
 def trajectory_with_diagnostics(p: ProblemDef, times: np.ndarray,
-                                states: np.ndarray) -> Trajectory:
-    """Assemble a Trajectory, filling per-point KKT and step diagnostics."""
+                                states: np.ndarray,
+                                geoms: Optional[Sequence[Optional[GeometryResult]]] = None
+                                ) -> Trajectory:
+    """Assemble a Trajectory, filling per-point KKT and step diagnostics.
+
+    ``geoms``, when given, holds the :func:`geometry` of each state as an
+    engine already computed it, or None where it must be computed here.
+    """
     times = np.asarray(times, dtype=float)
     states = np.atleast_2d(np.asarray(states, dtype=float))
     k = len(times)
     diag = np.empty((k, 4))
     for i in range(k):
-        geom = geometry(p, states[i])
+        geom = None if geoms is None else geoms[i]
+        if geom is None:
+            geom = geometry(p, states[i])
         res = kkt_residual(p, states[i], times[i], geom)
         step = 0.0 if i == 0 else float(np.linalg.norm(states[i] - states[i - 1]))
         diag[i] = (res.stationarity, res.feasibility, geom.sigma_min, step)

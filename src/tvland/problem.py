@@ -253,8 +253,9 @@ SENSING_MATRICES = (
     np.array([[0.0, 0.0], [0.0, _SQ3 / 2]]),
 )
 
-# symmetrized sensing matrices A_i + A_i^T used by gradients and Hessians
-_SYM = tuple(a + a.T for a in SENSING_MATRICES)
+# symmetrized sensing matrices A_i + A_i^T used by gradients and Hessians,
+# stacked (4, 2, 2) so that one matmul applies all four
+_SYM = np.array([a + a.T for a in SENSING_MATRICES])
 
 
 def matrix_recovery_target(t: float) -> np.ndarray:
@@ -268,7 +269,7 @@ def _target_rate(t: float) -> np.ndarray:
 
 def _measure(X: np.ndarray) -> np.ndarray:
     """<A_i, X X^T> for each sensing matrix (uses the symmetrized form)."""
-    return np.array([0.5 * X @ S @ X for S in _SYM])
+    return 0.5 * ((_SYM @ X) @ X)
 
 
 def make_matrix_recovery(consistent_data: bool = True, alpha: float = 0.1) -> ProblemDef:
@@ -298,12 +299,11 @@ def make_matrix_recovery(consistent_data: bool = True, alpha: float = 0.1) -> Pr
     def constraints(x):
         return _measure(x[:2]) - x[2:]
 
+    _JAC_SLACK = np.hstack([np.zeros((4, 2)), -np.eye(4)])
+
     def jac(x):
-        X = x[:2]
-        J = np.zeros((4, 6))
-        for i, S in enumerate(_SYM):
-            J[i, :2] = S @ X
-            J[i, 2 + i] = -1.0
+        J = _JAC_SLACK.copy()
+        J[:, :2] = _SYM @ x[:2]
         return J
 
     _CHESS = []
@@ -321,8 +321,7 @@ def make_matrix_recovery(consistent_data: bool = True, alpha: float = 0.1) -> Pr
             return _measure(matrix_recovery_target(t))
 
         def data_rate(t):
-            z, zd = matrix_recovery_target(t), _target_rate(t)
-            return np.array([zd @ S @ z for S in _SYM])
+            return (_SYM @ matrix_recovery_target(t)) @ _target_rate(t)
     else:
         def data_path(t):
             z1 = 0.8 + 0.2 * np.cos(t)

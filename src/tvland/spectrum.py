@@ -77,7 +77,7 @@ def variant_jacobian(p: ProblemDef, z: np.ndarray, t: float) -> tuple[np.ndarray
     dd = np.asarray(p.data_rate(t), dtype=float)
     if not np.any(dd):
         return K1, np.zeros((n, n))
-    J = np.asarray(p.jacobian(z), dtype=float)
+    J = geom.jacobian
     w = np.linalg.solve(J @ J.T, dd)          # (J J^T)^(-1) d'
     v = geom.theta @ dd                        # theta d'
     Mw = _weighted_constraint_hessian(p, z, w)
@@ -183,9 +183,8 @@ def tangent_hessian_eigenvalues(p: ProblemDef, x: np.ndarray, t: float) -> np.nd
     M = M + _weighted_constraint_hessian(p, x, res.multipliers)
     if p.m == 0:
         return np.linalg.eigvalsh(0.5 * (M + M.T))
-    J = np.asarray(p.jacobian(x), dtype=float)
     # orthonormal basis of ker J via the SVD
-    _, s, Vt = np.linalg.svd(J)
+    _, s, Vt = np.linalg.svd(geom.jacobian)
     W = Vt[p.m:].T
     red = W.T @ M @ W
     return np.linalg.eigvalsh(0.5 * (red + red.T))

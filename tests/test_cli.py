@@ -89,6 +89,33 @@ class TestSimulate:
         payload = json.loads(capsys.readouterr().err.strip())
         assert payload["error"] == "usage"
 
+    @pytest.mark.parametrize("method", ["discrete", "backward-euler", "reference"])
+    def test_grid_given_twice_is_usage_error(self, method, capsys):
+        # --N and --dt both fix the grid; neither may be dropped silently
+        code = run(["simulate", "--scenario", "example1", "--alpha", "0.4",
+                    "--beta", "10", "--x0", "-2", "--N", "50", "--dt", "0.1",
+                    "--method", method])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err.strip())["error"] == "usage"
+
+    def test_grid_given_twice_in_classify_and_config(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("dt = 0.1\n")
+        code = run(["classify", "--config", str(cfg), "--scenario", "example1",
+                    "--alpha", "0.4", "--beta", "10", "--x0", "-2", "--N", "50",
+                    "--checks", "2"])
+        assert code == 1
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "usage"
+
+    def test_reference_method_rejects_dt(self, capsys):
+        code = run(["simulate", "--scenario", "example1", "--alpha", "0.4",
+                    "--beta", "10", "--x0", "-2", "--dt", "0.1",
+                    "--method", "reference"])
+        assert code == 1
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "usage"
+
     def test_library_validation_maps_to_usage(self, capsys):
         code = run(["classify", "--scenario", "example1", "--alpha", "0.4",
                     "--beta", "10", "--x0", "-2", "--tbar-frac", "1.5",

@@ -92,6 +92,26 @@ class TestDiscreteTrajectory:
         assert traj.feasibility.max() <= 1e-9
         assert np.all(traj.sigma_min >= 1.0 - 1e-9)
 
+    def test_reused_geometry_gives_fresh_diagnostics(self):
+        # the engine hands its last geometry of each step to the diagnostics;
+        # they must equal diagnostics computed from scratch at the states
+        p = tv.make_matrix_recovery(True, alpha=0.5)
+        x0 = tv.matrix_recovery_state(p, tv.problem.THE_SPURIOUS_FACTOR, 0.0)
+        traj = tv.discrete_trajectory(p, x0, 200)
+        fresh = tv.trajectory_with_diagnostics(p, traj.times, traj.states)
+        for name in ("kkt_stationarity", "feasibility", "sigma_min", "step_norm"):
+            assert np.array_equal(getattr(traj, name), getattr(fresh, name)), name
+
+    def test_step_returns_geometry_at_solution(self):
+        p = tv.make_matrix_recovery(True, alpha=0.5)
+        x0 = tv.matrix_recovery_state(p, tv.problem.THE_SPURIOUS_FACTOR, 0.0)
+        x, geom = tv.regularized_step(p, x0, 0.01, 0.01, return_geometry=True)
+        assert np.array_equal(x, tv.regularized_step(p, x0, 0.01, 0.01))
+        fresh = tv.geometry(p, x)
+        assert np.array_equal(geom.projector, fresh.projector)
+        assert np.array_equal(geom.theta, fresh.theta)
+        assert np.array_equal(geom.jacobian, fresh.jacobian)
+
     def test_determinism(self, ex1_04_10):
         p, _ = ex1_04_10
         a = tv.discrete_trajectory(p, np.array([-2.0]), 50)

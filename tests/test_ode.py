@@ -37,13 +37,75 @@ class TestBackwardEuler:
             tv.backward_euler_trajectory(p, np.array([0.5]), 1e-2)
 
     def test_inner_residual_below_tolerance(self, ex1_04_10):
-        p, _ = ex1_04_10
-        traj = tv.backward_euler_trajectory(p, np.array([-2.0]), 5e-2)
-        dt = traj.times[1] - traj.times[0]
-        for k in range(1, len(traj)):
-            resid = traj.states[k] - traj.states[k - 1] \
-                - dt * tv.ode_rhs(p, traj.states[k], traj.times[k])
-            assert np.linalg.norm(resid) <= 1e-10
+        pe, _ = ex1_04_10
+        pm, xm = _matrec_spurious()
+        for p, x0, dt in ((pe, np.array([-2.0]), 5e-2), (pm, xm, pm.horizon / 400)):
+            traj = tv.backward_euler_trajectory(p, x0, dt)
+            dt = traj.times[1] - traj.times[0]
+            for k in range(1, len(traj)):
+                resid = traj.states[k] - traj.states[k - 1] \
+                    - dt * tv.ode_rhs(p, traj.states[k], traj.times[k])
+                assert np.linalg.norm(resid) <= 1e-10
+
+    def test_iteration_matrix_reused_across_steps(self, monkeypatch):
+        # simplified Newton: the finite-difference matrix (6 rhs calls) is
+        # re-evaluated only when an iteration with it stops contracting
+        p, x0 = _matrec_spurious()
+        calls = {"rhs": 0, "fd": 0}
+        rhs, fd = ode_module.ode_rhs, ode_module._fd_jacobian
+
+        def counted_rhs(*args, **kwargs):
+            calls["rhs"] += 1
+            return rhs(*args, **kwargs)
+
+        def counted_fd(*args, **kwargs):
+            calls["fd"] += 1
+            return fd(*args, **kwargs)
+
+        monkeypatch.setattr(ode_module, "ode_rhs", counted_rhs)
+        monkeypatch.setattr(ode_module, "_fd_jacobian", counted_fd)
+        n_steps = 2000
+        tv.backward_euler_trajectory(p, x0, p.horizon / n_steps)
+        assert calls["rhs"] <= 6 * n_steps
+        assert 1 <= calls["fd"] <= n_steps // 10
+
+    @pytest.mark.parametrize("stale", ["zero", "wrong_sign"])
+    def test_stale_matrix_is_refreshed(self, stale, monkeypatch):
+        p, x0 = _matrec_spurious()
+        dt = p.horizon / 200
+        t = dt
+        if stale == "zero":
+            M_stale = np.zeros((p.n, p.n))  # no progress at all
+        else:
+            M_stale = -np.eye(p.n)  # the residual grows
+        refreshes = []
+        fd = ode_module._fd_jacobian
+
+        def counted_fd(*args, **kwargs):
+            refreshes.append(1)
+            return fd(*args, **kwargs)
+
+        monkeypatch.setattr(ode_module, "_fd_jacobian", counted_fd)
+        y, M_inv = ode_module._implicit_step(p, x0, t, dt, 1e-10, M_stale)
+        assert refreshes
+        assert not np.array_equal(M_inv, M_stale)
+        resid = y - x0 - dt * tv.ode_rhs(p, y, t)
+        assert np.linalg.norm(resid) <= 1e-10
+        y_fresh, _ = ode_module._implicit_step(p, x0, t, dt, 1e-10, None)
+        assert np.linalg.norm(y - y_fresh) <= 1e-9
+
+    def test_reruns_are_bit_identical(self):
+        p, x0 = _matrec_spurious()
+        a = tv.backward_euler_trajectory(p, x0, p.horizon / 300)
+        b = tv.backward_euler_trajectory(p, x0, p.horizon / 300)
+        assert np.array_equal(a.states, b.states)
+        assert np.array_equal(a.kkt_stationarity, b.kkt_stationarity)
+
+
+def _matrec_spurious():
+    """Matrix recovery (alpha 0.5) from the lifted spurious factor at t = 0."""
+    p = tv.make_matrix_recovery(True, alpha=0.5)
+    return p, tv.matrix_recovery_state(p, tv.problem.THE_SPURIOUS_FACTOR, 0.0)
 
 
 class TestReferenceIntegrator:

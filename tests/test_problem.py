@@ -96,6 +96,33 @@ class TestMatrixRecovery:
         assert res.stationarity < 1e-12
         assert res.feasibility < 1e-14
 
+    @pytest.mark.parametrize("consistent", [True, False])
+    def test_stacked_maps_match_loop_reference(self, consistent):
+        # constraints, jacobian and data_rate apply the stacked (4, 2, 2)
+        # sensing matrices in one matmul; compare with one matrix at a time
+        from tvland.problem import _SYM, _target_rate
+
+        p = tv.make_matrix_recovery(consistent, alpha=0.5)
+        rng = np.random.default_rng(17)
+        for _ in range(50):
+            x = rng.standard_normal(6) * 1.5
+            t = rng.uniform(0.0, 2 * np.pi)
+            X = x[:2]
+            h_ref = np.array([0.5 * X @ S @ X for S in _SYM]) - x[2:]
+            J_ref = np.zeros((4, 6))
+            for i, S in enumerate(_SYM):
+                J_ref[i, :2] = S @ X
+                J_ref[i, 2 + i] = -1.0
+            z, zd = tv.matrix_recovery_target(t), _target_rate(t)
+            rate_ref = np.array([zd @ S @ z for S in _SYM])
+            if not consistent:
+                rate_ref[2] = 0.0  # the printed data fix d_3 = 0
+            for got, ref in ((p.constraints(x), h_ref), (p.jacobian(x), J_ref),
+                             (p.data_rate(t), rate_ref)):
+                assert got.shape == ref.shape
+                assert np.all(np.abs(got - ref) <= 1e-15 * (1.0 + np.abs(ref)))
+        assert tv.validate_problem(p, samples=20, seed=3).passed
+
     def test_sign_flip_involution(self):
         x = np.array([0.3, -0.4, 1.0, 2.0, 3.0, 4.0])
         y = tv.matrix_recovery_sign_flip(x)
