@@ -9,6 +9,7 @@ error, 2 numerical failure, 3 unresolved classification under --strict.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -330,10 +331,7 @@ def _cmd_validate(opt: _Options) -> int:
     samples = opt.get("samples", 100, int)
     seed = opt.get("seed", 0, int)
     rep = _problem.validate_problem(p, samples=samples, seed=seed)
-    payload = {k: _jsonable(getattr(rep, k)) for k in
-               ("samples", "seed", "tol", "grad_deviation",
-                "jacobian_deviation", "data_rate_deviation",
-                "grad_ok", "jacobian_ok", "data_rate_ok", "passed")}
+    payload = {f.name: _jsonable(getattr(rep, f.name)) for f in dataclasses.fields(rep)}
     _emit_json(payload, opt.get("out"))
     return 0
 

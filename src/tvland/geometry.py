@@ -29,7 +29,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import SingularConstraintError
-from .problem import ProblemDef, Trajectory
+from .problem import ProblemDef, Trajectory, has_stacked_gradient
 
 #: Below this smallest singular value of J the constraints are treated as
 #: degenerate (non-singularity assumption violated).
@@ -126,10 +126,19 @@ def trajectory_with_diagnostics(p: ProblemDef, times: np.ndarray,
 
     ``geoms``, when given, holds the :func:`geometry` of each state as an
     engine already computed it, or None where it must be computed here.
+    Without ``geoms``, an unconstrained problem with an array-safe gradient
+    gets all its diagnostics from one stacked gradient call, with the same
+    bits as the per-point loop.
     """
     times = np.asarray(times, dtype=float)
     states = np.atleast_2d(np.asarray(states, dtype=float))
     k = len(times)
+    if geoms is None and has_stacked_gradient(p):
+        grads = np.asarray(p.grad_objective(states, times[:, None]), dtype=float)
+        steps = np.zeros(k)
+        steps[1:] = np.linalg.norm(np.diff(states, axis=0), axis=1)
+        return Trajectory(times, states, np.linalg.norm(grads, axis=1),
+                          np.zeros(k), np.full(k, np.inf), steps)
     diag = np.empty((k, 4))
     for i in range(k):
         geom = None if geoms is None else geoms[i]

@@ -16,7 +16,7 @@ from scipy.integrate import RK45, solve_ivp
 from .discrete import check_local_solution, discrete_trajectory
 from .errors import ImplicitSolveError, StiffnessError, TvlandError
 from .geometry import geometry, ode_rhs, trajectory_with_diagnostics
-from .problem import ProblemDef, Trajectory
+from .problem import ProblemDef, Trajectory, has_stacked_gradient
 
 _BE_RESID_TOL = 1e-10
 _BE_MAX_NEWTON = 60
@@ -166,7 +166,11 @@ def _polish_equilibrium(rhs, y0: np.ndarray, tol: float,
 
     Accepts only when Newton converges within ``radius`` of ``y0`` and the
     field Jacobian at the solution has no eigenvalue with positive real part
-    (a saddle or source is not the flow limit of a generic start).
+    (a saddle or source is not the flow limit of a generic start).  Steps
+    are minimum-norm least-squares solutions: a constrained frozen field is
+    neutral along the m leaf normals, where its finite-difference Jacobian
+    is rounding noise, so a plain solve would move the limit along them by
+    that noise.
     """
     y = y0.copy()
     r = rhs(y)
@@ -180,7 +184,7 @@ def _polish_equilibrium(rhs, y0: np.ndarray, tol: float,
                 return None
             return y
         try:
-            delta = np.linalg.solve(Jr, -r)
+            delta = np.linalg.lstsq(Jr, -r, rcond=1e-6)[0]
         except np.linalg.LinAlgError:
             return None
         y = y + delta
@@ -303,12 +307,18 @@ def frozen_time_flows(p: ProblemDef, X: np.ndarray, times,
     ``times[i]`` (a scalar time applies to every lane) with its defaults
     s_max = 100 alpha and tol = 1e-8.  One Dormand-Prince 5(4) stepper
     advances all lanes together with scipy's RK45 control (rtol 1e-8, atol
-    1e-11, its initial-step rule, an adaptive step per lane); the field is
-    evaluated lane by lane.  A lane stops at its first accepted step whose
-    speed is at most the switch speed 1e-4 and converges when the Newton
-    sink check accepts an equilibrium there.  A lane that uses up s_max
-    before getting that slow is not converged, with its last state as the
-    limit, as the scalar flow reports it.
+    1e-11, its initial-step rule, an adaptive step per lane).  Each stage
+    evaluates the field of all live lanes in one gradient call, each lane at
+    its own time, when the problem is unconstrained and its gradient is
+    marked array-safe (:func:`~tvland.problem.has_stacked_gradient`); a
+    stacked call that raises is repeated lane by lane, and every other
+    problem is evaluated lane by lane.  Both ways give the same bits.
+
+    A lane stops at its first accepted step whose speed is at most the
+    switch speed 1e-4 and converges when the Newton sink check accepts an
+    equilibrium there.  A lane that uses up s_max before getting that slow
+    is not converged, with its last state as the limit, as the scalar flow
+    reports it.
 
     Lanes that start below the switch speed, raise, meet a non-finite stage,
     fall under the minimum step or fail the sink check are rerun by
@@ -320,6 +330,8 @@ def frozen_time_flows(p: ProblemDef, X: np.ndarray, times,
     X = np.asarray(X, dtype=float).reshape(-1, n)
     times = np.broadcast_to(np.asarray(times, dtype=float), (len(X),))
     fields = [_frozen_field(p, float(t)) for t in times]
+    stacked = has_stacked_gradient(p)
+    lane_times = times[:, None]
     s_max = 100.0 * p.alpha
     switch = _switch_speed(_FLOW_TOL)
     A, B, E = RK45.A, RK45.B, RK45.E
@@ -331,7 +343,16 @@ def frozen_time_flows(p: ProblemDef, X: np.ndarray, times,
         """Field rows of ``lanes`` at ``Y``; clears ``ok`` where a lane fails."""
         F = np.zeros_like(Y)
         ok &= np.isfinite(Y).all(axis=1)
-        for k in np.flatnonzero(ok):
+        live = np.flatnonzero(ok)
+        if stacked and live.size:
+            try:
+                G = p.grad_objective(Y[live], lane_times[lanes[live]])
+            except _LANE_FAILURES:
+                pass  # repeat lane by lane, so that only a raising lane fails
+            else:
+                F[live] = -np.asarray(G, dtype=float) / p.alpha
+                live = ()
+        for k in live:
             try:
                 F[k] = fields[lanes[k]](Y[k])
             except _LANE_FAILURES:

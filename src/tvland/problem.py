@@ -186,7 +186,10 @@ def _quartic(y):
 
 
 def _quartic_d1(y):
-    return y**3 + 0.375 * y**2 - 4.0 * y - 1.5
+    # products, not powers: numpy's array ``power`` rounds y**3 differently
+    # from scalar ``pow`` for a few percent of inputs, while products round
+    # the same for scalars, single points and stacks
+    return y * y * y + 0.375 * (y * y) - 4.0 * y - 1.5
 
 
 def _quartic_d2(y):
@@ -195,6 +198,30 @@ def _quartic_d2(y):
 
 _EMPTY = np.zeros(0)
 _EMPTY_JAC1 = np.zeros((0, 1))
+
+#: Attribute marking a gradient that also accepts a stack of points.
+_STACKABLE = "_tvland_stackable"
+
+
+def _stackable(grad):
+    """Mark ``grad`` as array-safe.
+
+    A marked gradient takes either one point (``x`` of shape (n,), scalar
+    ``t``) or a stack (``x`` of shape (L, n), ``t`` of shape (L, 1)) and
+    returns an array shaped like ``x``, each row bit for bit the per-point
+    result.  The mark lives on the callable, so ``ProblemDef.replace`` with
+    another gradient drops it.
+    """
+    setattr(grad, _STACKABLE, True)
+    return grad
+
+
+def has_stacked_gradient(p: "ProblemDef") -> bool:
+    """Whether the frozen-time field of ``p`` can be evaluated on stacks.
+
+    True for unconstrained problems whose gradient is marked array-safe.
+    """
+    return p.m == 0 and getattr(p.grad_objective, _STACKABLE, False)
 
 
 def make_example1(beta: float, alpha: float = 1.0) -> tuple[ProblemDef, Scalar1DFunction]:
@@ -211,7 +238,10 @@ def make_example1(beta: float, alpha: float = 1.0) -> tuple[ProblemDef, Scalar1D
     def objective(x, t):
         return _quartic(x[0] - b * np.sin(t))
 
+    @_stackable
     def grad(x, t):
+        if getattr(x, "ndim", 1) == 2:  # a stack of points, one time per row
+            return _quartic_d1(x - b * np.sin(t))
         return np.array([_quartic_d1(x[0] - b * np.sin(t))])
 
     def hess(x, t):
@@ -452,6 +482,13 @@ class ValidationReport:
 
     Deviations are max over samples of elementwise |fd - analytic| /
     (1 + |analytic|); a check passes when its deviation is below ``tol``.
+    ``hess_deviation`` compares ``hess_objective`` with differences of
+    ``grad_objective`` and ``constraint_hessian_deviation`` compares
+    ``constraint_hessians`` with differences of ``jacobian``; both are 0
+    when the map is absent.  ``stack_deviation`` is the largest |stacked -
+    per-point| over a stacked call of an array-safe gradient (0 for other
+    gradients) and passes only at exactly 0, since the stacked and
+    lane-by-lane flows must agree bit for bit.
     """
 
     samples: int
@@ -460,16 +497,27 @@ class ValidationReport:
     grad_deviation: float
     jacobian_deviation: float
     data_rate_deviation: float
+    hess_deviation: float
+    constraint_hessian_deviation: float
+    stack_deviation: float
     grad_ok: bool = field(init=False)
     jacobian_ok: bool = field(init=False)
     data_rate_ok: bool = field(init=False)
+    hess_ok: bool = field(init=False)
+    constraint_hessians_ok: bool = field(init=False)
+    stack_ok: bool = field(init=False)
     passed: bool = field(init=False)
 
     def __post_init__(self):
         self.grad_ok = self.grad_deviation <= self.tol
         self.jacobian_ok = self.jacobian_deviation <= self.tol
         self.data_rate_ok = self.data_rate_deviation <= self.tol
-        self.passed = self.grad_ok and self.jacobian_ok and self.data_rate_ok
+        self.hess_ok = self.hess_deviation <= self.tol
+        self.constraint_hessians_ok = self.constraint_hessian_deviation <= self.tol
+        self.stack_ok = self.stack_deviation == 0.0
+        self.passed = (self.grad_ok and self.jacobian_ok and self.data_rate_ok
+                       and self.hess_ok and self.constraint_hessians_ok
+                       and self.stack_ok)
 
 
 def _rel_dev(fd: np.ndarray, an: np.ndarray) -> float:
@@ -478,43 +526,66 @@ def _rel_dev(fd: np.ndarray, an: np.ndarray) -> float:
     return float(np.max(np.abs(fd - an) / (1.0 + np.abs(an))))
 
 
+def _central_difference(fn, x: np.ndarray, h: float) -> np.ndarray:
+    """Central differences of ``fn`` at x, one trailing axis per coordinate."""
+    cols = []
+    for j in range(x.size):
+        e = np.zeros(x.size)
+        e[j] = h
+        cols.append((np.asarray(fn(x + e), dtype=float)
+                     - np.asarray(fn(x - e), dtype=float)) / (2 * h))
+    return np.stack(cols, axis=-1)
+
+
 def validate_problem(p: ProblemDef, samples: int = 20, seed: int = 0,
                      tol: float = 1e-5) -> ValidationReport:
     """Check analytic derivatives against central finite differences.
 
     Draws ``samples`` random (x, t) points (deterministic in ``seed``) and
-    reports the worst relative deviation of grad_objective, jacobian and
-    data_rate from finite differences of their parent maps.  Deviations above
-    ``tol`` are reported, never raised.
+    reports the worst relative deviation of grad_objective, jacobian,
+    data_rate, hess_objective and constraint_hessians from finite
+    differences of their parent maps.  An array-safe gradient is also called
+    once on the stack of all sample points and compared with its per-point
+    values.  Deviations above ``tol`` are reported, never raised.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
     rng = np.random.default_rng(seed)
-    dev_g = dev_j = dev_d = 0.0
-    for _ in range(samples):
-        x = rng.standard_normal(p.n)
-        t = rng.uniform(0.0, p.horizon)
+    dev_g = dev_j = dev_d = dev_h = dev_ch = 0.0
+    xs, ts = np.empty((samples, p.n)), np.empty(samples)
+    for i in range(samples):
+        x = xs[i] = rng.standard_normal(p.n)
+        t = ts[i] = rng.uniform(0.0, p.horizon)
         hx = 1e-6 * (1.0 + np.linalg.norm(x))
 
-        fd_grad = np.zeros(p.n)
-        for j in range(p.n):
-            e = np.zeros(p.n)
-            e[j] = hx
-            fd_grad[j] = (p.objective(x + e, t) - p.objective(x - e, t)) / (2 * hx)
+        fd_grad = _central_difference(lambda y: p.objective(y, t), x, hx)
         dev_g = max(dev_g, _rel_dev(fd_grad, np.asarray(p.grad_objective(x, t))))
+        if p.hess_objective is not None:
+            fd_hess = _central_difference(lambda y: p.grad_objective(y, t), x, hx)
+            dev_h = max(dev_h, _rel_dev(fd_hess, np.asarray(p.hess_objective(x, t))))
 
         if p.m > 0:
-            fd_jac = np.zeros((p.m, p.n))
-            for j in range(p.n):
-                e = np.zeros(p.n)
-                e[j] = hx
-                fd_jac[:, j] = (p.constraints(x + e) - p.constraints(x - e)) / (2 * hx)
+            fd_jac = _central_difference(p.constraints, x, hx)
             dev_j = max(dev_j, _rel_dev(fd_jac, np.asarray(p.jacobian(x))))
+            if p.constraint_hessians is not None:
+                fd_ch = _central_difference(p.jacobian, x, hx)
+                an_ch = np.asarray(p.constraint_hessians(x), dtype=float)
+                dev_ch = max(dev_ch, _rel_dev(fd_ch, an_ch))
 
             ht = 1e-6 * (1.0 + abs(t))
             fd_rate = (p.data_path(t + ht) - p.data_path(t - ht)) / (2 * ht)
             dev_d = max(dev_d, _rel_dev(fd_rate, np.asarray(p.data_rate(t))))
 
+    dev_s = 0.0
+    if has_stacked_gradient(p):
+        stacked = np.asarray(p.grad_objective(xs, ts[:, None]), dtype=float)
+        rows = np.array([p.grad_objective(x, t) for x, t in zip(xs, ts)], dtype=float)
+        dev_s = np.inf
+        if stacked.shape == rows.shape:
+            dev_s = float(np.max(np.abs(stacked - rows)))
+
     return ValidationReport(samples=samples, seed=seed, tol=tol,
                             grad_deviation=dev_g, jacobian_deviation=dev_j,
-                            data_rate_deviation=dev_d)
+                            data_rate_deviation=dev_d, hess_deviation=dev_h,
+                            constraint_hessian_deviation=dev_ch,
+                            stack_deviation=dev_s)

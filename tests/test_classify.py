@@ -226,3 +226,17 @@ class TestClassifyTrajectory:
             assert r.member == want
             assert r.reason == "member"
             assert r.is_global == (want in cat.global_ids)
+
+
+@pytest.mark.parametrize("regime, box, verdict", [
+    ("ex1_04_10", (-16.0, 16.0), tv.Verdict.NON_SPURIOUS),
+    ("ex1_02_5", (-11.0, 11.0), tv.Verdict.SPURIOUS),
+])
+def test_verdict_stable_under_halving_dt(regime, box, verdict, request):
+    # the acceptance regimes keep their verdict when dt is halved
+    p, _ = request.getfixturevalue(regime)
+    for dt in (2e-3, 1e-3):
+        traj = tv.backward_euler_trajectory(p, np.array([-2.0]), dt)
+        builder = tv.tracking_builder(p, box, starts=64, seed=0)
+        result = tv.classify_trajectory(p, traj, builder, 0.75 * 2 * np.pi)
+        assert result.verdict is verdict, dt

@@ -165,6 +165,17 @@ class TestReports:
         payload = json.loads(capsys.readouterr().out)
         assert payload["passed"] is True
 
+    def test_validate_reports_second_derivatives(self, capsys):
+        code = run(["validate", "--scenario", "example1", "--alpha", "0.4",
+                    "--beta", "10", "--samples", "10"])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["hess_ok"] is True
+        assert payload["constraint_hessians_ok"] is True
+        assert payload["stack_ok"] is True
+        assert payload["stack_deviation"] == 0.0
+        assert 0.0 < payload["hess_deviation"] < 1e-5
+
     def test_spectrum_csv(self, tmp_path):
         out = tmp_path / "spec.csv"
         x0 = ",".join(map(str, [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]))
@@ -276,6 +287,19 @@ class TestSweep:
         table = {(float(r[0]), float(r[1])): (r[2], r[3]) for r in rows}
         assert table[(0.4, 10.0)] == ("true", "non-spurious")
         assert table[(0.2, 5.0)] == ("false", "spurious")
+
+    def test_bytes_independent_of_worker_count(self, tmp_path, monkeypatch):
+        outs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("TVL_THREADS", threads)
+            out = tmp_path / f"sweep{threads}.csv"
+            code = run(["sweep", "--scenario", "example1",
+                        "--alpha-grid", "0.2,0.4", "--beta-grid", "5,10",
+                        "--mode", "both", "--dt", "4e-3", "--checks", "30",
+                        "--out", str(out)])
+            assert code == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
 
     def test_empty_grid(self, tmp_path):
         out = tmp_path / "empty.csv"

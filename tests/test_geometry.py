@@ -160,3 +160,18 @@ class TestKKTResidual:
             res = tv.kkt_residual(q, x, 0.0)
             assert res.stationarity == pytest.approx(
                 np.linalg.norm(tv.eta(q, x, 0.0)), abs=1e-12)
+
+
+class TestTrajectoryDiagnostics:
+    def test_stacked_diagnostics_equal_point_loop(self, ex1_04_10, be_traj_04_10):
+        # example1 fills the diagnostics from one stacked gradient call; an
+        # unmarked wrapper takes the per-point loop
+        p, _ = ex1_04_10
+        lanes = p.replace(grad_objective=lambda x, t: p.grad_objective(x, t))
+        traj = be_traj_04_10
+        a = tv.trajectory_with_diagnostics(p, traj.times, traj.states)
+        b = tv.trajectory_with_diagnostics(lanes, traj.times, traj.states)
+        for name in ("kkt_stationarity", "feasibility", "sigma_min", "step_norm"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        assert a.step_norm[0] == 0.0
+        assert np.all(a.sigma_min == np.inf)

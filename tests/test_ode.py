@@ -200,6 +200,23 @@ class TestFrozenTimeFlow:
         assert converged
         assert np.linalg.norm(limit - z) < 1e-8
 
+    def test_constrained_limit_ignores_start_rounding(self):
+        # the frozen field is neutral along the leaf normals, where its
+        # finite-difference Jacobian is noise; minimum-norm Newton steps keep
+        # that noise out of the limit
+        frozen = tv.freeze_data(tv.make_matrix_recovery(True, 1.0), 0.0)
+        rng = np.random.default_rng(11)
+        for sign in (1.0, -1.0):
+            for _ in range(3):
+                f = sign * tv.matrix_recovery_target(0.0) + 0.05 * rng.standard_normal(2)
+                x = tv.matrix_recovery_state(frozen, f, 0.0)
+                x_moved = x.copy()
+                x_moved[0] += 1e-15
+                a, conv_a = tv.frozen_time_flow(frozen, x, 0.0)
+                b, conv_b = tv.frozen_time_flow(frozen, x_moved, 0.0)
+                assert conv_a and conv_b
+                assert np.abs(a - b).max() <= 1e-10
+
 
 def _scalar_flows(p, X, times):
     out = [tv.frozen_time_flow(p, x, float(t)) for x, t in zip(X, times)]
@@ -243,7 +260,7 @@ class TestFrozenTimeFlows:
 
     def test_matches_scalar_on_frozen_matrix_recovery(self, matrec):
         # Constrained limits are only defined up to the neutral leaf-normal
-        # directions (the sink polish moves along them by up to ~1e-3), so
+        # directions (the two integrations drift along them by ~1e-5), so
         # the two paths are compared after the KKT refinement that catalogs
         # and continuation apply.
         frozen = tv.freeze_data(matrec, 0.0)
@@ -289,6 +306,47 @@ class TestFrozenTimeFlows:
         want_limits, want_conv = _scalar_flows(p, X[[0, 2]], np.zeros(2))
         assert want_conv.all()
         assert np.abs(limits[[0, 2]] - want_limits).max() <= 1e-8
+
+    def test_stacked_field_equals_lane_loop(self, ex1_04_10):
+        # example1's gradient is marked array-safe, so each stage evaluates
+        # all lanes in one call; an unmarked wrapper takes the lane loop.
+        # Box starts at several times, plus starts whose field overflows
+        # (in a stage, and at the start itself).
+        p, _ = ex1_04_10
+        lanes = p.replace(grad_objective=lambda x, t: p.grad_objective(x, t))
+        starts = np.linspace(-16.0, 16.0, 23)
+        times = np.append(np.repeat([0.0, 1.3, 2.9, 4.4, 5.8], starts.size), [0.7, 0.7])
+        X = np.append(np.tile(starts, 5), [4e102, 1e103])[:, None]
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = ode_module.frozen_time_flows(p, X, times, lane_errors=(tv.StiffnessError,))
+            want = ode_module.frozen_time_flows(lanes, X, times,
+                                                lane_errors=(tv.StiffnessError,))
+        assert np.array_equal(got[0], want[0], equal_nan=True)
+        assert np.array_equal(got[1], want[1])
+        assert got[1][:-2].all() and not got[1][-2:].any()
+
+    def test_raising_stacked_call_falls_back_to_lanes(self, ex1_04_10):
+        # a marked gradient that raises on any stack holding x > 100: that
+        # evaluation is repeated lane by lane, so only the raising lane fails
+        from tvland.problem import _stackable
+
+        p, _ = ex1_04_10
+
+        def grad(x, t):
+            if np.any(np.asarray(x) > 100.0):
+                raise tv.SingularConstraintError("outside the model")
+            return p.grad_objective(x, t)
+
+        marked = p.replace(grad_objective=_stackable(lambda x, t: grad(x, t)))
+        unmarked = p.replace(grad_objective=lambda x, t: grad(x, t))
+        X = np.array([[-5.0], [200.0], [3.0]])
+        errors = (tv.SingularConstraintError,)
+        limits, converged = ode_module.frozen_time_flows(marked, X, 0.0, lane_errors=errors)
+        want_limits, want_conv = ode_module.frozen_time_flows(unmarked, X, 0.0,
+                                                              lane_errors=errors)
+        assert converged.tolist() == [True, False, True]
+        assert np.array_equal(converged, want_conv)
+        assert np.array_equal(limits, want_limits, equal_nan=True)
 
     def test_lanes_below_switch_speed_rerun(self, ex1_04_10, scalar_reruns):
         # at the minimizer (speed 0) and just beside it (tol < speed < 1e-4)

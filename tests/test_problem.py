@@ -56,6 +56,29 @@ class TestExample1:
         assert np.array_equal(p.grad_objective(x, 1.3), p.grad_objective(x, 1.3))
 
 
+    def test_stacked_gradient_equals_rows(self, ex1_04_10):
+        # one call on an (L, n) stack with (L, 1) times returns the per-point
+        # rows bit for bit, and those equal g' evaluated on Python floats
+        p, sf = ex1_04_10
+        assert tv.problem.has_stacked_gradient(p)
+        rng = np.random.default_rng(8)
+        X = rng.uniform(-20.0, 20.0, (500, p.n))
+        T = rng.uniform(0.0, 2 * np.pi, (500, 1))
+        G = p.grad_objective(X, T)
+        assert G.shape == X.shape
+        rows = np.array([p.grad_objective(x, float(t[0])) for x, t in zip(X, T)])
+        assert np.array_equal(G, rows)
+        scalar = [sf.dg(float(y)) for y in (X - 10.0 * np.sin(T))[:, 0]]
+        assert np.array_equal(G[:, 0], scalar)
+
+    def test_replaced_gradient_drops_the_mark(self, ex1_04_10, matrec):
+        p, _ = ex1_04_10
+        assert tv.problem.has_stacked_gradient(p.replace(alpha=1.0))
+        wrapped = p.replace(grad_objective=lambda x, t: p.grad_objective(x, t))
+        assert not tv.problem.has_stacked_gradient(wrapped)
+        assert not tv.problem.has_stacked_gradient(matrec)
+
+
 class TestMatrixRecovery:
     def test_consistent_data_at_zero(self, matrec):
         d0 = matrec.data_path(0.0)
@@ -198,6 +221,46 @@ class TestValidation:
         rep = tv.validate_problem(bad, samples=20, seed=0)
         assert not rep.passed
         assert not rep.grad_ok
+
+    def test_corrupted_hessian_fails(self):
+        p, _ = tv.make_example1(10.0, alpha=0.4)
+        bad = p.replace(hess_objective=lambda x, t: np.zeros((1, 1)))
+        rep = tv.validate_problem(bad, samples=20, seed=0)
+        assert not rep.passed
+        assert not rep.hess_ok
+        assert rep.grad_ok and rep.stack_ok
+
+    def test_hessians_checked(self, ex1_04_10, matrec):
+        rep = tv.validate_problem(ex1_04_10[0], samples=20, seed=0)
+        assert 0.0 < rep.hess_deviation < 1e-5
+        rep = tv.validate_problem(matrec, samples=20, seed=1)
+        assert 0.0 < rep.hess_deviation < 1e-5
+        assert 0.0 < rep.constraint_hessian_deviation < 1e-5
+
+    def test_corrupted_constraint_hessians_fail(self, matrec):
+        good = matrec.constraint_hessians(np.zeros(6))
+        bad = matrec.replace(constraint_hessians=lambda x: good[:3] + (-good[3],))
+        rep = tv.validate_problem(bad, samples=20, seed=1)
+        assert not rep.passed
+        assert not rep.constraint_hessians_ok
+        assert rep.jacobian_ok and rep.hess_ok
+
+    def test_stacked_gradient_must_equal_rows(self, ex1_04_10):
+        # a gradient marked array-safe whose stacked rows are one ulp off
+        from tvland.problem import _stackable
+
+        p, _ = ex1_04_10
+
+        def grad(x, t):
+            g = p.grad_objective(x, t)
+            return np.nextafter(g, np.inf) if np.ndim(x) == 2 else g
+
+        rep = tv.validate_problem(p.replace(grad_objective=_stackable(grad)),
+                                  samples=20, seed=0)
+        assert rep.grad_ok
+        assert not rep.stack_ok
+        assert not rep.passed
+        assert tv.validate_problem(p, samples=20, seed=0).stack_deviation == 0.0
 
     def test_deterministic_in_seed(self, matrec):
         a = tv.validate_problem(matrec, samples=10, seed=42)
