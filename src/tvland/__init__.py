@@ -20,8 +20,9 @@ from .errors import (EigenConvergenceError, ImplicitSolveError,
                      InitializationError, MissingHessianError,
                      RootBracketError, SingularConstraintError,
                      StepSolveError, StiffnessError, TvlandError)
-from .geometry import (GeometryResult, KKTResidual, eta, geometry,
-                       kkt_residual, ode_rhs, trajectory_with_diagnostics)
+from .geometry import (GeometryResult, KKTResidual, NewtonKKT, eta,
+                       geometry, kkt_residual, newton_kkt, ode_rhs,
+                       trajectory_with_diagnostics)
 from .ode import (ConvergenceRow, backward_euler_trajectory,
                   convergence_study, frozen_time_flow, integrate_reference)
 from .problem import (MinimizerCatalog, ProblemDef, Scalar1DFunction,
@@ -40,7 +41,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ClassificationResult", "ConvergenceRow", "EigenConvergenceError",
     "GeometryResult", "ImplicitSolveError", "InitializationError",
-    "KKTResidual", "MembershipRecord", "MinimizerCatalog",
+    "KKTResidual", "MembershipRecord", "MinimizerCatalog", "NewtonKKT",
     "MissingHessianError", "ProblemDef", "Prop1Report", "RegionResult",
     "RootBracketError", "Scalar1DFunction", "SingularConstraintError",
     "SpectrumReport", "SpectrumSample", "StepSolveError", "StiffnessError",
@@ -53,7 +54,7 @@ __all__ = [
     "make_damped_sinusoid", "make_example1", "make_matrix_recovery",
     "matrix_recovery_global_state", "matrix_recovery_sign_flip",
     "matrix_recovery_state", "matrix_recovery_target", "multistart_builder",
-    "ode_rhs", "prop1_check", "prop1_constants", "prop1_region",
+    "newton_kkt", "ode_rhs", "prop1_check", "prop1_constants", "prop1_region",
     "regularized_step", "spectrum_along_trajectory",
     "tangent_hessian_eigenvalues", "thm3_check", "tracking_builder",
     "trajectory_with_diagnostics", "validate_problem", "variant_jacobian",

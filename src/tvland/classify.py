@@ -16,10 +16,10 @@ import numpy as np
 
 from .discrete import _restore_feasibility
 from .errors import SingularConstraintError, StepSolveError
-from .geometry import kkt_residual
+from .geometry import has_hessians, kkt_residual, newton_kkt
 from .ode import frozen_time_flow, frozen_time_flows
 from .problem import MinimizerCatalog, ProblemDef, Trajectory
-from .spectrum import kkt_refine, tangent_hessian_eigenvalues
+from .spectrum import tangent_hessian_eigenvalues
 
 #: Distance under which a flow limit is identified with a catalog entry, and
 #: under which multistart limits are merged into one cluster.  Minimizers of
@@ -150,34 +150,19 @@ def _polish_minimizer(p: ProblemDef, x: np.ndarray, t: float) -> np.ndarray:
     Constrained flow limits drift off the target leaf by the integration
     tolerance (leaf-normal directions are neutrally stable); the KKT
     refinement pins them back.  Best effort: the unrefined point is returned
-    when second derivatives are unavailable or Newton leaves the vicinity.
+    when second derivatives are unavailable or Newton leaves the vicinity
+    (for m = 0, Newton keeps its last iterate before a step longer than 1).
     """
+    if not has_hessians(p):
+        return x
     if p.m == 0:
-        if p.hess_objective is None:
-            return x
-        x = x.copy()
-        for _ in range(25):
-            g = np.asarray(p.grad_objective(x, t), dtype=float)
-            if np.linalg.norm(g) <= 1e-12:
-                break
-            H = np.asarray(p.hess_objective(x, t), dtype=float)
-            try:
-                step = np.linalg.solve(H, -g)
-            except np.linalg.LinAlgError:
-                break
-            if np.linalg.norm(step) > 1.0:  # do not leave the basin
-                break
-            x = x + step
-        return x
-    if p.hess_objective is None or p.constraint_hessians is None:
-        return x
+        return newton_kkt(p, x, t, max_step=1.0, tol=1e-12, max_iter=25).x
     try:
-        refined = kkt_refine(p, x, t)
-    except (StepSolveError, SingularConstraintError, np.linalg.LinAlgError):
+        res = newton_kkt(p, x, t)
+    except (SingularConstraintError, np.linalg.LinAlgError):
         return x
-    if np.linalg.norm(refined - x) > 0.05 * (1.0 + np.linalg.norm(x)):
-        return x
-    return refined
+    near = np.linalg.norm(res.x - x) <= 0.05 * (1.0 + np.linalg.norm(x))
+    return res.x if res.status == "converged" and near else x
 
 
 def _is_strict_minimizer(p: ProblemDef, x: np.ndarray, t: float) -> bool:
@@ -304,8 +289,8 @@ def tracking_builder(p: ProblemDef, box, starts: int = 64, seed: int = 0,
 
     The first requested time pays for a full multistart.  Later times
     continue each known minimizer from its previous location by a Newton
-    step (:func:`_polish_minimizer`: Newton on the gradient for m = 0,
-    ``kkt_refine`` otherwise) and keep the continued point when it passes
+    step (:func:`_polish_minimizer`, :func:`~tvland.geometry.newton_kkt`
+    on the KKT system) and keep the continued point when it passes
     the test :func:`build_catalog` applies to its entries (KKT residuals
     within ``CATALOG_KKT_TOL``, tangent Hessian eigenvalues above
     ``SOSC_TOL``).  A point failing it is replaced by the polished limit of

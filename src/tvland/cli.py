@@ -105,6 +105,11 @@ class _Options:
             raise UsageError(f"invalid vector for {key}: {raw!r}") from exc
 
 
+#: Damping factor of the damped scenario when --lambda is not given; the
+#: example1 landscape is undamped (lambda = 0).
+DAMPED_LAMBDA = 0.1
+
+
 def _build_scenario(opt: _Options):
     """Return (problem, scalar_function_or_None) for the selected scenario."""
     scenario = opt.require("scenario")
@@ -119,7 +124,7 @@ def _build_scenario(opt: _Options):
     if scenario == "damped":
         beta = opt.get("beta", 10.0, float)
         omega = opt.get("omega", 1.0, float)
-        lam = opt.get("lambda", 0.1, float)
+        lam = opt.get("lambda", DAMPED_LAMBDA, float)
         p = _problem.make_damped_sinusoid(
             lambda y: _problem._quartic(y[0]),
             lambda y: np.array([_problem._quartic_d1(y[0])]),
@@ -294,7 +299,7 @@ def _cmd_thm3(opt: _Options) -> int:
     alpha = opt.get("alpha", 1.0, float)
     beta = opt.get("beta", 10.0, float)
     omega = opt.get("omega", 1.0, float)
-    lam = opt.get("lambda", 0.0, float)
+    lam = opt.get("lambda", DAMPED_LAMBDA if p.name == "damped" else 0.0, float)
     R = opt.get("R", 0.5, float)
     # spurious minima of the shipped quartic landscape
     minima = [np.array([-2.0])]
@@ -423,6 +428,46 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+#: Every flag of the subcommands, with its argparse settings.
+_FLAGS = (
+    ("--config", {"help": "flat key=value config file"}),
+    ("--scenario", {}),
+    ("--alpha", {}),
+    ("--beta", {}),
+    ("--omega", {}),
+    ("--lambda", {"dest": "lambda_", "help": "damping factor"}),
+    ("--R", {}),
+    ("--x0", {"help": "comma-separated start vector"}),
+    ("--dt", {}),
+    ("--N", {}),
+    ("--method", {"help": "discrete | backward-euler | reference"}),
+    ("--tbar-frac", {}),
+    ("--seed", {}),
+    ("--out", {"help": "output path (default stdout)"}),
+    ("--t", {}),
+    ("--smax", {}),
+    ("--tol", {}),
+    ("--rel-tol", {}),
+    ("--consistent", {}),
+    ("--box", {}),
+    ("--starts", {}),
+    ("--checks", {}),
+    ("--samples", {}),
+    ("--alpha-grid", {}),
+    ("--beta-grid", {}),
+    ("--mode", {"help": "sweep mode: prop1 | sim | both"}),
+    ("--strict", {"action": "store_const", "const": "true"}),
+    ("--json", {"action": "store_true",
+                "help": "accepted for symmetry; reports are always JSON"}),
+)
+
+#: The flags sweep reads; argparse rejects the others instead of dropping them.
+_SWEEP_FLAGS = frozenset({
+    "--config", "--scenario", "--x0", "--dt", "--tbar-frac", "--seed", "--out",
+    "--starts", "--checks", "--alpha-grid", "--beta-grid", "--mode", "--json",
+})
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="tvland", description=__doc__)
     sub = parser.add_subparsers(dest="command")
@@ -438,35 +483,9 @@ def _build_parser() -> _Parser:
     }
     for name, help_text in specs.items():
         sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("--config", help="flat key=value config file")
-        sp.add_argument("--scenario")
-        sp.add_argument("--alpha")
-        sp.add_argument("--beta")
-        sp.add_argument("--omega")
-        sp.add_argument("--lambda", dest="lambda_", help="damping factor")
-        sp.add_argument("--R")
-        sp.add_argument("--x0", help="comma-separated start vector")
-        sp.add_argument("--dt")
-        sp.add_argument("--N")
-        sp.add_argument("--method", help="discrete | backward-euler | reference")
-        sp.add_argument("--tbar-frac")
-        sp.add_argument("--seed")
-        sp.add_argument("--out", help="output path (default stdout)")
-        sp.add_argument("--t")
-        sp.add_argument("--smax")
-        sp.add_argument("--tol")
-        sp.add_argument("--rel-tol")
-        sp.add_argument("--consistent")
-        sp.add_argument("--box")
-        sp.add_argument("--starts")
-        sp.add_argument("--checks")
-        sp.add_argument("--samples")
-        sp.add_argument("--alpha-grid")
-        sp.add_argument("--beta-grid")
-        sp.add_argument("--mode", help="sweep mode: prop1 | sim | both")
-        sp.add_argument("--strict", action="store_const", const="true")
-        sp.add_argument("--json", action="store_true",
-                        help="accepted for symmetry; reports are always JSON")
+        for flag, kwargs in _FLAGS:
+            if name != "sweep" or flag in _SWEEP_FLAGS:
+                sp.add_argument(flag, **kwargs)
     return parser
 
 

@@ -21,8 +21,6 @@ from typing import Optional
 
 import numpy as np
 from scipy import optimize
-from scipy.special import ndtri
-from scipy.stats import qmc
 
 from .errors import RootBracketError
 from .problem import Scalar1DFunction
@@ -183,6 +181,8 @@ def prop1_region(sf: Scalar1DFunction, alpha_grid, beta_grid) -> RegionResult:
 
 def _ball_samples(center: np.ndarray, R: float, count: int, seed: int) -> np.ndarray:
     """Quasi-random points filling the ball B(center, R)."""
+    from scipy.stats import qmc  # slow to import; only n >= 2 samples need it
+
     n = center.size
     sob = qmc.Sobol(d=n + 1, scramble=True, seed=seed)
     u = sob.random(count)
@@ -194,6 +194,8 @@ def _ball_samples(center: np.ndarray, R: float, count: int, seed: int) -> np.nda
 
 
 def _sphere_samples(n: int, count: int, seed: int) -> np.ndarray:
+    from scipy.stats import qmc  # slow to import; only n >= 2 samples need it
+
     sob = qmc.Sobol(d=n, scramble=True, seed=seed)
     gauss = _inverse_gauss(sob.random(count))
     norms = np.linalg.norm(gauss, axis=1)
@@ -202,6 +204,8 @@ def _sphere_samples(n: int, count: int, seed: int) -> np.ndarray:
 
 
 def _inverse_gauss(u: np.ndarray) -> np.ndarray:
+    from scipy.special import ndtri
+
     return ndtri(np.clip(u, 1e-12, 1 - 1e-12))
 
 

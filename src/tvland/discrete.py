@@ -2,22 +2,29 @@
 
 Each step solves
 
-    minimize    f(x, t_{k+1}) + alpha |x - x_k|^2 / (2 dt)
+    minimize    F(x) = f(x, t_{k+1}) + alpha |x - x_k|^2 / (2 dt)
     subject to  h(x) = d(t_{k+1})
 
-to a KKT point, warm-started at x_k, using projected-gradient descent on the
-augmented objective with a Newton feasibility-restoration step after each
-accepted gradient step.  The warm start pins down which KKT point is
-returned when the regularized problem has several (the one reachable from
-x_k by descent), making trajectories deterministic.
+to the KKT point reachable from the warm start x_k by descent, which makes
+trajectories deterministic.  Newton's method on the KKT system
+(:func:`~tvland.geometry.newton_kkt`) starts at x_k restored onto the new
+leaf; its point is kept if it passes the stop test, does not raise F above
+the restored warm start, and has a Lagrangian Hessian of F positive definite
+on ker J.  Otherwise, and without second derivatives, projected-gradient
+descent on F with Armijo backtracking and feasibility restoration takes over.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Optional
+
 import numpy as np
 
 from .errors import InitializationError, StepSolveError
-from .geometry import GeometryResult, geometry, kkt_residual, trajectory_with_diagnostics
+from .geometry import (GeometryResult, geometry, has_hessians, kkt_residual,
+                       lagrangian_hessian, newton_kkt, positive_definite_on_kernel,
+                       require_regular, trajectory_with_diagnostics)
 from .problem import ProblemDef, Trajectory
 
 #: Inner-solver tolerances: far below the acceptance tolerances of the
@@ -29,40 +36,140 @@ FEASIBILITY_TOL = 1e-9
 INIT_TOL = 1e-6
 
 _MAX_ITER = 10_000
+_NEWTON_MAX_ITER = 10
 _ARMIJO_C = 1e-4
 _ARMIJO_SHRINK = 0.5
+#: Relative floating point resolution assumed for values of F.
+_F_RESOLUTION = 4e-12
 
 
 def _restore_feasibility(p: ProblemDef, x: np.ndarray, d_target: np.ndarray,
-                         feas_tol: float) -> np.ndarray:
-    """Newton iteration on h(x) = d_target using the pseudo-inverse map."""
+                         feas_tol: float, theta: Optional[np.ndarray] = None) -> np.ndarray:
+    """Newton iteration on h(x) = d_target with minimum-norm (lstsq) steps.
+
+    Given ``theta``, the pseudo-inverse map at a nearby point, steps use it
+    instead (a chord iteration) for as long as each halves the residual.
+    """
     if p.m == 0:
         return x
-    for _ in range(30):
+    r_prev = np.inf
+    for _ in range(31):
         r = p.constraints(x) - d_target
-        if np.linalg.norm(r) <= feas_tol:
+        r_norm = np.linalg.norm(r)
+        if r_norm <= feas_tol:
             return x
-        geom = geometry(p, x)
-        x = x - geom.theta @ r
-    r = p.constraints(x) - d_target
-    if np.linalg.norm(r) <= feas_tol:
-        return x
-    raise StepSolveError(
-        f"feasibility restoration stalled at |h - d| = {np.linalg.norm(r):.3e}")
+        if theta is None or r_norm > 0.5 * r_prev:
+            theta = None
+            step, _, _, sv = np.linalg.lstsq(np.asarray(p.jacobian(x), dtype=float), r,
+                                             rcond=None)
+            require_regular(float(sv[-1]), x)
+        else:
+            step = theta @ r
+        x = x - step
+        r_prev = r_norm
+    raise StepSolveError(f"feasibility restoration stalled at |h - d| = {r_norm:.3e}")
+
+
+@dataclass(frozen=True)
+class _Subproblem:
+    """F(y) = f(y, t) + w |y - x_prev|^2 / 2 s.t. h(y) = d, with w = alpha/dt."""
+
+    p: ProblemDef
+    x_prev: np.ndarray
+    t: float
+    w: float
+    d: Optional[np.ndarray]
+    stat_tol: float
+    feas_tol: float
+
+    def value(self, y: np.ndarray) -> float:
+        return self.p.objective(y, self.t) + 0.5 * self.w * float(
+            np.dot(y - self.x_prev, y - self.x_prev))
+
+    def proj_grad(self, y: np.ndarray, geom: GeometryResult) -> np.ndarray:
+        g = np.asarray(self.p.grad_objective(y, self.t), dtype=float) + self.w * (y - self.x_prev)
+        return geom.projector @ g if self.p.m else g
+
+
+def _newton_point(sp: _Subproblem, x: np.ndarray, geom_prev: Optional[GeometryResult],
+                  max_iter: int):
+    """Safeguarded Newton-KKT from x: ``(found, iterations)``, found being
+    ``(y, geometry at y)``, or None when Newton fails or a safeguard rejects y."""
+    res = newton_kkt(sp.p, x, sp.t, prox=(sp.x_prev, sp.w), max_iter=max_iter,
+                     tol=min(sp.stat_tol, sp.feas_tol), geom=geom_prev)
+    if res.status != "converged":
+        return None, res.iterations
+    y, geom = res.x, geometry(sp.p, res.x)
+    # newton_kkt checked |h(y) - d| <= feas_tol.  F(y) may exceed F(x) by
+    # rounding and by what x's own infeasibility (<= feas_tol) is worth.
+    f_x = sp.value(x)
+    slack = _F_RESOLUTION * max(abs(f_x), 1.0) + np.linalg.norm(res.multipliers) * sp.feas_tol
+    M = res.hessian
+    if M is None:
+        M = lagrangian_hessian(sp.p, y, sp.t, res.multipliers, sp.w)
+    ok = (np.linalg.norm(sp.proj_grad(y, geom)) <= sp.stat_tol
+          and sp.value(y) <= f_x + slack
+          and positive_definite_on_kernel(M, geom.jacobian))
+    return ((y, geom) if ok else None), res.iterations
+
+
+def _projected_gradient(sp: _Subproblem, x: np.ndarray, max_iter: int):
+    """Projected-gradient descent on F from the feasible x: ``(x, geometry at
+    x)`` at the first iterate passing the stop test, None after ``max_iter``."""
+    p = sp.p
+    geom = None  # geometry at x, carried over when the line search computed it
+    for _ in range(max_iter):
+        if geom is None:
+            geom = geometry(p, x)
+            eta_a = sp.proj_grad(x, geom)
+        gnorm = np.linalg.norm(eta_a)
+        if gnorm <= sp.stat_tol:
+            if p.m == 0 or np.linalg.norm(p.constraints(x) - sp.d) <= sp.feas_tol:
+                return x, geom
+
+        f0 = sp.value(x)
+        gg = float(np.dot(eta_a, eta_a))
+        s = 1.0 / sp.w
+        for _ in range(80):
+            x_trial = x - s * eta_a
+            if p.m:
+                x_trial = _restore_feasibility(p, x_trial, sp.d, sp.feas_tol)
+            predicted = _ARMIJO_C * s * gg
+            if predicted >= _F_RESOLUTION * max(abs(f0), 1.0):
+                if sp.value(x_trial) <= f0 - predicted:
+                    geom_t = eta_t = None
+                    break
+            else:
+                # The Armijo decrease is below the floating point resolution
+                # of F, where the objective test admits noise-driven
+                # expanding steps; accept only on gradient contraction.
+                geom_t = geometry(p, x_trial)
+                eta_t = sp.proj_grad(x_trial, geom_t)
+                if np.linalg.norm(eta_t) < 0.9 * gnorm:
+                    break
+            s *= _ARMIJO_SHRINK
+        else:
+            raise StepSolveError(
+                f"line search stalled at t = {sp.t:.6g} with |proj grad| = {gnorm:.3e}")
+        x, geom, eta_a = x_trial, geom_t, eta_t
+    return None
 
 
 def regularized_step(p: ProblemDef, x_prev: np.ndarray, t_next: float, dt: float,
                      stat_tol: float = STATIONARITY_TOL,
                      feas_tol: float = FEASIBILITY_TOL,
                      max_iter: int = _MAX_ITER, *,
-                     return_geometry: bool = False
+                     return_geometry: bool = False,
+                     geom_prev: Optional[GeometryResult] = None
                      ) -> np.ndarray | tuple[np.ndarray, GeometryResult]:
     """Solve one proximally regularized problem to a KKT point.
 
     Returns x with the projected gradient of the augmented objective below
     ``stat_tol`` and the constraint violation below ``feas_tol``; with
     ``return_geometry``, the pair ``(x, geometry(p, x))``, the geometry being
-    the one the solver computed at x for its stopping test.
+    the one the solver computed at x for its stopping test.  ``geom_prev`` is
+    the geometry at ``x_prev``, if known.  ``max_iter`` bounds the Newton and
+    projected-gradient iterations together.
 
     Raises
     ------
@@ -79,60 +186,17 @@ def regularized_step(p: ProblemDef, x_prev: np.ndarray, t_next: float, dt: float
     if dt < 1e-12 * p.horizon:
         raise ValueError(f"dt = {dt} is degenerate for horizon {p.horizon}")
 
-    alpha = p.alpha
-    d_target = p.data_path(t_next) if p.m else None
-    inv_2dt = alpha / (2.0 * dt)
-
-    def f_aug(y):
-        return p.objective(y, t_next) + inv_2dt * float(np.dot(y - x_prev, y - x_prev))
-
-    def proj_grad_aug(y, geom):
-        ga = np.asarray(p.grad_objective(y, t_next), dtype=float) + (alpha / dt) * (y - x_prev)
-        return geom.projector @ ga if p.m else ga
-
-    x = _restore_feasibility(p, x_prev.copy(), d_target, feas_tol) if p.m else x_prev.copy()
-    s0 = dt / alpha
-    geom = None  # geometry at x, carried over when the line search computed it
-    for _ in range(max_iter):
-        if geom is None:
-            geom = geometry(p, x)
-            eta_a = proj_grad_aug(x, geom)
-        gnorm = np.linalg.norm(eta_a)
-        if gnorm <= stat_tol:
-            if p.m == 0 or np.linalg.norm(p.constraints(x) - d_target) <= feas_tol:
-                return (x, geom) if return_geometry else x
-
-        f0 = f_aug(x)
-        gg = float(np.dot(eta_a, eta_a))
-        s = s0
-        accepted = False
-        for _ in range(80):
-            x_trial = x - s * eta_a
-            if p.m:
-                x_trial = _restore_feasibility(p, x_trial, d_target, feas_tol)
-            predicted = _ARMIJO_C * s * gg
-            if predicted >= 4e-12 * max(abs(f0), 1.0):
-                if f_aug(x_trial) <= f0 - predicted:
-                    geom_t = eta_t = None
-                    accepted = True
-                    break
-            else:
-                # The Armijo decrease is below the floating point resolution
-                # of f_aug, where the objective test admits noise-driven
-                # expanding steps; accept only on gradient contraction.
-                geom_t = geometry(p, x_trial)
-                eta_t = proj_grad_aug(x_trial, geom_t)
-                if np.linalg.norm(eta_t) < 0.9 * gnorm:
-                    accepted = True
-                    break
-            s *= _ARMIJO_SHRINK
-        if not accepted:
-            raise StepSolveError(
-                f"line search stalled at t = {t_next:.6g} with |proj grad| = {gnorm:.3e}")
-        x, geom, eta_a = x_trial, geom_t, eta_t
-
-    raise StepSolveError(
-        f"inner solver exceeded {max_iter} iterations at t = {t_next:.6g}")
+    sp = _Subproblem(p, x_prev, t_next, p.alpha / dt, p.data_path(t_next) if p.m else None,
+                     stat_tol, feas_tol)
+    theta_prev = None if geom_prev is None else geom_prev.theta
+    x = _restore_feasibility(p, x_prev.copy(), sp.d, feas_tol, theta_prev)
+    found, used = (_newton_point(sp, x, geom_prev, min(_NEWTON_MAX_ITER, max_iter))
+                   if has_hessians(p) else (None, 0))
+    found = found or _projected_gradient(sp, x, max_iter - used)
+    if found is None:
+        raise StepSolveError(
+            f"inner solver exceeded {max_iter} iterations at t = {t_next:.6g}")
+    return found if return_geometry else found[0]
 
 
 def check_local_solution(p: ProblemDef, x0: np.ndarray, t: float = 0.0,
@@ -170,5 +234,6 @@ def discrete_trajectory(p: ProblemDef, x0: np.ndarray, steps: int,
     states[0] = x0
     for k in range(1, steps + 1):
         states[k], geoms[k] = regularized_step(p, states[k - 1], times[k], dt,
-                                               stat_tol, feas_tol, return_geometry=True)
+                                               stat_tol, feas_tol, return_geometry=True,
+                                               geom_prev=geoms[k - 1])
     return trajectory_with_diagnostics(p, times, states, geoms)

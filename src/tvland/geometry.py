@@ -19,16 +19,21 @@ orthonormal columns spanning the row space of J):
 
 and S also gives the conditioning sigma_min(J) = S[-1].  Neither J J^T nor
 an inverse of it is ever formed.
+
+:func:`newton_kkt` is the one Newton iteration on the KKT system
+grad f + w (x - x_prev) + J^T mu = 0, h(x) = d(t) that the discrete engine
+(w = alpha/dt), the KKT refinement and the catalog polish (w = 0) share.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import SingularConstraintError
+from .errors import MissingHessianError, SingularConstraintError
 from .problem import ProblemDef, Trajectory, has_stacked_gradient
 
 #: Below this smallest singular value of J the constraints are treated as
@@ -44,6 +49,13 @@ class GeometryResult:
     theta: np.ndarray      # (n, m)
     sigma_min: float
     jacobian: np.ndarray   # (m, n), the J(x) the other fields come from
+
+
+def require_regular(sigma: float, x: np.ndarray, c_tol: float = SINGULARITY_TOL) -> None:
+    """Raise SingularConstraintError if sigma = sigma_min(J(x)) < c_tol."""
+    if sigma < c_tol:
+        raise SingularConstraintError(
+            f"sigma_min(J) = {sigma:.3e} < {c_tol:.1e} at x = {np.asarray(x)!r}")
 
 
 def geometry(p: ProblemDef, x: np.ndarray, c_tol: float = SINGULARITY_TOL) -> GeometryResult:
@@ -63,9 +75,7 @@ def geometry(p: ProblemDef, x: np.ndarray, c_tol: float = SINGULARITY_TOL) -> Ge
     J = np.asarray(p.jacobian(x), dtype=float)
     U, S, Vt = np.linalg.svd(J, full_matrices=False)
     sigma = float(S[-1])
-    if sigma < c_tol:
-        raise SingularConstraintError(
-            f"sigma_min(J) = {sigma:.3e} < {c_tol:.1e} at x = {np.asarray(x)!r}")
+    require_regular(sigma, x, c_tol)
     P = np.eye(n) - Vt.T @ Vt
     theta = (Vt.T / S) @ U.T
     return GeometryResult(P, theta, sigma, J)
@@ -116,6 +126,161 @@ def kkt_residual(p: ProblemDef, x: np.ndarray, t: float,
     stat = float(np.linalg.norm(grad + geom.jacobian.T @ mu))
     feas = float(np.linalg.norm(p.constraints(x) - p.data_path(t)))
     return KKTResidual(stat, feas, mu)
+
+
+def weighted_constraint_hessian(p: ProblemDef, x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_i w_i H_i(x) accumulated in index order, or zeros when m = 0."""
+    if p.m == 0 or w.size == 0:
+        return np.zeros((p.n, p.n))
+    H = np.asarray(p.constraint_hessians(x), dtype=float)
+    return np.add.reduce(w[:, None, None] * H, axis=0)
+
+
+def has_hessians(p: ProblemDef) -> bool:
+    """Whether p provides every second derivative :func:`newton_kkt` needs."""
+    return p.hess_objective is not None and (p.m == 0 or p.constraint_hessians is not None)
+
+
+def require_hessians(p: ProblemDef) -> None:
+    if p.hess_objective is None:
+        raise MissingHessianError("problem has no hess_objective")
+    if p.m > 0 and p.constraint_hessians is None:
+        raise MissingHessianError("problem has no constraint_hessians")
+
+
+def lagrangian_hessian(p: ProblemDef, x: np.ndarray, t: float, mu: np.ndarray,
+                       w: float = 0.0) -> np.ndarray:
+    """hess f(x, t) + sum_i mu_i H_i(x) + w I, each term only where nonzero."""
+    M = np.asarray(p.hess_objective(x, t), dtype=float)
+    if p.m:
+        M = M + weighted_constraint_hessian(p, x, mu)
+    if w:
+        M = M + w * np.eye(p.n)
+    return M
+
+
+def positive_definite_on_kernel(M: np.ndarray, J: np.ndarray) -> bool:
+    """Whether the symmetric matrix M is positive definite on ker J.
+
+    A Cholesky factorization of M itself settles it when M is positive
+    definite on the whole space; otherwise the reduced matrix W^T M W on an
+    orthonormal basis W of ker J is factored (:func:`_reduced_positive_definite`).
+    """
+    return _cholesky_succeeds(M) or (J.shape[0] > 0 and _reduced_positive_definite(M, J))
+
+
+def kernel_basis(J: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of ker J, as columns, from the full SVD of J."""
+    return np.linalg.svd(J)[2][J.shape[0]:].T
+
+
+def _reduced_positive_definite(M: np.ndarray, J: np.ndarray) -> bool:
+    W = kernel_basis(J)
+    return _cholesky_succeeds(W.T @ M @ W)
+
+
+def _cholesky_succeeds(A: np.ndarray) -> bool:
+    """Whether A has a finite Cholesky factor (a NaN in A does not raise)."""
+    try:
+        return bool(np.isfinite(np.linalg.cholesky(A)).all())
+    except np.linalg.LinAlgError:
+        return False
+
+
+class NewtonKKT(NamedTuple):
+    """Outcome of :func:`newton_kkt`.
+
+    ``status`` is ``"converged"`` (both residuals within tol at ``x``),
+    ``"singular"`` (the KKT matrix could not be factored), ``"max_step"``
+    (the next step was longer than ``max_step`` and was not taken) or
+    ``"max_iter"``.  ``iterations`` counts residual evaluations.
+    ``hessian`` is the Lagrangian Hessian of F last formed (at the start of
+    the last step), None when no step was started.
+    """
+
+    x: np.ndarray
+    multipliers: np.ndarray
+    status: str
+    iterations: int
+    hessian: Optional[np.ndarray]
+
+
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a vector, the same bits as np.linalg.norm."""
+    return math.sqrt(v.dot(v))
+
+
+def newton_kkt(p: ProblemDef, x: np.ndarray, t: float,
+               prox: Optional[tuple[np.ndarray, float]] = None,
+               max_step: Optional[float] = None, tol: float = 1e-10,
+               max_iter: int = 50,
+               geom: Optional[GeometryResult] = None) -> NewtonKKT:
+    """Newton's method on the KKT system of the time-t problem from x.
+
+    Solves grad F + J^T mu = 0, h(x) = d(t) for the objective
+    F = f(., t) + w |. - x_prev|^2 / 2, with ``prox = (x_prev, w)``
+    (F = f without it).  Each iteration solves
+
+        [[hess F + mu . H,  J^T],  [dx ]     [grad F + J^T mu]
+         [J,                0  ]]  [dmu] = - [h(x) - d(t)    ]
+
+    and stops once both residual norms are at most ``tol``.  The multipliers
+    start as the least-squares fit -theta^T grad F(x), theta taken from
+    ``geom`` (the geometry of a nearby point) or else computed at x.  No step
+    is damped or checked for descent: callers that need a particular KKT
+    point apply their own safeguards.  Requires the second derivatives
+    (:func:`has_hessians`).
+
+    Raises
+    ------
+    SingularConstraintError
+        If the start multipliers need the geometry at a degenerate J.
+    """
+    n, m = p.n, p.m
+    x = np.asarray(x, dtype=float).copy()
+    x_prev, w = prox if prox is not None else (None, 0.0)
+
+    def grad_F(y):
+        g = np.asarray(p.grad_objective(y, t), dtype=float)
+        return g + w * (y - x_prev) if prox is not None else g
+
+    grad = grad_F(x)
+    mu = np.zeros(0)
+    r_feas = np.zeros(0)
+    M = None
+    if m:
+        mu = -((geom or geometry(p, x)).theta.T @ grad)
+        d = p.data_path(t)
+        KKT = np.zeros((n + m, n + m))
+    for it in range(1, max_iter + 1):
+        if m:
+            J = np.asarray(p.jacobian(x), dtype=float)
+            r_stat = grad + J.T @ mu
+            r_feas = p.constraints(x) - d
+        else:
+            r_stat = grad
+        if _norm(r_stat) <= tol and _norm(r_feas) <= tol:
+            return NewtonKKT(x, mu, "converged", it, M)
+        M = lagrangian_hessian(p, x, t, mu, w)
+        if m:
+            KKT[:n, :n] = M
+            KKT[:n, n:] = J.T
+            KKT[n:, :n] = J
+            rhs = -np.concatenate([r_stat, r_feas])
+        else:
+            KKT = M
+            rhs = -r_stat
+        try:
+            delta = np.linalg.solve(KKT, rhs)
+        except np.linalg.LinAlgError:
+            return NewtonKKT(x, mu, "singular", it, M)
+        if max_step is not None and _norm(delta[:n]) > max_step:
+            return NewtonKKT(x, mu, "max_step", it, M)
+        x = x + delta[:n]
+        if m:
+            mu = mu + delta[n:]
+        grad = grad_F(x)
+    return NewtonKKT(x, mu, "max_iter", max_iter, M)
 
 
 def trajectory_with_diagnostics(p: ProblemDef, times: np.ndarray,

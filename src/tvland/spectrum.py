@@ -21,28 +21,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EigenConvergenceError, MissingHessianError, StepSolveError
-from .geometry import geometry, kkt_residual, trajectory_with_diagnostics
+from .errors import EigenConvergenceError, StepSolveError
+from .geometry import (geometry, kernel_basis, kkt_residual, lagrangian_hessian,
+                       newton_kkt, require_hessians, trajectory_with_diagnostics,
+                       weighted_constraint_hessian)
 from .problem import ProblemDef, Trajectory
 
 
-def _require_hessians(p: ProblemDef) -> None:
-    if p.hess_objective is None:
-        raise MissingHessianError("problem has no hess_objective")
-    if p.m > 0 and p.constraint_hessians is None:
-        raise MissingHessianError("problem has no constraint_hessians")
-
-
-def _weighted_constraint_hessian(p: ProblemDef, x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """sum_i w_i H_i(x), or zeros when m = 0."""
-    if p.m == 0 or w.size == 0:
-        return np.zeros((p.n, p.n))
-    H = p.constraint_hessians(x)
-    out = np.zeros((p.n, p.n))
-    for wi, Hi in zip(w, H):
-        if wi != 0.0:
-            out = out + wi * np.asarray(Hi, dtype=float)
-    return out
+def _kkt_hessian(p: ProblemDef, z: np.ndarray, t: float):
+    """Geometry at z and hess f + mu . H there, mu the least-squares multipliers."""
+    require_hessians(p)
+    z = np.asarray(z, dtype=float)
+    geom = geometry(p, z)
+    return geom, lagrangian_hessian(p, z, t, kkt_residual(p, z, t, geom).multipliers)
 
 
 def invariant_jacobian(p: ProblemDef, z: np.ndarray, t: float) -> np.ndarray:
@@ -52,12 +43,7 @@ def invariant_jacobian(p: ProblemDef, z: np.ndarray, t: float) -> np.ndarray:
     least-squares multipliers at z.  The rows of J(z) annihilate it from the
     left: J(z) @ invariant_jacobian = 0.
     """
-    _require_hessians(p)
-    z = np.asarray(z, dtype=float)
-    geom = geometry(p, z)
-    res = kkt_residual(p, z, t, geom)
-    M = np.asarray(p.hess_objective(z, t), dtype=float)
-    M = M + _weighted_constraint_hessian(p, z, res.multipliers)
+    geom, M = _kkt_hessian(p, z, t)
     return -(geom.projector @ M) / p.alpha
 
 
@@ -68,19 +54,16 @@ def variant_jacobian(p: ProblemDef, z: np.ndarray, t: float) -> tuple[np.ndarray
     data-variation term theta(z) d'(t), column l being its derivative with
     respect to z_l.  For unconstrained problems (or frozen data) K2 = 0.
     """
-    K1 = invariant_jacobian(p, z, t)
-    n = p.n
-    if p.m == 0:
-        return K1, np.zeros((n, n))
-    z = np.asarray(z, dtype=float)
-    geom = geometry(p, z)
+    geom, M = _kkt_hessian(p, z, t)
+    K1 = -(geom.projector @ M) / p.alpha
     dd = np.asarray(p.data_rate(t), dtype=float)
-    if not np.any(dd):
-        return K1, np.zeros((n, n))
+    if p.m == 0 or not np.any(dd):
+        return K1, np.zeros((p.n, p.n))
+    z = np.asarray(z, dtype=float)
     J = geom.jacobian
     w = np.linalg.solve(J @ J.T, dd)          # (J J^T)^(-1) d'
     v = geom.theta @ dd                        # theta d'
-    Mw = _weighted_constraint_hessian(p, z, w)
+    Mw = weighted_constraint_hessian(p, z, w)
     H = p.constraint_hessians(z)
     Nv = np.column_stack([np.asarray(Hi, dtype=float) @ v for Hi in H])  # (n, m)
     K2 = geom.projector @ Mw - geom.theta @ Nv.T
@@ -175,17 +158,10 @@ def tangent_hessian_eigenvalues(p: ProblemDef, x: np.ndarray, t: float) -> np.nd
     sufficient condition for a strict local minimum on the constraint
     manifold.  For m = 0 this is simply the spectrum of hess f.
     """
-    _require_hessians(p)
-    x = np.asarray(x, dtype=float)
-    geom = geometry(p, x)
-    res = kkt_residual(p, x, t, geom)
-    M = np.asarray(p.hess_objective(x, t), dtype=float)
-    M = M + _weighted_constraint_hessian(p, x, res.multipliers)
+    geom, M = _kkt_hessian(p, x, t)
     if p.m == 0:
         return np.linalg.eigvalsh(0.5 * (M + M.T))
-    # orthonormal basis of ker J via the SVD
-    _, s, Vt = np.linalg.svd(geom.jacobian)
-    W = Vt[p.m:].T
+    W = kernel_basis(geom.jacobian)
     red = W.T @ M @ W
     return np.linalg.eigvalsh(0.5 * (red + red.T))
 
@@ -194,48 +170,21 @@ def kkt_refine(p: ProblemDef, x: np.ndarray, t: float,
                tol: float = 1e-10, max_newton: int = 50) -> np.ndarray:
     """Newton-refine x to a KKT point of the problem at time t.
 
-    Solves grad f + J^T mu = 0, h = d(t) from the given (near-KKT) point.
-    Requires second derivatives.
+    Solves grad f + J^T mu = 0, h = d(t) from the given (near-KKT) point by
+    :func:`~tvland.geometry.newton_kkt`.  Requires second derivatives.
 
     Raises
     ------
     StepSolveError
         If the Newton iteration stalls or meets a singular KKT system.
     """
-    _require_hessians(p)
-    n, m = p.n, p.m
-    x = np.asarray(x, dtype=float).copy()
-    mu = kkt_residual(p, x, t).multipliers
-    for _ in range(max_newton):
-        grad = np.asarray(p.grad_objective(x, t), dtype=float)
-        if m:
-            J = np.asarray(p.jacobian(x), dtype=float)
-            r_stat = grad + J.T @ mu
-            r_feas = p.constraints(x) - p.data_path(t)
-        else:
-            r_stat = grad
-            r_feas = np.zeros(0)
-        if np.linalg.norm(r_stat) <= tol and np.linalg.norm(r_feas) <= tol:
-            return x
-        M = np.asarray(p.hess_objective(x, t), dtype=float)
-        M = M + _weighted_constraint_hessian(p, x, mu)
-        if m:
-            KKT = np.zeros((n + m, n + m))
-            KKT[:n, :n] = M
-            KKT[:n, n:] = J.T
-            KKT[n:, :n] = J
-            rhs = -np.concatenate([r_stat, r_feas])
-        else:
-            KKT = M
-            rhs = -r_stat
-        try:
-            delta = np.linalg.solve(KKT, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise StepSolveError(f"singular KKT system at t = {t:g}") from exc
-        x = x + delta[:n]
-        if m:
-            mu = mu + delta[n:]
-    raise StepSolveError(f"KKT refinement stalled at t = {t:g}")
+    require_hessians(p)
+    res = newton_kkt(p, x, t, tol=tol, max_iter=max_newton)
+    if res.status == "singular":
+        raise StepSolveError(f"singular KKT system at t = {t:g}")
+    if res.status != "converged":
+        raise StepSolveError(f"KKT refinement stalled at t = {t:g}")
+    return res.x
 
 
 def kkt_track(p: ProblemDef, x0: np.ndarray, times: np.ndarray,

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -149,6 +152,15 @@ class TestReports:
         assert payload["C1"] == pytest.approx(4.78125, abs=1e-3)
         assert payload["C2"] == pytest.approx(-4.78125, abs=1e-3)
         assert payload["satisfied"] is False
+
+    def test_thm3_damped_lambda_default(self, capsys):
+        # thm3 and the damped scenario share one default damping factor
+        common = ["thm3", "--scenario", "damped", "--alpha", "0.4", "--beta", "10"]
+        assert run(common) == 0
+        default = capsys.readouterr().out
+        assert run(common + ["--lambda", "0.1"]) == 0
+        assert capsys.readouterr().out == default
+        assert json.loads(default)["lam"] == 0.1
 
     def test_flow_json(self, capsys):
         code = run(["flow", "--scenario", "example1", "--alpha", "0.4",
@@ -331,8 +343,32 @@ class TestSweep:
         assert err["error"] == "usage"
         assert "matrec" in err["message"]
 
+    def test_ignored_flags_rejected(self, capsys):
+        # sweep reads neither --N nor --method; they are an error, not dropped
+        code = run(["sweep", "--alpha-grid", "0.4", "--beta-grid", "10",
+                    "--mode", "prop1", "--N", "5", "--method", "discrete"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "usage"
+        assert "--N" in err["message"] and "--method" in err["message"]
+
     def test_oversized_grid_rejected(self, capsys):
         code = run(["sweep", "--scenario", "example1",
                     "--alpha-grid", "0:1:101", "--beta-grid", "0:1:101",
                     "--mode", "prop1"])
         assert code == 1
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    # scipy.stats costs about half a second of start-up and only thm3 with
+    # n >= 2 needs it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, tvland.cli; print('scipy.stats' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "False"

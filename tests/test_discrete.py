@@ -1,9 +1,15 @@
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tvland as tv
+
+# tvland.geometry names the function; the modules come from importlib
+DISCRETE = importlib.import_module("tvland.discrete")
+GEOMETRY = importlib.import_module("tvland.geometry")
 
 
 def scalar_quadratic(alpha=1.0):
@@ -21,6 +27,41 @@ def scalar_quadratic(alpha=1.0):
         horizon=1.0,
         alpha=alpha,
     )
+
+
+def double_well(alpha=0.5):
+    """f = x^4/4 - x^2/2, unconstrained: wells at +-1, a maximum at 0."""
+    return tv.ProblemDef(
+        n=1, m=0,
+        objective=lambda x, t: float(0.25 * x[0] ** 4 - 0.5 * x[0] ** 2),
+        grad_objective=lambda x, t: np.array([x[0] ** 3 - x[0]]),
+        hess_objective=lambda x, t: np.array([[3.0 * x[0] ** 2 - 1.0]]),
+        constraints=lambda x: np.zeros(0),
+        jacobian=lambda x: np.zeros((0, 1)),
+        constraint_hessians=lambda x: (),
+        data_path=lambda t: np.zeros(0),
+        data_rate=lambda t: np.zeros(0),
+        horizon=1.0,
+        alpha=alpha,
+    )
+
+
+def spurious_matrec(alpha):
+    p = tv.make_matrix_recovery(True, alpha=alpha)
+    return p, tv.matrix_recovery_state(p, tv.problem.THE_SPURIOUS_FACTOR, 0.0)
+
+
+def count_calls(monkeypatch, module, name):
+    """Replace module.name by a wrapper that records each call."""
+    calls = []
+    orig = getattr(module, name)
+
+    def wrapped(*args, **kwargs):
+        calls.append(args)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapped)
+    return calls
 
 
 class TestRegularizedStep:
@@ -138,3 +179,116 @@ class TestDiscreteTrajectory:
         # the tracked point lags the moving minimizer, so stationarity of the
         # un-regularized problem is nonzero but modest
         assert traj.kkt_stationarity[1:].max() > 0
+
+
+class TestNewtonEngine:
+    """The Newton-KKT solver of each step, its safeguards and its fallback."""
+
+    def test_matches_projected_gradient_on_matrec(self, monkeypatch):
+        # the track-matrec workload: alpha 0.5, 2000 steps from the spurious
+        # start; no Hessians forces the projected-gradient path
+        p, x0 = spurious_matrec(0.5)
+        fallbacks = count_calls(monkeypatch, DISCRETE, "_projected_gradient")
+        newton = tv.discrete_trajectory(p, x0, 2000)
+        assert not fallbacks
+        forced = tv.discrete_trajectory(p.replace(hess_objective=None), x0, 2000)
+        assert len(fallbacks) == 2000
+        assert np.abs(newton.states - forced.states).max() <= 1e-8
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.1, 0.2, 0.5, 1.0])
+    def test_matches_projected_gradient_across_alpha(self, alpha, monkeypatch):
+        # dt = 1e-2, both paths solved to 1e-10: near the spurious start the
+        # tangent saddle amplifies the projected-gradient path's own stopping
+        # error, to 9e-9 at alpha 0.05 under the default 1e-9
+        p, x0 = spurious_matrec(alpha)
+        steps = round(p.horizon / 1e-2)
+        reduced = count_calls(monkeypatch, GEOMETRY, "_reduced_positive_definite")
+        fallbacks = count_calls(monkeypatch, DISCRETE, "_projected_gradient")
+        newton = tv.discrete_trajectory(p, x0, steps, 1e-10, 1e-10)
+        if alpha == 0.05:
+            # alpha/dt = 5: the Lagrangian Hessian is indefinite on the
+            # whole space somewhere, so Cholesky alone does not settle it
+            assert reduced or fallbacks
+        forced = tv.discrete_trajectory(p.replace(hess_objective=None), x0, steps,
+                                        1e-10, 1e-10)
+        assert np.abs(newton.states - forced.states).max() <= 1e-8
+
+    @pytest.mark.parametrize("missing", ["hess_objective", "constraint_hessians"])
+    def test_missing_hessians_take_the_fallback(self, missing, monkeypatch):
+        p, x0 = spurious_matrec(0.5)
+        newton = count_calls(monkeypatch, DISCRETE, "newton_kkt")
+        fallbacks = count_calls(monkeypatch, DISCRETE, "_projected_gradient")
+        x = tv.regularized_step(p.replace(**{missing: None}), x0, 0.01, 0.01)
+        assert not newton and len(fallbacks) == 1
+        assert np.abs(x - tv.regularized_step(p, x0, 0.01, 0.01)).max() <= 1e-8
+
+    def test_negative_curvature_start_rejected(self):
+        # F = f + (x - 0.1)^2 / 4 has F'' < 0 at the warm start 0.1; Newton
+        # climbs to the local maximum of F near -0.1, descent reaches the
+        # minimum near 0.75
+        p = double_well(alpha=0.5)
+        x_prev = np.array([0.1])
+        raw = GEOMETRY.newton_kkt(p, x_prev, 1.0, prox=(x_prev, 0.5))
+        assert raw.status == "converged"
+        assert raw.x[0] == pytest.approx(-0.102, abs=1e-3)
+        got = tv.regularized_step(p, x_prev, 1.0, 1.0)
+        forced = tv.regularized_step(p.replace(hess_objective=None), x_prev, 1.0, 1.0)
+        assert np.array_equal(got, forced)
+        assert got[0] == pytest.approx(0.7525, abs=1e-3)
+
+    def test_descent_test_alone_rejects_the_maximum(self, monkeypatch):
+        monkeypatch.setattr(DISCRETE, "positive_definite_on_kernel", lambda M, J: True)
+        got = tv.regularized_step(double_well(alpha=0.5), np.array([0.1]), 1.0, 1.0)
+        assert got[0] == pytest.approx(0.7525, abs=1e-3)
+
+    def test_curvature_test_alone_rejects_a_stationary_start(self, monkeypatch):
+        # x_prev = 0 is a maximum of F: Newton stops there at once with F
+        # unchanged, so only the curvature test sends the step to the fallback
+        fallbacks = count_calls(monkeypatch, DISCRETE, "_projected_gradient")
+        got = tv.regularized_step(double_well(alpha=0.5), np.array([0.0]), 1.0, 1.0)
+        assert len(fallbacks) == 1 and got[0] == 0.0
+
+    def test_budget_counts_newton_iterations(self):
+        # at the maximum x_prev = 0 Newton spends one iteration before the
+        # curvature test rejects its point, and the fallback needs one more
+        p = double_well(alpha=0.5)
+        with pytest.raises(tv.StepSolveError, match="exceeded 1 iterations"):
+            tv.regularized_step(p, np.array([0.0]), 1.0, 1.0, max_iter=1)
+        assert tv.regularized_step(p, np.array([0.0]), 1.0, 1.0, max_iter=2)[0] == 0.0
+
+
+class TestRestoration:
+    def test_minimum_norm_steps(self, matrec):
+        # from a point off the leaf the restored point differs from it by a
+        # vector in the row space of J (to first order)
+        z = tv.matrix_recovery_global_state(0.3)
+        d = matrec.data_path(0.31)
+        x = DISCRETE._restore_feasibility(matrec, z, d, 1e-12)
+        assert np.linalg.norm(matrec.constraints(x) - d) <= 1e-12
+        P = tv.geometry(matrec, z).projector
+        assert np.linalg.norm(P @ (x - z)) <= 1e-3 * np.linalg.norm(x - z)
+
+    def test_chord_steps(self, matrec):
+        z = tv.matrix_recovery_global_state(0.3)
+        d = matrec.data_path(0.31)
+        theta = tv.geometry(matrec, z).theta
+        newton = DISCRETE._restore_feasibility(matrec, z, d, 1e-12)
+        chord = DISCRETE._restore_feasibility(matrec, z, d, 1e-12, theta)
+        # another point of the leaf, off by the square of the step
+        assert np.linalg.norm(matrec.constraints(chord) - d) <= 1e-12
+        assert np.linalg.norm(chord - newton) <= np.linalg.norm(newton - z) ** 2
+        # a map that does not contract the residual hands over to lstsq steps
+        bad = DISCRETE._restore_feasibility(matrec, z, d, 1e-12, -theta)
+        assert np.linalg.norm(matrec.constraints(bad) - d) <= 1e-12
+
+    def test_singular_jacobian_raises(self):
+        # h(x) = x0^2 / 2 has J = 0 at x0 = 0
+        p = tv.ProblemDef(
+            n=2, m=1, objective=lambda x, t: 0.0,
+            grad_objective=lambda x, t: np.zeros(2),
+            constraints=lambda x: np.array([0.5 * x[0] ** 2]),
+            jacobian=lambda x: np.array([[x[0], 0.0]]),
+            data_path=lambda t: np.array([1.0]), data_rate=lambda t: np.zeros(1),
+            horizon=1.0, alpha=1.0)
+        with pytest.raises(tv.SingularConstraintError):
+            DISCRETE._restore_feasibility(p, np.zeros(2), np.array([1.0]), 1e-9)

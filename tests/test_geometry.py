@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -175,3 +177,168 @@ class TestTrajectoryDiagnostics:
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
         assert a.step_norm[0] == 0.0
         assert np.all(a.sigma_min == np.inf)
+
+
+def _old_kkt_refine(p, x, t, tol=1e-10, max_newton=50):
+    """The KKT refinement loop as it was before the shared Newton kernel."""
+    n, m = p.n, p.m
+    x = np.asarray(x, dtype=float).copy()
+    mu = tv.kkt_residual(p, x, t).multipliers
+    for _ in range(max_newton):
+        grad = np.asarray(p.grad_objective(x, t), dtype=float)
+        if m:
+            J = np.asarray(p.jacobian(x), dtype=float)
+            r_stat = grad + J.T @ mu
+            r_feas = p.constraints(x) - p.data_path(t)
+        else:
+            r_stat = grad
+            r_feas = np.zeros(0)
+        if np.linalg.norm(r_stat) <= tol and np.linalg.norm(r_feas) <= tol:
+            return x
+        M = np.asarray(p.hess_objective(x, t), dtype=float)
+        if m:
+            Mw = np.zeros((n, n))
+            for wi, Hi in zip(mu, p.constraint_hessians(x)):
+                if wi != 0.0:
+                    Mw = Mw + wi * np.asarray(Hi, dtype=float)
+            M = M + Mw
+            KKT = np.zeros((n + m, n + m))
+            KKT[:n, :n] = M
+            KKT[:n, n:] = J.T
+            KKT[n:, :n] = J
+            rhs = -np.concatenate([r_stat, r_feas])
+        else:
+            KKT = M
+            rhs = -r_stat
+        delta = np.linalg.solve(KKT, rhs)
+        x = x + delta[:n]
+        if m:
+            mu = mu + delta[n:]
+    raise tv.StepSolveError("stalled")
+
+
+def _old_unconstrained_polish(p, x, t):
+    """The m = 0 catalog polish loop as it was before the shared kernel."""
+    x = x.copy()
+    for _ in range(25):
+        g = np.asarray(p.grad_objective(x, t), dtype=float)
+        if np.linalg.norm(g) <= 1e-12:
+            break
+        H = np.asarray(p.hess_objective(x, t), dtype=float)
+        try:
+            step = np.linalg.solve(H, -g)
+        except np.linalg.LinAlgError:
+            break
+        if np.linalg.norm(step) > 1.0:
+            break
+        x = x + step
+    return x
+
+
+def circle_tracking_toy():
+    """n = 2, m = 1: a point on a circle of moving radius, pulled to (2, 0)."""
+    return tv.ProblemDef(
+        n=2, m=1,
+        objective=lambda x, t: 0.5 * float((x[0] - 2.0) ** 2 + x[1] ** 2),
+        grad_objective=lambda x, t: np.array([x[0] - 2.0, x[1]]),
+        hess_objective=lambda x, t: np.eye(2),
+        constraints=lambda x: np.array([0.5 * float(x @ x)]),
+        jacobian=lambda x: np.asarray(x, dtype=float)[None, :],
+        constraint_hessians=lambda x: (np.eye(2),),
+        data_path=lambda t: np.array([0.5 + 0.3 * np.sin(t)]),
+        data_rate=lambda t: np.array([0.3 * np.cos(t)]),
+        horizon=2 * np.pi,
+        alpha=1.0,
+    )
+
+
+class TestNewtonKKT:
+    def test_kkt_track_keeps_its_bits(self, matrec, ex1_04_10):
+        # the inputs of the spectrum tests: kkt_refine on the shared kernel
+        # returns exactly what its own Newton loop returned
+        cases = [(matrec, tv.matrix_recovery_global_state(0.0), np.linspace(0.0, 2 * np.pi, 33)),
+                 (ex1_04_10[0], np.array([2.0]), np.linspace(0.0, 2 * np.pi, 129)),
+                 (circle_tracking_toy(), np.array([1.0, 0.1]), np.linspace(0.0, 2 * np.pi, 17))]
+        for p, x0, times in cases:
+            traj = tv.kkt_track(p, x0, times)
+            x = x0
+            for t, got in zip(times, traj.states):
+                x = _old_kkt_refine(p, x, float(t))
+                assert np.array_equal(got, x)
+
+    def test_unconstrained_polish_keeps_its_iterations(self, ex1_04_10):
+        from tvland.classify import _polish_minimizer
+        p, _ = ex1_04_10
+        rng = np.random.default_rng(3)
+        for x0, t in zip(rng.uniform(-16, 16, 200), rng.uniform(0, 2 * np.pi, 200)):
+            x0 = np.array([x0])
+            assert np.array_equal(_polish_minimizer(p, x0, t),
+                                  _old_unconstrained_polish(p, x0, t))
+
+    def test_statuses(self, ex1_04_10):
+        from tvland.geometry import newton_kkt
+        p, _ = ex1_04_10
+        res = newton_kkt(p, np.array([2.3]), 0.0)
+        assert res.status == "converged"
+        assert res.x[0] == pytest.approx(2.0, abs=1e-10)
+        assert res.hessian.shape == (1, 1)
+        # a start at a minimizer converges without forming a Hessian
+        at_min = newton_kkt(p, res.x, 0.0)
+        assert (at_min.status, at_min.iterations, at_min.hessian) == ("converged", 1, None)
+        assert newton_kkt(p, np.array([2.3]), 0.0, max_iter=1).status == "max_iter"
+        # near the quartic's inflection point the Newton step (-16.5) is not taken
+        far = newton_kkt(p, np.array([1.0]), 0.0, max_step=1.0)
+        assert far.status == "max_step" and far.x[0] == 1.0
+
+    def test_proximal_term(self):
+        # min x^2/2 + w (x - x_prev)^2 / 2 is x_prev w / (1 + w): one step
+        from tvland.geometry import newton_kkt
+        from test_discrete import scalar_quadratic
+        res = newton_kkt(scalar_quadratic(), np.array([1.0]), 0.0,
+                         prox=(np.array([1.0]), 3.0))
+        assert res.status == "converged" and res.iterations == 2
+        assert res.x[0] == pytest.approx(0.75, abs=1e-15)
+        assert res.hessian[0, 0] == 4.0
+
+    def test_singular_kkt_matrix(self):
+        from tvland.geometry import newton_kkt
+        flat = tv.ProblemDef(
+            n=1, m=0, objective=lambda x, t: float(x[0]),
+            grad_objective=lambda x, t: np.array([1.0]),
+            hess_objective=lambda x, t: np.zeros((1, 1)),
+            constraints=lambda x: np.zeros(0), jacobian=lambda x: np.zeros((0, 1)),
+            data_path=lambda t: np.zeros(0), data_rate=lambda t: np.zeros(0),
+            horizon=1.0, alpha=1.0)
+        assert newton_kkt(flat, np.array([0.0]), 0.0).status == "singular"
+        with pytest.raises(tv.StepSolveError):
+            tv.kkt_refine(flat, np.array([0.0]), 0.0)
+
+
+class TestPositiveDefiniteOnKernel:
+    def test_full_space_positive_definite(self):
+        from tvland.geometry import positive_definite_on_kernel
+        assert positive_definite_on_kernel(np.diag([1.0, 2.0]), np.zeros((0, 2)))
+        assert positive_definite_on_kernel(np.diag([1.0, 2.0]), np.array([[1.0, 0.0]]))
+
+    def test_reduced_test_when_cholesky_fails(self, monkeypatch):
+        # tvland.geometry names the function; the module comes from importlib
+        mod = importlib.import_module("tvland.geometry")
+        calls = []
+        orig = mod._reduced_positive_definite
+        monkeypatch.setattr(mod, "_reduced_positive_definite",
+                            lambda M, J: calls.append(1) or orig(M, J))
+        M = np.diag([-5.0, 1.0, 2.0])
+        # negative only along e0, which J = e0^T removes from the kernel
+        assert mod.positive_definite_on_kernel(M, np.array([[1.0, 0.0, 0.0]]))
+        # negative along e0, which lies in the kernel of J = e1^T
+        assert not mod.positive_definite_on_kernel(M, np.array([[0.0, 1.0, 0.0]]))
+        assert len(calls) == 2
+        # unconstrained: there is no kernel to reduce to
+        assert not mod.positive_definite_on_kernel(M, np.zeros((0, 3)))
+        assert len(calls) == 2
+
+    def test_nan_is_not_positive_definite(self):
+        from tvland.geometry import positive_definite_on_kernel
+        M = np.full((2, 2), np.nan)
+        assert not positive_definite_on_kernel(M, np.zeros((0, 2)))
+        assert not positive_definite_on_kernel(M, np.array([[1.0, 0.0]]))
