@@ -117,8 +117,7 @@ def classify_trajectory(p: ProblemDef, traj: Trajectory,
     The catalogs are built first, one per check in time order (a tracking
     builder continues each catalog from the previous one); then the
     membership flows of all checks run as one batch of
-    :func:`~tvland.ode.frozen_time_flows`, whose lanes fall back to the
-    scalar flow where they raise or fail the sink check in the batch.  Each record carries the
+    :func:`~tvland.ode.frozen_time_flows`.  Each record carries the
     membership of :func:`attraction_membership` and its reason.
     """
     if not 0 <= t_bar < p.horizon:
@@ -195,10 +194,8 @@ def build_catalog(p: ProblemDef, t: float, starts: int, seed: int, box,
 
     Flows start from ``starts`` uniform samples of ``box = (lo, hi)``
     (deterministic in ``seed``), each first restored onto the time-t leaf
-    when m > 0, and run as one batch of :func:`~tvland.ode.frozen_time_flows`
-    (a lane that raises or fails the sink check there is rerun by the
-    scalar flow).  Limits are
-    clustered within ``cluster_radius`` and each polished cluster
+    when m > 0, and run as one batch of :func:`~tvland.ode.frozen_time_flows`.
+    Limits are clustered within ``cluster_radius`` and each polished cluster
     representative is kept when its KKT residuals are within
     ``CATALOG_KKT_TOL`` and the tangent-restricted Lagrangian Hessian is
     positive definite.  Starts whose restoration or flow raises, flows that

@@ -45,7 +45,8 @@ def _fmt(v: float) -> str:
     return format(float(v), ".17g")
 
 
-def _load_config(path: str) -> dict[str, str]:
+def _load_config(path: str, command: str) -> dict[str, str]:
+    keys = _SWEEP_KEYS if command == "sweep" else _CONFIG_KEYS
     cfg = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -56,8 +57,8 @@ def _load_config(path: str) -> dict[str, str]:
                 raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, _, value = line.partition("=")
             key = key.strip()
-            if key not in _CONFIG_KEYS:
-                raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
+            if key not in keys:
+                raise UsageError(f"{path}:{lineno}: unknown config key {key!r} for {command}")
             cfg[key] = value.strip()
     return cfg
 
@@ -68,7 +69,7 @@ class _Options:
     def __init__(self, args: argparse.Namespace):
         self.args = vars(args)
         cfg_path = self.args.get("config")
-        self.cfg = _load_config(cfg_path) if cfg_path else {}
+        self.cfg = _load_config(cfg_path, self.args["command"]) if cfg_path else {}
 
     def _raw(self, key: str):
         flag = self.args.get(key.replace("-", "_"))
@@ -466,6 +467,7 @@ _SWEEP_FLAGS = frozenset({
     "--config", "--scenario", "--x0", "--dt", "--tbar-frac", "--seed", "--out",
     "--starts", "--checks", "--alpha-grid", "--beta-grid", "--mode", "--json",
 })
+_SWEEP_KEYS = frozenset(k for k in _CONFIG_KEYS if "--" + k.replace("_", "-") in _SWEEP_FLAGS)
 
 
 def _build_parser() -> _Parser:

@@ -234,63 +234,22 @@ def frozen_time_flow(p: ProblemDef, x: np.ndarray, t: float,
     moderately small the nearby equilibrium is refined by Newton and
     returned, provided it is a verified sink; flows stalling near saddles or
     under moving data (where the frozen field has no equilibria at all) run
-    out their budget and report ``converged = False``.
+    out their budget and report ``converged = False``.  This is the one-lane
+    case of :func:`frozen_time_flows`, which gives the stopping rules.
     """
-    if s_max is None:
-        s_max = 100.0 * p.alpha
-    x = np.asarray(x, dtype=float)
-    rhs_y = _frozen_field(p, t)
-
-    def rhs(s, y):
-        return rhs_y(y)
-
-    speed = np.linalg.norm(rhs_y(x))
-    if speed <= tol:
-        return x.copy(), True
-
-    switch = _switch_speed(tol)
-
-    def slow(s, y):
-        return np.linalg.norm(rhs_y(y)) - switch
-
-    slow.terminal = True
-    slow.direction = -1
-
-    y = x.copy()
-    s_done = 0.0
-    while s_done < s_max:
-        sol = solve_ivp(rhs, (s_done, s_max), y, method="RK45",
-                        rtol=1e-8, atol=1e-11, events=slow)
-        if not sol.success:
-            raise StiffnessError(f"frozen-time flow failed: {sol.message}")
-        y = np.asarray(sol.y[:, -1], dtype=float)
-        s_done = float(sol.t[-1])
-        if sol.status != 1:
-            break  # ran to s_max without getting slow
-        speed = np.linalg.norm(rhs_y(y))
-        limit = _polish_limit(rhs_y, y, tol)
-        if limit is not None:
-            return limit, True
-        if speed <= tol:
-            return y, True
-        # Near-stationary but not a sink (saddle shoulder): creep forward and
-        # re-arm the event below the current speed so integration continues.
-        switch = 0.5 * min(switch, speed)
-        if switch <= tol:
-            break
-
-    speed = np.linalg.norm(rhs_y(y))
-    return y, bool(speed <= tol)
+    limits, converged = frozen_time_flows(p, x, t, s_max, tol)
+    return limits[0], bool(converged[0])
 
 
-#: Step control of scipy's RK45 as :func:`frozen_time_flow` configures it.
+#: Step control of the frozen-time flow: scipy's RK45 at these tolerances.
 _FLOW_RTOL = 1e-8
 _FLOW_ATOL = 1e-11
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERR_EXPONENT = -1.0 / (RK45.error_estimator_order + 1)
 
-#: Failures of one lane of :func:`frozen_time_flows`; the lane is rerun by
-#: the scalar flow, which reproduces (or recovers from) them.
+#: Exceptions of a field evaluation or sink check that fail only the lane of
+#: :func:`frozen_time_flows` they arise in; they are raised (or absorbed by
+#: ``lane_errors``) once every lane has finished.
 _LANE_FAILURES = (TvlandError, ValueError, ArithmeticError)
 
 
@@ -300,12 +259,13 @@ def _rms(a: np.ndarray) -> np.ndarray:
 
 
 def frozen_time_flows(p: ProblemDef, X: np.ndarray, times,
+                      s_max: float | None = None, tol: float = _FLOW_TOL,
                       lane_errors: tuple = ()) -> tuple[np.ndarray, np.ndarray]:
     """Frozen-time flows from many starts at once: ``(limits, converged)``.
 
     Lane i is the flow of :func:`frozen_time_flow` from ``X[i]`` at time
-    ``times[i]`` (a scalar time applies to every lane) with its defaults
-    s_max = 100 alpha and tol = 1e-8.  One Dormand-Prince 5(4) stepper
+    ``times[i]`` (a scalar time applies to every lane), run for at most
+    ``s_max`` (default 100 alpha).  One Dormand-Prince 5(4) stepper
     advances all lanes together with scipy's RK45 control (rtol 1e-8, atol
     1e-11, its initial-step rule, an adaptive step per lane).  Each stage
     evaluates the field of all live lanes in one gradient call, each lane at
@@ -314,30 +274,37 @@ def frozen_time_flows(p: ProblemDef, X: np.ndarray, times,
     stacked call that raises is repeated lane by lane, and every other
     problem is evaluated lane by lane.  Both ways give the same bits.
 
-    A lane stops at its first accepted step whose speed is at most the
-    switch speed 1e-4 and converges when the Newton sink check accepts an
-    equilibrium there.  A lane that uses up s_max before getting that slow
-    is not converged, with its last state as the limit, as the scalar flow
-    reports it.
+    A lane whose start speed is at most ``tol`` returns its start,
+    converged.  Any other lane steps until an accepted step is slower than
+    its switch speed: max(1e-4, 10 tol), or half the start speed when the
+    start is already slower than that.  There the lane converges to the
+    equilibrium that the Newton sink check accepts, or to its state when
+    its speed is at most ``tol``.  Otherwise (a saddle shoulder) it halves
+    its switch speed, below its current speed, and creeps on; once the
+    switch speed falls to ``tol`` it stops.  A lane that stops so, or
+    spends ``s_max``, is not converged and reports its last state.
 
-    Lanes that start below the switch speed, raise, meet a non-finite stage,
-    fall under the minimum step or fail the sink check are rerun by
-    :func:`frozen_time_flow`, whose result, or exception, is theirs.  An
-    exception whose type is in ``lane_errors`` marks its lane not converged
-    with a NaN limit instead of propagating.
+    A lane whose field or sink check raises keeps that exception; a
+    non-finite stage or a step under the minimum gives it a
+    :class:`~tvland.errors.StiffnessError`.  Once every lane has finished,
+    the exception of the first failed lane whose type is not in
+    ``lane_errors`` is raised; lanes failed with those types read not
+    converged with a NaN limit.
     """
+    if s_max is None:
+        s_max = 100.0 * p.alpha
+    if not (math.isfinite(tol) and tol > 0.0 and math.isfinite(s_max) and s_max > 0.0):
+        raise ValueError(f"tol and s_max must be positive and finite, got {tol} and {s_max}")
     n = p.n
     X = np.asarray(X, dtype=float).reshape(-1, n)
     times = np.broadcast_to(np.asarray(times, dtype=float), (len(X),))
     fields = [_frozen_field(p, float(t)) for t in times]
     stacked = has_stacked_gradient(p)
     lane_times = times[:, None]
-    s_max = 100.0 * p.alpha
-    switch = _switch_speed(_FLOW_TOL)
     A, B, E = RK45.A, RK45.B, RK45.E
     limits = np.full(X.shape, np.nan)
     converged = np.zeros(len(X), dtype=bool)
-    rerun = np.zeros(len(X), dtype=bool)
+    errors: dict[int, Exception] = {}  # lane -> the exception that failed it
 
     def field_values(lanes, Y, ok):
         """Field rows of ``lanes`` at ``Y``; clears ``ok`` where a lane fails."""
@@ -355,19 +322,22 @@ def frozen_time_flows(p: ProblemDef, X: np.ndarray, times,
         for k in live:
             try:
                 F[k] = fields[lanes[k]](Y[k])
-            except _LANE_FAILURES:
+            except _LANE_FAILURES as exc:
+                errors[lanes[k]] = exc
                 ok[k] = False
         bad = ~np.isfinite(F).all(axis=1)
         F[bad] = 0.0
         ok &= ~bad
         return F
 
-    lanes = np.arange(len(X))
-    ok = np.ones(len(X), dtype=bool)
-    f = field_values(lanes, X, ok)
-    ok &= np.linalg.norm(f, axis=1) > switch
-    rerun[~ok] = True
-    lanes, y, f = lanes[ok], X[ok], f[ok]
+    ok = np.ones(len(X), dtype=bool)  # the lane has not failed
+    f = field_values(np.arange(len(X)), X, ok)
+    speed = np.linalg.norm(f, axis=1)
+    settled = ok & (speed <= tol)
+    limits[settled], converged[settled] = X[settled], True
+    switch = np.where(speed <= _switch_speed(tol), 0.5 * speed, _switch_speed(tol))
+    lanes = np.flatnonzero(ok & ~settled)
+    y, f, switch = X[lanes], f[lanes], switch[lanes]
 
     # scipy's initial step (Hairer, Norsett & Wanner, Sec. II.4)
     scale = _FLOW_ATOL + np.abs(y) * _FLOW_RTOL
@@ -408,27 +378,37 @@ def frozen_time_flows(p: ProblemDef, X: np.ndarray, times,
         f = np.where(accept[:, None], K[..., 6], f)
         s = np.where(accept, s_new, s)
 
-        slow = accept & (np.linalg.norm(f, axis=1) <= switch)
-        for k in np.flatnonzero(slow):
+        speed = np.linalg.norm(f, axis=1)
+        settled = np.zeros(len(lanes), dtype=bool)
+        stalled = ok & (s >= s_max)
+        for k in np.flatnonzero(accept & (speed <= switch)):
             try:
-                limit = _polish_limit(fields[lanes[k]], y[k], _FLOW_TOL)
-            except _LANE_FAILURES:
-                limit = None
-            if limit is None:
-                rerun[lanes[k]] = True
-            else:
-                limits[lanes[k]], converged[lanes[k]] = limit, True
-        spent = accept & ~slow & (s >= s_max)
-        limits[lanes[spent]] = y[spent]
-        rerun[lanes[~ok]] = True
-        keep = ok & ~(slow | spent)
-        lanes, y, f, s, h, retry, ok = (a[keep] for a in (lanes, y, f, s, h, retry, ok))
+                limit = _polish_limit(fields[lanes[k]], y[k], tol)
+            except _LANE_FAILURES as exc:
+                errors[lanes[k]] = exc
+                ok[k] = False
+                continue
+            if limit is None and speed[k] > tol:
+                # near-stationary but not a sink: creep on below this speed
+                switch[k] = 0.5 * min(switch[k], speed[k])
+                stalled[k] |= switch[k] <= tol
+                continue
+            limits[lanes[k]] = y[k] if limit is None else limit
+            converged[lanes[k]] = settled[k] = True
+        stalled &= ok & ~settled
+        limits[lanes[stalled]] = y[stalled]
+        keep = ok & ~(settled | stalled)
+        lanes, y, f, s, h, retry, ok, switch = (
+            a[keep] for a in (lanes, y, f, s, h, retry, ok, switch))
 
-    for i in np.flatnonzero(rerun):
-        try:
-            limits[i], converged[i] = frozen_time_flow(p, X[i], float(times[i]))
-        except lane_errors:
-            pass
+    # a lane left without a limit failed: by its own exception, or by a
+    # non-finite stage or a step under the minimum
+    for i in np.flatnonzero(np.isnan(limits).any(axis=1)):
+        exc = errors.get(i) or StiffnessError(
+            f"frozen-time flow at t = {times[i]:.6g} failed: non-finite field "
+            "value or step size under the minimum")
+        if not isinstance(exc, lane_errors):
+            raise exc
     return limits, converged
 
 

@@ -170,6 +170,15 @@ class TestReports:
         assert payload["converged"] is True
         assert payload["limit"][0] == pytest.approx(2.0, abs=1e-4)
 
+    @pytest.mark.parametrize("option", ["--tol=-1", "--tol=nan", "--smax=0", "--smax=-1",
+                                        "--smax=nan"])
+    def test_flow_rejects_bad_tol_and_budget(self, option, capsys):
+        code = run(["flow", "--scenario", "example1", "--x0", "2.5", option])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "usage"
+
     def test_validate_json(self, capsys):
         code = run(["validate", "--scenario", "matrec", "--samples", "10",
                     "--seed", "3"])
@@ -353,6 +362,19 @@ class TestSweep:
         err = json.loads(captured.err)
         assert err["error"] == "usage"
         assert "--N" in err["message"] and "--method" in err["message"]
+
+    @pytest.mark.parametrize("line", ["N=5", "method=discrete"])
+    def test_ignored_config_keys_rejected(self, line, tmp_path, capsys):
+        # the same holds for keys of a config file
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(f"alpha_grid=0.4\nbeta_grid=10\nmode=prop1\n{line}\n")
+        code = run(["sweep", "--config", str(cfg)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "usage"
+        assert repr(line.split("=")[0]) in err["message"]
 
     def test_oversized_grid_rejected(self, capsys):
         code = run(["sweep", "--scenario", "example1",

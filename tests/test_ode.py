@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 import tvland as tv
 import tvland.ode as ode_module
@@ -187,6 +188,33 @@ class TestFrozenTimeFlow:
             assert f_now <= f_prev + 1e-10
             f_prev = f_now
 
+    def test_shoulder_creeps_on_to_the_sink(self):
+        # x' = -(1e3 x^2 + 1e-5)(x + 1): from 1 the flow slows to speed 1e-5
+        # at the shoulder x = 0, where the sink check fails, and creeps on
+        # to the sink at -1.  It stops unsettled at the shoulder when tol
+        # leaves no room to creep, or when the budget runs out there.
+        def grad(x, t):
+            return np.array([(1e3 * x[0] ** 2 + 1e-5) * (x[0] + 1.0)])
+
+        p = tv.ProblemDef(
+            n=1, m=0,
+            objective=lambda x, t: float(250.0 * x[0] ** 4 + 1e3 / 3 * x[0] ** 3
+                                         + 5e-6 * x[0] ** 2 + 1e-5 * x[0]),
+            grad_objective=grad,
+            constraints=lambda x: np.zeros(0),
+            jacobian=lambda x: np.zeros((0, 1)),
+            data_path=lambda t: np.zeros(0),
+            data_rate=lambda t: np.zeros(0),
+            horizon=1.0,
+            alpha=1.0,
+        )
+        x0 = np.array([1.0])
+        limit, converged = tv.frozen_time_flow(p, x0, 0.0)
+        assert converged and abs(limit[0] + 1.0) <= 1e-10
+        for options in ({"tol": 9e-6}, {"s_max": 20.0}):
+            limit, converged = tv.frozen_time_flow(p, x0, 0.0, **options)
+            assert not converged and abs(limit[0]) <= 1e-4
+
     def test_budget_exhaustion_reports_not_converged(self, matrec):
         # moving data: the frozen field has no equilibria, so no convergence
         z = tv.matrix_recovery_global_state(0.0)
@@ -218,35 +246,42 @@ class TestFrozenTimeFlow:
                 assert np.abs(a - b).max() <= 1e-10
 
 
-def _scalar_flows(p, X, times):
-    out = [tv.frozen_time_flow(p, x, float(t)) for x, t in zip(X, times)]
-    return np.array([o[0] for o in out]), np.array([o[1] for o in out])
+def _reference_flows(p, X, times):
+    """Frozen-time flows by scipy's solve_ivp, independent of the batch stepper.
 
+    RK45 (rtol 1e-8, atol 1e-11) runs to s = 100 alpha or until the speed
+    first falls through the switch speed 1e-4; there the limit is the sink
+    the Newton check accepts.  Flows that get slow away from a sink, or
+    never get slow, read not converged with their last state.
+    """
+    tol = ode_module._FLOW_TOL
+    switch = ode_module._switch_speed(tol)
+    limits, converged = [], []
+    for x, t in zip(X, times):
+        field = ode_module._frozen_field(p, float(t))
 
-@pytest.fixture
-def scalar_reruns(monkeypatch):
-    """Counts the lanes frozen_time_flows hands to the scalar flow."""
-    calls = []
-    scalar = tv.frozen_time_flow
+        def slow(s, y):
+            return np.linalg.norm(field(y)) - switch
 
-    def counted(*args, **kwargs):
-        calls.append(args[1])
-        return scalar(*args, **kwargs)
-
-    monkeypatch.setattr(ode_module, "frozen_time_flow", counted)
-    return calls
+        slow.terminal, slow.direction = True, -1
+        sol = solve_ivp(lambda s, y: field(y), (0.0, 100.0 * p.alpha), np.asarray(x, float),
+                        method="RK45", rtol=1e-8, atol=1e-11, events=slow)
+        y = sol.y[:, -1]
+        limit = ode_module._polish_limit(field, y, tol) if sol.status == 1 else None
+        limits.append(y if limit is None else limit)
+        converged.append(limit is not None)
+    return np.array(limits), np.array(converged)
 
 
 class TestFrozenTimeFlows:
-    def test_matches_scalar_across_box_and_times(self, ex1_04_10, scalar_reruns):
+    def test_matches_scalar_across_box_and_times(self, ex1_04_10):
         # one batch mixing starts over the whole box with several frozen times
         p, _ = ex1_04_10
         starts = np.linspace(-16.0, 16.0, 23)
         times = np.repeat([0.0, 1.3, 2.9, 4.4, 5.8], starts.size)
         X = np.tile(starts, 5)[:, None]
         limits, converged = ode_module.frozen_time_flows(p, X, times)
-        assert scalar_reruns == []  # every lane settled in the batch
-        want_limits, want_conv = _scalar_flows(p, X, times)
+        want_limits, want_conv = _reference_flows(p, X, times)
         assert np.array_equal(converged, want_conv)
         assert converged.all()
         assert np.abs(limits - want_limits).max() <= 1e-8
@@ -260,15 +295,15 @@ class TestFrozenTimeFlows:
 
     def test_matches_scalar_on_frozen_matrix_recovery(self, matrec):
         # Constrained limits are only defined up to the neutral leaf-normal
-        # directions (the two integrations drift along them by ~1e-5), so
-        # the two paths are compared after the KKT refinement that catalogs
-        # and continuation apply.
+        # directions (two integrations drift along them by ~1e-5), so the
+        # batch and the reference are compared after the KKT refinement that
+        # catalogs and continuation apply.
         frozen = tv.freeze_data(matrec, 0.0)
         rng = np.random.default_rng(5)
         X = np.array([tv.matrix_recovery_state(frozen, f, 0.0)
                       for f in rng.uniform(-2.0, 2.0, (8, 2))])
         limits, converged = ode_module.frozen_time_flows(frozen, X, 0.0)
-        want_limits, want_conv = _scalar_flows(frozen, X, np.zeros(len(X)))
+        want_limits, want_conv = _reference_flows(frozen, X, np.zeros(len(X)))
         assert np.array_equal(converged, want_conv)
         assert converged.all()
         for got, want in zip(limits, want_limits):
@@ -276,34 +311,42 @@ class TestFrozenTimeFlows:
             b = tv.kkt_refine(frozen, want, 0.0)
             assert np.linalg.norm(a - b) <= 1e-8
 
-    def test_moving_data_lane_spends_budget_without_rerun(self, matrec, scalar_reruns):
-        # no equilibria under moving data: the lane spends s_max in the
-        # batch and is reported not converged there, as the scalar flow does
+    def test_moving_data_lane_spends_budget_without_rerun(self, matrec):
+        # no equilibria under moving data: the lane spends s_max and is
+        # reported not converged with its last state
         z = tv.matrix_recovery_global_state(0.0)
         limits, converged = ode_module.frozen_time_flows(matrec, z[None, :], 0.0)
-        assert scalar_reruns == []
-        want, want_conv = tv.frozen_time_flow(matrec, z, 0.0)
-        assert converged.tolist() == [want_conv] == [False]
-        assert np.abs(limits[0] - want).max() <= 1e-8
+        want, want_conv = _reference_flows(matrec, z[None, :], [0.0])
+        assert converged.tolist() == want_conv.tolist() == [False]
+        assert np.abs(limits[0] - want[0]).max() <= 1e-8
 
     def test_raising_lane_leaves_the_others(self, ex1_04_10):
-        # the gradient raises beyond x = 100, as a degenerate constraint would
+        # the gradient raises beyond |x| = 100, as a degenerate constraint
+        # or a failed inner solve would
         p, _ = ex1_04_10
 
         def grad(x, t):
             if x[0] > 100.0:
                 raise tv.SingularConstraintError("outside the model")
+            if x[0] < -100.0:
+                raise tv.StepSolveError("outside the model")
             return ex1_04_10[0].grad_objective(x, t)
 
         p = p.replace(grad_objective=grad)
-        X = np.array([[-5.0], [200.0], [3.0]])
+        X = np.array([[-5.0], [200.0], [3.0], [-200.0]])
+        # the first failed lane's exception propagates...
         with pytest.raises(tv.SingularConstraintError):
             ode_module.frozen_time_flows(p, X, 0.0)
+        with pytest.raises(tv.StepSolveError):
+            ode_module.frozen_time_flows(p, X[::-1], 0.0)
+        # ...unless lane_errors names its type
+        with pytest.raises(tv.StepSolveError):
+            ode_module.frozen_time_flows(p, X, 0.0, lane_errors=(tv.SingularConstraintError,))
         limits, converged = ode_module.frozen_time_flows(
-            p, X, 0.0, lane_errors=(tv.SingularConstraintError,))
-        assert converged.tolist() == [True, False, True]
-        assert np.isnan(limits[1]).all()
-        want_limits, want_conv = _scalar_flows(p, X[[0, 2]], np.zeros(2))
+            p, X, 0.0, lane_errors=(tv.SingularConstraintError, tv.StepSolveError))
+        assert converged.tolist() == [True, False, True, False]
+        assert np.isnan(limits[[1, 3]]).all()
+        want_limits, want_conv = _reference_flows(p, X[[0, 2]], np.zeros(2))
         assert want_conv.all()
         assert np.abs(limits[[0, 2]] - want_limits).max() <= 1e-8
 
@@ -348,16 +391,20 @@ class TestFrozenTimeFlows:
         assert np.array_equal(converged, want_conv)
         assert np.array_equal(limits, want_limits, equal_nan=True)
 
-    def test_lanes_below_switch_speed_rerun(self, ex1_04_10, scalar_reruns):
-        # at the minimizer (speed 0) and just beside it (tol < speed < 1e-4)
+    def test_lanes_below_switch_speed(self, ex1_04_10):
+        # at the minimizer (speed 0: its start is its limit) and beside the
+        # sinks (tol < speed < 1e-4), next to a lane from the box
         p, _ = ex1_04_10
-        X = np.array([[-2.0], [2.0 + 1e-6], [0.0]])
+        X = np.array([[-2.0], [2.0 + 1e-6], [2.0 - 1e-6], [-2.0 + 1e-6], [0.0]])
         limits, converged = ode_module.frozen_time_flows(p, X, 0.0)
-        assert [x[0] for x in scalar_reruns] == [-2.0, 2.0 + 1e-6]
-        want_limits, want_conv = _scalar_flows(p, X, np.zeros(3))
-        assert np.array_equal(converged, want_conv)
-        assert np.array_equal(limits[:2], want_limits[:2])
-        assert np.abs(limits[2] - want_limits[2]).max() <= 1e-8
+        assert converged.all()
+        assert limits[0, 0] == -2.0
+        assert np.abs(limits[1:4, 0] - [2.0, 2.0, -2.0]).max() <= 1e-10
+        want_limits, _ = _reference_flows(p, X[4:], [0.0])
+        assert np.abs(limits[4] - want_limits[0]).max() <= 1e-8
+        for x, sink in zip(X[1:4], [2.0, 2.0, -2.0]):  # and one lane at a time
+            limit, conv = tv.frozen_time_flow(p, x, 0.0)
+            assert conv and abs(limit[0] - sink) <= 1e-10
 
     def test_no_lanes(self, ex1_04_10):
         p, _ = ex1_04_10
