@@ -21,7 +21,7 @@ from .errors import (EigenConvergenceError, ImplicitSolveError,
                      RootBracketError, SingularConstraintError,
                      StepSolveError, StiffnessError, TvlandError)
 from .geometry import (GeometryResult, KKTResidual, NewtonKKT, eta,
-                       geometry, kkt_residual, newton_kkt, ode_rhs,
+                       kkt_residual, newton_kkt, ode_rhs,
                        trajectory_with_diagnostics)
 from .ode import (ConvergenceRow, backward_euler_trajectory,
                   convergence_study, frozen_time_flow, integrate_reference)
@@ -49,7 +49,7 @@ __all__ = [
     "attraction_membership", "backward_euler_trajectory", "build_catalog",
     "check_local_solution", "classify_trajectory", "convergence_study",
     "discrete_trajectory", "eigen_report", "eta", "freeze_data",
-    "frozen_time_flow", "geometry", "integrate_reference",
+    "frozen_time_flow", "integrate_reference",
     "invariant_jacobian", "kkt_refine", "kkt_residual", "kkt_track",
     "make_damped_sinusoid", "make_example1", "make_matrix_recovery",
     "matrix_recovery_global_state", "matrix_recovery_sign_flip",

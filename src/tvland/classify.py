@@ -122,6 +122,8 @@ def classify_trajectory(p: ProblemDef, traj: Trajectory,
     """
     if not 0 <= t_bar < p.horizon:
         raise ValueError(f"t_bar must lie in [0, T), got {t_bar}")
+    if max_checks < 1:
+        raise ValueError(f"max_checks must be at least 1, got {max_checks}")
     idx = np.nonzero(traj.times >= t_bar - 1e-12)[0]
     if idx.size > max_checks:
         sel = np.unique(np.linspace(0, idx.size - 1, max_checks).round().astype(int))

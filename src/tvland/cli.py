@@ -14,6 +14,7 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from typing import Callable
 
 import numpy as np
 
@@ -24,20 +25,13 @@ from . import problem as _problem
 from . import spectrum as _spectrum
 from .discrete import discrete_trajectory
 from .errors import TvlandError
-from .problem import Trajectory
+from .problem import Scalar1DFunction, Trajectory
 
 SCHEMA_VERSION = 1
 
-_CONFIG_KEYS = {
-    "scenario", "alpha", "beta", "omega", "lambda", "R", "x0", "dt", "N",
-    "method", "tbar_frac", "seed", "out", "t", "smax", "tol", "consistent",
-    "box", "starts", "strict", "samples", "alpha_grid", "beta_grid", "mode",
-    "rel_tol", "checks",
-}
 
-
-class UsageError(Exception):
-    pass
+class UsageError(ValueError):
+    """A bad command line or config file (exit 1, like the library's ValueError)."""
 
 
 def _fmt(v: float) -> str:
@@ -45,8 +39,70 @@ def _fmt(v: float) -> str:
     return format(float(v), ".17g")
 
 
+# ------------------------------ option keys ---------------------------------
+
+def _boolean(raw: str) -> bool:
+    low = raw.lower()
+    if low in ("1", "true", "yes", "on"):
+        return True
+    if low in ("0", "false", "no", "off"):
+        return False
+    raise ValueError("expected 1, true, yes, on, 0, false, no or off")
+
+
+def _count(raw: str) -> int:
+    n = int(raw)
+    if n < 1:
+        raise ValueError("expected a positive integer")
+    return n
+
+
+def _vector(raw: str) -> np.ndarray:
+    return np.array([float(v) for v in raw.split(",")])
+
+
+def _box(raw: str) -> tuple:
+    box = _vector(raw)
+    if box.size != 2:
+        raise ValueError("expected lo,hi")
+    return (box[0], box[1])
+
+
+def _grid(raw: str) -> list[float]:
+    """Sorted grid values from ``lo:hi:count`` (a linspace) or a comma list."""
+    raw = raw.strip()
+    if ":" in raw:
+        lo, hi, count = raw.split(":")
+        return sorted(float(v) for v in np.linspace(float(lo), float(hi), int(count)))
+    return sorted(float(v) for v in raw.split(",") if v.strip())
+
+
+#: How the text of each option key is read; the other keys are strings.
+_CASTS = {
+    **dict.fromkeys(("alpha", "beta", "omega", "lambda", "R", "dt", "rel_tol",
+                     "tbar_frac", "t", "smax", "tol"), float),
+    **dict.fromkeys(("N", "starts", "checks", "samples"), _count),
+    **dict.fromkeys(("consistent", "strict"), _boolean),
+    **dict.fromkeys(("alpha_grid", "beta_grid"), _grid),
+    "x0": _vector, "box": _box, "seed": int,
+}
+
+#: argparse settings besides the flag, which is ``--`` plus the key with
+#: ``-`` for ``_``.
+_FLAG_SETTINGS = {
+    "lambda": {"help": "damping factor"},
+    "x0": {"help": "comma-separated start vector"},
+    "method": {"help": "discrete | backward-euler | reference"},
+    "rel_tol": {"help": "tolerance of --method reference"},
+    "mode": {"help": "sweep mode: prop1 | sim | both"},
+    "out": {"help": "output path (default stdout)"},
+    "strict": {"action": "store_const", "const": "true"},
+    "json": {"action": "store_true", "help": "accepted for symmetry; reports are always JSON"},
+}
+
+
 def _load_config(path: str, command: str) -> dict[str, str]:
-    keys = _SWEEP_KEYS if command == "sweep" else _CONFIG_KEYS
+    keys = set(_COMMANDS[command][2]) - {"json"}  # --json is a flag only
     cfg = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -68,73 +124,105 @@ class _Options:
 
     def __init__(self, args: argparse.Namespace):
         self.args = vars(args)
+        self.command = self.args["command"]
         cfg_path = self.args.get("config")
-        self.cfg = _load_config(cfg_path, self.args["command"]) if cfg_path else {}
+        self.cfg = _load_config(cfg_path, self.command) if cfg_path else {}
 
     def _raw(self, key: str):
-        flag = self.args.get(key.replace("-", "_"))
-        if flag is not None:
-            return flag
-        return self.cfg.get(key)
+        flag = self.args.get(key)
+        return self.cfg.get(key) if flag is None else flag
 
-    def get(self, key: str, default=None, cast=str):
+    def get(self, key: str, default=None):
         raw = self._raw(key)
         if raw is None:
             return default
-        if isinstance(raw, str):
-            try:
-                if cast is bool:
-                    return raw.lower() in ("1", "true", "yes", "on")
-                return cast(raw)
-            except ValueError as exc:
-                raise UsageError(f"invalid value for {key}: {raw!r}") from exc
-        return raw
+        if not isinstance(raw, str):
+            return raw
+        try:
+            return _CASTS.get(key, str)(raw)
+        except ValueError as exc:
+            raise UsageError(f"invalid value for {key}: {raw!r} ({exc})") from exc
 
-    def require(self, key: str, cast=str):
-        val = self.get(key, None, cast)
+    def require(self, key: str):
+        val = self.get(key)
         if val is None:
             raise UsageError(f"missing required option: {key}")
         return val
 
-    def vector(self, key: str, default=None) -> np.ndarray | None:
-        raw = self._raw(key)
-        if raw is None:
-            return default
-        try:
-            return np.array([float(v) for v in str(raw).split(",")])
-        except ValueError as exc:
-            raise UsageError(f"invalid vector for {key}: {raw!r}") from exc
+
+# ------------------------------- scenarios ----------------------------------
+
+@dataclasses.dataclass(frozen=True)
+class _Scenario:
+    """A shipped scenario: its parameter defaults and what the CLI builds from them.
+
+    ``prop1`` is the g of f = g(x - beta sin t); ``thm3`` gives (g, omega,
+    lambda) of f = g(x - beta e^(-lambda t) sin(omega t)), whose spurious
+    minimum is g.y1.
+    """
+
+    params: dict
+    make: Callable
+    box: Callable
+    equivalence: Callable | None = None
+    prop1: Scalar1DFunction | None = None
+    thm3: Callable | None = None
 
 
-#: Damping factor of the damped scenario when --lambda is not given; the
-#: example1 landscape is undamped (lambda = 0).
-DAMPED_LAMBDA = 0.1
+def _line_form(sf: Scalar1DFunction):
+    """A scalar landscape and its gradient as functions of y in R^1."""
+    return (lambda y: sf.g(y[0])), (lambda y: np.array([sf.dg(y[0])]))
 
 
-def _build_scenario(opt: _Options):
-    """Return (problem, scalar_function_or_None) for the selected scenario."""
-    scenario = opt.require("scenario")
-    alpha = opt.get("alpha", 1.0, float)
-    if scenario == "example1":
-        beta = opt.get("beta", 10.0, float)
-        p, sf = _problem.make_example1(beta, alpha=alpha)
-        return p, sf
-    if scenario == "matrec":
-        consistent = opt.get("consistent", True, bool)
-        return _problem.make_matrix_recovery(consistent, alpha=alpha), None
-    if scenario == "damped":
-        beta = opt.get("beta", 10.0, float)
-        omega = opt.get("omega", 1.0, float)
-        lam = opt.get("lambda", DAMPED_LAMBDA, float)
-        p = _problem.make_damped_sinusoid(
-            lambda y: _problem._quartic(y[0]),
-            lambda y: np.array([_problem._quartic_d1(y[0])]),
-            beta, omega, lam, [1.0],
-            hess_g=lambda y: np.array([[_problem._quartic_d2(y[0])]]),
-            alpha=alpha)
-        return p, None
-    raise UsageError(f"unknown scenario {scenario!r} "
-                     "(expected example1, matrec, or damped)")
+def _beta_box(prm: dict) -> tuple[float, float]:
+    # the quartic's minima move by up to beta
+    return (-(abs(prm["beta"]) + 6.0), abs(prm["beta"]) + 6.0)
+
+
+def _make_damped(prm: dict):
+    sf = _problem.QUARTIC
+    return _problem.make_damped_sinusoid(
+        *_line_form(sf), prm["beta"], prm["omega"], prm["lambda"], [1.0],
+        hess_g=lambda y: np.array([[sf.d2g(y[0])]]), alpha=prm["alpha"])
+
+
+_SCENARIOS = {
+    "example1": _Scenario(
+        params={"alpha": 1.0, "beta": 10.0},
+        make=lambda prm: _problem.make_example1(prm["beta"], alpha=prm["alpha"])[0],
+        box=_beta_box,
+        prop1=_problem.QUARTIC,
+        thm3=lambda prm: (_problem.QUARTIC, 1.0, 0.0)),
+    "matrec": _Scenario(
+        params={"alpha": 1.0, "consistent": True},
+        make=lambda prm: _problem.make_matrix_recovery(prm["consistent"],
+                                                       alpha=prm["alpha"]),
+        box=lambda prm: (-16.0, 16.0),
+        equivalence=_problem.matrix_recovery_sign_flip),
+    "damped": _Scenario(
+        params={"alpha": 1.0, "beta": 10.0, "omega": 1.0, "lambda": 0.1},
+        make=_make_damped,
+        box=_beta_box,
+        thm3=lambda prm: (_problem.QUARTIC, prm["omega"], prm["lambda"])),
+}
+
+#: The parameter keys of all scenarios.
+_SCENARIO_PARAMS = tuple(dict.fromkeys(k for s in _SCENARIOS.values() for k in s.params))
+
+
+def _scenario(opt: _Options, needs: str | None = None, default: str | None = None):
+    """The selected scenario, which must have the field ``needs``, and its parameters."""
+    name = opt.require("scenario") if default is None else opt.get("scenario", default)
+    scn = _SCENARIOS.get(name)
+    if scn is None:
+        raise UsageError(f"unknown scenario {name!r} (expected {', '.join(_SCENARIOS)})")
+    if needs is not None and getattr(scn, needs) is None:
+        raise UsageError(f"{opt.command} needs a scenario with a {needs} landscape; "
+                         f"{name!r} has none")
+    unread = [k for k in _SCENARIO_PARAMS if k not in scn.params and opt.get(k) is not None]
+    if unread:
+        raise UsageError(f"scenario {name!r} does not read {', '.join(unread)}")
+    return scn, {k: opt.get(k, d) for k, d in scn.params.items()}
 
 
 #: Grid resolution when neither dt nor N is configured.
@@ -143,13 +231,14 @@ DEFAULT_STEPS = 2000
 
 def _simulate(p, opt: _Options) -> Trajectory:
     method = opt.get("method", "backward-euler")
-    x0 = opt.vector("x0")
-    if x0 is None:
-        raise UsageError("missing required option: x0")
-    n = opt.get("N", None, int)
-    dt = opt.get("dt", None, float)
+    x0 = opt.require("x0")
+    n = opt.get("N")
+    dt = opt.get("dt")
     if n is not None and dt is not None:
         raise UsageError("N and dt both set the grid; give only one of them")
+    rel_tol = opt.get("rel_tol")
+    if rel_tol is not None and method != "reference":
+        raise UsageError("rel_tol is a tolerance of the reference method only")
     if method == "discrete":
         if n is None:
             n = DEFAULT_STEPS if dt is None else max(1, round(p.horizon / dt))
@@ -162,10 +251,18 @@ def _simulate(p, opt: _Options) -> Trajectory:
         if dt is not None:
             raise UsageError("the reference method is adaptive; it takes N "
                              "(output samples), not dt")
-        rel_tol = opt.get("rel_tol", 1e-9, float)
-        return _ode.integrate_reference(p, x0, rel_tol, n_samples=512 if n is None else n)
+        return _ode.integrate_reference(p, x0, 1e-9 if rel_tol is None else rel_tol,
+                                        n_samples=512 if n is None else n)
     raise UsageError(f"unknown method {method!r} "
                      "(expected discrete, backward-euler, or reference)")
+
+
+def _write(text: str, out) -> None:
+    if out is None or out == "-":
+        sys.stdout.write(text)
+    else:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text)
 
 
 def _write_rows(out, header: list[str], rows) -> None:
@@ -173,12 +270,7 @@ def _write_rows(out, header: list[str], rows) -> None:
     for row in rows:
         lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v)
                               for v in row))
-    text = "\n".join(lines) + "\n"
-    if out is None or out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    _write("\n".join(lines) + "\n", out)
 
 
 def _write_trajectory_csv(traj: Trajectory, out) -> None:
@@ -194,13 +286,7 @@ def _write_trajectory_csv(traj: Trajectory, out) -> None:
 
 
 def _emit_json(payload: dict, out) -> None:
-    payload = {"schema": SCHEMA_VERSION, **payload}
-    text = json.dumps(payload) + "\n"
-    if out is None or out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    _write(json.dumps({"schema": SCHEMA_VERSION, **payload}) + "\n", out)
 
 
 def _jsonable(v):
@@ -213,59 +299,41 @@ def _jsonable(v):
     return v
 
 
-def _default_box(p, opt: _Options):
-    box = opt.vector("box")
-    if box is not None:
-        if box.size != 2:
-            raise UsageError("box must be 'lo,hi'")
-        return (box[0], box[1])
-    beta = opt.get("beta", 10.0, float)
-    return (-(abs(beta) + 6.0), abs(beta) + 6.0)
-
-
-def _catalog_builder(p, opt: _Options):
-    starts = opt.get("starts", 64, int)
-    seed = opt.get("seed", 0, int)
-    box = _default_box(p, opt)
-    equivalence = None
-    if p.name.startswith("matrec"):
-        equivalence = _problem.matrix_recovery_sign_flip
-    return _classify.tracking_builder(p, box, starts=starts, seed=seed,
-                                      equivalence=equivalence)
-
-
 # --------------------------- subcommands -----------------------------------
 
 def _cmd_simulate(opt: _Options) -> int:
-    p, _ = _build_scenario(opt)
-    traj = _simulate(p, opt)
+    scn, prm = _scenario(opt)
+    traj = _simulate(scn.make(prm), opt)
     _write_trajectory_csv(traj, opt.get("out"))
     return 0
 
 
 def _cmd_flow(opt: _Options) -> int:
-    p, _ = _build_scenario(opt)
-    x0 = opt.vector("x0")
-    if x0 is None:
-        raise UsageError("missing required option: x0")
-    t = opt.get("t", 0.0, float)
-    s_max = opt.get("smax", None, float)
-    tol = opt.get("tol", 1e-8, float)
-    limit, converged = _ode.frozen_time_flow(p, x0, t, s_max=s_max, tol=tol)
+    scn, prm = _scenario(opt)
+    p = scn.make(prm)
+    x0 = opt.require("x0")
+    t = opt.get("t", 0.0)
+    limit, converged = _ode.frozen_time_flow(p, x0, t, s_max=opt.get("smax"),
+                                             tol=opt.get("tol", 1e-8))
     _emit_json({"limit": _jsonable(limit), "converged": converged, "t": t},
                opt.get("out"))
     return 0
 
 
 def _cmd_classify(opt: _Options) -> int:
-    p, _ = _build_scenario(opt)
+    scn, prm = _scenario(opt)
+    strict = opt.get("strict", False)
+    p = scn.make(prm)
     traj = _simulate(p, opt)
-    tbar_frac = opt.get("tbar_frac", 0.75, float)
-    builder = _catalog_builder(p, opt)
-    checks = opt.get("checks", 200, int)
+    tbar_frac = opt.get("tbar_frac", 0.75)
+    box = opt.get("box")
+    builder = _classify.tracking_builder(p, scn.box(prm) if box is None else box,
+                                         starts=opt.get("starts", 64),
+                                         seed=opt.get("seed", 0),
+                                         equivalence=scn.equivalence)
     result = _classify.classify_trajectory(p, traj, builder,
                                            tbar_frac * p.horizon,
-                                           max_checks=checks)
+                                           max_checks=opt.get("checks", 200))
     payload = {
         "verdict": result.verdict.value,
         "t_bar": tbar_frac * p.horizon,
@@ -274,18 +342,15 @@ def _cmd_classify(opt: _Options) -> int:
                    for r in result.records],
     }
     _emit_json(payload, opt.get("out"))
-    if result.verdict is _classify.Verdict.UNRESOLVED and opt.get("strict", False, bool):
+    if result.verdict is _classify.Verdict.UNRESOLVED and strict:
         return 3
     return 0
 
 
 def _cmd_prop1(opt: _Options) -> int:
-    _, sf = _build_scenario(opt)
-    if sf is None:
-        raise UsageError("prop1 needs a scenario with a scalar landscape (example1)")
-    alpha = opt.get("alpha", 1.0, float)
-    beta = opt.get("beta", 10.0, float)
-    rep = _conditions.prop1_check(sf, alpha, beta)
+    scn, prm = _scenario(opt, needs="prop1")
+    scn.make(prm)  # the scenario's checks of its parameters
+    rep = _conditions.prop1_check(scn.prop1, prm["alpha"], prm["beta"])
     payload = {k: _jsonable(getattr(rep, k)) for k in
                ("alpha", "beta", "C", "m1", "m2", "t1", "t2",
                 "cond1", "cond2", "cond3", "satisfied")}
@@ -294,21 +359,12 @@ def _cmd_prop1(opt: _Options) -> int:
 
 
 def _cmd_thm3(opt: _Options) -> int:
-    p, sf = _build_scenario(opt)
-    if sf is None and p.name != "damped":
-        raise UsageError("thm3 needs the example1 or damped scenario")
-    alpha = opt.get("alpha", 1.0, float)
-    beta = opt.get("beta", 10.0, float)
-    omega = opt.get("omega", 1.0, float)
-    lam = opt.get("lambda", DAMPED_LAMBDA if p.name == "damped" else 0.0, float)
-    R = opt.get("R", 0.5, float)
-    # spurious minima of the shipped quartic landscape
-    minima = [np.array([-2.0])]
+    scn, prm = _scenario(opt, needs="thm3")
+    scn.make(prm)  # the scenario's checks of its parameters
+    sf, omega, lam = scn.thm3(prm)
     rep = _conditions.thm3_check(
-        lambda y: _problem._quartic(y[0]),
-        lambda y: np.array([_problem._quartic_d1(y[0])]),
-        minima, R, alpha, beta, omega, lam,
-        seed=opt.get("seed", 0, int))
+        *_line_form(sf), [np.array([sf.y1])], opt.get("R", 0.5),
+        prm["alpha"], prm["beta"], omega, lam, seed=opt.get("seed", 0))
     payload = {k: _jsonable(getattr(rep, k)) for k in
                ("alpha", "beta", "omega", "lam", "R", "C1", "C2",
                 "cond1", "cond2", "necessary_ok", "satisfied")}
@@ -317,12 +373,10 @@ def _cmd_thm3(opt: _Options) -> int:
 
 
 def _cmd_spectrum(opt: _Options) -> int:
-    p, _ = _build_scenario(opt)
-    x0 = opt.vector("x0")
-    if x0 is None:
-        raise UsageError("missing required option: x0")
-    n = opt.get("N", 64, int)
-    times = np.linspace(0.0, p.horizon, n + 1)
+    scn, prm = _scenario(opt)
+    p = scn.make(prm)
+    x0 = opt.require("x0")
+    times = np.linspace(0.0, p.horizon, opt.get("N", 64) + 1)
     ztraj = _spectrum.kkt_track(p, x0, times)
     samples = _spectrum.spectrum_along_trajectory(p, ztraj)
     header = ["t", "max_re", "n_pos", "n_zero", "n_neg"]
@@ -333,47 +387,39 @@ def _cmd_spectrum(opt: _Options) -> int:
 
 
 def _cmd_validate(opt: _Options) -> int:
-    p, _ = _build_scenario(opt)
-    samples = opt.get("samples", 100, int)
-    seed = opt.get("seed", 0, int)
-    rep = _problem.validate_problem(p, samples=samples, seed=seed)
+    scn, prm = _scenario(opt)
+    rep = _problem.validate_problem(scn.make(prm), samples=opt.get("samples", 100),
+                                    seed=opt.get("seed", 0))
     payload = {f.name: _jsonable(getattr(rep, f.name)) for f in dataclasses.fields(rep)}
     _emit_json(payload, opt.get("out"))
     return 0
 
 
-def _parse_grid(raw: str) -> list[float]:
-    raw = raw.strip()
-    if ":" in raw:
-        lo, hi, count = raw.split(":")
-        return [float(v) for v in np.linspace(float(lo), float(hi), int(count))]
-    return [float(v) for v in raw.split(",") if v.strip()]
-
-
-def _sweep_cell(opt_values: dict, alpha: float, beta: float) -> tuple:
+def _sweep_cell(scn: _Scenario, values: dict, alpha: float, beta: float) -> tuple:
     """One (alpha, beta) cell: prop1 verdict and/or simulated classification."""
-    mode = opt_values["mode"]
+    mode = values["mode"]
     prop1_field: object = ""
     verdict_field: object = ""
+    prm = {**scn.params, "alpha": alpha, "beta": beta}
     try:
-        p, sf = _problem.make_example1(beta, alpha=alpha)
+        p = scn.make(prm)
     except Exception as exc:
         return (alpha, beta, f"error:{type(exc).__name__}",
                 f"error:{type(exc).__name__}")
     if mode in ("prop1", "both"):
         try:
-            prop1_field = str(_conditions.prop1_check(sf, alpha, beta).satisfied).lower()
+            prop1_field = str(_conditions.prop1_check(scn.prop1, alpha, beta).satisfied).lower()
         except Exception as exc:
             prop1_field = f"error:{type(exc).__name__}"
     if mode in ("sim", "both"):
         try:
-            traj = _ode.backward_euler_trajectory(p, opt_values["x0"], opt_values["dt"])
+            traj = _ode.backward_euler_trajectory(p, values["x0"], values["dt"])
             builder = _classify.tracking_builder(
-                p, (-(abs(beta) + 6.0), abs(beta) + 6.0),
-                starts=opt_values["starts"], seed=opt_values["seed"])
+                p, scn.box(prm), starts=values["starts"], seed=values["seed"],
+                equivalence=scn.equivalence)
             res = _classify.classify_trajectory(
-                p, traj, builder, opt_values["tbar_frac"] * p.horizon,
-                max_checks=opt_values["checks"])
+                p, traj, builder, values["tbar_frac"] * p.horizon,
+                max_checks=values["checks"])
             verdict_field = res.verdict.value
         except Exception as exc:
             verdict_field = f"error:{type(exc).__name__}"
@@ -381,30 +427,28 @@ def _sweep_cell(opt_values: dict, alpha: float, beta: float) -> tuple:
 
 
 def _cmd_sweep(opt: _Options) -> int:
-    scenario = opt.get("scenario", "example1")
-    if scenario != "example1":
-        raise UsageError(f"sweep supports only the example1 scenario, got {scenario!r}")
-    alphas = sorted(_parse_grid(opt.require("alpha_grid")))
-    betas = sorted(_parse_grid(opt.require("beta_grid")))
+    scn, _ = _scenario(opt, needs="prop1", default="example1")
+    alphas = opt.require("alpha_grid")
+    betas = opt.require("beta_grid")
     if len(alphas) * len(betas) > 10_000:
         raise UsageError("sweep grid exceeds 10000 cells")
     cells = [(a, b) for a in alphas for b in betas]
-    opt_values = {
+    values = {
         "mode": opt.get("mode", "both"),
-        "x0": opt.vector("x0", np.array([-2.0])),
-        "dt": opt.get("dt", 4e-3, float),
-        "starts": opt.get("starts", 64, int),
-        "seed": opt.get("seed", 0, int),
-        "tbar_frac": opt.get("tbar_frac", 0.75, float),
-        "checks": opt.get("checks", 200, int),
+        "x0": opt.get("x0", np.array([-2.0])),
+        "dt": opt.get("dt", 4e-3),
+        "starts": opt.get("starts", 64),
+        "seed": opt.get("seed", 0),
+        "tbar_frac": opt.get("tbar_frac", 0.75),
+        "checks": opt.get("checks", 200),
     }
-    if opt_values["mode"] not in ("prop1", "sim", "both"):
-        raise UsageError(f"unknown sweep mode {opt_values['mode']!r}")
+    if values["mode"] not in ("prop1", "sim", "both"):
+        raise UsageError(f"unknown sweep mode {values['mode']!r}")
     workers = int(os.environ.get("TVL_THREADS", "0")) or (os.cpu_count() or 1)
     rows: list = [None] * len(cells)
     if cells:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_sweep_cell, opt_values, a, b) for a, b in cells]
+            futures = [pool.submit(_sweep_cell, scn, values, a, b) for a, b in cells]
             for i, fut in enumerate(futures):
                 rows[i] = fut.result()
     _write_rows(opt.get("out"), ["alpha", "beta", "prop1_satisfied", "sim_verdict"],
@@ -412,15 +456,31 @@ def _cmd_sweep(opt: _Options) -> int:
     return 0
 
 
+_SCENARIO_KEYS = ("scenario", *_SCENARIO_PARAMS)
+_GRID_KEYS = ("x0", "method", "N", "dt", "rel_tol")
+
+#: Each subcommand: its function, its help line and the option keys it
+#: reads, as flags and as config-file keys.  argparse and the config reader
+#: reject every other key.
 _COMMANDS = {
-    "simulate": _cmd_simulate,
-    "flow": _cmd_flow,
-    "classify": _cmd_classify,
-    "prop1": _cmd_prop1,
-    "thm3": _cmd_thm3,
-    "spectrum": _cmd_spectrum,
-    "sweep": _cmd_sweep,
-    "validate": _cmd_validate,
+    "simulate": (_cmd_simulate, "integrate a trajectory and write CSV",
+                 (*_SCENARIO_KEYS, *_GRID_KEYS, "out")),
+    "flow": (_cmd_flow, "run the frozen-time flow from a point",
+             (*_SCENARIO_KEYS, "x0", "t", "smax", "tol", "out", "json")),
+    "classify": (_cmd_classify, "simulate then classify spurious / non-spurious",
+                 (*_SCENARIO_KEYS, *_GRID_KEYS, "tbar_frac", "box", "starts", "seed",
+                  "checks", "strict", "out", "json")),
+    "prop1": (_cmd_prop1, "one-dimensional escape condition report",
+              ("scenario", "alpha", "beta", "out", "json")),
+    "thm3": (_cmd_thm3, "multi-dimensional escape condition report",
+             ("scenario", "alpha", "beta", "omega", "lambda", "R", "seed", "out", "json")),
+    "spectrum": (_cmd_spectrum, "Jacobian spectrum along a tracked minimizer trajectory",
+                 (*_SCENARIO_KEYS, "x0", "N", "out")),
+    "sweep": (_cmd_sweep, "grid sweep of prop1 and simulated verdicts",
+              ("scenario", "alpha_grid", "beta_grid", "mode", "x0", "dt", "tbar_frac",
+               "starts", "seed", "checks", "out")),
+    "validate": (_cmd_validate, "finite-difference derivative validation",
+                 (*_SCENARIO_KEYS, "samples", "seed", "out", "json")),
 }
 
 
@@ -429,65 +489,16 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-#: Every flag of the subcommands, with its argparse settings.
-_FLAGS = (
-    ("--config", {"help": "flat key=value config file"}),
-    ("--scenario", {}),
-    ("--alpha", {}),
-    ("--beta", {}),
-    ("--omega", {}),
-    ("--lambda", {"dest": "lambda_", "help": "damping factor"}),
-    ("--R", {}),
-    ("--x0", {"help": "comma-separated start vector"}),
-    ("--dt", {}),
-    ("--N", {}),
-    ("--method", {"help": "discrete | backward-euler | reference"}),
-    ("--tbar-frac", {}),
-    ("--seed", {}),
-    ("--out", {"help": "output path (default stdout)"}),
-    ("--t", {}),
-    ("--smax", {}),
-    ("--tol", {}),
-    ("--rel-tol", {}),
-    ("--consistent", {}),
-    ("--box", {}),
-    ("--starts", {}),
-    ("--checks", {}),
-    ("--samples", {}),
-    ("--alpha-grid", {}),
-    ("--beta-grid", {}),
-    ("--mode", {"help": "sweep mode: prop1 | sim | both"}),
-    ("--strict", {"action": "store_const", "const": "true"}),
-    ("--json", {"action": "store_true",
-                "help": "accepted for symmetry; reports are always JSON"}),
-)
-
-#: The flags sweep reads; argparse rejects the others instead of dropping them.
-_SWEEP_FLAGS = frozenset({
-    "--config", "--scenario", "--x0", "--dt", "--tbar-frac", "--seed", "--out",
-    "--starts", "--checks", "--alpha-grid", "--beta-grid", "--mode", "--json",
-})
-_SWEEP_KEYS = frozenset(k for k in _CONFIG_KEYS if "--" + k.replace("_", "-") in _SWEEP_FLAGS)
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="tvland", description=__doc__)
-    sub = parser.add_subparsers(dest="command")
-    specs = {
-        "simulate": "integrate a trajectory and write CSV",
-        "flow": "run the frozen-time flow from a point",
-        "classify": "simulate then classify spurious / non-spurious",
-        "prop1": "one-dimensional escape condition report",
-        "thm3": "multi-dimensional escape condition report",
-        "spectrum": "Jacobian spectrum along a tracked minimizer trajectory",
-        "sweep": "grid sweep of prop1 and simulated verdicts",
-        "validate": "finite-difference derivative validation",
-    }
-    for name, help_text in specs.items():
-        sp = sub.add_parser(name, help=help_text)
-        for flag, kwargs in _FLAGS:
-            if name != "sweep" or flag in _SWEEP_FLAGS:
-                sp.add_argument(flag, **kwargs)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, help_text, keys) in _COMMANDS.items():
+        # no abbreviations: an unread flag such as --t must not pass as a
+        # prefix of a read one (--tbar-frac)
+        sp = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        sp.add_argument("--config", help="flat key=value config file")
+        for key in keys:
+            sp.add_argument("--" + key.replace("_", "-"), **_FLAG_SETTINGS.get(key, {}))
     return parser
 
 
@@ -496,26 +507,13 @@ def run(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command is None:
-            raise UsageError("missing subcommand")
-        # argparse stores --lambda under lambda_
-        if hasattr(args, "lambda_"):
-            setattr(args, "lambda", args.lambda_)
-        opt = _Options(args)
-        return _COMMANDS[args.command](opt)
-    except UsageError as exc:
-        sys.stderr.write(json.dumps({"error": "usage", "message": str(exc)}) + "\n")
-        return 1
-    except TvlandError as exc:
+        return _COMMANDS[args.command][0](_Options(args))
+    except (TvlandError, np.linalg.LinAlgError) as exc:
         sys.stderr.write(json.dumps({"error": type(exc).__name__,
                                      "message": str(exc)}) + "\n")
         return 2
-    except np.linalg.LinAlgError as exc:
-        sys.stderr.write(json.dumps({"error": "LinAlgError",
-                                     "message": str(exc)}) + "\n")
-        return 2
     except ValueError as exc:
-        # argument validation raised by library entry points
+        # usage errors, and argument validation raised by library entry points
         sys.stderr.write(json.dumps({"error": "usage", "message": str(exc)}) + "\n")
         return 1
     except OSError as exc:

@@ -196,6 +196,12 @@ def _quartic_d2(y):
     return 3.0 * y**2 + 0.75 * y - 4.0
 
 
+#: The quartic with its stationary points: spurious minimum -2, maximum -3/8,
+#: global minimum 2.
+QUARTIC = Scalar1DFunction(g=_quartic, dg=_quartic_d1, d2g=_quartic_d2,
+                           stationary_points=(-2.0, -0.375, 2.0))
+
+
 _EMPTY = np.zeros(0)
 _EMPTY_JAC1 = np.zeros((0, 1))
 
@@ -262,11 +268,7 @@ def make_example1(beta: float, alpha: float = 1.0) -> tuple[ProblemDef, Scalar1D
         alpha=alpha,
         name="example1",
     )
-    sf = Scalar1DFunction(
-        g=_quartic, dg=_quartic_d1, d2g=_quartic_d2,
-        stationary_points=(-2.0, -0.375, 2.0),
-    )
-    return p, sf
+    return p, QUARTIC
 
 
 # ---------------------------------------------------------------------------

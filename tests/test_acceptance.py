@@ -176,7 +176,7 @@ def test_criterion_9_geometry_invariants(matrec):
         X = rng.standard_normal(2) * 1.5
         t = float(rng.uniform(0.0, TWO_PI))
         x = tv.matrix_recovery_state(matrec, X, t)
-        geom = tv.geometry(matrec, x)
+        geom = tv.geometry.geometry(matrec, x)
         P, J = geom.projector, matrec.jacobian(x)
         assert np.abs(P - P.T).max() <= 1e-10
         assert np.abs(P @ P - P).max() <= 1e-10

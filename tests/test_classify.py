@@ -208,6 +208,10 @@ class TestClassifyTrajectory:
         res = tv.classify_trajectory(p, be_traj_04_10, builder,
                                      0.9 * p.horizon, max_checks=17)
         assert len(res.records) <= 17
+        # no check at all would read as a vacuous non-spurious verdict
+        with pytest.raises(ValueError, match="max_checks"):
+            tv.classify_trajectory(p, be_traj_04_10, builder, 0.9 * p.horizon,
+                                   max_checks=0)
 
     @pytest.mark.parametrize("regime", ["ex1_04_10", "ex1_02_5"])
     def test_records_match_scalar_membership(self, regime, request):

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -8,6 +9,37 @@ import pytest
 
 from tvland import cli
 from tvland.cli import run
+
+
+_SCENARIO = {"--scenario", "--alpha", "--beta", "--omega", "--lambda", "--consistent"}
+_GRID = {"--x0", "--method", "--N", "--dt", "--rel-tol"}
+
+#: The flags each subcommand reads, besides --config.
+READS = {
+    "simulate": _SCENARIO | _GRID | {"--out"},
+    "flow": _SCENARIO | {"--x0", "--t", "--smax", "--tol", "--out", "--json"},
+    "classify": _SCENARIO | _GRID | {"--tbar-frac", "--box", "--starts", "--seed",
+                                     "--checks", "--strict", "--out", "--json"},
+    "prop1": {"--scenario", "--alpha", "--beta", "--out", "--json"},
+    "thm3": {"--scenario", "--alpha", "--beta", "--omega", "--lambda", "--R", "--seed",
+             "--out", "--json"},
+    "spectrum": _SCENARIO | {"--x0", "--N", "--out"},
+    "sweep": {"--scenario", "--alpha-grid", "--beta-grid", "--mode", "--x0", "--dt",
+              "--tbar-frac", "--starts", "--seed", "--checks", "--out"},
+    "validate": _SCENARIO | {"--samples", "--seed", "--out", "--json"},
+}
+
+#: A config file each subcommand runs on in a few seconds at most.
+CONFIG_BASE = {
+    "simulate": "scenario=example1\nx0=-2\nN=10\nmethod=discrete\n",
+    "flow": "scenario=example1\nx0=0\n",
+    "classify": "scenario=example1\nx0=-2\nN=50\nchecks=2\n",
+    "prop1": "scenario=example1\n",
+    "thm3": "scenario=example1\n",
+    "spectrum": "scenario=matrec\nx0=1,0,0,0,0,0\nN=4\n",
+    "sweep": "alpha_grid=0.4\nbeta_grid=10\nmode=prop1\n",
+    "validate": "scenario=example1\nsamples=5\n",
+}
 
 
 def read_csv(path):
@@ -352,23 +384,39 @@ class TestSweep:
         assert err["error"] == "usage"
         assert "matrec" in err["message"]
 
-    def test_ignored_flags_rejected(self, capsys):
-        # sweep reads neither --N nor --method; they are an error, not dropped
-        code = run(["sweep", "--alpha-grid", "0.4", "--beta-grid", "10",
-                    "--mode", "prop1", "--N", "5", "--method", "discrete"])
-        assert code == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        err = json.loads(captured.err)
-        assert err["error"] == "usage"
-        assert "--N" in err["message"] and "--method" in err["message"]
+    @pytest.mark.parametrize("command", sorted(READS))
+    def test_ignored_flags_rejected(self, command, capsys):
+        # every subcommand rejects each flag it does not read instead of
+        # dropping it, and its --help lists exactly the flags it reads
+        for flag in sorted(set().union(*READS.values()) - READS[command]):
+            code = run([command, flag, "1"])
+            assert code == 1, flag
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            err = json.loads(captured.err)
+            assert err["error"] == "usage"
+            assert flag in err["message"]
+        with pytest.raises(SystemExit):
+            run([command, "--help"])
+        listed = set(re.findall(r"--[\w-]+", capsys.readouterr().out))
+        assert listed == READS[command] | {"--help", "--config"}
 
-    @pytest.mark.parametrize("line", ["N=5", "method=discrete"])
-    def test_ignored_config_keys_rejected(self, line, tmp_path, capsys):
+    @pytest.mark.parametrize("command, line", [
+        pytest.param("sweep", "N=5", id="N=5"),
+        pytest.param("sweep", "method=discrete", id="method=discrete"),
+        ("simulate", "starts=8"),
+        ("flow", "N=5"),
+        ("classify", "samples=3"),
+        ("prop1", "method=discrete"),
+        ("thm3", "x0=1"),
+        ("spectrum", "dt=0.1"),
+        ("validate", "tol=1e-3"),
+    ])
+    def test_ignored_config_keys_rejected(self, command, line, tmp_path, capsys):
         # the same holds for keys of a config file
-        cfg = tmp_path / "sweep.cfg"
-        cfg.write_text(f"alpha_grid=0.4\nbeta_grid=10\nmode=prop1\n{line}\n")
-        code = run(["sweep", "--config", str(cfg)])
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{CONFIG_BASE[command]}{line}\n")
+        code = run([command, "--config", str(cfg)])
         assert code == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -381,6 +429,52 @@ class TestSweep:
                     "--alpha-grid", "0:1:101", "--beta-grid", "0:1:101",
                     "--mode", "prop1"])
         assert code == 1
+
+
+EX1 = ["--scenario", "example1", "--x0", "-2"]
+MATREC = ["--scenario", "matrec", "--x0", "1,0,0,0,0,0"]
+
+
+@pytest.mark.parametrize("argv, cfg, key", [
+    # a scenario parameter the selected scenario does not read
+    pytest.param(["simulate", *EX1, "--N", "10", "--consistent", "false"], None,
+                 "consistent", id="example1-consistent"),
+    pytest.param(["thm3", "--scenario", "example1", "--omega", "2"], None, "omega",
+                 id="example1-omega"),
+    pytest.param(["thm3", "--scenario", "example1", "--lambda", "0.3"], None, "lambda",
+                 id="example1-lambda"),
+    pytest.param(["classify", *MATREC, "--N", "40", "--checks", "2", "--starts", "2",
+                  "--beta", "3"], None, "beta", id="matrec-beta"),
+    pytest.param(["validate", "--samples", "5"], "scenario=matrec\nomega=2\n", "omega",
+                 id="matrec-omega-config"),
+    # counts below one
+    pytest.param(["simulate", *EX1, "--N", "0"], None, "N", id="N=0"),
+    pytest.param(["spectrum", *MATREC, "--N", "-1"], None, "N", id="N=-1"),
+    pytest.param(["classify", *EX1, "--N", "50", "--checks", "0"], None, "checks",
+                 id="classify-checks=0"),
+    pytest.param(["sweep", "--alpha-grid", "0.2", "--beta-grid", "5", "--mode", "sim",
+                  "--checks", "0"], None, "checks", id="sweep-checks=0"),
+    # booleans other than 1/true/yes/on and 0/false/no/off
+    pytest.param(["simulate", *MATREC, "--N", "10", "--consistent", "ture"], None,
+                 "consistent", id="consistent=ture"),
+    pytest.param(["classify", *EX1, "--N", "50", "--checks", "2"], "strict=maybe\n",
+                 "strict", id="strict=maybe-config"),
+    # the tolerance of the reference method given to another method
+    pytest.param(["simulate", *EX1, "--N", "10", "--rel-tol", "1e-6"], None, "rel_tol",
+                 id="rel-tol-backward-euler"),
+    pytest.param(["simulate", *EX1, "--N", "10", "--method", "discrete", "--rel-tol",
+                  "1e-6"], None, "rel_tol", id="rel-tol-discrete"),
+])
+def test_usage_error_names_the_option(argv, cfg, key, tmp_path, capsys):
+    if cfg is not None:
+        (tmp_path / "run.cfg").write_text(cfg)
+        argv = argv + ["--config", str(tmp_path / "run.cfg")]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "usage"
+    assert key in err["message"]
 
 
 def test_cli_import_leaves_scipy_stats_out():

@@ -1,15 +1,9 @@
-import importlib
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tvland as tv
-
-# tvland.geometry names the function; the modules come from importlib
-DISCRETE = importlib.import_module("tvland.discrete")
-GEOMETRY = importlib.import_module("tvland.geometry")
 
 
 def scalar_quadratic(alpha=1.0):
@@ -148,7 +142,7 @@ class TestDiscreteTrajectory:
         x0 = tv.matrix_recovery_state(p, tv.problem.THE_SPURIOUS_FACTOR, 0.0)
         x, geom = tv.regularized_step(p, x0, 0.01, 0.01, return_geometry=True)
         assert np.array_equal(x, tv.regularized_step(p, x0, 0.01, 0.01))
-        fresh = tv.geometry(p, x)
+        fresh = tv.geometry.geometry(p, x)
         assert np.array_equal(geom.projector, fresh.projector)
         assert np.array_equal(geom.theta, fresh.theta)
         assert np.array_equal(geom.jacobian, fresh.jacobian)
@@ -188,7 +182,7 @@ class TestNewtonEngine:
         # the track-matrec workload: alpha 0.5, 2000 steps from the spurious
         # start; no Hessians forces the projected-gradient path
         p, x0 = spurious_matrec(0.5)
-        fallbacks = count_calls(monkeypatch, DISCRETE, "_projected_gradient")
+        fallbacks = count_calls(monkeypatch, tv.discrete, "_projected_gradient")
         newton = tv.discrete_trajectory(p, x0, 2000)
         assert not fallbacks
         forced = tv.discrete_trajectory(p.replace(hess_objective=None), x0, 2000)
@@ -202,8 +196,8 @@ class TestNewtonEngine:
         # error, to 9e-9 at alpha 0.05 under the default 1e-9
         p, x0 = spurious_matrec(alpha)
         steps = round(p.horizon / 1e-2)
-        reduced = count_calls(monkeypatch, GEOMETRY, "_reduced_positive_definite")
-        fallbacks = count_calls(monkeypatch, DISCRETE, "_projected_gradient")
+        reduced = count_calls(monkeypatch, tv.geometry, "_reduced_positive_definite")
+        fallbacks = count_calls(monkeypatch, tv.discrete, "_projected_gradient")
         newton = tv.discrete_trajectory(p, x0, steps, 1e-10, 1e-10)
         if alpha == 0.05:
             # alpha/dt = 5: the Lagrangian Hessian is indefinite on the
@@ -216,8 +210,8 @@ class TestNewtonEngine:
     @pytest.mark.parametrize("missing", ["hess_objective", "constraint_hessians"])
     def test_missing_hessians_take_the_fallback(self, missing, monkeypatch):
         p, x0 = spurious_matrec(0.5)
-        newton = count_calls(monkeypatch, DISCRETE, "newton_kkt")
-        fallbacks = count_calls(monkeypatch, DISCRETE, "_projected_gradient")
+        newton = count_calls(monkeypatch, tv.discrete, "newton_kkt")
+        fallbacks = count_calls(monkeypatch, tv.discrete, "_projected_gradient")
         x = tv.regularized_step(p.replace(**{missing: None}), x0, 0.01, 0.01)
         assert not newton and len(fallbacks) == 1
         assert np.abs(x - tv.regularized_step(p, x0, 0.01, 0.01)).max() <= 1e-8
@@ -228,7 +222,7 @@ class TestNewtonEngine:
         # minimum near 0.75
         p = double_well(alpha=0.5)
         x_prev = np.array([0.1])
-        raw = GEOMETRY.newton_kkt(p, x_prev, 1.0, prox=(x_prev, 0.5))
+        raw = tv.geometry.newton_kkt(p, x_prev, 1.0, prox=(x_prev, 0.5))
         assert raw.status == "converged"
         assert raw.x[0] == pytest.approx(-0.102, abs=1e-3)
         got = tv.regularized_step(p, x_prev, 1.0, 1.0)
@@ -237,14 +231,14 @@ class TestNewtonEngine:
         assert got[0] == pytest.approx(0.7525, abs=1e-3)
 
     def test_descent_test_alone_rejects_the_maximum(self, monkeypatch):
-        monkeypatch.setattr(DISCRETE, "positive_definite_on_kernel", lambda M, J: True)
+        monkeypatch.setattr(tv.discrete, "positive_definite_on_kernel", lambda M, J: True)
         got = tv.regularized_step(double_well(alpha=0.5), np.array([0.1]), 1.0, 1.0)
         assert got[0] == pytest.approx(0.7525, abs=1e-3)
 
     def test_curvature_test_alone_rejects_a_stationary_start(self, monkeypatch):
         # x_prev = 0 is a maximum of F: Newton stops there at once with F
         # unchanged, so only the curvature test sends the step to the fallback
-        fallbacks = count_calls(monkeypatch, DISCRETE, "_projected_gradient")
+        fallbacks = count_calls(monkeypatch, tv.discrete, "_projected_gradient")
         got = tv.regularized_step(double_well(alpha=0.5), np.array([0.0]), 1.0, 1.0)
         assert len(fallbacks) == 1 and got[0] == 0.0
 
@@ -263,22 +257,22 @@ class TestRestoration:
         # vector in the row space of J (to first order)
         z = tv.matrix_recovery_global_state(0.3)
         d = matrec.data_path(0.31)
-        x = DISCRETE._restore_feasibility(matrec, z, d, 1e-12)
+        x = tv.discrete._restore_feasibility(matrec, z, d, 1e-12)
         assert np.linalg.norm(matrec.constraints(x) - d) <= 1e-12
-        P = tv.geometry(matrec, z).projector
+        P = tv.geometry.geometry(matrec, z).projector
         assert np.linalg.norm(P @ (x - z)) <= 1e-3 * np.linalg.norm(x - z)
 
     def test_chord_steps(self, matrec):
         z = tv.matrix_recovery_global_state(0.3)
         d = matrec.data_path(0.31)
-        theta = tv.geometry(matrec, z).theta
-        newton = DISCRETE._restore_feasibility(matrec, z, d, 1e-12)
-        chord = DISCRETE._restore_feasibility(matrec, z, d, 1e-12, theta)
+        theta = tv.geometry.geometry(matrec, z).theta
+        newton = tv.discrete._restore_feasibility(matrec, z, d, 1e-12)
+        chord = tv.discrete._restore_feasibility(matrec, z, d, 1e-12, theta)
         # another point of the leaf, off by the square of the step
         assert np.linalg.norm(matrec.constraints(chord) - d) <= 1e-12
         assert np.linalg.norm(chord - newton) <= np.linalg.norm(newton - z) ** 2
         # a map that does not contract the residual hands over to lstsq steps
-        bad = DISCRETE._restore_feasibility(matrec, z, d, 1e-12, -theta)
+        bad = tv.discrete._restore_feasibility(matrec, z, d, 1e-12, -theta)
         assert np.linalg.norm(matrec.constraints(bad) - d) <= 1e-12
 
     def test_singular_jacobian_raises(self):
@@ -291,4 +285,4 @@ class TestRestoration:
             data_path=lambda t: np.array([1.0]), data_rate=lambda t: np.zeros(1),
             horizon=1.0, alpha=1.0)
         with pytest.raises(tv.SingularConstraintError):
-            DISCRETE._restore_feasibility(p, np.zeros(2), np.array([1.0]), 1e-9)
+            tv.discrete._restore_feasibility(p, np.zeros(2), np.array([1.0]), 1e-9)

@@ -1,5 +1,3 @@
-import importlib
-
 import numpy as np
 import pytest
 
@@ -18,23 +16,27 @@ def random_full_rank_problem(rng, n_max=8):
 
 
 class TestGeometry:
+    def test_package_exposes_the_module(self):
+        # tvland.geometry is the module, not its function of the same name
+        assert tv.geometry.trajectory_with_diagnostics is tv.trajectory_with_diagnostics
+
     def test_unconstrained_projector_is_identity(self, ex1_04_10):
         p, _ = ex1_04_10
-        geom = tv.geometry(p, np.array([0.3]))
+        geom = tv.geometry.geometry(p, np.array([0.3]))
         assert np.array_equal(geom.projector, np.eye(1))
         assert geom.theta.shape == (1, 0)
         assert geom.sigma_min == np.inf
 
     def test_axis_aligned_constraint(self):
         p = linear_constraint_problem(np.array([[1.0, 0.0]]))
-        geom = tv.geometry(p, np.zeros(2))
+        geom = tv.geometry.geometry(p, np.zeros(2))
         assert np.allclose(geom.projector, np.diag([0.0, 1.0]), atol=1e-14)
         assert np.allclose(geom.theta, np.array([[1.0], [0.0]]), atol=1e-14)
         assert geom.sigma_min == pytest.approx(1.0)
 
     def test_matrix_recovery_pseudoinverse_residual(self, matrec):
         z = tv.matrix_recovery_global_state(0.0)
-        geom = tv.geometry(matrec, z)
+        geom = tv.geometry.geometry(matrec, z)
         J = matrec.jacobian(z)
         assert np.abs(J @ geom.theta - np.eye(4)).max() < 1e-10
 
@@ -44,7 +46,7 @@ class TestGeometry:
         for _ in range(100):
             p = random_full_rank_problem(rng)
             x = rng.standard_normal(p.n)
-            geom = tv.geometry(p, x)
+            geom = tv.geometry.geometry(p, x)
             P = geom.projector
             J = p.jacobian(x)
             assert np.abs(P - P.T).max() < 1e-10
@@ -55,7 +57,7 @@ class TestGeometry:
     def test_singular_jacobian_raises(self):
         p = linear_constraint_problem(np.array([[1.0, 0.0], [1.0, 0.0]]))
         with pytest.raises(tv.SingularConstraintError):
-            tv.geometry(p, np.zeros(2))
+            tv.geometry.geometry(p, np.zeros(2))
 
 
 class TestEta:
@@ -321,8 +323,7 @@ class TestPositiveDefiniteOnKernel:
         assert positive_definite_on_kernel(np.diag([1.0, 2.0]), np.array([[1.0, 0.0]]))
 
     def test_reduced_test_when_cholesky_fails(self, monkeypatch):
-        # tvland.geometry names the function; the module comes from importlib
-        mod = importlib.import_module("tvland.geometry")
+        mod = tv.geometry
         calls = []
         orig = mod._reduced_positive_definite
         monkeypatch.setattr(mod, "_reduced_positive_definite",
