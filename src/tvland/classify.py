@@ -97,10 +97,6 @@ class ClassificationResult:
     t_bar: float
     records: list[MembershipRecord]
 
-    @property
-    def checked_times(self) -> np.ndarray:
-        return np.array([r.time for r in self.records])
-
 
 def classify_trajectory(p: ProblemDef, traj: Trajectory,
                         catalog_builder: Callable[[float], MinimizerCatalog],
@@ -195,21 +191,21 @@ def build_catalog(p: ProblemDef, t: float, starts: int, seed: int, box,
     """Catalog the frozen-time local minimizers found by multistart flows.
 
     Flows start from ``starts`` uniform samples of ``box = (lo, hi)``
-    (deterministic in ``seed``), each first restored onto the time-t leaf
-    when m > 0, and run as one batch of :func:`~tvland.ode.frozen_time_flows`.
-    Limits are clustered within ``cluster_radius`` and each polished cluster
-    representative is kept when its KKT residuals are within
-    ``CATALOG_KKT_TOL`` and the tangent-restricted Lagrangian Hessian is
-    positive definite.  Starts whose restoration or flow raises, flows that
-    fail to settle, and clusters failing the test are dropped and counted in
-    ``catalog.dropped``.
+    (finite, lo <= hi; deterministic in ``seed``), each first restored onto
+    the time-t leaf when m > 0, and run as one batch of
+    :func:`~tvland.ode.frozen_time_flows`.  Limits are clustered within
+    ``cluster_radius`` and each polished cluster representative is kept when
+    its KKT residuals are within ``CATALOG_KKT_TOL`` and the
+    tangent-restricted Lagrangian Hessian is positive definite.  Starts whose
+    restoration or flow raises, flows that fail to settle, and clusters
+    failing the test are dropped and counted in ``catalog.dropped``.
     """
     if starts < 1:
         raise ValueError("starts must be at least 1")
     lo = np.broadcast_to(np.asarray(box[0], dtype=float), (p.n,)).copy()
     hi = np.broadcast_to(np.asarray(box[1], dtype=float), (p.n,)).copy()
-    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
-        raise ValueError("box bounds must be finite")
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all() and (lo <= hi).all()):
+        raise ValueError(f"box bounds must be finite with lo <= hi, got {box}")
     rng = np.random.default_rng(seed)
     points = lo + (hi - lo) * rng.random((starts, p.n))
 

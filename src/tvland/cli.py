@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import json
 import os
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
@@ -63,8 +64,8 @@ def _vector(raw: str) -> np.ndarray:
 
 def _box(raw: str) -> tuple:
     box = _vector(raw)
-    if box.size != 2:
-        raise ValueError("expected lo,hi")
+    if box.size != 2 or not box[0] < box[1]:
+        raise ValueError("expected lo,hi with lo < hi")
     return (box[0], box[1])
 
 
@@ -289,6 +290,12 @@ def _emit_json(payload: dict, out) -> None:
     _write(json.dumps({"schema": SCHEMA_VERSION, **payload}) + "\n", out)
 
 
+def _emit_report(rep, out) -> None:
+    """Every field of a report dataclass, in declaration order, as JSON."""
+    _emit_json({f.name: _jsonable(getattr(rep, f.name)) for f in dataclasses.fields(rep)},
+               out)
+
+
 def _jsonable(v):
     if v is None or isinstance(v, (bool, int, str)):
         return v
@@ -314,29 +321,44 @@ def _cmd_flow(opt: _Options) -> int:
     x0 = opt.require("x0")
     t = opt.get("t", 0.0)
     limit, converged = _ode.frozen_time_flow(p, x0, t, s_max=opt.get("smax"),
-                                             tol=opt.get("tol", 1e-8))
+                                             tol=opt.get("tol", _ode._FLOW_TOL))
     _emit_json({"limit": _jsonable(limit), "converged": converged, "t": t},
                opt.get("out"))
     return 0
+
+
+def _classifier(opt: _Options, scn: _Scenario) -> Callable:
+    """The classification run of ``classify`` and ``sweep``: ``classify(p, prm, traj)``.
+
+    Its options are read with their defaults here, so that a bad value is
+    refused before any trajectory is simulated.
+    """
+    tbar_frac = opt.get("tbar_frac", 0.75)
+    box = opt.get("box")
+    starts = opt.get("starts", 64)
+    seed = opt.get("seed", 0)
+    checks = opt.get("checks", 200)
+
+    def classify(p, prm: dict, traj: Trajectory) -> _classify.ClassificationResult:
+        builder = _classify.tracking_builder(p, scn.box(prm) if box is None else box,
+                                             starts=starts, seed=seed,
+                                             equivalence=scn.equivalence)
+        return _classify.classify_trajectory(p, traj, builder, tbar_frac * p.horizon,
+                                             max_checks=checks)
+
+    return classify
 
 
 def _cmd_classify(opt: _Options) -> int:
     scn, prm = _scenario(opt)
     strict = opt.get("strict", False)
     p = scn.make(prm)
+    classify = _classifier(opt, scn)
     traj = _simulate(p, opt)
-    tbar_frac = opt.get("tbar_frac", 0.75)
-    box = opt.get("box")
-    builder = _classify.tracking_builder(p, scn.box(prm) if box is None else box,
-                                         starts=opt.get("starts", 64),
-                                         seed=opt.get("seed", 0),
-                                         equivalence=scn.equivalence)
-    result = _classify.classify_trajectory(p, traj, builder,
-                                           tbar_frac * p.horizon,
-                                           max_checks=opt.get("checks", 200))
+    result = classify(p, prm, traj)
     payload = {
         "verdict": result.verdict.value,
-        "t_bar": tbar_frac * p.horizon,
+        "t_bar": result.t_bar,
         "final_state": _jsonable(traj.final_state),
         "checks": [{"t": r.time, "member": r.member, "is_global": r.is_global}
                    for r in result.records],
@@ -351,10 +373,7 @@ def _cmd_prop1(opt: _Options) -> int:
     scn, prm = _scenario(opt, needs="prop1")
     scn.make(prm)  # the scenario's checks of its parameters
     rep = _conditions.prop1_check(scn.prop1, prm["alpha"], prm["beta"])
-    payload = {k: _jsonable(getattr(rep, k)) for k in
-               ("alpha", "beta", "C", "m1", "m2", "t1", "t2",
-                "cond1", "cond2", "cond3", "satisfied")}
-    _emit_json(payload, opt.get("out"))
+    _emit_report(rep, opt.get("out"))
     return 0
 
 
@@ -365,10 +384,7 @@ def _cmd_thm3(opt: _Options) -> int:
     rep = _conditions.thm3_check(
         *_line_form(sf), [np.array([sf.y1])], opt.get("R", 0.5),
         prm["alpha"], prm["beta"], omega, lam, seed=opt.get("seed", 0))
-    payload = {k: _jsonable(getattr(rep, k)) for k in
-               ("alpha", "beta", "omega", "lam", "R", "C1", "C2",
-                "cond1", "cond2", "necessary_ok", "satisfied")}
-    _emit_json(payload, opt.get("out"))
+    _emit_report(rep, opt.get("out"))
     return 0
 
 
@@ -390,8 +406,7 @@ def _cmd_validate(opt: _Options) -> int:
     scn, prm = _scenario(opt)
     rep = _problem.validate_problem(scn.make(prm), samples=opt.get("samples", 100),
                                     seed=opt.get("seed", 0))
-    payload = {f.name: _jsonable(getattr(rep, f.name)) for f in dataclasses.fields(rep)}
-    _emit_json(payload, opt.get("out"))
+    _emit_report(rep, opt.get("out"))
     return 0
 
 
@@ -414,13 +429,7 @@ def _sweep_cell(scn: _Scenario, values: dict, alpha: float, beta: float) -> tupl
     if mode in ("sim", "both"):
         try:
             traj = _ode.backward_euler_trajectory(p, values["x0"], values["dt"])
-            builder = _classify.tracking_builder(
-                p, scn.box(prm), starts=values["starts"], seed=values["seed"],
-                equivalence=scn.equivalence)
-            res = _classify.classify_trajectory(
-                p, traj, builder, values["tbar_frac"] * p.horizon,
-                max_checks=values["checks"])
-            verdict_field = res.verdict.value
+            verdict_field = values["classify"](p, prm, traj).verdict.value
         except Exception as exc:
             verdict_field = f"error:{type(exc).__name__}"
     return (alpha, beta, prop1_field, verdict_field)
@@ -437,10 +446,7 @@ def _cmd_sweep(opt: _Options) -> int:
         "mode": opt.get("mode", "both"),
         "x0": opt.get("x0", np.array([-2.0])),
         "dt": opt.get("dt", 4e-3),
-        "starts": opt.get("starts", 64),
-        "seed": opt.get("seed", 0),
-        "tbar_frac": opt.get("tbar_frac", 0.75),
-        "checks": opt.get("checks", 200),
+        "classify": _classifier(opt, scn),
     }
     if values["mode"] not in ("prop1", "sim", "both"):
         raise UsageError(f"unknown sweep mode {values['mode']!r}")
@@ -487,6 +493,13 @@ _COMMANDS = {
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
+
+    def _parse_optional(self, arg_string):
+        # no flag looks like a number, so "-" then a digit or "." starts a
+        # value (--box -5,5), never a flag
+        if re.match(r"-[\d.]", arg_string):
+            return None
+        return super()._parse_optional(arg_string)
 
 
 def _build_parser() -> _Parser:

@@ -16,6 +16,7 @@ reporting tolerance on the shipped scenarios.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -62,16 +63,20 @@ class Thm3Report:
     satisfied: bool
 
 
-def _max_slope(sf: Scalar1DFunction, samples: int = _DENSE_SAMPLES) -> float:
-    """max of g' on [y1, y3] by dense sampling plus bounded refinement."""
-    ys = np.linspace(sf.y1, sf.y3, samples)
-    vals = np.array([sf.dg(y) for y in ys])
+def _line_max(fn, lo: float, hi: float, samples: int = _DENSE_SAMPLES) -> float:
+    """max of fn on [lo, hi] by dense sampling plus bounded Brent refinement."""
+    ys = np.linspace(lo, hi, samples)
+    vals = np.array([fn(y) for y in ys])
     i = int(np.argmax(vals))
-    lo = ys[max(0, i - 2)]
-    hi = ys[min(samples - 1, i + 2)]
-    res = optimize.minimize_scalar(lambda y: -sf.dg(y), bounds=(lo, hi),
+    res = optimize.minimize_scalar(lambda y: -fn(y),
+                                   bounds=(ys[max(0, i - 2)], ys[min(samples - 1, i + 2)]),
                                    method="bounded", options={"xatol": 1e-12})
     return max(float(vals[i]), float(-res.fun))
+
+
+def _max_slope(sf: Scalar1DFunction, samples: int = _DENSE_SAMPLES) -> float:
+    """max of g' on [y1, y3]."""
+    return _line_max(sf.dg, sf.y1, sf.y3, samples)
 
 
 def _barrier_left(sf: Scalar1DFunction, level: float) -> float:
@@ -246,20 +251,14 @@ def thm3_check(g, grad_g, minima, R: float, alpha: float, beta: float,
     C1 = -np.inf
     C2 = np.inf
     if n == 1:
+        def slope(z):
+            return float(np.atleast_1d(grad_g(np.array([z])))[0])
+
         for y in minima:
             y0 = float(y[0])
-            grid = np.linspace(y0 - R, y0 + R, _DENSE_SAMPLES)
-            slopes = np.array([float(np.atleast_1d(grad_g(np.array([z])))[0])
-                               for z in grid])
-            i = int(np.argmax(np.abs(slopes)))
-            lo, hi = grid[max(0, i - 2)], grid[min(grid.size - 1, i + 2)]
-            res = optimize.minimize_scalar(
-                lambda z: -float(np.atleast_1d(grad_g(np.array([z])))[0]) ** 2,
-                bounds=(lo, hi), method="bounded", options={"xatol": 1e-12})
-            C1 = max(C1, float(np.abs(slopes[i])), float(np.sqrt(-res.fun)))
-            for d in (-1.0, 1.0):
-                slope = float(np.atleast_1d(grad_g(np.array([y0 - R * d])))[0]) * d
-                C2 = min(C2, slope)
+            # sqrt(s * s) == |s| in binary64, so the squared slope gives |g'|
+            C1 = max(C1, math.sqrt(_line_max(lambda z: slope(z) ** 2, y0 - R, y0 + R)))
+            C2 = min(C2, -slope(y0 + R), slope(y0 - R))
     else:
         for k, y in enumerate(minima):
             pts = _ball_samples(y, R, ball_samples, seed + k)

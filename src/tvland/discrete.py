@@ -25,7 +25,7 @@ from .errors import InitializationError, StepSolveError
 from .geometry import (GeometryResult, geometry, has_hessians, kkt_residual,
                        lagrangian_hessian, newton_kkt, positive_definite_on_kernel,
                        require_regular, trajectory_with_diagnostics)
-from .problem import ProblemDef, Trajectory
+from .problem import ProblemDef, Trajectory, start_vector
 
 #: Inner-solver tolerances: far below the acceptance tolerances of the
 #: simulation studies built on top.
@@ -221,9 +221,7 @@ def discrete_trajectory(p: ProblemDef, x0: np.ndarray, steps: int,
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (p.n,):
-        raise ValueError(f"x0 must have shape ({p.n},), got {x0.shape}")
+    x0 = start_vector(p, x0)
     if check_x0:
         check_local_solution(p, x0)
 

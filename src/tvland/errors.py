@@ -30,7 +30,11 @@ class ImplicitSolveError(TvlandError):
 
 
 class StiffnessError(TvlandError):
-    """Adaptive reference integrator collapsed its step size."""
+    """An adaptive integrator collapsed its step size.
+
+    Raised by the reference integrator, and by the frozen-time flows for a
+    non-finite field value or a step under the minimum step size.
+    """
 
 
 class RootBracketError(TvlandError):

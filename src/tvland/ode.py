@@ -15,8 +15,8 @@ from scipy.integrate import RK45, solve_ivp
 
 from .discrete import check_local_solution, discrete_trajectory
 from .errors import ImplicitSolveError, StiffnessError, TvlandError
-from .geometry import geometry, ode_rhs, trajectory_with_diagnostics
-from .problem import ProblemDef, Trajectory, has_stacked_gradient
+from .geometry import _norm, ode_rhs, trajectory_with_diagnostics
+from .problem import ProblemDef, Trajectory, has_stacked_gradient, start_vector
 
 _BE_RESID_TOL = 1e-10
 _BE_MAX_NEWTON = 60
@@ -25,11 +25,6 @@ _BE_MAX_NEWTON = 60
 #: leaves a residual a few decades above the tolerance, so a weaker
 #: contraction costs more iterations than re-evaluating the matrix.
 _BE_CONTRACTION = 1e-3
-
-
-def _norm(v: np.ndarray) -> float:
-    """Euclidean norm of a short vector, without np.linalg.norm's dispatch."""
-    return math.sqrt(v @ v)
 
 
 def _fd_jacobian(f, y: np.ndarray, f_y: np.ndarray) -> np.ndarray:
@@ -115,7 +110,7 @@ def backward_euler_trajectory(p: ProblemDef, x0: np.ndarray, dt: float,
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    x0 = np.asarray(x0, dtype=float)
+    x0 = start_vector(p, x0)
     if check_x0:
         check_local_solution(p, x0)
     n_steps = max(1, round(p.horizon / dt))
@@ -135,7 +130,7 @@ def _reference_solution(p: ProblemDef, x0: np.ndarray, rel_tol: float):
     sol = solve_ivp(
         lambda t, y: ode_rhs(p, y, t),
         (0.0, p.horizon),
-        np.asarray(x0, dtype=float),
+        start_vector(p, x0),
         method="RK45",
         rtol=rel_tol,
         atol=rel_tol * 1e-2,
@@ -194,21 +189,6 @@ def _polish_equilibrium(rhs, y0: np.ndarray, tol: float,
     return None
 
 
-def _frozen_field(p: ProblemDef, t: float):
-    """The frozen-time field y -> -eta(y, t)/alpha + theta(y) d'(t)."""
-    dd = np.asarray(p.data_rate(t), dtype=float)
-
-    if p.m == 0:
-        def rhs_y(y):
-            return -np.asarray(p.grad_objective(y, t), dtype=float) / p.alpha
-    else:
-        def rhs_y(y):
-            geom = geometry(p, y)
-            e = geom.projector @ np.asarray(p.grad_objective(y, t), dtype=float)
-            return -e / p.alpha + geom.theta @ dd
-    return rhs_y
-
-
 def _switch_speed(tol: float) -> float:
     """Crossing speed under which Newton refinement of the limit is attempted."""
     return max(1e-4, 10.0 * tol)
@@ -228,8 +208,9 @@ def frozen_time_flow(p: ProblemDef, x: np.ndarray, t: float,
                      tol: float = _FLOW_TOL) -> tuple[np.ndarray, bool]:
     """Integrate the time-frozen dynamics until the velocity drops below tol.
 
-    The flow is dx/ds = -eta(x, t)/alpha + theta(x) d'(t) with both t and
-    d'(t) held fixed, run until |dx/ds| <= tol (converged) or s reaches
+    The flow is dx/ds = -eta(x, t)/alpha + theta(x) d'(t), the tracking ODE's
+    field (:func:`~tvland.geometry.ode_rhs`) with t held fixed, from a start
+    ``x`` of shape (n,), run until |dx/ds| <= tol (converged) or s reaches
     ``s_max`` (default 100 alpha; not converged).  Once the velocity is
     moderately small the nearby equilibrium is refined by Newton and
     returned, provided it is a verified sink; flows stalling near saddles or
@@ -237,7 +218,7 @@ def frozen_time_flow(p: ProblemDef, x: np.ndarray, t: float,
     out their budget and report ``converged = False``.  This is the one-lane
     case of :func:`frozen_time_flows`, which gives the stopping rules.
     """
-    limits, converged = frozen_time_flows(p, x, t, s_max, tol)
+    limits, converged = frozen_time_flows(p, start_vector(p, x)[None], t, s_max, tol)
     return limits[0], bool(converged[0])
 
 
@@ -263,16 +244,17 @@ def frozen_time_flows(p: ProblemDef, X: np.ndarray, times,
                       lane_errors: tuple = ()) -> tuple[np.ndarray, np.ndarray]:
     """Frozen-time flows from many starts at once: ``(limits, converged)``.
 
-    Lane i is the flow of :func:`frozen_time_flow` from ``X[i]`` at time
-    ``times[i]`` (a scalar time applies to every lane), run for at most
-    ``s_max`` (default 100 alpha).  One Dormand-Prince 5(4) stepper
-    advances all lanes together with scipy's RK45 control (rtol 1e-8, atol
-    1e-11, its initial-step rule, an adaptive step per lane).  Each stage
-    evaluates the field of all live lanes in one gradient call, each lane at
-    its own time, when the problem is unconstrained and its gradient is
-    marked array-safe (:func:`~tvland.problem.has_stacked_gradient`); a
-    stacked call that raises is repeated lane by lane, and every other
-    problem is evaluated lane by lane.  Both ways give the same bits.
+    Lane i is the flow of :func:`frozen_time_flow` from row ``X[i]`` of the
+    (lanes, n) array ``X`` at time ``times[i]`` (a scalar time applies to
+    every lane), run for at most ``s_max`` (default 100 alpha).  One
+    Dormand-Prince 5(4) stepper advances all lanes together with scipy's
+    RK45 control (rtol 1e-8, atol 1e-11, its initial-step rule, an adaptive
+    step per lane).  Each stage evaluates the field of all live lanes in one
+    gradient call, each lane at its own time, when the problem is
+    unconstrained and its gradient is marked array-safe
+    (:func:`~tvland.problem.has_stacked_gradient`); a stacked call that
+    raises is repeated lane by lane, and every other problem is evaluated
+    lane by lane.  Both ways give the same bits.
 
     A lane whose start speed is at most ``tol`` returns its start,
     converged.  Any other lane steps until an accepted step is slower than
@@ -296,9 +278,11 @@ def frozen_time_flows(p: ProblemDef, X: np.ndarray, times,
     if not (math.isfinite(tol) and tol > 0.0 and math.isfinite(s_max) and s_max > 0.0):
         raise ValueError(f"tol and s_max must be positive and finite, got {tol} and {s_max}")
     n = p.n
-    X = np.asarray(X, dtype=float).reshape(-1, n)
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != n:
+        raise ValueError(f"X must have shape (lanes, {n}), got {X.shape}")
     times = np.broadcast_to(np.asarray(times, dtype=float), (len(X),))
-    fields = [_frozen_field(p, float(t)) for t in times]
+    lane_time = times.tolist()
     stacked = has_stacked_gradient(p)
     lane_times = times[:, None]
     A, B, E = RK45.A, RK45.B, RK45.E
@@ -321,7 +305,7 @@ def frozen_time_flows(p: ProblemDef, X: np.ndarray, times,
                 live = ()
         for k in live:
             try:
-                F[k] = fields[lanes[k]](Y[k])
+                F[k] = ode_rhs(p, Y[k], lane_time[lanes[k]])
             except _LANE_FAILURES as exc:
                 errors[lanes[k]] = exc
                 ok[k] = False
@@ -383,7 +367,8 @@ def frozen_time_flows(p: ProblemDef, X: np.ndarray, times,
         stalled = ok & (s >= s_max)
         for k in np.flatnonzero(accept & (speed <= switch)):
             try:
-                limit = _polish_limit(fields[lanes[k]], y[k], tol)
+                t = lane_time[lanes[k]]
+                limit = _polish_limit(lambda z: ode_rhs(p, z, t), y[k], tol)
             except _LANE_FAILURES as exc:
                 errors[lanes[k]] = exc
                 ok[k] = False

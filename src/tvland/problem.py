@@ -74,6 +74,14 @@ class ProblemDef:
         return dataclasses.replace(self, **changes)
 
 
+def start_vector(p: ProblemDef, x0) -> np.ndarray:
+    """``x0`` as a float array; raises ValueError unless its shape is (p.n,)."""
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (p.n,):
+        raise ValueError(f"x0 must have shape ({p.n},), got {x0.shape}")
+    return x0
+
+
 def freeze_data(p: ProblemDef, t0: float) -> ProblemDef:
     """Freeze the data path of ``p`` at time ``t0`` (d constant, d-dot = 0)."""
     d0 = np.array(p.data_path(t0), dtype=float, copy=True)
@@ -311,8 +319,9 @@ def make_matrix_recovery(consistent_data: bool = True, alpha: float = 0.1) -> Pr
 
     With ``consistent_data`` the measurement path is d(t) = h((Z(t), 0)), so
     the moving factor Z(t) is exactly feasible with zero slack.  Otherwise
-    d(t) is the fixed reference vector with d_3 = 0, under which Z(t) is not
-    feasible with zero slack (the third sensing matrix has a nonzero diagonal).
+    d(t) is the same moving path with its third measurement set to 0, under
+    which Z(t) is not feasible with zero slack (the third sensing matrix has
+    a nonzero diagonal).
     """
 
     def objective(x, t):
@@ -348,27 +357,17 @@ def make_matrix_recovery(consistent_data: bool = True, alpha: float = 0.1) -> Pr
     def constraint_hessians(x):
         return _CHESS
 
-    if consistent_data:
-        def data_path(t):
-            return _measure(matrix_recovery_target(t))
+    def data_path(t):
+        d = _measure(matrix_recovery_target(t))
+        if not consistent_data:
+            d[2] = 0.0
+        return d
 
-        def data_rate(t):
-            return (_SYM @ matrix_recovery_target(t)) @ _target_rate(t)
-    else:
-        def data_path(t):
-            z1 = 0.8 + 0.2 * np.cos(t)
-            z2 = 0.2 * np.sin(t)
-            return np.array([z1 * z1 + 0.5 * z2 * z2, _SQ3 * z2 * z1, 0.0,
-                             0.5 * _SQ3 * z2 * z2])
-
-        def data_rate(t):
-            z1 = 0.8 + 0.2 * np.cos(t)
-            z2 = 0.2 * np.sin(t)
-            z1d = -0.2 * np.sin(t)
-            z2d = 0.2 * np.cos(t)
-            return np.array([2 * z1 * z1d + z2 * z2d,
-                             _SQ3 * (z2d * z1 + z2 * z1d), 0.0,
-                             _SQ3 * z2 * z2d])
+    def data_rate(t):
+        r = (_SYM @ matrix_recovery_target(t)) @ _target_rate(t)
+        if not consistent_data:
+            r[2] = 0.0
+        return r
 
     return ProblemDef(
         n=6,

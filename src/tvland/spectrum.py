@@ -25,7 +25,7 @@ from .errors import EigenConvergenceError, StepSolveError
 from .geometry import (geometry, kernel_basis, kkt_residual, lagrangian_hessian,
                        newton_kkt, require_hessians, trajectory_with_diagnostics,
                        weighted_constraint_hessian)
-from .problem import ProblemDef, Trajectory
+from .problem import ProblemDef, Trajectory, start_vector
 
 
 def _kkt_hessian(p: ProblemDef, z: np.ndarray, t: float):
@@ -199,7 +199,7 @@ def kkt_track(p: ProblemDef, x0: np.ndarray, times: np.ndarray,
     to a different stationary branch.
     """
     times = np.asarray(times, dtype=float)
-    x = np.asarray(x0, dtype=float)
+    x = start_vector(p, x0)
     states = np.empty((len(times), p.n))
     for i, t in enumerate(times):
         x = kkt_refine(p, x, float(t), tol=tol, max_newton=max_newton)

@@ -70,6 +70,13 @@ class TestBuildCatalog:
         assert np.array_equal(a.minimizers, b.minimizers)
         assert a.global_ids == b.global_ids
 
+    @pytest.mark.parametrize("box", [(5.0, -5.0), (-5.0, np.inf)],
+                             ids=["inverted", "infinite"])
+    def test_inverted_or_infinite_box_refused(self, ex1_04_10, box):
+        p, _ = ex1_04_10
+        with pytest.raises(ValueError, match="box"):
+            tv.build_catalog(p, 0.0, starts=4, seed=0, box=box)
+
 
 class TestMembership:
     def test_fixed_point_membership(self, ex1_04_10):

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 
@@ -464,6 +465,20 @@ MATREC = ["--scenario", "matrec", "--x0", "1,0,0,0,0,0"]
                  id="rel-tol-backward-euler"),
     pytest.param(["simulate", *EX1, "--N", "10", "--method", "discrete", "--rel-tol",
                   "1e-6"], None, "rel_tol", id="rel-tol-discrete"),
+    # a start vector of the wrong length
+    pytest.param(["flow", "--scenario", "example1", "--x0=1,2"], None, "x0",
+                 id="flow-x0-length"),
+    # values that begin with "-" are read as values, so the error names the
+    # option that is wrong, not the one before them
+    pytest.param(["classify", *EX1, "--N", "50", "--box", "-5,5", "--checks", "0"], None,
+                 "checks", id="box-dash-value"),
+    pytest.param(["simulate", "--scenario", "example1", "--x0", "-2,5", "--N", "0"], None,
+                 "N", id="x0-dash-vector"),
+    pytest.param(["flow", "--scenario", "example1", "--x0", "-1e-3", "--tol", "0"], None,
+                 "tol", id="x0-dash-exponent"),
+    # an inverted box
+    pytest.param(["classify", *EX1, "--N", "50", "--checks", "2", "--box=5,-5"], None,
+                 "box", id="box-inverted"),
 ])
 def test_usage_error_names_the_option(argv, cfg, key, tmp_path, capsys):
     if cfg is not None:
@@ -475,6 +490,20 @@ def test_usage_error_names_the_option(argv, cfg, key, tmp_path, capsys):
     err = json.loads(captured.err)
     assert err["error"] == "usage"
     assert key in err["message"]
+
+
+def test_readme_command_lines_parse():
+    # every documented example is a valid command line of the parser, and
+    # every subcommand has one
+    readme = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        block = fh.read().split("## Command line", 1)[1].split("```")[1]
+    lines = block.replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("tvland ")]
+    assert sorted(argv[0] for argv in commands) == sorted(cli._COMMANDS)
+    parser = cli._build_parser()
+    for argv in commands:
+        parser.parse_args(argv)
 
 
 def test_cli_import_leaves_scipy_stats_out():

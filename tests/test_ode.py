@@ -155,6 +155,20 @@ class TestReferenceIntegrator:
             tv.integrate_reference(p, np.array([1.0]), n_samples=16)
 
 
+@pytest.mark.parametrize("run", [
+    lambda p, x: tv.frozen_time_flow(p, x, 0.0),
+    lambda p, x: tv.backward_euler_trajectory(p, x, 0.1),
+    lambda p, x: tv.integrate_reference(p, x, n_samples=4),
+    lambda p, x: tv.kkt_track(p, x, np.linspace(0.0, p.horizon, 3)),
+], ids=["frozen_time_flow", "backward_euler", "reference", "kkt_track"])
+def test_start_of_the_wrong_length_refused(ex1_04_10, run):
+    # example1 reads only x[0]; a longer start must not pass, nor become
+    # several flow lanes
+    p, _ = ex1_04_10
+    with pytest.raises(ValueError, match=r"x0 must have shape \(1,\), got \(2,\)"):
+        run(p, np.array([-2.0, 5.0]))
+
+
 class TestFrozenTimeFlow:
     def test_fixed_point(self, ex1_04_10):
         p, _ = ex1_04_10
@@ -258,7 +272,8 @@ def _reference_flows(p, X, times):
     switch = ode_module._switch_speed(tol)
     limits, converged = [], []
     for x, t in zip(X, times):
-        field = ode_module._frozen_field(p, float(t))
+        def field(y, t=float(t)):
+            return tv.ode_rhs(p, y, t)
 
         def slow(s, y):
             return np.linalg.norm(field(y)) - switch
@@ -292,6 +307,12 @@ class TestFrozenTimeFlows:
         limits, converged = ode_module.frozen_time_flows(p, X, 0.0)
         assert converged.all()
         assert limits[:, 0] == pytest.approx([-2.0, 2.0, 2.0], abs=1e-8)
+
+    def test_starts_of_the_wrong_width_refused(self, ex1_04_10):
+        # a (1, 2) batch for n = 1 must not become two lanes
+        p, _ = ex1_04_10
+        with pytest.raises(ValueError, match=r"X must have shape \(lanes, 1\)"):
+            ode_module.frozen_time_flows(p, np.array([[1.0, 2.0]]), 0.0)
 
     def test_matches_scalar_on_frozen_matrix_recovery(self, matrec):
         # Constrained limits are only defined up to the neutral leaf-normal
