@@ -11,7 +11,11 @@ norm on balls of radius R) and C2 (smallest inward slope on their spheres).
 
 All extremal constants are computed by dense (quasi-random) sampling plus
 local refinement; doubling the sampling budget moves them by well under the
-reporting tolerance on the shipped scenarios.
+reporting tolerance on the shipped scenarios.  The one-dimensional
+refinements (a bounded Brent search and bisection) are transcriptions of
+scipy's, so they give scipy's floats without importing it; scipy is loaded
+only by the multi-dimensional checker, for its quasi-random samples and
+SLSQP refinement.
 """
 
 from __future__ import annotations
@@ -21,12 +25,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import optimize
 
 from .errors import RootBracketError
 from .problem import Scalar1DFunction
 
 _DENSE_SAMPLES = 10_000
+#: Absolute tolerance in y of the bounded Brent search and of bisection.
+_XTOL = 1e-12
 
 
 @dataclass
@@ -63,15 +68,133 @@ class Thm3Report:
     satisfied: bool
 
 
+def _fminbound(func, x1, x2, maxfun: int = 500):
+    """Smallest value of ``func`` that a bounded Brent search on [x1, x2] finds.
+
+    A transcription of scipy's ``minimize_scalar(method="bounded")`` (Brent's
+    fmin: parabolic steps guarded by golden sections) at ``xatol`` = _XTOL,
+    without its status reporting; it performs the same floating-point
+    operations in the same order, so it returns scipy's value.
+    """
+    if not (np.isfinite(x1) and np.isfinite(x2)):
+        raise ValueError("Optimization bounds must be finite scalars.")
+    if x1 > x2:
+        raise ValueError("The lower bound exceeds the upper bound.")
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = x1, x2
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    x = xf
+    fx = func(x)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * np.abs(xf) + _XTOL / 3.0
+    tol2 = 2.0 * tol1
+
+    while np.abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = True
+        if np.abs(e) > tol1:  # try a parabolic fit
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = np.abs(q)
+            r = e
+            e = rat
+            if (np.abs(p) < np.abs(0.5 * q * r)) and (p > q * (a - xf)) and (p < q * (b - xf)):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if ((x - a) < tol2) or ((b - x) < tol2):
+                    si = np.sign(xm - xf) + ((xm - xf) == 0)
+                    rat = tol1 * si
+            else:
+                golden = True
+        if golden:
+            e = (a - xf) if xf >= xm else (b - xf)
+            rat = golden_mean * e
+
+        si = np.sign(rat) + (rat == 0)
+        x = xf + si * np.maximum(np.abs(rat), tol1)
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if (fu <= fnfc) or (nfc == xf):
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif (fu <= ffulc) or (fulc == xf) or (fulc == nfc):
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * np.abs(xf) + _XTOL / 3.0
+        tol2 = 2.0 * tol1
+        if num >= maxfun:
+            break
+    return fx
+
+
+def _bisect(f, a: float, b: float) -> float:
+    """Root of ``f`` in [a, b] by bisection, as scipy's ``optimize.bisect``.
+
+    A transcription of scipy's C routine at ``xtol`` = _XTOL and its default
+    relative tolerance (4 eps) and iteration cap (100): ``f`` is called with
+    Python floats in the same order, so the root is scipy's.  Raises
+    ValueError when f(a) and f(b) have the same sign or f returns NaN, and
+    RuntimeError when the bracket is still wider than the tolerance after
+    100 halvings.
+    """
+    rtol = 4.0 * np.finfo(float).eps
+
+    def value(x):
+        fx = f(x)
+        if np.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xa, xb = float(a), float(b)
+    fa = value(xa)
+    fb = value(xb)
+    if fa * fb > 0:
+        raise ValueError("f(a) and f(b) must have different signs")
+    if fa == 0:
+        return xa
+    if fb == 0:
+        return xb
+    dm = xb - xa
+    for _ in range(100):
+        dm *= 0.5
+        xm = xa + dm
+        fm = value(xm)
+        if fm * fa >= 0:
+            xa = xm
+        if fm == 0 or abs(dm) < _XTOL + rtol * abs(xm):
+            return xm
+    raise RuntimeError("Failed to converge after 100 iterations.")
+
+
 def _line_max(fn, lo: float, hi: float, samples: int = _DENSE_SAMPLES) -> float:
     """max of fn on [lo, hi] by dense sampling plus bounded Brent refinement."""
     ys = np.linspace(lo, hi, samples)
     vals = np.array([fn(y) for y in ys])
     i = int(np.argmax(vals))
-    res = optimize.minimize_scalar(lambda y: -fn(y),
-                                   bounds=(ys[max(0, i - 2)], ys[min(samples - 1, i + 2)]),
-                                   method="bounded", options={"xatol": 1e-12})
-    return max(float(vals[i]), float(-res.fun))
+    refined = _fminbound(lambda y: -fn(y), ys[max(0, i - 2)], ys[min(samples - 1, i + 2)])
+    return max(float(vals[i]), float(-refined))
 
 
 def _max_slope(sf: Scalar1DFunction, samples: int = _DENSE_SAMPLES) -> float:
@@ -86,24 +209,29 @@ def _barrier_left(sf: Scalar1DFunction, level: float) -> float:
     for _ in range(60):
         lo = sf.y1 - width
         if fn(lo) < 0.0:
-            return float(optimize.bisect(fn, lo, sf.y1, xtol=1e-12))
+            return _bisect(fn, lo, sf.y1)
         width *= 2.0
     raise RootBracketError(f"g' never reaches {level:g} left of y1")
 
 
 def _barrier_right(sf: Scalar1DFunction, level: float) -> float:
-    """First root of g' = level on [y1, y3] (g' > 0 beyond y3)."""
+    """First root of g' = level on [y1, y3] (g' > 0 beyond y3).
+
+    The first grid point where g' - level is zero, or the first grid cell
+    over which it changes sign (then refined by bisection), whichever comes
+    first.
+    """
     zz = np.linspace(sf.y1, sf.y3, 2 * _DENSE_SAMPLES + 1)
     vals = np.array([sf.dg(z) for z in zz]) - level
-    sign_change = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
-    if sign_change.size == 0:
-        exact = np.nonzero(vals == 0.0)[0]
-        if exact.size:
-            return float(zz[exact[0]])
+    zero = vals == 0.0
+    cross = np.sign(vals[:-1]) * np.sign(vals[1:]) < 0
+    hits = np.flatnonzero(zero | np.append(cross, False))
+    if hits.size == 0:
         raise RootBracketError(f"g' never reaches {level:g} right of y1")
-    j = sign_change[0]
-    return float(optimize.bisect(lambda y: sf.dg(y) - level, zz[j], zz[j + 1],
-                                 xtol=1e-12))
+    j = hits[0]
+    if zero[j]:
+        return float(zz[j])
+    return _bisect(lambda y: sf.dg(y) - level, zz[j], zz[j + 1])
 
 
 def prop1_constants(sf: Scalar1DFunction, alpha: float, beta: float) -> Prop1Report:
@@ -290,6 +418,8 @@ def _refine_ball_max(grad_g, center: np.ndarray, R: float, x0: np.ndarray) -> fl
     the value is one attained there.  A non-finite iterate gives -inf, so
     the caller keeps its sampled maximum.
     """
+    from scipy import optimize  # slow to import; only n >= 2 refines
+
     res = optimize.minimize(
         lambda x: -float(np.dot(grad_g(x), grad_g(x))),
         x0, method="SLSQP",
@@ -313,6 +443,8 @@ def _refine_sphere_min(grad_g, center: np.ndarray, R: float, d0: np.ndarray) -> 
     the unit sphere before evaluation.  A non-finite or zero iterate gives
     +inf, so the caller keeps its sampled minimum.
     """
+    from scipy import optimize  # slow to import; only n >= 2 refines
+
     res = optimize.minimize(
         lambda d: float(np.dot(grad_g(center - R * d), d)),
         d0, method="SLSQP",

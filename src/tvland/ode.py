@@ -2,7 +2,9 @@
 
 The implicit (backward Euler) integrator mirrors the limit construction the
 discrete engine approximates; the adaptive explicit integrator serves as a
-high-accuracy reference oracle for convergence studies.
+high-accuracy reference oracle for convergence studies.  Only that oracle
+uses scipy (``solve_ivp``), imported on its first call; the frozen-time
+flows run a Dormand-Prince stepper written here on numpy alone.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import RK45, solve_ivp
 
 from .discrete import check_local_solution, discrete_trajectory
 from .errors import ImplicitSolveError, StiffnessError, TvlandError
@@ -125,6 +126,17 @@ def backward_euler_trajectory(p: ProblemDef, x0: np.ndarray, dt: float,
     return trajectory_with_diagnostics(p, times, states)
 
 
+def solve_ivp(*args, **kwargs):
+    """``scipy.integrate.solve_ivp``, imported on the first call.
+
+    scipy takes about half a second to import and only the reference
+    integrator needs it, so no other command pays for it.
+    """
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+
+    return scipy_solve_ivp(*args, **kwargs)
+
+
 def _reference_solution(p: ProblemDef, x0: np.ndarray, rel_tol: float):
     """Dense adaptive Runge-Kutta solution of the tracking ODE on [0, T]."""
     sol = solve_ivp(
@@ -226,7 +238,22 @@ def frozen_time_flow(p: ProblemDef, x: np.ndarray, t: float,
 _FLOW_RTOL = 1e-8
 _FLOW_ATOL = 1e-11
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
-_ERR_EXPONENT = -1.0 / (RK45.error_estimator_order + 1)
+
+#: The Dormand-Prince 5(4) pair (Hairer, Norsett & Wanner I, Table II.5.2),
+#: laid out as scipy's RK45 holds it: stage matrix ``_DP_A`` (row i gives
+#: stage i), fifth-order weights ``_DP_B`` and the error weights ``_DP_E``
+#: over the six stages and the FSAL stage.  The error is fourth order.
+_DP_A = np.array([
+    [0, 0, 0, 0, 0],
+    [1/5, 0, 0, 0, 0],
+    [3/40, 9/40, 0, 0, 0],
+    [44/45, -56/15, 32/9, 0, 0],
+    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656],
+])
+_DP_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+_DP_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
+_ERR_EXPONENT = -1.0 / 5
 
 #: Exceptions of a field evaluation or sink check that fail only the lane of
 #: :func:`frozen_time_flows` they arise in; they are raised (or absorbed by
@@ -285,7 +312,7 @@ def frozen_time_flows(p: ProblemDef, X: np.ndarray, times,
     lane_time = times.tolist()
     stacked = has_stacked_gradient(p)
     lane_times = times[:, None]
-    A, B, E = RK45.A, RK45.B, RK45.E
+    A, B, E = _DP_A, _DP_B, _DP_E
     limits = np.full(X.shape, np.nan)
     converged = np.zeros(len(X), dtype=bool)
     errors: dict[int, Exception] = {}  # lane -> the exception that failed it

@@ -506,14 +506,34 @@ def test_readme_command_lines_parse():
         parser.parse_args(argv)
 
 
-def test_cli_import_leaves_scipy_stats_out():
-    # scipy.stats costs about half a second of start-up and only thm3 with
-    # n >= 2 needs it
+def test_cli_leaves_scipy_out():
+    # scipy takes about half a second to import; only --method reference
+    # and thm3 with n >= 2 need it, and none of the calls below reaches either
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, tvland.cli; print('scipy.stats' in sys.modules)"],
-        capture_output=True, text=True, env=env, check=True)
-    assert out.stdout.strip() == "False"
+    matrec = ["--scenario", "matrec", "--alpha", "0.5", "--x0", "1,0,0,0,0,0", "--N", "10"]
+    calls = [
+        ["classify", "--scenario", "example1", "--alpha", "0.4", "--beta", "10",
+         "--x0", "-2", "--N", "200", "--starts", "4", "--checks", "3"],
+        ["prop1", "--scenario", "example1", "--alpha", "0.4", "--beta", "10"],
+        ["thm3", "--scenario", "example1", "--alpha", "0.4", "--beta", "10"],
+        ["simulate", *matrec, "--method", "discrete"],
+        ["simulate", *matrec, "--method", "backward-euler"],
+        ["spectrum", *matrec],
+    ]
+    code = (
+        "import contextlib, io, json, sys\n"
+        "import tvland, tvland.cli\n"
+        "loaded = lambda: [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        "print(json.dumps(loaded()))\n"
+        f"for argv in {calls!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert tvland.cli.run(argv) == 0, argv\n"
+        "print(json.dumps(loaded()))\n")
+    out = subprocess.run([sys.executable, "-c", code],
+                         capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    after_import, after_calls = map(json.loads, out.stdout.splitlines())
+    assert after_import == []
+    assert after_calls == []

@@ -1,7 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 import tvland as tv
+from tvland.problem import QUARTIC
 
 
 @pytest.fixture(scope="module")
@@ -56,6 +59,21 @@ class TestProp1Constants:
         # g' on [y1, y3] never reaches -alpha beta when alpha beta > |min g'|
         with pytest.raises(tv.RootBracketError):
             tv.prop1_constants(quartic, 1.0, 10.0)
+
+    def test_barrier_on_a_grid_point(self):
+        # g' = y^3 - y equals the level exactly at a point of the barrier
+        # grid (0.3); the crossing back at 0.8157 is the second root, not m2
+        cubic = lambda y: y**3 - y
+        sf = tv.Scalar1DFunction(g=lambda y: 0.25 * y**4 - 0.5 * y**2, dg=cubic,
+                                 d2g=lambda y: 3.0 * y**2 - 1.0,
+                                 stationary_points=(-1.0, 0.0, 1.0))
+        on_grid = np.linspace(sf.y1, sf.y3, 20_001)[13_000]
+        level = cubic(on_grid)
+        assert tv.prop1_constants(sf, -level, 1.0).m2 == on_grid
+        assert on_grid == pytest.approx(0.3, abs=1e-12)
+        # a level just off the grid value finds the same root by bisection
+        off = tv.prop1_constants(sf, -level + 1e-12, 1.0).m2
+        assert off == pytest.approx(0.3, abs=1e-9)
 
     def test_resolution_stability(self, quartic):
         from tvland.conditions import _max_slope
@@ -186,6 +204,7 @@ class TestThm3:
         # SLSQP may stop with status 8 ("positive directional derivative for
         # linesearch") next to the optimum; its iterate must still be used,
         # after projection onto the ball or normalisation onto the sphere
+        import scipy.optimize
         from scipy.optimize import OptimizeResult
         from tvland import conditions
 
@@ -198,7 +217,7 @@ class TestThm3:
                                       success=False, status=8,
                                       message="Positive directional "
                                               "derivative for linesearch")
-            monkeypatch.setattr(conditions.optimize, "minimize", fake)
+            monkeypatch.setattr(scipy.optimize, "minimize", fake)
 
         # 3.2e-6 outside the ball: the value at the projection (-1.5, 0)
         stop_at([-1.50000322, 3.5e-8])
@@ -251,3 +270,96 @@ class TestThm3:
                           0.4, 10.0, 1.0, 0.0)
         with pytest.raises(ValueError):
             tv.thm3_check(quartic_g, quartic_dg, [], 0.5, 0.4, 10.0, 1.0, 0.0)
+
+
+def _damped_slope(t):
+    """Slope of the damped scenario's landscape g(y - beta e^(-lam t) sin t)."""
+    shift = 10.0 * np.exp(-0.1 * t) * np.sin(t)
+    return lambda y: QUARTIC.dg(y - shift)
+
+
+#: (function, bracket) cases of the scipy transcriptions: example1's g' and
+#: its square, the damped landscape at three times, on wide brackets and on
+#: the five-point windows that the dense line search refines.
+_SLOPES = [QUARTIC.dg, lambda y: -QUARTIC.dg(y), lambda y: QUARTIC.dg(y) ** 2,
+           _damped_slope(0.7), _damped_slope(2.0), _damped_slope(4.5)]
+_BRACKETS = [(-3.0, 3.0), (-2.5, -1.5), (-1.0, 0.8), (0.5, 2.5), (1.2, 1.2000001)]
+
+
+def _windows(fn):
+    """The five-point windows around the grid argmax and argmin of fn."""
+    ys = np.linspace(-3.0, 3.0, 1_000)
+    vals = np.array([fn(y) for y in ys])
+    return [(ys[max(0, i - 2)], ys[min(ys.size - 1, i + 2)])
+            for i in (int(np.argmax(vals)), int(np.argmin(vals)))]
+
+
+class TestScipyTranscriptions:
+    """The 1-D refinements give scipy's floats without importing scipy."""
+
+    @pytest.mark.parametrize("k", range(len(_SLOPES)))
+    def test_fminbound_is_scipys_bounded_brent(self, k):
+        from scipy.optimize import minimize_scalar
+        from tvland.conditions import _fminbound
+
+        fn = _SLOPES[k]
+        for lo, hi in _BRACKETS + _windows(fn):
+            for maxfun in (500, 6):
+                ref = minimize_scalar(fn, bounds=(lo, hi), method="bounded",
+                                      options={"xatol": 1e-12, "maxiter": maxfun})
+                got = _fminbound(fn, lo, hi, maxfun=maxfun)
+                assert float(got) == float(ref.fun), (lo, hi, maxfun)
+
+    def test_fminbound_refuses_infinite_bounds(self):
+        from tvland.conditions import _fminbound
+
+        with pytest.raises(ValueError, match="finite"):
+            _fminbound(QUARTIC.dg, -np.inf, 1.0)
+
+    @pytest.mark.parametrize("k", range(len(_SLOPES)))
+    def test_bisect_is_scipys(self, k):
+        from scipy.optimize import bisect
+        from tvland.conditions import _bisect
+
+        fn = _SLOPES[k]
+        for lo, hi in _BRACKETS + _windows(fn):
+            for frac in (0.3, 0.5):
+                # the level is met on the bracket, at an end of the halves
+                mid = lo + frac * (hi - lo)
+                level = fn(mid)
+                shifted = lambda y: fn(y) - level
+                for a, b in ((lo, hi), (lo, mid), (mid, hi)):
+                    try:
+                        ref = bisect(shifted, a, b, xtol=1e-12)
+                    except ValueError as exc:
+                        with pytest.raises(ValueError, match=re.escape(str(exc))):
+                            _bisect(shifted, a, b)
+                    else:
+                        assert _bisect(shifted, a, b) == ref, (a, b)
+
+    def test_bisect_edge_cases_are_scipys(self):
+        from scipy.optimize import bisect
+        from tvland.conditions import _bisect
+
+        cubic = lambda y: y**3 - y
+        # exact zeros at either end return that end
+        for a, b in ((-1.0, -0.5), (-1.5, -1.0), (1.0, 2.0), (0.5, 1.0)):
+            assert _bisect(cubic, a, b) == bisect(cubic, a, b, xtol=1e-12) in (a, b)
+        # a midpoint landing on the root returns it at once
+        assert _bisect(cubic, -0.5, 0.5) == bisect(cubic, -0.5, 0.5, xtol=1e-12) == 0.0
+        # same signs at both ends
+        with pytest.raises(ValueError, match="different signs"):
+            bisect(cubic, 2.0, 3.0, xtol=1e-12)
+        with pytest.raises(ValueError, match="different signs"):
+            _bisect(cubic, 2.0, 3.0)
+        # 100 halvings of a huge bracket are still wider than the tolerance
+        line = lambda y: y - 0.3
+        with pytest.raises(RuntimeError, match="Failed to converge after 100 iterations"):
+            bisect(line, -1e20, 1e20, xtol=1e-12)
+        with pytest.raises(RuntimeError, match="Failed to converge after 100 iterations"):
+            _bisect(line, -1e20, 1e20)
+        # a NaN value stops the search
+        with pytest.raises(ValueError, match="NaN"):
+            bisect(lambda y: np.nan, 0.0, 1.0, xtol=1e-12)
+        with pytest.raises(ValueError, match="NaN"):
+            _bisect(lambda y: np.nan, 0.0, 1.0)

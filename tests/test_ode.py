@@ -289,6 +289,17 @@ def _reference_flows(p, X, times):
 
 
 class TestFrozenTimeFlows:
+    def test_tableau_is_scipys_rk45(self):
+        # the stepper holds its own copy of the Dormand-Prince pair so that
+        # it does not import scipy; the copy must be scipy's, bit for bit
+        from scipy.integrate import RK45
+
+        for ours, theirs in ((ode_module._DP_A, RK45.A), (ode_module._DP_B, RK45.B),
+                             (ode_module._DP_E, RK45.E)):
+            assert ours.dtype == theirs.dtype and ours.shape == theirs.shape
+            assert ours.tobytes() == theirs.tobytes()
+        assert ode_module._ERR_EXPONENT == -1 / (RK45.error_estimator_order + 1)
+
     def test_matches_scalar_across_box_and_times(self, ex1_04_10):
         # one batch mixing starts over the whole box with several frozen times
         p, _ = ex1_04_10
