@@ -17,9 +17,8 @@ from .conditions import (Prop1Report, RegionResult, Thm3Report,
 from .discrete import (check_local_solution, discrete_trajectory,
                        regularized_step)
 from .errors import (EigenConvergenceError, ImplicitSolveError,
-                     InitializationError, MissingHessianError,
-                     RootBracketError, SingularConstraintError,
-                     StepSolveError, StiffnessError, TvlandError)
+                     InitializationError, RootBracketError, StepSolveError,
+                     SingularConstraintError, StiffnessError, TvlandError)
 from .geometry import (GeometryResult, KKTResidual, NewtonKKT, eta,
                        kkt_residual, newton_kkt, ode_rhs,
                        trajectory_with_diagnostics)
@@ -42,7 +41,7 @@ __all__ = [
     "ClassificationResult", "ConvergenceRow", "EigenConvergenceError",
     "GeometryResult", "ImplicitSolveError", "InitializationError",
     "KKTResidual", "MembershipRecord", "MinimizerCatalog", "NewtonKKT",
-    "MissingHessianError", "ProblemDef", "Prop1Report", "RegionResult",
+    "ProblemDef", "Prop1Report", "RegionResult",
     "RootBracketError", "Scalar1DFunction", "SingularConstraintError",
     "SpectrumReport", "SpectrumSample", "StepSolveError", "StiffnessError",
     "Thm3Report", "Trajectory", "TvlandError", "ValidationReport", "Verdict",

@@ -16,7 +16,7 @@ import numpy as np
 
 from .discrete import _restore_feasibility
 from .errors import SingularConstraintError, StepSolveError
-from .geometry import has_hessians, kkt_residual, newton_kkt
+from .geometry import kkt_residual, newton_kkt
 from .ode import frozen_time_flow, frozen_time_flows
 from .problem import MinimizerCatalog, ProblemDef, Trajectory
 from .spectrum import tangent_hessian_eigenvalues
@@ -122,8 +122,8 @@ def classify_trajectory(p: ProblemDef, traj: Trajectory,
         raise ValueError(f"max_checks must be at least 1, got {max_checks}")
     idx = np.nonzero(traj.times >= t_bar - 1e-12)[0]
     if idx.size > max_checks:
-        sel = np.unique(np.linspace(0, idx.size - 1, max_checks).round().astype(int))
-        idx = idx[sel]
+        sel = np.linspace(0, idx.size - 1, max_checks).round().astype(int)
+        idx = idx[sel[np.diff(sel, prepend=-1) != 0]]  # sorted: drop repeats
     times = [float(traj.times[i]) for i in idx]
     catalogs = [catalog_builder(t) for t in times]
     limits, converged = frozen_time_flows(p, traj.states[idx], times)
@@ -147,11 +147,9 @@ def _polish_minimizer(p: ProblemDef, x: np.ndarray, t: float) -> np.ndarray:
     Constrained flow limits drift off the target leaf by the integration
     tolerance (leaf-normal directions are neutrally stable); the KKT
     refinement pins them back.  Best effort: the unrefined point is returned
-    when second derivatives are unavailable or Newton leaves the vicinity
-    (for m = 0, Newton keeps its last iterate before a step longer than 1).
+    when Newton leaves the vicinity (for m = 0, Newton keeps its last iterate
+    before a step longer than 1).
     """
-    if not has_hessians(p):
-        return x
     if p.m == 0:
         return newton_kkt(p, x, t, max_step=1.0, tol=1e-12, max_iter=25).x
     try:

@@ -367,8 +367,8 @@ def thm3_check(g, grad_g, minima, R: float, alpha: float, beta: float,
     unit sphere) and used whatever the optimizer's status; it can only
     improve on the sampled extremum.
     """
-    if R <= 0:
-        raise ValueError("R must be positive")
+    if not 0 < R < math.inf:
+        raise ValueError(f"R must be positive and finite, got {R}")
     if alpha <= 0 or beta <= 0 or omega <= 0 or lam < 0:
         raise ValueError("need alpha, beta, omega > 0 and lam >= 0")
     minima = [np.atleast_1d(np.asarray(y, dtype=float)) for y in minima]

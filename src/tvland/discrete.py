@@ -10,8 +10,9 @@ trajectories deterministic.  Newton's method on the KKT system
 (:func:`~tvland.geometry.newton_kkt`) starts at x_k restored onto the new
 leaf; its point is kept if it passes the stop test, does not raise F above
 the restored warm start, and has a Lagrangian Hessian of F positive definite
-on ker J.  Otherwise, and without second derivatives, projected-gradient
-descent on F with Armijo backtracking and feasibility restoration takes over.
+on ker J.  A rejected Newton point, such as a saddle of F, hands over to
+projected-gradient descent on F with Armijo backtracking and feasibility
+restoration, which goes on to a minimum.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InitializationError, StepSolveError
-from .geometry import (GeometryResult, geometry, has_hessians, kkt_residual,
+from .geometry import (GeometryResult, geometry, kkt_residual,
                        lagrangian_hessian, newton_kkt, positive_definite_on_kernel,
                        require_regular, trajectory_with_diagnostics)
 from .problem import ProblemDef, Trajectory, start_vector
@@ -190,8 +191,7 @@ def regularized_step(p: ProblemDef, x_prev: np.ndarray, t_next: float, dt: float
                      stat_tol, feas_tol)
     theta_prev = None if geom_prev is None else geom_prev.theta
     x = _restore_feasibility(p, x_prev.copy(), sp.d, feas_tol, theta_prev)
-    found, used = (_newton_point(sp, x, geom_prev, min(_NEWTON_MAX_ITER, max_iter))
-                   if has_hessians(p) else (None, 0))
+    found, used = _newton_point(sp, x, geom_prev, min(_NEWTON_MAX_ITER, max_iter))
     found = found or _projected_gradient(sp, x, max_iter - used)
     if found is None:
         raise StepSolveError(

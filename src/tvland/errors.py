@@ -41,9 +41,5 @@ class RootBracketError(TvlandError):
     """A required root bracket could not be established."""
 
 
-class MissingHessianError(TvlandError):
-    """Second derivatives are required but absent from the problem."""
-
-
 class EigenConvergenceError(TvlandError):
     """Dense eigenvalue iteration failed to converge."""

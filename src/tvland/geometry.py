@@ -33,8 +33,9 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import MissingHessianError, SingularConstraintError
-from .problem import ProblemDef, Trajectory, has_stacked_gradient
+from .errors import SingularConstraintError
+from .problem import (ProblemDef, Trajectory, _central_difference,
+                      has_stacked_gradient)
 
 #: Below this smallest singular value of J the constraints are treated as
 #: degenerate (non-singularity assumption violated).
@@ -128,35 +129,69 @@ def kkt_residual(p: ProblemDef, x: np.ndarray, t: float,
     return KKTResidual(stat, feas, mu)
 
 
+def objective_hessian(p: ProblemDef, x: np.ndarray, t: float) -> np.ndarray:
+    """hess f(x, t), by central differences of grad_objective when p has none."""
+    if p.hess_objective is not None:
+        return np.asarray(p.hess_objective(x, t), dtype=float)
+    return _central_difference(lambda y: p.grad_objective(y, t), x)
+
+
+def constraint_hessians(p: ProblemDef, x: np.ndarray) -> np.ndarray:
+    """The (m, n, n) stack of H_i(x), by differences of jacobian when p has none."""
+    if p.constraint_hessians is not None:
+        return np.asarray(p.constraint_hessians(x), dtype=float)
+    return _central_difference(p.jacobian, x)
+
+
 def weighted_constraint_hessian(p: ProblemDef, x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """sum_i w_i H_i(x) accumulated in index order, or zeros when m = 0."""
-    if p.m == 0 or w.size == 0:
-        return np.zeros((p.n, p.n))
-    H = np.asarray(p.constraint_hessians(x), dtype=float)
-    return np.add.reduce(w[:, None, None] * H, axis=0)
-
-
-def has_hessians(p: ProblemDef) -> bool:
-    """Whether p provides every second derivative :func:`newton_kkt` needs."""
-    return p.hess_objective is not None and (p.m == 0 or p.constraint_hessians is not None)
-
-
-def require_hessians(p: ProblemDef) -> None:
-    if p.hess_objective is None:
-        raise MissingHessianError("problem has no hess_objective")
-    if p.m > 0 and p.constraint_hessians is None:
-        raise MissingHessianError("problem has no constraint_hessians")
+    """sum_i w_i H_i(x) accumulated in index order (m > 0)."""
+    return np.add.reduce(w[:, None, None] * constraint_hessians(p, x), axis=0)
 
 
 def lagrangian_hessian(p: ProblemDef, x: np.ndarray, t: float, mu: np.ndarray,
                        w: float = 0.0) -> np.ndarray:
     """hess f(x, t) + sum_i mu_i H_i(x) + w I, each term only where nonzero."""
-    M = np.asarray(p.hess_objective(x, t), dtype=float)
+    M = objective_hessian(p, x, t)
     if p.m:
         M = M + weighted_constraint_hessian(p, x, mu)
     if w:
         M = M + w * np.eye(p.n)
     return M
+
+
+def data_jacobian(p: ProblemDef, x: np.ndarray, t: float,
+                  geom: GeometryResult) -> np.ndarray:
+    """K2 = d/dx [theta(x) d'(t)] = P (w . H) - theta N_v at any x, given its geometry.
+
+    Here w = (J J^T)^(-1) d', v = theta d' and N_v has rows (H_i v)^T.
+    """
+    dd = np.asarray(p.data_rate(t), dtype=float)
+    if p.m == 0 or not np.any(dd):
+        return np.zeros((p.n, p.n))
+    J = geom.jacobian
+    w = np.linalg.solve(J @ J.T, dd)
+    v = geom.theta @ dd
+    Mw = weighted_constraint_hessian(p, x, w)
+    return geom.projector @ Mw - geom.theta @ (constraint_hessians(p, x) @ v)
+
+
+def field_jacobian(p: ProblemDef, x: np.ndarray, t: float) -> np.ndarray:
+    """Jacobian of :func:`ode_rhs` in x at any point, KKT or not.
+
+    It is -(P M - theta N_eta) / alpha + K2 (:func:`data_jacobian`), with
+    M = hess f + mu . H for the least-squares multipliers mu and N_eta the
+    rows (H_i eta)^T; at a KKT point eta = 0 leaves K1 + K2.  For m = 0 it
+    is -hess f / alpha.
+    """
+    x = np.asarray(x, dtype=float)
+    if p.m == 0:
+        return -objective_hessian(p, x, t) / p.alpha
+    geom = geometry(p, x)
+    grad = np.asarray(p.grad_objective(x, t), dtype=float)
+    M = lagrangian_hessian(p, x, t, -(geom.theta.T @ grad))
+    N_eta = constraint_hessians(p, x) @ (geom.projector @ grad)
+    return (-(geom.projector @ M - geom.theta @ N_eta) / p.alpha
+            + data_jacobian(p, x, t, geom))
 
 
 def positive_definite_on_kernel(M: np.ndarray, J: np.ndarray) -> bool:
@@ -228,8 +263,7 @@ def newton_kkt(p: ProblemDef, x: np.ndarray, t: float,
     start as the least-squares fit -theta^T grad F(x), theta taken from
     ``geom`` (the geometry of a nearby point) or else computed at x.  No step
     is damped or checked for descent: callers that need a particular KKT
-    point apply their own safeguards.  Requires the second derivatives
-    (:func:`has_hessians`).
+    point apply their own safeguards.
 
     Raises
     ------

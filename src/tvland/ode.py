@@ -16,7 +16,7 @@ import numpy as np
 
 from .discrete import check_local_solution, discrete_trajectory
 from .errors import ImplicitSolveError, StiffnessError, TvlandError
-from .geometry import _norm, ode_rhs, trajectory_with_diagnostics
+from .geometry import _norm, field_jacobian, ode_rhs, trajectory_with_diagnostics
 from .problem import ProblemDef, Trajectory, has_stacked_gradient, start_vector
 
 _BE_RESID_TOL = 1e-10
@@ -28,18 +28,6 @@ _BE_MAX_NEWTON = 60
 _BE_CONTRACTION = 1e-3
 
 
-def _fd_jacobian(f, y: np.ndarray, f_y: np.ndarray) -> np.ndarray:
-    """Forward-difference Jacobian of ``f`` at ``y``, given ``f_y = f(y)``."""
-    n = y.size
-    Jf = np.empty((n, n))
-    for j in range(n):
-        h = 1e-7 * (1.0 + abs(y[j]))
-        e = np.zeros(n)
-        e[j] = h
-        Jf[:, j] = (f(y + e) - f_y) / h
-    return Jf
-
-
 def _implicit_step(p: ProblemDef, y_prev: np.ndarray, t: float, dt: float,
                    resid_tol: float,
                    M_inv: np.ndarray | None) -> tuple[np.ndarray, np.ndarray | None]:
@@ -47,7 +35,8 @@ def _implicit_step(p: ProblemDef, y_prev: np.ndarray, t: float, dt: float,
 
     From the explicit Euler predictor, iterate y <- y - M_inv r(y) on the
     residual r(y) = y - y_prev - dt rhs(y, t), where ``M_inv`` is the inverse
-    of a finite-difference iteration matrix dr/dy, possibly evaluated at an
+    of the exact dr/dy = I - dt J(y), J the field Jacobian
+    (:func:`~tvland.geometry.field_jacobian`), possibly evaluated at an
     earlier step (None: not evaluated yet).  When an iteration fails to
     bring the residual below :data:`_BE_CONTRACTION` times the previous one,
     its iterate is kept only if the residual fell; the matrix is then
@@ -75,7 +64,7 @@ def _implicit_step(p: ProblemDef, y_prev: np.ndarray, t: float, dt: float,
             if not stale or rnorm <= resid_tol:
                 continue
         try:
-            M_inv = np.linalg.inv(_fd_jacobian(resid, y, r))
+            M_inv = np.linalg.inv(np.eye(p.n) - dt * field_jacobian(p, y, t))
         except np.linalg.LinAlgError as exc:
             raise ImplicitSolveError(f"singular Newton system at t = {t:.6g}") from exc
         delta = -(M_inv @ r)
@@ -104,8 +93,8 @@ def backward_euler_trajectory(p: ProblemDef, x0: np.ndarray, dt: float,
     The grid is snapped to N = round(T / dt) even steps so the final point
     lands exactly on the horizon.  Each step solves the implicit equation
     y_k = y_{k-1} + dt rhs(y_k, t_k) to residual ``resid_tol`` by simplified
-    Newton (:func:`_implicit_step`): the iteration matrix is evaluated by
-    finite differences, inverted, and reused across steps until an
+    Newton (:func:`_implicit_step`): the iteration matrix, from the exact
+    Jacobian of the field, is inverted and reused across steps until an
     iteration with it stops contracting the residual.  The matrix lives in
     this call only, so every run of a trajectory is the same.
     """
@@ -167,24 +156,23 @@ def integrate_reference(p: ProblemDef, x0: np.ndarray, rel_tol: float = 1e-9,
     return trajectory_with_diagnostics(p, times, states)
 
 
-def _polish_equilibrium(rhs, y0: np.ndarray, tol: float,
-                        radius: float) -> np.ndarray | None:
-    """Newton-refine a nearby sink of the flow field, or None.
+def _polish_limit(p: ProblemDef, y0: np.ndarray, t: float, tol: float) -> np.ndarray | None:
+    """The sink of the time-t field that Newton finds near a slow flow point, or None.
 
-    Accepts only when Newton converges within ``radius`` of ``y0`` and the
-    field Jacobian at the solution has no eigenvalue with positive real part
-    (a saddle or source is not the flow limit of a generic start).  Steps
-    are minimum-norm least-squares solutions: a constrained frozen field is
-    neutral along the m leaf normals, where its finite-difference Jacobian
-    is rounding noise, so a plain solve would move the limit along them by
-    that noise.
+    Accepts only when Newton converges within 0.05 (1 + |y0|) of ``y0`` and
+    the field Jacobian (:func:`~tvland.geometry.field_jacobian`) at the
+    solution has no eigenvalue with positive real part (a saddle or source
+    is not the flow limit of a generic start).  Steps are minimum-norm
+    least-squares solutions: a constrained frozen field is neutral along the
+    m leaf normals, where its Jacobian is singular up to rounding, so a plain
+    solve would move the limit along them by that rounding.
     """
+    radius = 0.05 * (1.0 + np.linalg.norm(y0))
     y = y0.copy()
-    r = rhs(y)
+    r = ode_rhs(p, y, t)
     for _ in range(30):
-        rnorm = np.linalg.norm(r)
-        Jr = _fd_jacobian(rhs, y, r)
-        if rnorm <= 1e-3 * tol:
+        Jr = field_jacobian(p, y, t)
+        if np.linalg.norm(r) <= 1e-3 * tol:
             lam_max = float(np.max(np.linalg.eigvals(Jr).real))
             scale = max(1.0, float(np.linalg.norm(Jr, 2)))
             if lam_max > 1e-6 * scale:
@@ -197,18 +185,13 @@ def _polish_equilibrium(rhs, y0: np.ndarray, tol: float,
         y = y + delta
         if np.linalg.norm(y - y0) > radius:
             return None
-        r = rhs(y)
+        r = ode_rhs(p, y, t)
     return None
 
 
 def _switch_speed(tol: float) -> float:
     """Crossing speed under which Newton refinement of the limit is attempted."""
     return max(1e-4, 10.0 * tol)
-
-
-def _polish_limit(rhs_y, y: np.ndarray, tol: float) -> np.ndarray | None:
-    """The verified sink Newton finds near a slow flow point, or None."""
-    return _polish_equilibrium(rhs_y, y, tol, radius=0.05 * (1.0 + np.linalg.norm(y)))
 
 
 #: Default speed under which a frozen-time flow counts as converged.
@@ -394,8 +377,7 @@ def frozen_time_flows(p: ProblemDef, X: np.ndarray, times,
         stalled = ok & (s >= s_max)
         for k in np.flatnonzero(accept & (speed <= switch)):
             try:
-                t = lane_time[lanes[k]]
-                limit = _polish_limit(lambda z: ode_rhs(p, z, t), y[k], tol)
+                limit = _polish_limit(p, y[k], lane_time[lanes[k]], tol)
             except _LANE_FAILURES as exc:
                 errors[lanes[k]] = exc
                 ok[k] = False

@@ -42,7 +42,8 @@ class ProblemDef:
     alpha : float
         Proximal regularization weight, > 0.
     hess_objective, constraint_hessians : callable, optional
-        Second derivatives; required by the spectrum module only.
+        Second derivatives; where one is absent, central differences of
+        ``grad_objective`` or ``jacobian`` stand in for it.
     """
 
     n: int
@@ -527,8 +528,10 @@ def _rel_dev(fd: np.ndarray, an: np.ndarray) -> float:
     return float(np.max(np.abs(fd - an) / (1.0 + np.abs(an))))
 
 
-def _central_difference(fn, x: np.ndarray, h: float) -> np.ndarray:
-    """Central differences of ``fn`` at x, one trailing axis per coordinate."""
+def _central_difference(fn, x: np.ndarray) -> np.ndarray:
+    """Central differences of ``fn`` at x with step 1e-6 (1 + |x|), one
+    trailing axis per coordinate."""
+    h = 1e-6 * (1.0 + np.linalg.norm(x))
     cols = []
     for j in range(x.size):
         e = np.zeros(x.size)
@@ -557,19 +560,18 @@ def validate_problem(p: ProblemDef, samples: int = 20, seed: int = 0,
     for i in range(samples):
         x = xs[i] = rng.standard_normal(p.n)
         t = ts[i] = rng.uniform(0.0, p.horizon)
-        hx = 1e-6 * (1.0 + np.linalg.norm(x))
 
-        fd_grad = _central_difference(lambda y: p.objective(y, t), x, hx)
+        fd_grad = _central_difference(lambda y: p.objective(y, t), x)
         dev_g = max(dev_g, _rel_dev(fd_grad, np.asarray(p.grad_objective(x, t))))
         if p.hess_objective is not None:
-            fd_hess = _central_difference(lambda y: p.grad_objective(y, t), x, hx)
+            fd_hess = _central_difference(lambda y: p.grad_objective(y, t), x)
             dev_h = max(dev_h, _rel_dev(fd_hess, np.asarray(p.hess_objective(x, t))))
 
         if p.m > 0:
-            fd_jac = _central_difference(p.constraints, x, hx)
+            fd_jac = _central_difference(p.constraints, x)
             dev_j = max(dev_j, _rel_dev(fd_jac, np.asarray(p.jacobian(x))))
             if p.constraint_hessians is not None:
-                fd_ch = _central_difference(p.jacobian, x, hx)
+                fd_ch = _central_difference(p.jacobian, x)
                 an_ch = np.asarray(p.constraint_hessians(x), dtype=float)
                 dev_ch = max(dev_ch, _rel_dev(fd_ch, an_ch))
 

@@ -11,8 +11,8 @@ data contributes
 
     K2 = d/dz [theta(z) d'(t)]    (d'(t) held fixed)
 
-which is assembled column by column and may push eigenvalues of K1 + K2
-across the imaginary axis.
+(:func:`~tvland.geometry.data_jacobian`), which may push eigenvalues of
+K1 + K2, the field's Jacobian there, across the imaginary axis.
 """
 
 from __future__ import annotations
@@ -22,15 +22,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EigenConvergenceError, StepSolveError
-from .geometry import (geometry, kernel_basis, kkt_residual, lagrangian_hessian,
-                       newton_kkt, require_hessians, trajectory_with_diagnostics,
-                       weighted_constraint_hessian)
+from .geometry import (data_jacobian, geometry, kernel_basis, kkt_residual,
+                       lagrangian_hessian, newton_kkt, trajectory_with_diagnostics)
 from .problem import ProblemDef, Trajectory, start_vector
 
 
 def _kkt_hessian(p: ProblemDef, z: np.ndarray, t: float):
     """Geometry at z and hess f + mu . H there, mu the least-squares multipliers."""
-    require_hessians(p)
     z = np.asarray(z, dtype=float)
     geom = geometry(p, z)
     return geom, lagrangian_hessian(p, z, t, kkt_residual(p, z, t, geom).multipliers)
@@ -50,23 +48,13 @@ def invariant_jacobian(p: ProblemDef, z: np.ndarray, t: float) -> np.ndarray:
 def variant_jacobian(p: ProblemDef, z: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
     """Decomposition (K1, K2) of the full Jacobian of the tracking dynamics.
 
-    K1 is :func:`invariant_jacobian`; K2 collects the sensitivity of the
-    data-variation term theta(z) d'(t), column l being its derivative with
-    respect to z_l.  For unconstrained problems (or frozen data) K2 = 0.
+    K1 is :func:`invariant_jacobian`; K2 is the derivative of the
+    data-variation term theta(z) d'(t) (:func:`~tvland.geometry.data_jacobian`).
+    For unconstrained problems (or frozen data) K2 = 0.
     """
     geom, M = _kkt_hessian(p, z, t)
     K1 = -(geom.projector @ M) / p.alpha
-    dd = np.asarray(p.data_rate(t), dtype=float)
-    if p.m == 0 or not np.any(dd):
-        return K1, np.zeros((p.n, p.n))
-    z = np.asarray(z, dtype=float)
-    J = geom.jacobian
-    w = np.linalg.solve(J @ J.T, dd)          # (J J^T)^(-1) d'
-    v = geom.theta @ dd                        # theta d'
-    Mw = weighted_constraint_hessian(p, z, w)
-    H = p.constraint_hessians(z)
-    Nv = np.column_stack([np.asarray(Hi, dtype=float) @ v for Hi in H])  # (n, m)
-    K2 = geom.projector @ Mw - geom.theta @ Nv.T
+    K2 = data_jacobian(p, np.asarray(z, dtype=float), t, geom)
     return K1, K2
 
 
@@ -171,14 +159,13 @@ def kkt_refine(p: ProblemDef, x: np.ndarray, t: float,
     """Newton-refine x to a KKT point of the problem at time t.
 
     Solves grad f + J^T mu = 0, h = d(t) from the given (near-KKT) point by
-    :func:`~tvland.geometry.newton_kkt`.  Requires second derivatives.
+    :func:`~tvland.geometry.newton_kkt`.
 
     Raises
     ------
     StepSolveError
         If the Newton iteration stalls or meets a singular KKT system.
     """
-    require_hessians(p)
     res = newton_kkt(p, x, t, tol=tol, max_iter=max_newton)
     if res.status == "singular":
         raise StepSolveError(f"singular KKT system at t = {t:g}")

@@ -220,6 +220,24 @@ class TestClassifyTrajectory:
             tv.classify_trajectory(p, be_traj_04_10, builder, 0.9 * p.horizon,
                                    max_checks=0)
 
+    def test_check_times_are_the_unique_rounded_grid(self, ex1_04_10, monkeypatch):
+        # the sorted rounded linspace loses only adjacent repeats, so the
+        # checks are those np.unique would keep
+        p, _ = ex1_04_10
+        monkeypatch.setattr(tv.classify, "frozen_time_flows",
+                            lambda p, X, times: (X, np.zeros(len(X), dtype=bool)))
+        empty = tv.MinimizerCatalog(0.0, np.zeros((0, 1)), [], np.zeros(0))
+        for n in (1, 2, 3, 7, 50, 201, 1000, 6284):
+            times = np.linspace(0.0, p.horizon, n + 1)[:n]
+            traj = tv.Trajectory(times, np.zeros((n, 1)), *np.zeros((4, n)))
+            for max_checks in (1, 2, 3, 17, 200):
+                res = tv.classify_trajectory(p, traj, lambda t: empty, 0.0,
+                                             max_checks=max_checks)
+                want = np.arange(n)
+                if n > max_checks:
+                    want = np.unique(np.linspace(0, n - 1, max_checks).round().astype(int))
+                assert [r.time for r in res.records] == times[want].tolist()
+
     @pytest.mark.parametrize("regime", ["ex1_04_10", "ex1_02_5"])
     def test_records_match_scalar_membership(self, regime, request):
         # the batched membership flows agree with attraction_membership

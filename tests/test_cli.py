@@ -479,6 +479,9 @@ MATREC = ["--scenario", "matrec", "--x0", "1,0,0,0,0,0"]
     # an inverted box
     pytest.param(["classify", *EX1, "--N", "50", "--checks", "2", "--box=5,-5"], None,
                  "box", id="box-inverted"),
+    # a radius that is not a positive finite number
+    pytest.param(["thm3", "--scenario", "example1", "--R", "inf"], None, "R", id="R=inf"),
+    pytest.param(["thm3", "--scenario", "example1", "--R", "nan"], None, "R", id="R=nan"),
 ])
 def test_usage_error_names_the_option(argv, cfg, key, tmp_path, capsys):
     if cfg is not None:
@@ -508,7 +511,8 @@ def test_readme_command_lines_parse():
 
 def test_cli_leaves_scipy_out():
     # scipy takes about half a second to import; only --method reference
-    # and thm3 with n >= 2 need it, and none of the calls below reaches either
+    # and thm3 with n >= 2 need it, and none of the calls below reaches either.
+    # numpy.ma (about 10 ms) is not needed either
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
@@ -525,7 +529,8 @@ def test_cli_leaves_scipy_out():
     code = (
         "import contextlib, io, json, sys\n"
         "import tvland, tvland.cli\n"
-        "loaded = lambda: [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        "loaded = lambda: [m for m in sys.modules\n"
+        "                  if (m + '.').startswith(('scipy.', 'numpy.ma.'))]\n"
         "print(json.dumps(loaded()))\n"
         f"for argv in {calls!r}:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"

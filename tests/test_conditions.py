@@ -271,6 +271,13 @@ class TestThm3:
         with pytest.raises(ValueError):
             tv.thm3_check(quartic_g, quartic_dg, [], 0.5, 0.4, 10.0, 1.0, 0.0)
 
+    @pytest.mark.parametrize("R", [np.inf, np.nan])
+    def test_rejects_non_finite_radius(self, R):
+        # an infinite ball would reach a bounded search with infinite bounds
+        with pytest.raises(ValueError, match="R must be positive and finite"):
+            tv.thm3_check(quartic_g, quartic_dg, [np.array([-2.0])], R,
+                          0.4, 10.0, 1.0, 0.0)
+
 
 def _damped_slope(t):
     """Slope of the damped scenario's landscape g(y - beta e^(-lam t) sin t)."""

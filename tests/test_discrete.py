@@ -58,6 +58,11 @@ def count_calls(monkeypatch, module, name):
     return calls
 
 
+def reject_newton(monkeypatch):
+    """Make every regularized step reject its Newton point, as a saddle would."""
+    monkeypatch.setattr(tv.discrete, "_newton_point", lambda *args: (None, 0))
+
+
 class TestRegularizedStep:
     @given(x_prev=st.floats(-5, 5), dt=st.floats(1e-3, 0.5),
            alpha=st.floats(0.05, 5))
@@ -180,12 +185,13 @@ class TestNewtonEngine:
 
     def test_matches_projected_gradient_on_matrec(self, monkeypatch):
         # the track-matrec workload: alpha 0.5, 2000 steps from the spurious
-        # start; no Hessians forces the projected-gradient path
+        # start; rejecting every Newton point forces the projected-gradient path
         p, x0 = spurious_matrec(0.5)
         fallbacks = count_calls(monkeypatch, tv.discrete, "_projected_gradient")
         newton = tv.discrete_trajectory(p, x0, 2000)
         assert not fallbacks
-        forced = tv.discrete_trajectory(p.replace(hess_objective=None), x0, 2000)
+        reject_newton(monkeypatch)
+        forced = tv.discrete_trajectory(p, x0, 2000)
         assert len(fallbacks) == 2000
         assert np.abs(newton.states - forced.states).max() <= 1e-8
 
@@ -203,20 +209,22 @@ class TestNewtonEngine:
             # alpha/dt = 5: the Lagrangian Hessian is indefinite on the
             # whole space somewhere, so Cholesky alone does not settle it
             assert reduced or fallbacks
-        forced = tv.discrete_trajectory(p.replace(hess_objective=None), x0, steps,
-                                        1e-10, 1e-10)
+        reject_newton(monkeypatch)
+        forced = tv.discrete_trajectory(p, x0, steps, 1e-10, 1e-10)
         assert np.abs(newton.states - forced.states).max() <= 1e-8
 
     @pytest.mark.parametrize("missing", ["hess_objective", "constraint_hessians"])
-    def test_missing_hessians_take_the_fallback(self, missing, monkeypatch):
+    def test_missing_hessians_are_differenced(self, missing, monkeypatch):
+        # central differences of grad_objective / jacobian stand in for the
+        # missing map, and Newton runs on them
         p, x0 = spurious_matrec(0.5)
         newton = count_calls(monkeypatch, tv.discrete, "newton_kkt")
         fallbacks = count_calls(monkeypatch, tv.discrete, "_projected_gradient")
         x = tv.regularized_step(p.replace(**{missing: None}), x0, 0.01, 0.01)
-        assert not newton and len(fallbacks) == 1
+        assert len(newton) == 1 and not fallbacks
         assert np.abs(x - tv.regularized_step(p, x0, 0.01, 0.01)).max() <= 1e-8
 
-    def test_negative_curvature_start_rejected(self):
+    def test_negative_curvature_start_rejected(self, monkeypatch):
         # F = f + (x - 0.1)^2 / 4 has F'' < 0 at the warm start 0.1; Newton
         # climbs to the local maximum of F near -0.1, descent reaches the
         # minimum near 0.75
@@ -226,7 +234,8 @@ class TestNewtonEngine:
         assert raw.status == "converged"
         assert raw.x[0] == pytest.approx(-0.102, abs=1e-3)
         got = tv.regularized_step(p, x_prev, 1.0, 1.0)
-        forced = tv.regularized_step(p.replace(hess_objective=None), x_prev, 1.0, 1.0)
+        reject_newton(monkeypatch)
+        forced = tv.regularized_step(p, x_prev, 1.0, 1.0)
         assert np.array_equal(got, forced)
         assert got[0] == pytest.approx(0.7525, abs=1e-3)
 

@@ -49,26 +49,26 @@ class TestBackwardEuler:
                 assert np.linalg.norm(resid) <= 1e-10
 
     def test_iteration_matrix_reused_across_steps(self, monkeypatch):
-        # simplified Newton: the finite-difference matrix (6 rhs calls) is
-        # re-evaluated only when an iteration with it stops contracting
+        # simplified Newton: the field Jacobian is re-evaluated only when an
+        # iteration with it stops contracting
         p, x0 = _matrec_spurious()
-        calls = {"rhs": 0, "fd": 0}
-        rhs, fd = ode_module.ode_rhs, ode_module._fd_jacobian
+        calls = {"rhs": 0, "jac": 0}
+        rhs, jac = ode_module.ode_rhs, ode_module.field_jacobian
 
         def counted_rhs(*args, **kwargs):
             calls["rhs"] += 1
             return rhs(*args, **kwargs)
 
-        def counted_fd(*args, **kwargs):
-            calls["fd"] += 1
-            return fd(*args, **kwargs)
+        def counted_jac(*args, **kwargs):
+            calls["jac"] += 1
+            return jac(*args, **kwargs)
 
         monkeypatch.setattr(ode_module, "ode_rhs", counted_rhs)
-        monkeypatch.setattr(ode_module, "_fd_jacobian", counted_fd)
+        monkeypatch.setattr(ode_module, "field_jacobian", counted_jac)
         n_steps = 2000
         tv.backward_euler_trajectory(p, x0, p.horizon / n_steps)
         assert calls["rhs"] <= 6 * n_steps
-        assert 1 <= calls["fd"] <= n_steps // 10
+        assert 1 <= calls["jac"] <= n_steps // 10
 
     @pytest.mark.parametrize("stale", ["zero", "wrong_sign"])
     def test_stale_matrix_is_refreshed(self, stale, monkeypatch):
@@ -80,13 +80,13 @@ class TestBackwardEuler:
         else:
             M_stale = -np.eye(p.n)  # the residual grows
         refreshes = []
-        fd = ode_module._fd_jacobian
+        jac = ode_module.field_jacobian
 
-        def counted_fd(*args, **kwargs):
+        def counted_jac(*args, **kwargs):
             refreshes.append(1)
-            return fd(*args, **kwargs)
+            return jac(*args, **kwargs)
 
-        monkeypatch.setattr(ode_module, "_fd_jacobian", counted_fd)
+        monkeypatch.setattr(ode_module, "field_jacobian", counted_jac)
         y, M_inv = ode_module._implicit_step(p, x0, t, dt, 1e-10, M_stale)
         assert refreshes
         assert not np.array_equal(M_inv, M_stale)
@@ -244,8 +244,8 @@ class TestFrozenTimeFlow:
 
     def test_constrained_limit_ignores_start_rounding(self):
         # the frozen field is neutral along the leaf normals, where its
-        # finite-difference Jacobian is noise; minimum-norm Newton steps keep
-        # that noise out of the limit
+        # Jacobian is singular up to rounding; minimum-norm Newton steps keep
+        # that rounding out of the limit
         frozen = tv.freeze_data(tv.make_matrix_recovery(True, 1.0), 0.0)
         rng = np.random.default_rng(11)
         for sign in (1.0, -1.0):
@@ -282,7 +282,7 @@ def _reference_flows(p, X, times):
         sol = solve_ivp(lambda s, y: field(y), (0.0, 100.0 * p.alpha), np.asarray(x, float),
                         method="RK45", rtol=1e-8, atol=1e-11, events=slow)
         y = sol.y[:, -1]
-        limit = ode_module._polish_limit(field, y, tol) if sol.status == 1 else None
+        limit = ode_module._polish_limit(p, y, float(t), tol) if sol.status == 1 else None
         limits.append(y if limit is None else limit)
         converged.append(limit is not None)
     return np.array(limits), np.array(converged)

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tvland as tv
+from conftest import linear_constraint_problem
 
 
 def fd_jacobian_of_rhs(p, z, t, h=1e-6):
@@ -41,11 +42,13 @@ class TestInvariantJacobian:
             J = matrec.jacobian(z)
             assert np.abs(J @ Jp).max() < 1e-9
 
-    def test_missing_hessian_raises(self, matrec):
-        bad = matrec.replace(hess_objective=None)
-        z = tv.matrix_recovery_global_state(0.0)
-        with pytest.raises(tv.MissingHessianError):
-            tv.invariant_jacobian(bad, z, 0.0)
+    def test_missing_hessian_is_differenced(self, matrec):
+        # off the zero-slack trajectory, so that the multipliers weight the
+        # constraint Hessians
+        z = tv.matrix_recovery_state(matrec, np.array([0.9, 0.3]), 0.4)
+        bare = matrec.replace(hess_objective=None, constraint_hessians=None)
+        want = tv.invariant_jacobian(matrec, z, 0.4)
+        assert np.abs(tv.invariant_jacobian(bare, z, 0.4) - want).max() <= 1e-6
 
     def test_counts_at_cataloged_minima(self, ex1_04_10):
         # unconstrained SOSC minima: no zero eigenvalues, all negative
@@ -55,6 +58,45 @@ class TestInvariantJacobian:
         for z in cat.minimizers:
             rep = tv.eigen_report(tv.invariant_jacobian(p, z, 0.9))
             assert (rep.n_zero, rep.n_neg, rep.n_pos) == (0, 1, 0)
+
+
+def _off_kkt_problems():
+    """Problems with points that are not KKT points, for the field Jacobian."""
+    quartic = tv.problem.QUARTIC
+    damped = tv.make_damped_sinusoid(
+        lambda y: quartic.g(y[0]) + y[1] ** 2,
+        lambda y: np.array([quartic.dg(y[0]), 2.0 * y[1]]),
+        beta=3.0, omega=1.5, lam=0.2, u=[0.6, 0.8], alpha=0.7)
+    rng = np.random.default_rng(3)
+    c = rng.standard_normal(2)
+    moving = linear_constraint_problem(rng.standard_normal((2, 5)), alpha=0.6,
+                                       d_of_t=lambda t: np.sin(t) * c,
+                                       d_rate=lambda t: np.cos(t) * c)
+    return [tv.make_matrix_recovery(True, alpha=0.5),
+            tv.make_matrix_recovery(False, alpha=0.3),
+            tv.make_example1(10.0, alpha=0.4)[0], damped, moving]
+
+
+class TestFieldJacobian:
+    @pytest.mark.parametrize("k", range(5), ids=["matrec", "matrec-raw", "example1",
+                                                  "damped-no-hess", "random-linear"])
+    def test_matches_central_differences(self, k):
+        p = _off_kkt_problems()[k]
+        rng = np.random.default_rng(k)
+        for _ in range(5):
+            x = 2.0 * rng.standard_normal(p.n)
+            t = float(rng.uniform(0.0, p.horizon))
+            assert tv.kkt_residual(p, x, t).stationarity > 1e-3
+            F = fd_jacobian_of_rhs(p, x, t)
+            got = tv.geometry.field_jacobian(p, x, t)
+            assert np.abs(got - F).max() <= 1e-6 * max(1.0, np.abs(F).max())
+
+    def test_equals_k1_plus_k2_at_kkt_points(self, matrec):
+        for t in np.linspace(0.0, 2 * np.pi, 10):
+            z = tv.matrix_recovery_global_state(t)
+            K1, K2 = tv.variant_jacobian(matrec, z, float(t))
+            got = tv.geometry.field_jacobian(matrec, z, float(t))
+            assert np.abs(K1 + K2 - got).max() <= 1e-9
 
 
 class TestVariantJacobian:
