@@ -7,12 +7,14 @@ Each step solves
 
 to the KKT point reachable from the warm start x_k by descent, which makes
 trajectories deterministic.  Newton's method on the KKT system
-(:func:`~tvland.geometry.newton_kkt`) starts at x_k restored onto the new
-leaf; its point is kept if it passes the stop test, does not raise F above
-the restored warm start, and has a Lagrangian Hessian of F positive definite
-on ker J.  A rejected Newton point, such as a saddle of F, hands over to
-projected-gradient descent on F with Armijo backtracking and feasibility
-restoration, which goes on to a minimum.
+(:func:`~tvland.geometry.newton_kkt`) starts at the cubic extrapolation of
+the last four states (:func:`extrapolated_start`) while the trajectory is
+smooth, and otherwise at x_k restored onto the new leaf.  Its point is kept
+if it passes the stop test, does not raise F above the restored warm start,
+and has a Lagrangian Hessian of F positive definite on ker J.  A rejected
+Newton point, such as a saddle of F, hands over to projected-gradient
+descent on F from the restored warm start, with Armijo backtracking and
+feasibility restoration, which goes on to a minimum.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InitializationError, StepSolveError
-from .geometry import (GeometryResult, geometry, kkt_residual,
+from .geometry import (GeometryResult, _norm, geometry, kkt_residual,
                        lagrangian_hessian, newton_kkt, positive_definite_on_kernel,
                        require_regular, trajectory_with_diagnostics)
 from .problem import ProblemDef, Trajectory, start_vector
@@ -42,6 +44,28 @@ _ARMIJO_C = 1e-4
 _ARMIJO_SHRINK = 0.5
 #: Relative floating point resolution assumed for values of F.
 _F_RESOLUTION = 4e-12
+#: Steps are extrapolated only while |second difference| <= this ratio times
+#: |first difference| of the last states.
+_SMOOTH_RATIO = 0.05
+
+
+def extrapolated_start(states: np.ndarray, k: int) -> Optional[np.ndarray]:
+    """Start for the solve of step k from the accepted ``states[:k]``, or None.
+
+    The cubic through the last four states, 4 y_{k-1} - 6 y_{k-2} + 4 y_{k-3}
+    - y_{k-4} (starting values from past steps, Hairer & Wanner II, Sec.
+    IV.8).  None before four states exist, or where the last steps are not
+    smooth, |y_{k-1} - 2 y_{k-2} + y_{k-3}| > :data:`_SMOOTH_RATIO`
+    |y_{k-1} - y_{k-2}|: on a coarse grid the extrapolation may then start the
+    solve near another root, so the caller keeps its own start.
+    """
+    if k < 4:
+        return None
+    y1, y2, y3, y4 = states[k - 1], states[k - 2], states[k - 3], states[k - 4]
+    d1 = y1 - y2
+    if _norm(d1 - (y2 - y3)) > _SMOOTH_RATIO * _norm(d1):
+        return None
+    return 4.0 * (y1 + y3) - 6.0 * y2 - y4
 
 
 def _restore_feasibility(p: ProblemDef, x: np.ndarray, d_target: np.ndarray,
@@ -92,11 +116,12 @@ class _Subproblem:
         return geom.projector @ g if self.p.m else g
 
 
-def _newton_point(sp: _Subproblem, x: np.ndarray, geom_prev: Optional[GeometryResult],
-                  max_iter: int):
-    """Safeguarded Newton-KKT from x: ``(found, iterations)``, found being
-    ``(y, geometry at y)``, or None when Newton fails or a safeguard rejects y."""
-    res = newton_kkt(sp.p, x, sp.t, prox=(sp.x_prev, sp.w), max_iter=max_iter,
+def _newton_point(sp: _Subproblem, x: np.ndarray, start: np.ndarray,
+                  geom_prev: Optional[GeometryResult], max_iter: int):
+    """Safeguarded Newton-KKT from ``start``: ``(found, iterations)``, found
+    being ``(y, geometry at y)``, or None when Newton fails or a safeguard
+    rejects y; the descent safeguard compares y with the feasible x."""
+    res = newton_kkt(sp.p, start, sp.t, prox=(sp.x_prev, sp.w), max_iter=max_iter,
                      tol=min(sp.stat_tol, sp.feas_tol), geom=geom_prev)
     if res.status != "converged":
         return None, res.iterations
@@ -161,7 +186,8 @@ def regularized_step(p: ProblemDef, x_prev: np.ndarray, t_next: float, dt: float
                      feas_tol: float = FEASIBILITY_TOL,
                      max_iter: int = _MAX_ITER, *,
                      return_geometry: bool = False,
-                     geom_prev: Optional[GeometryResult] = None
+                     geom_prev: Optional[GeometryResult] = None,
+                     start: Optional[np.ndarray] = None
                      ) -> np.ndarray | tuple[np.ndarray, GeometryResult]:
     """Solve one proximally regularized problem to a KKT point.
 
@@ -169,8 +195,10 @@ def regularized_step(p: ProblemDef, x_prev: np.ndarray, t_next: float, dt: float
     ``stat_tol`` and the constraint violation below ``feas_tol``; with
     ``return_geometry``, the pair ``(x, geometry(p, x))``, the geometry being
     the one the solver computed at x for its stopping test.  ``geom_prev`` is
-    the geometry at ``x_prev``, if known.  ``max_iter`` bounds the Newton and
-    projected-gradient iterations together.
+    the geometry at ``x_prev``, if known.  Newton starts at ``start`` when
+    given (such as :func:`extrapolated_start`), else at ``x_prev`` restored
+    onto the new leaf.  ``max_iter`` bounds the Newton and projected-gradient
+    iterations together.
 
     Raises
     ------
@@ -191,7 +219,8 @@ def regularized_step(p: ProblemDef, x_prev: np.ndarray, t_next: float, dt: float
                      stat_tol, feas_tol)
     theta_prev = None if geom_prev is None else geom_prev.theta
     x = _restore_feasibility(p, x_prev.copy(), sp.d, feas_tol, theta_prev)
-    found, used = _newton_point(sp, x, geom_prev, min(_NEWTON_MAX_ITER, max_iter))
+    found, used = _newton_point(sp, x, x if start is None else start, geom_prev,
+                                min(_NEWTON_MAX_ITER, max_iter))
     found = found or _projected_gradient(sp, x, max_iter - used)
     if found is None:
         raise StepSolveError(
@@ -217,7 +246,8 @@ def discrete_trajectory(p: ProblemDef, x0: np.ndarray, steps: int,
 
     ``x0`` must be a local solution of the problem at t = 0 (checked against
     :data:`INIT_TOL` unless ``check_x0`` is False, which drops the guarantee
-    that the trajectory approximates the tracking ODE).
+    that the trajectory approximates the tracking ODE).  Each step starts
+    Newton at :func:`extrapolated_start` of the states before it, if any.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
@@ -233,5 +263,6 @@ def discrete_trajectory(p: ProblemDef, x0: np.ndarray, steps: int,
     for k in range(1, steps + 1):
         states[k], geoms[k] = regularized_step(p, states[k - 1], times[k], dt,
                                                stat_tol, feas_tol, return_geometry=True,
-                                               geom_prev=geoms[k - 1])
+                                               geom_prev=geoms[k - 1],
+                                               start=extrapolated_start(states, k))
     return trajectory_with_diagnostics(p, times, states, geoms)

@@ -143,36 +143,43 @@ def constraint_hessians(p: ProblemDef, x: np.ndarray) -> np.ndarray:
     return _central_difference(p.jacobian, x)
 
 
-def weighted_constraint_hessian(p: ProblemDef, x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """sum_i w_i H_i(x) accumulated in index order (m > 0)."""
-    return np.add.reduce(w[:, None, None] * constraint_hessians(p, x), axis=0)
+def weighted_constraint_hessian(H: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_i w_i H_i accumulated in index order, for a stack H of H_i (m > 0)."""
+    return np.add.reduce(w[:, None, None] * H, axis=0)
 
 
 def lagrangian_hessian(p: ProblemDef, x: np.ndarray, t: float, mu: np.ndarray,
-                       w: float = 0.0) -> np.ndarray:
-    """hess f(x, t) + sum_i mu_i H_i(x) + w I, each term only where nonzero."""
+                       w: float = 0.0, H: Optional[np.ndarray] = None) -> np.ndarray:
+    """hess f(x, t) + sum_i mu_i H_i(x) + w I, each term only where nonzero.
+
+    ``H`` is the :func:`constraint_hessians` stack at x, if already fetched.
+    """
     M = objective_hessian(p, x, t)
     if p.m:
-        M = M + weighted_constraint_hessian(p, x, mu)
+        if H is None:
+            H = constraint_hessians(p, x)
+        M = M + weighted_constraint_hessian(H, mu)
     if w:
         M = M + w * np.eye(p.n)
     return M
 
 
 def data_jacobian(p: ProblemDef, x: np.ndarray, t: float,
-                  geom: GeometryResult) -> np.ndarray:
+                  geom: GeometryResult, H: Optional[np.ndarray] = None) -> np.ndarray:
     """K2 = d/dx [theta(x) d'(t)] = P (w . H) - theta N_v at any x, given its geometry.
 
     Here w = (J J^T)^(-1) d', v = theta d' and N_v has rows (H_i v)^T.
+    ``H`` is the :func:`constraint_hessians` stack at x, if already fetched.
     """
     dd = np.asarray(p.data_rate(t), dtype=float)
     if p.m == 0 or not np.any(dd):
         return np.zeros((p.n, p.n))
+    if H is None:
+        H = constraint_hessians(p, x)
     J = geom.jacobian
     w = np.linalg.solve(J @ J.T, dd)
     v = geom.theta @ dd
-    Mw = weighted_constraint_hessian(p, x, w)
-    return geom.projector @ Mw - geom.theta @ (constraint_hessians(p, x) @ v)
+    return geom.projector @ weighted_constraint_hessian(H, w) - geom.theta @ (H @ v)
 
 
 def field_jacobian(p: ProblemDef, x: np.ndarray, t: float) -> np.ndarray:
@@ -181,17 +188,18 @@ def field_jacobian(p: ProblemDef, x: np.ndarray, t: float) -> np.ndarray:
     It is -(P M - theta N_eta) / alpha + K2 (:func:`data_jacobian`), with
     M = hess f + mu . H for the least-squares multipliers mu and N_eta the
     rows (H_i eta)^T; at a KKT point eta = 0 leaves K1 + K2.  For m = 0 it
-    is -hess f / alpha.
+    is -hess f / alpha.  The constraint Hessians are fetched once.
     """
     x = np.asarray(x, dtype=float)
     if p.m == 0:
         return -objective_hessian(p, x, t) / p.alpha
     geom = geometry(p, x)
     grad = np.asarray(p.grad_objective(x, t), dtype=float)
-    M = lagrangian_hessian(p, x, t, -(geom.theta.T @ grad))
-    N_eta = constraint_hessians(p, x) @ (geom.projector @ grad)
+    H = constraint_hessians(p, x)
+    M = lagrangian_hessian(p, x, t, -(geom.theta.T @ grad), H=H)
+    N_eta = H @ (geom.projector @ grad)
     return (-(geom.projector @ M - geom.theta @ N_eta) / p.alpha
-            + data_jacobian(p, x, t, geom))
+            + data_jacobian(p, x, t, geom, H))
 
 
 def positive_definite_on_kernel(M: np.ndarray, J: np.ndarray) -> bool:

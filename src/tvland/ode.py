@@ -14,53 +14,60 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discrete import check_local_solution, discrete_trajectory
+from .discrete import check_local_solution, discrete_trajectory, extrapolated_start
 from .errors import ImplicitSolveError, StiffnessError, TvlandError
-from .geometry import _norm, field_jacobian, ode_rhs, trajectory_with_diagnostics
+from .geometry import (GeometryResult, _norm, field_jacobian, geometry, ode_rhs,
+                       trajectory_with_diagnostics)
 from .problem import ProblemDef, Trajectory, has_stacked_gradient, start_vector
 
 _BE_RESID_TOL = 1e-10
 _BE_MAX_NEWTON = 60
 #: A simplified-Newton iteration whose residual exceeds this fraction of the
-#: previous one marks the iteration matrix as stale.  The explicit predictor
-#: leaves a residual a few decades above the tolerance, so a weaker
-#: contraction costs more iterations than re-evaluating the matrix.
+#: previous one marks the iteration matrix as stale.  A start leaves a
+#: residual a few decades above the tolerance (the explicit predictor) or
+#: near it (an extrapolated start), so a weaker contraction costs more
+#: iterations than re-evaluating the matrix.
 _BE_CONTRACTION = 1e-3
 
 
 def _implicit_step(p: ProblemDef, y_prev: np.ndarray, t: float, dt: float,
-                   resid_tol: float,
-                   M_inv: np.ndarray | None) -> tuple[np.ndarray, np.ndarray | None]:
-    """Solve y = y_prev + dt * rhs(y, t) by simplified Newton: ``(y, M_inv)``.
+                   resid_tol: float, M_inv: np.ndarray | None,
+                   start: np.ndarray | None = None
+                   ) -> tuple[np.ndarray, np.ndarray | None, GeometryResult | None]:
+    """Solve y = y_prev + dt * rhs(y, t) by simplified Newton: ``(y, M_inv, geom)``.
 
-    From the explicit Euler predictor, iterate y <- y - M_inv r(y) on the
-    residual r(y) = y - y_prev - dt rhs(y, t), where ``M_inv`` is the inverse
-    of the exact dr/dy = I - dt J(y), J the field Jacobian
+    From ``start`` (default: the explicit Euler predictor, which costs one
+    field evaluation), iterate y <- y - M_inv r(y) on the residual
+    r(y) = y - y_prev - dt rhs(y, t), where ``M_inv`` is the inverse of the
+    exact dr/dy = I - dt J(y), J the field Jacobian
     (:func:`~tvland.geometry.field_jacobian`), possibly evaluated at an
     earlier step (None: not evaluated yet).  When an iteration fails to
     bring the residual below :data:`_BE_CONTRACTION` times the previous one,
     its iterate is kept only if the residual fell; the matrix is then
     re-evaluated at the current iterate and a Newton step, halved while the
-    residual grows, is taken.  Returns the solution and the inverse
-    iteration matrix for the next step.
+    residual grows, is taken.  Returns the solution, the inverse iteration
+    matrix for the next step and the :func:`~tvland.geometry.geometry` at
+    the solution that its last residual used (None for m = 0).
     """
 
     def resid(y):
-        return y - y_prev - dt * ode_rhs(p, y, t)
+        geom = geometry(p, y) if p.m else None
+        r = y - y_prev - dt * ode_rhs(p, y, t, geom)
+        return r, _norm(r), geom
 
-    y = y_prev + dt * ode_rhs(p, y_prev, t)  # explicit predictor
-    r = resid(y)
-    rnorm = _norm(r)
+    if start is None:
+        start = y_prev + dt * ode_rhs(p, y_prev, t)  # explicit predictor
+    y = start
+    r, rnorm, geom = resid(y)
     for _ in range(_BE_MAX_NEWTON):
         if rnorm <= resid_tol:
-            return y, M_inv
+            return y, M_inv, geom
         if M_inv is not None:
             y_new = y - M_inv @ r
-            r_new = resid(y_new)
-            rn = _norm(r_new)
+            r_new, rn, geom_new = resid(y_new)
             stale = rn > _BE_CONTRACTION * rnorm
             if rn < rnorm:
-                y, r, rnorm = y_new, r_new, rn
+                y, r, rnorm, geom = y_new, r_new, rn, geom_new
             if not stale or rnorm <= resid_tol:
                 continue
         try:
@@ -72,15 +79,14 @@ def _implicit_step(p: ProblemDef, y_prev: np.ndarray, t: float, dt: float,
         lam = 1.0
         for _ in range(40):
             y_new = y + lam * delta
-            r_new = resid(y_new)
-            rn = _norm(r_new)
+            r_new, rn, geom_new = resid(y_new)
             if rn < rnorm:
                 break
             lam *= 0.5
         else:
             raise ImplicitSolveError(
                 f"Newton damping stalled at t = {t:.6g}, residual {rnorm:.3e}")
-        y, r, rnorm = y_new, r_new, rn
+        y, r, rnorm, geom = y_new, r_new, rn, geom_new
     raise ImplicitSolveError(
         f"implicit step at t = {t:.6g} stopped at residual {rnorm:.3e}")
 
@@ -93,10 +99,14 @@ def backward_euler_trajectory(p: ProblemDef, x0: np.ndarray, dt: float,
     The grid is snapped to N = round(T / dt) even steps so the final point
     lands exactly on the horizon.  Each step solves the implicit equation
     y_k = y_{k-1} + dt rhs(y_k, t_k) to residual ``resid_tol`` by simplified
-    Newton (:func:`_implicit_step`): the iteration matrix, from the exact
-    Jacobian of the field, is inverted and reused across steps until an
-    iteration with it stops contracting the residual.  The matrix lives in
-    this call only, so every run of a trajectory is the same.
+    Newton (:func:`_implicit_step`), started at the cubic extrapolation of
+    the last four states while the trajectory is smooth
+    (:func:`~tvland.discrete.extrapolated_start`) and at the explicit Euler
+    predictor otherwise.  The iteration matrix, from the exact Jacobian of
+    the field, is inverted and reused across steps until an iteration with
+    it stops contracting the residual.  The matrix lives in this call only,
+    so every run of a trajectory is the same.  For m > 0 the diagnostics
+    reuse the geometry each step's last residual computed.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -108,11 +118,13 @@ def backward_euler_trajectory(p: ProblemDef, x0: np.ndarray, dt: float,
     times = np.linspace(0.0, p.horizon, n_steps + 1)
     states = np.empty((n_steps + 1, p.n))
     states[0] = x0
+    geoms = [None] * (n_steps + 1)
     M_inv = None
     for k in range(1, n_steps + 1):
-        states[k], M_inv = _implicit_step(p, states[k - 1], times[k], dte,
-                                          resid_tol, M_inv)
-    return trajectory_with_diagnostics(p, times, states)
+        states[k], M_inv, geoms[k] = _implicit_step(p, states[k - 1], times[k], dte,
+                                                    resid_tol, M_inv,
+                                                    extrapolated_start(states, k))
+    return trajectory_with_diagnostics(p, times, states, geoms if p.m else None)
 
 
 def solve_ivp(*args, **kwargs):

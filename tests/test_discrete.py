@@ -132,12 +132,16 @@ class TestDiscreteTrajectory:
         assert traj.feasibility.max() <= 1e-9
         assert np.all(traj.sigma_min >= 1.0 - 1e-9)
 
-    def test_reused_geometry_gives_fresh_diagnostics(self):
-        # the engine hands its last geometry of each step to the diagnostics;
+    @pytest.mark.parametrize("engine", ["discrete", "backward-euler"])
+    def test_reused_geometry_gives_fresh_diagnostics(self, engine):
+        # each engine hands its last geometry of each step to the diagnostics;
         # they must equal diagnostics computed from scratch at the states
         p = tv.make_matrix_recovery(True, alpha=0.5)
         x0 = tv.matrix_recovery_state(p, tv.problem.THE_SPURIOUS_FACTOR, 0.0)
-        traj = tv.discrete_trajectory(p, x0, 200)
+        if engine == "discrete":
+            traj = tv.discrete_trajectory(p, x0, 200)
+        else:
+            traj = tv.backward_euler_trajectory(p, x0, p.horizon / 200)
         fresh = tv.trajectory_with_diagnostics(p, traj.times, traj.states)
         for name in ("kkt_stationarity", "feasibility", "sigma_min", "step_norm"):
             assert np.array_equal(getattr(traj, name), getattr(fresh, name)), name
@@ -194,6 +198,24 @@ class TestNewtonEngine:
         forced = tv.discrete_trajectory(p, x0, 2000)
         assert len(fallbacks) == 2000
         assert np.abs(newton.states - forced.states).max() <= 1e-8
+
+    def test_kkt_evaluations_per_step(self, monkeypatch):
+        # the track-matrec run: Newton from the extrapolated start needs one
+        # step, two KKT residual evaluations, where the restored warm start
+        # needed about three
+        p, x0 = spurious_matrec(0.5)
+        iterations = []
+        newton_kkt = tv.discrete.newton_kkt
+
+        def counted(*args, **kwargs):
+            res = newton_kkt(*args, **kwargs)
+            iterations.append(res.iterations)
+            return res
+
+        monkeypatch.setattr(tv.discrete, "newton_kkt", counted)
+        tv.discrete_trajectory(p, x0, 2000)
+        assert len(iterations) == 2000
+        assert sum(iterations) <= 2.5 * 2000
 
     @pytest.mark.parametrize("alpha", [0.05, 0.1, 0.2, 0.5, 1.0])
     def test_matches_projected_gradient_across_alpha(self, alpha, monkeypatch):

@@ -5,7 +5,7 @@ from scipy.integrate import solve_ivp
 import tvland as tv
 import tvland.ode as ode_module
 from conftest import linear_constraint_problem
-from test_discrete import scalar_quadratic
+from test_discrete import scalar_quadratic, spurious_matrec
 
 
 class TestBackwardEuler:
@@ -87,12 +87,12 @@ class TestBackwardEuler:
             return jac(*args, **kwargs)
 
         monkeypatch.setattr(ode_module, "field_jacobian", counted_jac)
-        y, M_inv = ode_module._implicit_step(p, x0, t, dt, 1e-10, M_stale)
+        y, M_inv, _ = ode_module._implicit_step(p, x0, t, dt, 1e-10, M_stale)
         assert refreshes
         assert not np.array_equal(M_inv, M_stale)
         resid = y - x0 - dt * tv.ode_rhs(p, y, t)
         assert np.linalg.norm(resid) <= 1e-10
-        y_fresh, _ = ode_module._implicit_step(p, x0, t, dt, 1e-10, None)
+        y_fresh, _, _ = ode_module._implicit_step(p, x0, t, dt, 1e-10, None)
         assert np.linalg.norm(y - y_fresh) <= 1e-9
 
     def test_reruns_are_bit_identical(self):
@@ -102,11 +102,82 @@ class TestBackwardEuler:
         assert np.array_equal(a.states, b.states)
         assert np.array_equal(a.kkt_stationarity, b.kkt_stationarity)
 
+    @pytest.mark.parametrize("case", ["matrec", "example1"])
+    def test_field_evaluations_per_step(self, case, monkeypatch):
+        # from the extrapolated start most steps take one or two field
+        # evaluations; the explicit predictor needed about four
+        if case == "matrec":
+            p, x0 = _matrec_spurious()
+            dt = p.horizon / 2000
+        else:
+            p, _ = tv.make_example1(10.0, alpha=0.4)
+            x0, dt = np.array([-2.0]), 1e-3
+        calls = []
+        rhs = ode_module.ode_rhs
+
+        def counted_rhs(*args, **kwargs):
+            calls.append(1)
+            return rhs(*args, **kwargs)
+
+        monkeypatch.setattr(ode_module, "ode_rhs", counted_rhs)
+        traj = tv.backward_euler_trajectory(p, x0, dt)
+        assert len(calls) <= 2.5 * (len(traj) - 1)
+
 
 def _matrec_spurious():
     """Matrix recovery (alpha 0.5) from the lifted spurious factor at t = 0."""
     p = tv.make_matrix_recovery(True, alpha=0.5)
     return p, tv.matrix_recovery_state(p, tv.problem.THE_SPURIOUS_FACTOR, 0.0)
+
+
+class TestExtrapolatedStart:
+    def test_exact_on_cubics(self):
+        s = 0.01 * np.arange(6.0)
+        states = np.stack([s ** 3 - 2.0 * s, 0.5 * s ** 2 + 1.0], axis=1)
+        for i in range(4, 6):
+            assert np.allclose(tv.discrete.extrapolated_start(states, i), states[i])
+
+    def test_needs_four_smooth_states(self):
+        smooth = np.linspace(0.0, 1.0, 5)[:, None]
+        assert tv.discrete.extrapolated_start(smooth, 3) is None
+        kinked = smooth.copy()
+        kinked[3] += 0.1  # second difference 0.1 against a step of 0.35
+        assert tv.discrete.extrapolated_start(kinked, 4) is None
+
+    @pytest.mark.parametrize("engine", ["discrete", "backward-euler"])
+    @pytest.mark.parametrize("scenario", ["ex1-0.4-10", "ex1-0.2-5", "ex1-0.05-10",
+                                          "ex1-1-3", "matrec-0.05", "matrec-0.5",
+                                          "matrec-1"])
+    def test_coarse_grids_reach_the_same_roots(self, engine, scenario, monkeypatch):
+        # coarse steps are not smooth, so the guard keeps each engine's own
+        # start there and the steps reach the roots they reach without
+        # extrapolation
+        name, *params = scenario.split("-")
+        if name == "ex1":
+            alpha, beta = map(float, params)
+            p, _ = tv.make_example1(beta, alpha=alpha)
+            x0, grids = np.array([-2.0]), (10, 20, 50)
+        else:
+            p, x0 = spurious_matrec(float(params[0]))
+            grids = (20, 50)
+
+        def run(n_steps):
+            if engine == "discrete":
+                return tv.discrete_trajectory(p, x0, n_steps).states
+            return tv.backward_euler_trajectory(p, x0, p.horizon / n_steps).states
+
+        forced = {}
+        with monkeypatch.context() as m:
+            m.setattr(tv.discrete, "extrapolated_start", lambda states, k: None)
+            m.setattr(ode_module, "extrapolated_start", lambda states, k: None)
+            for n in grids:
+                try:
+                    forced[n] = run(n)
+                except tv.TvlandError:
+                    pass  # no root reached without extrapolation: nothing to match
+        assert forced
+        for n, states in forced.items():
+            assert np.abs(run(n) - states).max() <= 1e-6, n
 
 
 class TestReferenceIntegrator:

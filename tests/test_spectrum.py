@@ -98,6 +98,21 @@ class TestFieldJacobian:
             got = tv.geometry.field_jacobian(matrec, z, float(t))
             assert np.abs(K1 + K2 - got).max() <= 1e-9
 
+    def test_differences_the_jacobian_once(self, matrec):
+        # without constraint Hessians the stack is differenced from 2n
+        # Jacobians once, on top of the one the geometry takes: 1 + 12
+        calls = []
+
+        def counted_jacobian(x):
+            calls.append(1)
+            return matrec.jacobian(x)
+
+        p = matrec.replace(constraint_hessians=None, jacobian=counted_jacobian)
+        x = np.linspace(-1.0, 1.0, p.n)
+        got = tv.geometry.field_jacobian(p, x, 0.7)
+        assert len(calls) == 1 + 2 * p.n
+        assert np.abs(got - tv.geometry.field_jacobian(matrec, x, 0.7)).max() <= 1e-6
+
 
 class TestVariantJacobian:
     def test_zero_data_rate_gives_zero_k2(self, matrec):
