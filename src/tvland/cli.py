@@ -171,8 +171,19 @@ class _Scenario:
 
 
 def _line_form(sf: Scalar1DFunction):
-    """A scalar landscape and its gradient as functions of y in R^1."""
-    return (lambda y: sf.g(y[0])), (lambda y: np.array([sf.dg(y[0])]))
+    """A scalar landscape and its gradient as functions of y in R^1.
+
+    The gradient is marked array-safe when ``sf.dg`` is; it then also takes
+    a stack of points of shape (L, 1).
+    """
+    def grad(y):
+        if getattr(y, "ndim", 1) == 2:  # a stack of points
+            return sf.dg(y)
+        return np.array([sf.dg(y[0])])
+
+    if _problem._is_stackable(sf.dg):
+        _problem._stackable(grad)
+    return (lambda y: sf.g(y[0])), grad
 
 
 def _beta_box(prm: dict) -> tuple[float, float]:
@@ -278,12 +289,11 @@ def _write_trajectory_csv(traj: Trajectory, out) -> None:
     n = traj.states.shape[1]
     header = (["t"] + [f"x{i}" for i in range(n)]
               + ["kkt_stationarity", "feasibility", "sigma_min", "step_norm"])
-    rows = []
-    for k in range(len(traj)):
-        rows.append([float(traj.times[k]), *map(float, traj.states[k]),
-                     float(traj.kkt_stationarity[k]), float(traj.feasibility[k]),
-                     float(traj.sigma_min[k]), float(traj.step_norm[k])])
-    _write_rows(out, header, rows)
+    table = np.column_stack([traj.times, traj.states, traj.kkt_stationarity,
+                             traj.feasibility, traj.sigma_min, traj.step_norm])
+    row = ",".join(["%.17g"] * len(header))  # the digits of _fmt
+    _write("\n".join([",".join(header), *(row % tuple(r) for r in table.tolist())]) + "\n",
+           out)
 
 
 def _emit_json(payload: dict, out) -> None:
@@ -450,7 +460,9 @@ def _cmd_sweep(opt: _Options) -> int:
     }
     if values["mode"] not in ("prop1", "sim", "both"):
         raise UsageError(f"unknown sweep mode {values['mode']!r}")
-    workers = int(os.environ.get("TVL_THREADS", "0")) or (os.cpu_count() or 1)
+    # one worker unless asked: the interpreter lock runs one cell at a time,
+    # and a second worker only adds switching
+    workers = int(os.environ.get("TVL_THREADS", "0")) or 1
     rows: list = [None] * len(cells)
     if cells:
         with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import RootBracketError
-from .problem import Scalar1DFunction
+from .problem import Scalar1DFunction, _is_stackable, _stackable
 
 _DENSE_SAMPLES = 10_000
 #: Absolute tolerance in y of the bounded Brent search and of bisection.
@@ -188,10 +188,22 @@ def _bisect(f, a: float, b: float) -> float:
     raise RuntimeError("Failed to converge after 100 iterations.")
 
 
+def _grid_values(fn, ys: np.ndarray) -> np.ndarray:
+    """``fn`` at every point of the 1-D grid ``ys``.
+
+    One call on the whole grid when ``fn`` is marked array-safe
+    (:func:`~tvland.problem._stackable`), one call per point otherwise; the
+    mark promises the same bits either way.
+    """
+    if _is_stackable(fn):
+        return np.asarray(fn(ys), dtype=float)
+    return np.array([fn(y) for y in ys])
+
+
 def _line_max(fn, lo: float, hi: float, samples: int = _DENSE_SAMPLES) -> float:
     """max of fn on [lo, hi] by dense sampling plus bounded Brent refinement."""
     ys = np.linspace(lo, hi, samples)
-    vals = np.array([fn(y) for y in ys])
+    vals = _grid_values(fn, ys)
     i = int(np.argmax(vals))
     refined = _fminbound(lambda y: -fn(y), ys[max(0, i - 2)], ys[min(samples - 1, i + 2)])
     return max(float(vals[i]), float(-refined))
@@ -222,7 +234,7 @@ def _barrier_right(sf: Scalar1DFunction, level: float) -> float:
     first.
     """
     zz = np.linspace(sf.y1, sf.y3, 2 * _DENSE_SAMPLES + 1)
-    vals = np.array([sf.dg(z) for z in zz]) - level
+    vals = _grid_values(sf.dg, zz) - level
     zero = vals == 0.0
     cross = np.sign(vals[:-1]) * np.sign(vals[1:]) < 0
     hits = np.flatnonzero(zero | np.append(cross, False))
@@ -362,10 +374,11 @@ def thm3_check(g, grad_g, minima, R: float, alpha: float, beta: float,
 
     and the necessary condition alpha beta sqrt(omega^2 + lam^2) >= -C2.
     The one-dimensional case is handled exactly (two directions, dense line
-    search); higher dimensions use quasi-random sampling with local
-    refinement.  The refined iterate is projected onto the ball (or the
-    unit sphere) and used whatever the optimizer's status; it can only
-    improve on the sampled extremum.
+    search, one call of ``grad_g`` on the stack (L, 1) of all line points
+    when ``grad_g`` is marked array-safe); higher dimensions use
+    quasi-random sampling with local refinement.  The refined iterate is
+    projected onto the ball (or the unit sphere) and used whatever the
+    optimizer's status; it can only improve on the sampled extremum.
     """
     if not 0 < R < math.inf:
         raise ValueError(f"R must be positive and finite, got {R}")
@@ -380,12 +393,21 @@ def thm3_check(g, grad_g, minima, R: float, alpha: float, beta: float,
     C2 = np.inf
     if n == 1:
         def slope(z):
+            """g' at the point z, or along the 1-D array z (marked grad_g only)."""
+            if np.ndim(z):
+                return np.asarray(grad_g(z[:, None]), dtype=float)[:, 0]
             return float(np.atleast_1d(grad_g(np.array([z])))[0])
 
+        def squared_slope(z):
+            s = slope(z)
+            return s * s
+
+        if _is_stackable(grad_g):
+            _stackable(squared_slope)
         for y in minima:
             y0 = float(y[0])
             # sqrt(s * s) == |s| in binary64, so the squared slope gives |g'|
-            C1 = max(C1, math.sqrt(_line_max(lambda z: slope(z) ** 2, y0 - R, y0 + R)))
+            C1 = max(C1, math.sqrt(_line_max(squared_slope, y0 - R, y0 + R)))
             C2 = min(C2, -slope(y0 + R), slope(y0 - R))
     else:
         for k, y in enumerate(minima):

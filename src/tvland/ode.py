@@ -168,37 +168,133 @@ def integrate_reference(p: ProblemDef, x0: np.ndarray, rel_tol: float = 1e-9,
     return trajectory_with_diagnostics(p, times, states)
 
 
-def _polish_limit(p: ProblemDef, y0: np.ndarray, t: float, tol: float) -> np.ndarray | None:
-    """The sink of the time-t field that Newton finds near a slow flow point, or None.
+def _lanewise(fn, *stacks):
+    """``fn`` of stacks of lanes, in one call, or lane by lane when that raises.
 
-    Accepts only when Newton converges within 0.05 (1 + |y0|) of ``y0`` and
-    the field Jacobian (:func:`~tvland.geometry.field_jacobian`) at the
-    solution has no eigenvalue with positive real part (a saddle or source
+    Returns the stacked result, or, when the stacked call raises, a list
+    holding each lane's row or the exception its own call raised (each
+    stack sliced to that lane), so that an exception stays with the lane it
+    came from.  numpy's stacked linear algebra works matrix by matrix, so
+    both ways give the same bits.
+    """
+    try:
+        return fn(*stacks)
+    except _LANE_FAILURES:
+        pass
+    rows = []
+    for k in range(len(stacks[0])):
+        try:
+            rows.append(fn(*(a[k:k + 1] for a in stacks))[0])
+        except _LANE_FAILURES as exc:
+            rows.append(exc)
+    return rows
+
+
+def _unstable(J: np.ndarray) -> np.ndarray:
+    """Whether each Jacobian of the stack has an eigenvalue with real part
+    above 1e-6 max(1, |J|_2)."""
+    lam_max = np.linalg.eigvals(J).real.max(axis=1)
+    scale = np.maximum(1.0, np.linalg.svd(J, compute_uv=False)[:, 0])  # |J|_2
+    return lam_max > 1e-6 * scale
+
+
+def _min_norm_steps(J: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """Minimum-norm least-squares solutions of J d = -r, lane by lane (rcond 1e-6)."""
+    return -(np.linalg.pinv(J, rcond=1e-6) @ R[:, :, None])[:, :, 0]
+
+
+def _settle(found: list, ended: dict, lane: np.ndarray, *rows) -> list:
+    """Enter each ended row's entry under its lane in ``found``; drop those rows.
+
+    ``ended`` maps rows to entries and is emptied.  Returns ``lane`` and
+    each array of ``rows`` without the ended rows.
+    """
+    keep = np.ones(len(lane), dtype=bool)
+    for i, entry in ended.items():
+        found[lane[i]] = entry
+        keep[i] = False
+    ended.clear()
+    return [a[keep] for a in (lane, *rows)]
+
+
+def _polish_limits(p: ProblemDef, Y0: np.ndarray, times, tol: float) -> list:
+    """The sinks of the frozen fields that Newton finds near slow flow points.
+
+    Lane k starts at row ``Y0[k]`` with the field frozen at ``times[k]``.
+    Returns one entry per lane: the sink, None when Newton finds none, or
+    the exception that failed the lane.  A lane accepts only when Newton
+    converges (|field| <= 1e-3 tol) within 0.05 (1 + |Y0[k]|) of its start
+    in 30 iterations and the field Jacobian
+    (:func:`~tvland.geometry.field_jacobian`) at the solution has no
+    eigenvalue with real part above 1e-6 max(1, |J|_2) (a saddle or source
     is not the flow limit of a generic start).  Steps are minimum-norm
     least-squares solutions: a constrained frozen field is neutral along the
     m leaf normals, where its Jacobian is singular up to rounding, so a plain
-    solve would move the limit along them by that rounding.
+    solve would move the limit along them by that rounding.  A step whose
+    solve raises LinAlgError finds no sink.
+
+    The lanes advance together: fields are evaluated as the flow evaluates
+    them (:func:`_field_rows`), Jacobians one lane at a time, and the steps
+    and sink checks as stacked linear algebra (:func:`_lanewise`), so a lane
+    gives the same bits alone as in any batch.
     """
-    radius = 0.05 * (1.0 + np.linalg.norm(y0))
-    y = y0.copy()
-    r = ode_rhs(p, y, t)
+    found: list = [None] * len(Y0)
+    lane = np.arange(len(Y0))  # the lane of each row still iterating
+    start, T = Y0, np.asarray(times, dtype=float)
+    radius = 0.05 * (1.0 + np.linalg.norm(start, axis=1))
+    stacked = has_stacked_gradient(p)
+    Y = start.copy()
+    R, ended = _field_rows(p, Y, T, stacked)  # row -> the entry of its lane
     for _ in range(30):
-        Jr = field_jacobian(p, y, t)
-        if np.linalg.norm(r) <= 1e-3 * tol:
-            lam_max = float(np.max(np.linalg.eigvals(Jr).real))
-            scale = max(1.0, float(np.linalg.norm(Jr, 2)))
-            if lam_max > 1e-6 * scale:
-                return None
-            return y
-        try:
-            delta = np.linalg.lstsq(Jr, -r, rcond=1e-6)[0]
-        except np.linalg.LinAlgError:
-            return None
-        y = y + delta
-        if np.linalg.norm(y - y0) > radius:
-            return None
-        r = ode_rhs(p, y, t)
-    return None
+        J = np.empty((len(Y), Y.shape[1], Y.shape[1]))
+        for i, t in enumerate(T.tolist()):
+            if i not in ended:
+                try:
+                    J[i] = field_jacobian(p, Y[i], t)
+                except _LANE_FAILURES as exc:
+                    ended[i] = exc
+        done = np.linalg.norm(R, axis=1) <= 1e-3 * tol
+        done[list(ended)] = False
+        if done.any():
+            for i, unstable in zip(np.flatnonzero(done), _lanewise(_unstable, J[done])):
+                if isinstance(unstable, Exception):
+                    ended[i] = unstable
+                else:
+                    ended[i] = None if unstable else Y[i]
+        if ended:
+            lane, start, Y, T, radius, R, J = _settle(found, ended, lane, start, Y, T,
+                                                      radius, R, J)
+        if not len(Y):
+            break
+        steps = _lanewise(_min_norm_steps, J, R)
+        if isinstance(steps, list):  # some lane's solve raised
+            for i, step in enumerate(steps):
+                if isinstance(step, Exception):
+                    ended[i] = None if isinstance(step, np.linalg.LinAlgError) else step
+                else:
+                    Y[i] += step
+        else:
+            Y += steps
+        for i in np.flatnonzero(np.linalg.norm(Y - start, axis=1) > radius):
+            ended.setdefault(i, None)
+        if ended:
+            lane, start, Y, T, radius = _settle(found, ended, lane, start, Y, T, radius)
+        if not len(Y):
+            break
+        R, ended = _field_rows(p, Y, T, stacked)
+    return found
+
+
+def _polish_limit(p: ProblemDef, y0: np.ndarray, t: float, tol: float) -> np.ndarray | None:
+    """The sink of the time-t field that Newton finds near a slow flow point, or None.
+
+    The one-lane case of :func:`_polish_limits`, which gives the rules; the
+    lane's exception is raised.
+    """
+    found = _polish_limits(p, np.asarray(y0, dtype=float)[None], [t], tol)[0]
+    if isinstance(found, Exception):
+        raise found
+    return found
 
 
 def _switch_speed(tol: float) -> float:
@@ -261,6 +357,32 @@ def _rms(a: np.ndarray) -> np.ndarray:
     return np.linalg.norm(a, axis=1) / a.shape[1] ** 0.5
 
 
+def _field_rows(p: ProblemDef, Y: np.ndarray, T: np.ndarray,
+                stacked: bool) -> tuple[np.ndarray, dict]:
+    """Frozen-field rows at the states ``Y`` (L, n), row k at time ``T[k]``.
+
+    One gradient call on the whole stack when ``stacked``
+    (:func:`~tvland.problem.has_stacked_gradient`); a stacked call that
+    raises is repeated row by row, so that only a raising row fails, and an
+    unstacked problem is evaluated row by row.  Both ways give the same
+    bits.  Returns ``(F, failed)``; ``failed`` maps each row whose
+    evaluation raised to its exception, and its row of F is NaN.
+    """
+    if stacked and len(Y):
+        try:
+            return -np.asarray(p.grad_objective(Y, T[:, None]), dtype=float) / p.alpha, {}
+        except _LANE_FAILURES:
+            pass  # repeat row by row, so that only a raising row fails
+    F = np.full(Y.shape, np.nan)
+    failed = {}
+    for k, t in enumerate(T.tolist()):
+        try:
+            F[k] = ode_rhs(p, Y[k], t)
+        except _LANE_FAILURES as exc:
+            failed[k] = exc
+    return F, failed
+
+
 def frozen_time_flows(p: ProblemDef, X: np.ndarray, times,
                       s_max: float | None = None, tol: float = _FLOW_TOL,
                       lane_errors: tuple = ()) -> tuple[np.ndarray, np.ndarray]:
@@ -304,9 +426,7 @@ def frozen_time_flows(p: ProblemDef, X: np.ndarray, times,
     if X.ndim != 2 or X.shape[1] != n:
         raise ValueError(f"X must have shape (lanes, {n}), got {X.shape}")
     times = np.broadcast_to(np.asarray(times, dtype=float), (len(X),))
-    lane_time = times.tolist()
     stacked = has_stacked_gradient(p)
-    lane_times = times[:, None]
     A, B, E = _DP_A, _DP_B, _DP_E
     limits = np.full(X.shape, np.nan)
     converged = np.zeros(len(X), dtype=bool)
@@ -314,23 +434,19 @@ def frozen_time_flows(p: ProblemDef, X: np.ndarray, times,
 
     def field_values(lanes, Y, ok):
         """Field rows of ``lanes`` at ``Y``; clears ``ok`` where a lane fails."""
-        F = np.zeros_like(Y)
-        ok &= np.isfinite(Y).all(axis=1)
-        live = np.flatnonzero(ok)
-        if stacked and live.size:
-            try:
-                G = p.grad_objective(Y[live], lane_times[lanes[live]])
-            except _LANE_FAILURES:
-                pass  # repeat lane by lane, so that only a raising lane fails
-            else:
-                F[live] = -np.asarray(G, dtype=float) / p.alpha
-                live = ()
-        for k in live:
-            try:
-                F[k] = ode_rhs(p, Y[k], lane_time[lanes[k]])
-            except _LANE_FAILURES as exc:
-                errors[lanes[k]] = exc
-                ok[k] = False
+        if ok.all() and np.isfinite(Y).all():
+            F, failed = _field_rows(p, Y, times[lanes], stacked)
+            if not failed and np.isfinite(F).all():
+                return F  # every lane live and finite: no masked writes
+            live = np.arange(len(Y))
+        else:
+            ok &= np.isfinite(Y).all(axis=1)
+            live = np.flatnonzero(ok)
+            F = np.zeros_like(Y)
+            F[live], failed = _field_rows(p, Y[live], times[lanes[live]], stacked)
+        for i, exc in failed.items():
+            errors[lanes[live[i]]] = exc
+            ok[live[i]] = False
         bad = ~np.isfinite(F).all(axis=1)
         F[bad] = 0.0
         ok &= ~bad
@@ -387,11 +503,11 @@ def frozen_time_flows(p: ProblemDef, X: np.ndarray, times,
         speed = np.linalg.norm(f, axis=1)
         settled = np.zeros(len(lanes), dtype=bool)
         stalled = ok & (s >= s_max)
-        for k in np.flatnonzero(accept & (speed <= switch)):
-            try:
-                limit = _polish_limit(p, y[k], lane_time[lanes[k]], tol)
-            except _LANE_FAILURES as exc:
-                errors[lanes[k]] = exc
+        polish = np.flatnonzero(accept & (speed <= switch))
+        found = _polish_limits(p, y[polish], times[lanes[polish]], tol) if polish.size else []
+        for k, limit in zip(polish, found):
+            if isinstance(limit, Exception):
+                errors[lanes[k]] = limit
                 ok[k] = False
                 continue
             if limit is None and speed[k] > tol:

@@ -186,6 +186,38 @@ class Scalar1DFunction:
         return self.stationary_points[2]
 
 
+#: Attribute marking a callable that also accepts a stack of points.
+_STACKABLE = "_tvland_stackable"
+
+
+def _stackable(fn):
+    """Mark ``fn`` as array-safe.
+
+    A marked gradient takes either one point (``x`` of shape (n,), scalar
+    ``t``) or a stack (``x`` of shape (L, n), ``t`` of shape (L, 1)) and
+    returns an array shaped like ``x``, each row bit for bit the per-point
+    result.  A marked derivative ``dg`` of a :class:`Scalar1DFunction`
+    takes a float or an array of floats and returns, entry by entry, bit for
+    bit its value at each float.  The mark lives on the callable, so
+    ``ProblemDef.replace`` with another gradient drops it.
+    """
+    setattr(fn, _STACKABLE, True)
+    return fn
+
+
+def _is_stackable(fn) -> bool:
+    """Whether ``fn`` carries the array-safe mark of :func:`_stackable`."""
+    return getattr(fn, _STACKABLE, False)
+
+
+def has_stacked_gradient(p: "ProblemDef") -> bool:
+    """Whether the frozen-time field of ``p`` can be evaluated on stacks.
+
+    True for unconstrained problems whose gradient is marked array-safe.
+    """
+    return p.m == 0 and _is_stackable(p.grad_objective)
+
+
 # ---------------------------------------------------------------------------
 # Scenario: oscillating quartic (one-dimensional, unconstrained)
 # ---------------------------------------------------------------------------
@@ -194,6 +226,7 @@ def _quartic(y):
     return 0.25 * y**4 + 0.125 * y**3 - 2.0 * y**2 - 1.5 * y + 8.0
 
 
+@_stackable
 def _quartic_d1(y):
     # products, not powers: numpy's array ``power`` rounds y**3 differently
     # from scalar ``pow`` for a few percent of inputs, while products round
@@ -206,37 +239,13 @@ def _quartic_d2(y):
 
 
 #: The quartic with its stationary points: spurious minimum -2, maximum -3/8,
-#: global minimum 2.
+#: global minimum 2.  Its ``dg`` is marked array-safe.
 QUARTIC = Scalar1DFunction(g=_quartic, dg=_quartic_d1, d2g=_quartic_d2,
                            stationary_points=(-2.0, -0.375, 2.0))
 
 
 _EMPTY = np.zeros(0)
 _EMPTY_JAC1 = np.zeros((0, 1))
-
-#: Attribute marking a gradient that also accepts a stack of points.
-_STACKABLE = "_tvland_stackable"
-
-
-def _stackable(grad):
-    """Mark ``grad`` as array-safe.
-
-    A marked gradient takes either one point (``x`` of shape (n,), scalar
-    ``t``) or a stack (``x`` of shape (L, n), ``t`` of shape (L, 1)) and
-    returns an array shaped like ``x``, each row bit for bit the per-point
-    result.  The mark lives on the callable, so ``ProblemDef.replace`` with
-    another gradient drops it.
-    """
-    setattr(grad, _STACKABLE, True)
-    return grad
-
-
-def has_stacked_gradient(p: "ProblemDef") -> bool:
-    """Whether the frozen-time field of ``p`` can be evaluated on stacks.
-
-    True for unconstrained problems whose gradient is marked array-safe.
-    """
-    return p.m == 0 and getattr(p.grad_objective, _STACKABLE, False)
 
 
 def make_example1(beta: float, alpha: float = 1.0) -> tuple[ProblemDef, Scalar1DFunction]:

@@ -62,6 +62,26 @@ class TestSimulate:
         assert float(rows[0][1]) == -2.0
         assert float(rows[-1][0]) == pytest.approx(2 * np.pi)
 
+    def test_trajectory_values_in_fmt_digits(self, tmp_path):
+        # every value as _fmt prints it: 17 significant digits, inf and nan
+        from tvland.problem import Trajectory
+
+        rng = np.random.default_rng(3)
+        states = rng.standard_normal((5, 2)) * 10.0 ** rng.integers(-300, 300, (5, 2))
+        states[1] = [-0.0, 5e-324]
+        traj = Trajectory(times=[0.0, 0.1, 1 / 3, 2.0, 1e3], states=states,
+                          kkt_stationarity=[0.0, 1e-17, np.nan, 2.5, 1.0],
+                          feasibility=np.zeros(5), sigma_min=np.full(5, np.inf),
+                          step_norm=[0.0, -np.inf, 0.1, 0.2, 0.3])
+        out = tmp_path / "traj.csv"
+        cli._write_trajectory_csv(traj, str(out))
+        want = ["t,x0,x1,kkt_stationarity,feasibility,sigma_min,step_norm"]
+        for k in range(5):
+            values = [traj.times[k], *traj.states[k], traj.kkt_stationarity[k],
+                      traj.feasibility[k], traj.sigma_min[k], traj.step_norm[k]]
+            want.append(",".join(cli._fmt(v) for v in values))
+        assert out.read_text() == "\n".join(want) + "\n"
+
     def test_multidimensional_header(self, tmp_path):
         out = tmp_path / "traj.csv"
         x0 = ",".join(map(str, [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]))
@@ -341,6 +361,25 @@ class TestSweep:
         table = {(float(r[0]), float(r[1])): (r[2], r[3]) for r in rows}
         assert table[(0.4, 10.0)] == ("true", "non-spurious")
         assert table[(0.2, 5.0)] == ("false", "spurious")
+
+    def test_one_worker_by_default(self, tmp_path, monkeypatch):
+        # the interpreter lock runs one cell at a time: without TVL_THREADS
+        # the pool has one worker, whatever the machine's CPU count
+        monkeypatch.delenv("TVL_THREADS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        sizes = []
+        pool = cli.ThreadPoolExecutor
+
+        def recorded(max_workers):
+            sizes.append(max_workers)
+            return pool(max_workers=max_workers)
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", recorded)
+        code = run(["sweep", "--scenario", "example1", "--alpha-grid", "0.2,0.4",
+                    "--beta-grid", "5,10", "--mode", "prop1",
+                    "--out", str(tmp_path / "sweep.csv")])
+        assert code == 0
+        assert sizes == [1]
 
     def test_bytes_independent_of_worker_count(self, tmp_path, monkeypatch):
         outs = []

@@ -279,6 +279,90 @@ class TestThm3:
                           0.4, 10.0, 1.0, 0.0)
 
 
+def _counted(fn, calls):
+    """``fn`` with each call appended to ``calls``, carrying ``fn``'s mark."""
+    from tvland.problem import _is_stackable, _stackable
+
+    def wrapped(y):
+        calls.append(np.shape(y))
+        return fn(y)
+
+    return _stackable(wrapped) if _is_stackable(fn) else wrapped
+
+
+def _unmarked(sf):
+    """``sf`` with a dg that is the same function without the array-safe mark."""
+    return tv.Scalar1DFunction(g=sf.g, dg=lambda y: sf.dg(y), d2g=sf.d2g,
+                               stationary_points=sf.stationary_points)
+
+
+def _grid_root_cubic():
+    """g' = y^3 - y in products, marked array-safe, with g'(0.3) on the barrier grid."""
+    from tvland.problem import _stackable
+
+    return tv.Scalar1DFunction(g=lambda y: 0.25 * y**4 - 0.5 * y**2,
+                               dg=_stackable(lambda y: y * y * y - y),
+                               d2g=lambda y: 3.0 * y**2 - 1.0,
+                               stationary_points=(-1.0, 0.0, 1.0))
+
+
+class TestStackedGrids:
+    """A marked landscape is evaluated on whole grids, with the loop's bits."""
+
+    CASES = [(QUARTIC, 0.4, 10.0), (QUARTIC, 0.2, 5.0)]
+
+    def test_quartic_slope_is_marked(self):
+        from tvland import cli
+        from tvland.problem import _is_stackable
+
+        assert _is_stackable(QUARTIC.dg)
+        assert _is_stackable(cli._line_form(QUARTIC)[1])
+        assert not _is_stackable(_unmarked(QUARTIC).dg)
+
+    @pytest.mark.parametrize("case", range(3))
+    def test_prop1_reports_equal(self, case):
+        if case < 2:
+            sf, alpha, beta = self.CASES[case]
+        else:  # the level that puts m2 on a grid point
+            sf = _grid_root_cubic()
+            on_grid = np.linspace(sf.y1, sf.y3, 20_001)[13_000]
+            alpha, beta = -sf.dg(on_grid), 1.0
+        marked = tv.prop1_check(sf, alpha, beta)
+        assert marked == tv.prop1_check(_unmarked(sf), alpha, beta)
+        if case == 2:
+            assert marked.m2 == on_grid
+
+    @pytest.mark.parametrize("case", range(3))
+    def test_thm3_reports_equal(self, case):
+        from tvland import cli
+
+        sf, alpha, beta = self.CASES[case] if case < 2 else (_grid_root_cubic(), 0.3, 1.0)
+        g, grad = cli._line_form(sf)
+        args = ([np.array([sf.y1])], 0.5, alpha, beta, 1.0, 0.0)
+        marked = tv.thm3_check(g, grad, *args)
+        assert marked == tv.thm3_check(g, lambda y: grad(y), *args)
+        assert marked == tv.thm3_check(*cli._line_form(_unmarked(sf)), *args)
+
+    def test_one_call_per_grid(self):
+        # prop1 samples 10 000 + 20 001 points and thm3 10 000; marked
+        # callables see each grid once, besides the refinements' points
+        calls = []
+        sf = QUARTIC
+        counted = tv.Scalar1DFunction(g=sf.g, dg=_counted(sf.dg, calls), d2g=sf.d2g,
+                                      stationary_points=sf.stationary_points)
+        tv.prop1_check(counted, 0.4, 10.0)
+        grids = sorted(shape for shape in calls if shape)
+        assert grids == [(10_000,), (20_001,)]
+        assert len(calls) < 300
+        from tvland import cli
+
+        g, grad = cli._line_form(sf)
+        calls.clear()
+        tv.thm3_check(g, _counted(grad, calls), [np.array([-2.0])], 0.5, 0.4, 10.0, 1.0, 0.0)
+        assert sorted(shape for shape in calls if shape != (1,)) == [(10_000, 1)]
+        assert len(calls) < 100
+
+
 def _damped_slope(t):
     """Slope of the damped scenario's landscape g(y - beta e^(-lam t) sin t)."""
     shift = 10.0 * np.exp(-0.1 * t) * np.sin(t)

@@ -331,6 +331,29 @@ class TestFrozenTimeFlow:
                 assert np.abs(a - b).max() <= 1e-10
 
 
+def _shoulder_grad(x, t):
+    """x' = -(1e3 x^2 + 1e-5)(x + 1) in products, so it is array-safe."""
+    return (1e3 * (x * x) + 1e-5) * (x + 1.0)
+
+
+def _shoulder_problem():
+    """The flow of test_shoulder_creeps_on_to_the_sink, its gradient marked."""
+    from tvland.problem import _stackable
+
+    return tv.ProblemDef(
+        n=1, m=0,
+        objective=lambda x, t: float(250.0 * x[0] ** 4 + 1e3 / 3 * x[0] ** 3
+                                     + 5e-6 * x[0] ** 2 + 1e-5 * x[0]),
+        grad_objective=_stackable(lambda x, t: _shoulder_grad(x, t)),
+        constraints=lambda x: np.zeros(0),
+        jacobian=lambda x: np.zeros((0, 1)),
+        data_path=lambda t: np.zeros(0),
+        data_rate=lambda t: np.zeros(0),
+        horizon=1.0,
+        alpha=1.0,
+    )
+
+
 def _reference_flows(p, X, times):
     """Frozen-time flows by scipy's solve_ivp, independent of the batch stepper.
 
@@ -493,6 +516,101 @@ class TestFrozenTimeFlows:
         assert converged.tolist() == [True, False, True]
         assert np.array_equal(converged, want_conv)
         assert np.array_equal(limits, want_limits, equal_nan=True)
+
+    @pytest.mark.parametrize("scenario", ["shoulder", "matrec"])
+    def test_same_step_polishes_equal_one_lane_runs(self, scenario, monkeypatch):
+        # lanes that reach their switch speed in one step are polished in
+        # one call: on the shoulder problem at the shoulder (rejected, the
+        # lanes creep on) and at the sink, and on frozen matrix recovery
+        # (repeated starts) with the stacked minimum-norm steps of n = 6.
+        # Each row equals a one-lane run and the unmarked lane loop.
+        if scenario == "shoulder":
+            p = _shoulder_problem()
+            X = np.linspace(-3.0, 3.0, 21)[:, None]
+            unmarked = p.replace(grad_objective=lambda x, t: _shoulder_grad(x, t))
+        else:  # constrained: always the lane loop
+            p = unmarked = tv.freeze_data(tv.make_matrix_recovery(True, 1.0), 0.0)
+            rng = np.random.default_rng(5)
+            X = np.repeat([tv.matrix_recovery_state(p, f, 0.0)
+                           for f in rng.uniform(-2.0, 2.0, (3, 2))], 2, axis=0)
+        batches = []
+        polish = ode_module._polish_limits
+
+        def spy(p, Y, times, tol):
+            found = polish(p, Y, times, tol)
+            batches.append(["rejected" if f is None else "sink" for f in found])
+            return found
+
+        monkeypatch.setattr(ode_module, "_polish_limits", spy)
+        limits, converged = ode_module.frozen_time_flows(p, X, 0.0)
+        assert converged.all()
+        if scenario == "shoulder":
+            assert any(len(b) >= 3 and "rejected" in b for b in batches)
+            assert any(b.count("sink") >= 2 for b in batches)
+        else:
+            assert min(map(len, batches)) >= 2
+        want = ode_module.frozen_time_flows(unmarked, X, 0.0)
+        assert np.array_equal(limits, want[0]) and np.array_equal(converged, want[1])
+        for x, limit in zip(X, limits):
+            one, conv = tv.frozen_time_flow(p, x, 0.0)
+            assert conv and np.array_equal(one, limit)
+
+    def test_raising_stacked_field_in_a_polish_fails_its_lane(self, ex1_04_10):
+        # a marked gradient that raises on any stack holding a point within
+        # 1e-9 of the sink 2 at t = 0, which only Newton iterates reach: the
+        # polish repeats that evaluation lane by lane, and only the lanes
+        # heading to 2 fail
+        from tvland.problem import _stackable
+
+        p, _ = ex1_04_10
+
+        def grad(x, t):
+            if np.any(np.abs(np.asarray(x) - 2.0) < 1e-9):
+                raise tv.SingularConstraintError("at the sink")
+            return p.grad_objective(x, t)
+
+        marked = p.replace(grad_objective=_stackable(lambda x, t: grad(x, t)))
+        unmarked = p.replace(grad_objective=lambda x, t: grad(x, t))
+        tol = ode_module._FLOW_TOL
+        Y0 = np.array([[2.0 + 1e-6], [-2.0 + 1e-6], [2.0 - 2e-6], [-2.0 - 1e-6]])
+        found = ode_module._polish_limits(marked, Y0, np.zeros(4), tol)
+        want = ode_module._polish_limits(unmarked, Y0, np.zeros(4), tol)
+        for k in (0, 2):
+            assert isinstance(found[k], tv.SingularConstraintError)
+            assert isinstance(want[k], tv.SingularConstraintError)
+            with pytest.raises(tv.SingularConstraintError):
+                ode_module._polish_limit(marked, Y0[k], 0.0, tol)
+        for k in (1, 3):
+            assert abs(found[k][0] + 2.0) <= 1e-12
+            assert np.array_equal(found[k], want[k])
+            assert np.array_equal(found[k], ode_module._polish_limit(marked, Y0[k], 0.0, tol))
+        # and in a flow batch, where the lanes settle at both sinks
+        X = np.array([[3.0], [-3.0], [0.5], [-5.0]])
+        errors = (tv.SingularConstraintError,)
+        limits, converged = ode_module.frozen_time_flows(marked, X, 0.0, lane_errors=errors)
+        want_limits, want_conv = ode_module.frozen_time_flows(unmarked, X, 0.0,
+                                                              lane_errors=errors)
+        assert converged.tolist() == want_conv.tolist() == [False, True, False, True]
+        assert np.array_equal(limits, want_limits, equal_nan=True)
+
+    def test_raising_stacked_solve_rejects_its_lane(self, ex1_04_10):
+        # a NaN Jacobian near -2 makes the stacked minimum-norm solve raise;
+        # it is repeated lane by lane and only that lane finds no sink
+        p, _ = ex1_04_10
+
+        def hess(x, t):
+            return np.full((1, 1), np.nan) if x[0] < -1.9 else p.hess_objective(x, t)
+
+        q = p.replace(hess_objective=hess)
+        Y0 = np.array([[2.0 + 1e-6], [-2.0 + 1e-6], [2.0 - 2e-6]])
+        tol = ode_module._FLOW_TOL
+        with np.errstate(invalid="ignore"):
+            found = ode_module._polish_limits(q, Y0, np.zeros(3), tol)
+            assert ode_module._polish_limit(q, Y0[1], 0.0, tol) is None
+        assert found[1] is None
+        for k in (0, 2):
+            assert np.array_equal(found[k], ode_module._polish_limit(q, Y0[k], 0.0, tol))
+            assert abs(found[k][0] - 2.0) <= 1e-12
 
     def test_lanes_below_switch_speed(self, ex1_04_10):
         # at the minimizer (speed 0: its start is its limit) and beside the
