@@ -253,14 +253,21 @@ def prop1_constants(sf: Scalar1DFunction, alpha: float, beta: float) -> Prop1Rep
     (g' never reaches -alpha beta), in which case the second condition of
     the checker is false and the constants are absent.
     """
+    return _with_barriers(sf, Prop1Report(alpha=alpha, beta=beta, C=_max_slope(sf)))
+
+
+def _with_barriers(sf: Scalar1DFunction, report: Prop1Report) -> Prop1Report:
+    """``report``, which holds alpha, beta and C, with m1, m2, t1 and t2 set.
+
+    Raises RootBracketError, leaving ``report`` as it was, when m1 or m2
+    does not exist.
+    """
+    alpha, beta = report.alpha, report.beta
     if alpha <= 0 or beta <= 0:
         raise ValueError("alpha and beta must be positive")
-    C = _max_slope(sf)
-    report = Prop1Report(alpha=alpha, beta=beta, C=C)
     level = -alpha * beta
-    report.m1 = _barrier_left(sf, level)
-    report.m2 = _barrier_right(sf, level)
-    ratio = C / (alpha * beta)
+    report.m1, report.m2 = _barrier_left(sf, level), _barrier_right(sf, level)
+    ratio = report.C / (alpha * beta)
     if ratio <= 1.0:
         report.t1 = float(np.arccos(-ratio))
         report.t2 = 2.0 * np.pi - report.t1
@@ -277,10 +284,11 @@ def prop1_check(sf: Scalar1DFunction, alpha: float, beta: float) -> Prop1Report:
     A missing constant forces the dependent condition false rather than
     raising.
     """
+    report = Prop1Report(alpha=alpha, beta=beta, C=_max_slope(sf))
     try:
-        report = prop1_constants(sf, alpha, beta)
+        _with_barriers(sf, report)
     except RootBracketError:
-        report = Prop1Report(alpha=alpha, beta=beta, C=_max_slope(sf))
+        pass  # no barrier points: cond2 and cond3 are false
     report.cond1 = alpha * beta >= report.C
     report.cond2 = report.m1 is not None and report.m2 is not None
     if report.cond2 and report.t1 is not None:

@@ -265,4 +265,4 @@ def discrete_trajectory(p: ProblemDef, x0: np.ndarray, steps: int,
                                                stat_tol, feas_tol, return_geometry=True,
                                                geom_prev=geoms[k - 1],
                                                start=extrapolated_start(states, k))
-    return trajectory_with_diagnostics(p, times, states, geoms)
+    return trajectory_with_diagnostics(p, times, states, geoms if p.m else None)

@@ -174,8 +174,8 @@ def _lanewise(fn, *stacks):
     Returns the stacked result, or, when the stacked call raises, a list
     holding each lane's row or the exception its own call raised (each
     stack sliced to that lane), so that an exception stays with the lane it
-    came from.  numpy's stacked linear algebra works matrix by matrix, so
-    both ways give the same bits.
+    came from.  Both ways give the same bits when ``fn`` treats each lane on
+    its own, as :func:`_polish_batch` does.
     """
     try:
         return fn(*stacks)
@@ -203,18 +203,42 @@ def _min_norm_steps(J: np.ndarray, R: np.ndarray) -> np.ndarray:
     return -(np.linalg.pinv(J, rcond=1e-6) @ R[:, :, None])[:, :, 0]
 
 
-def _settle(found: list, ended: dict, lane: np.ndarray, *rows) -> list:
-    """Enter each ended row's entry under its lane in ``found``; drop those rows.
+def _polish_batch(p: ProblemDef, Y0: np.ndarray, T: np.ndarray, tol: float) -> list:
+    """The entries of :func:`_polish_limits` for lanes that advance together.
 
-    ``ended`` maps rows to entries and is emptied.  Returns ``lane`` and
-    each array of ``rows`` without the ended rows.
+    Fields are evaluated as the flow evaluates them (:func:`_field_rows`),
+    Jacobians one lane at a time, and the steps and sink checks as stacked
+    linear algebra, so a lane gives the same bits alone as in any batch.
+    The first exception of any lane's field, Jacobian or sink check is
+    raised, and so is a LinAlgError of a step solve over more than one lane.
     """
-    keep = np.ones(len(lane), dtype=bool)
-    for i, entry in ended.items():
-        found[lane[i]] = entry
-        keep[i] = False
-    ended.clear()
-    return [a[keep] for a in (lane, *rows)]
+    found: list = [None] * len(Y0)
+    radius = 0.05 * (1.0 + np.linalg.norm(Y0, axis=1))
+    stacked = has_stacked_gradient(p)
+    Y = Y0.copy()
+    live = np.arange(len(Y0))  # the lanes still iterating
+    for _ in range(30):
+        R, failed = _field_rows(p, Y[live], T[live], stacked)
+        if failed:
+            raise next(iter(failed.values()))
+        J = np.array([field_jacobian(p, Y[i], t) for i, t in zip(live, T[live].tolist())])
+        done = np.linalg.norm(R, axis=1) <= 1e-3 * tol
+        if done.any():
+            for i, unstable in zip(live[done], _unstable(J[done])):
+                found[i] = None if unstable else Y[i]
+            live, R, J = live[~done], R[~done], J[~done]
+        if not live.size:
+            break
+        try:
+            Y[live] += _min_norm_steps(J, R)
+        except np.linalg.LinAlgError:
+            if len(live) > 1:
+                raise  # the lane-by-lane run tells which lane's solve raised
+            break  # that lane finds no sink
+        live = live[~(np.linalg.norm(Y[live] - Y0[live], axis=1) > radius[live])]
+        if not live.size:
+            break
+    return found
 
 
 def _polish_limits(p: ProblemDef, Y0: np.ndarray, times, tol: float) -> list:
@@ -233,56 +257,12 @@ def _polish_limits(p: ProblemDef, Y0: np.ndarray, times, tol: float) -> list:
     solve would move the limit along them by that rounding.  A step whose
     solve raises LinAlgError finds no sink.
 
-    The lanes advance together: fields are evaluated as the flow evaluates
-    them (:func:`_field_rows`), Jacobians one lane at a time, and the steps
-    and sink checks as stacked linear algebra (:func:`_lanewise`), so a lane
-    gives the same bits alone as in any batch.
+    The lanes advance together (:func:`_polish_batch`); a batch that raises
+    is run again lane by lane (:func:`_lanewise`), so that an exception
+    stays with its lane.
     """
-    found: list = [None] * len(Y0)
-    lane = np.arange(len(Y0))  # the lane of each row still iterating
-    start, T = Y0, np.asarray(times, dtype=float)
-    radius = 0.05 * (1.0 + np.linalg.norm(start, axis=1))
-    stacked = has_stacked_gradient(p)
-    Y = start.copy()
-    R, ended = _field_rows(p, Y, T, stacked)  # row -> the entry of its lane
-    for _ in range(30):
-        J = np.empty((len(Y), Y.shape[1], Y.shape[1]))
-        for i, t in enumerate(T.tolist()):
-            if i not in ended:
-                try:
-                    J[i] = field_jacobian(p, Y[i], t)
-                except _LANE_FAILURES as exc:
-                    ended[i] = exc
-        done = np.linalg.norm(R, axis=1) <= 1e-3 * tol
-        done[list(ended)] = False
-        if done.any():
-            for i, unstable in zip(np.flatnonzero(done), _lanewise(_unstable, J[done])):
-                if isinstance(unstable, Exception):
-                    ended[i] = unstable
-                else:
-                    ended[i] = None if unstable else Y[i]
-        if ended:
-            lane, start, Y, T, radius, R, J = _settle(found, ended, lane, start, Y, T,
-                                                      radius, R, J)
-        if not len(Y):
-            break
-        steps = _lanewise(_min_norm_steps, J, R)
-        if isinstance(steps, list):  # some lane's solve raised
-            for i, step in enumerate(steps):
-                if isinstance(step, Exception):
-                    ended[i] = None if isinstance(step, np.linalg.LinAlgError) else step
-                else:
-                    Y[i] += step
-        else:
-            Y += steps
-        for i in np.flatnonzero(np.linalg.norm(Y - start, axis=1) > radius):
-            ended.setdefault(i, None)
-        if ended:
-            lane, start, Y, T, radius = _settle(found, ended, lane, start, Y, T, radius)
-        if not len(Y):
-            break
-        R, ended = _field_rows(p, Y, T, stacked)
-    return found
+    return _lanewise(lambda Y, T: _polish_batch(p, Y, T, tol), Y0,
+                     np.asarray(times, dtype=float))
 
 
 def _polish_limit(p: ProblemDef, y0: np.ndarray, t: float, tol: float) -> np.ndarray | None:

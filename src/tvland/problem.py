@@ -441,6 +441,7 @@ def make_damped_sinusoid(
 
     ``u`` must be a unit vector; ``lam = 0`` gives the undamped special case
     (with n = 1, omega = 1, u = (1,) this reduces to the example1 form).
+    The gradient is marked array-safe when ``grad_g`` is.
     """
     u = np.asarray(u, dtype=float)
     n = u.size
@@ -460,6 +461,8 @@ def make_damped_sinusoid(
     def grad(x, t):
         return np.asarray(grad_g(x - shift(t)), dtype=float)
 
+    if _is_stackable(grad_g):  # the shift broadcasts over a (L, 1) time column
+        _stackable(grad)
     hess = None
     if hess_g is not None:
         def hess(x, t):

@@ -250,6 +250,19 @@ class TestReports:
         assert payload["stack_deviation"] == 0.0
         assert 0.0 < payload["hess_deviation"] < 1e-5
 
+    def test_damped_gradient_is_array_safe(self, capsys):
+        # built from the marked quartic dg, so flows and diagnostics take
+        # stacked calls, and validate checks them against the per-point loop
+        from tvland.problem import has_stacked_gradient
+
+        scenario = cli._SCENARIOS["damped"]
+        assert has_stacked_gradient(scenario.make(scenario.params))
+        code = run(["validate", "--scenario", "damped", "--samples", "10"])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["stack_ok"] is True
+        assert payload["stack_deviation"] == 0.0
+
     def test_spectrum_csv(self, tmp_path):
         out = tmp_path / "spec.csv"
         x0 = ",".join(map(str, [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]))

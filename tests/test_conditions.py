@@ -118,6 +118,19 @@ class TestProp1Check:
         assert rep.cond2 is False
         assert rep.satisfied is False
 
+    def test_missing_barrier_samples_C_once(self, quartic, monkeypatch):
+        # at (1, 10) m1 exists but m2 does not; the report keeps neither,
+        # and C is sampled once
+        from tvland import conditions
+
+        calls = []
+        max_slope = conditions._max_slope
+        monkeypatch.setattr(conditions, "_max_slope",
+                            lambda sf: calls.append(sf) or max_slope(sf))
+        rep = tv.prop1_check(quartic, 1.0, 10.0)
+        assert rep.m1 is None and rep.m2 is None
+        assert len(calls) == 1
+
 
 class TestProp1Region:
     def test_verdict_grid(self, quartic):

@@ -612,6 +612,26 @@ class TestFrozenTimeFlows:
             assert np.array_equal(found[k], ode_module._polish_limit(q, Y0[k], 0.0, tol))
             assert abs(found[k][0] - 2.0) <= 1e-12
 
+    def test_raising_sink_check_fails_its_lane(self, ex1_04_10):
+        # a NaN Jacobian near the sink 2: the lane that starts exactly there
+        # has converged at once, and the eigenvalues of its sink check raise;
+        # that lane keeps the exception and the others reach -2
+        p, _ = ex1_04_10
+
+        def hess(x, t):
+            return np.full((1, 1), np.nan) if abs(x[0] - 2.0) < 0.1 else p.hess_objective(x, t)
+
+        q = p.replace(hess_objective=hess)
+        Y0 = np.array([[-2.0 + 1e-6], [2.0], [-2.0 - 1e-6]])
+        tol = ode_module._FLOW_TOL
+        found = ode_module._polish_limits(q, Y0, np.zeros(3), tol)
+        assert isinstance(found[1], np.linalg.LinAlgError)
+        for k in (0, 2):
+            assert abs(found[k][0] + 2.0) <= 1e-12
+            assert np.array_equal(found[k], ode_module._polish_limit(q, Y0[k], 0.0, tol))
+        with pytest.raises(np.linalg.LinAlgError):
+            ode_module._polish_limit(q, Y0[1], 0.0, tol)
+
     def test_lanes_below_switch_speed(self, ex1_04_10):
         # at the minimizer (speed 0: its start is its limit) and beside the
         # sinks (tol < speed < 1e-4), next to a lane from the box
