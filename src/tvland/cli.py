@@ -514,7 +514,14 @@ class _Parser(argparse.ArgumentParser):
         return super()._parse_optional(arg_string)
 
 
+_parser: _Parser | None = None  # built on the first run, then reused
+
+
 def _build_parser() -> _Parser:
+    """The CLI's parser, built once per process (parsing leaves it unchanged)."""
+    global _parser
+    if _parser is not None:
+        return _parser
     parser = _Parser(prog="tvland", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text, keys) in _COMMANDS.items():
@@ -524,6 +531,7 @@ def _build_parser() -> _Parser:
         sp.add_argument("--config", help="flat key=value config file")
         for key in keys:
             sp.add_argument("--" + key.replace("_", "-"), **_FLAG_SETTINGS.get(key, {}))
+    _parser = parser
     return parser
 
 

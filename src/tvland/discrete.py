@@ -47,6 +47,11 @@ _F_RESOLUTION = 4e-12
 #: Steps are extrapolated only while |second difference| <= this ratio times
 #: |first difference| of the last states.
 _SMOOTH_RATIO = 0.05
+#: Applied to the last four states y_{k-4}, ..., y_{k-1}, its rows give the
+#: cubic start, the last first difference and the last second difference.
+_START_ROWS = np.array([[-1.0, 4.0, -6.0, 4.0],
+                        [0.0, 0.0, -1.0, 1.0],
+                        [0.0, 1.0, -2.0, 1.0]])
 
 
 def extrapolated_start(states: np.ndarray, k: int) -> Optional[np.ndarray]:
@@ -57,15 +62,16 @@ def extrapolated_start(states: np.ndarray, k: int) -> Optional[np.ndarray]:
     IV.8).  None before four states exist, or where the last steps are not
     smooth, |y_{k-1} - 2 y_{k-2} + y_{k-3}| > :data:`_SMOOTH_RATIO`
     |y_{k-1} - y_{k-2}|: on a coarse grid the extrapolation may then start the
-    solve near another root, so the caller keeps its own start.
+    solve near another root, so the caller keeps its own start.  The start
+    and both differences come from one product with :data:`_START_ROWS`, and
+    the smoothness test compares their squared norms.
     """
     if k < 4:
         return None
-    y1, y2, y3, y4 = states[k - 1], states[k - 2], states[k - 3], states[k - 4]
-    d1 = y1 - y2
-    if _norm(d1 - (y2 - y3)) > _SMOOTH_RATIO * _norm(d1):
+    y, d1, d2 = _START_ROWS @ states[k - 4:k]
+    if d2.dot(d2) > _SMOOTH_RATIO ** 2 * d1.dot(d1):
         return None
-    return 4.0 * (y1 + y3) - 6.0 * y2 - y4
+    return y
 
 
 def _restore_feasibility(p: ProblemDef, x: np.ndarray, d_target: np.ndarray,
@@ -80,7 +86,7 @@ def _restore_feasibility(p: ProblemDef, x: np.ndarray, d_target: np.ndarray,
     r_prev = np.inf
     for _ in range(31):
         r = p.constraints(x) - d_target
-        r_norm = np.linalg.norm(r)
+        r_norm = _norm(r)
         if r_norm <= feas_tol:
             return x
         if theta is None or r_norm > 0.5 * r_prev:
@@ -122,18 +128,18 @@ def _newton_point(sp: _Subproblem, x: np.ndarray, start: np.ndarray,
     being ``(y, geometry at y)``, or None when Newton fails or a safeguard
     rejects y; the descent safeguard compares y with the feasible x."""
     res = newton_kkt(sp.p, start, sp.t, prox=(sp.x_prev, sp.w), max_iter=max_iter,
-                     tol=min(sp.stat_tol, sp.feas_tol), geom=geom_prev)
+                     tol=min(sp.stat_tol, sp.feas_tol), geom=geom_prev, d=sp.d)
     if res.status != "converged":
         return None, res.iterations
     y, geom = res.x, geometry(sp.p, res.x)
     # newton_kkt checked |h(y) - d| <= feas_tol.  F(y) may exceed F(x) by
     # rounding and by what x's own infeasibility (<= feas_tol) is worth.
     f_x = sp.value(x)
-    slack = _F_RESOLUTION * max(abs(f_x), 1.0) + np.linalg.norm(res.multipliers) * sp.feas_tol
+    slack = _F_RESOLUTION * max(abs(f_x), 1.0) + _norm(res.multipliers) * sp.feas_tol
     M = res.hessian
     if M is None:
         M = lagrangian_hessian(sp.p, y, sp.t, res.multipliers, sp.w)
-    ok = (np.linalg.norm(sp.proj_grad(y, geom)) <= sp.stat_tol
+    ok = (_norm(sp.proj_grad(y, geom)) <= sp.stat_tol
           and sp.value(y) <= f_x + slack
           and positive_definite_on_kernel(M, geom.jacobian))
     return ((y, geom) if ok else None), res.iterations
@@ -148,9 +154,9 @@ def _projected_gradient(sp: _Subproblem, x: np.ndarray, max_iter: int):
         if geom is None:
             geom = geometry(p, x)
             eta_a = sp.proj_grad(x, geom)
-        gnorm = np.linalg.norm(eta_a)
+        gnorm = _norm(eta_a)
         if gnorm <= sp.stat_tol:
-            if p.m == 0 or np.linalg.norm(p.constraints(x) - sp.d) <= sp.feas_tol:
+            if p.m == 0 or _norm(p.constraints(x) - sp.d) <= sp.feas_tol:
                 return x, geom
 
         f0 = sp.value(x)
@@ -171,7 +177,7 @@ def _projected_gradient(sp: _Subproblem, x: np.ndarray, max_iter: int):
                 # expanding steps; accept only on gradient contraction.
                 geom_t = geometry(p, x_trial)
                 eta_t = sp.proj_grad(x_trial, geom_t)
-                if np.linalg.norm(eta_t) < 0.9 * gnorm:
+                if _norm(eta_t) < 0.9 * gnorm:
                     break
             s *= _ARMIJO_SHRINK
         else:

@@ -120,12 +120,12 @@ def kkt_residual(p: ProblemDef, x: np.ndarray, t: float,
     """
     grad = np.asarray(p.grad_objective(x, t), dtype=float)
     if p.m == 0:
-        return KKTResidual(float(np.linalg.norm(grad)), 0.0, np.zeros(0))
+        return KKTResidual(_norm(grad), 0.0, np.zeros(0))
     if geom is None:
         geom = geometry(p, x)
     mu = -(geom.theta.T @ grad)
-    stat = float(np.linalg.norm(grad + geom.jacobian.T @ mu))
-    feas = float(np.linalg.norm(p.constraints(x) - p.data_path(t)))
+    stat = _norm(grad + geom.jacobian.T @ mu)
+    feas = _norm(p.constraints(x) - p.data_path(t))
     return KKTResidual(stat, feas, mu)
 
 
@@ -257,7 +257,8 @@ def newton_kkt(p: ProblemDef, x: np.ndarray, t: float,
                prox: Optional[tuple[np.ndarray, float]] = None,
                max_step: Optional[float] = None, tol: float = 1e-10,
                max_iter: int = 50,
-               geom: Optional[GeometryResult] = None) -> NewtonKKT:
+               geom: Optional[GeometryResult] = None,
+               d: Optional[np.ndarray] = None) -> NewtonKKT:
     """Newton's method on the KKT system of the time-t problem from x.
 
     Solves grad F + J^T mu = 0, h(x) = d(t) for the objective
@@ -269,9 +270,10 @@ def newton_kkt(p: ProblemDef, x: np.ndarray, t: float,
 
     and stops once both residual norms are at most ``tol``.  The multipliers
     start as the least-squares fit -theta^T grad F(x), theta taken from
-    ``geom`` (the geometry of a nearby point) or else computed at x.  No step
-    is damped or checked for descent: callers that need a particular KKT
-    point apply their own safeguards.
+    ``geom`` (the geometry of a nearby point) or else computed at x.  ``d``
+    is d(t) when the caller already holds it (m > 0).  No step is damped or
+    checked for descent: callers that need a particular KKT point apply
+    their own safeguards.
 
     Raises
     ------
@@ -292,7 +294,8 @@ def newton_kkt(p: ProblemDef, x: np.ndarray, t: float,
     M = None
     if m:
         mu = -((geom or geometry(p, x)).theta.T @ grad)
-        d = p.data_path(t)
+        if d is None:
+            d = p.data_path(t)
         KKT = np.zeros((n + m, n + m))
     for it in range(1, max_iter + 1):
         if m:
@@ -352,6 +355,6 @@ def trajectory_with_diagnostics(p: ProblemDef, times: np.ndarray,
         if geom is None:
             geom = geometry(p, states[i])
         res = kkt_residual(p, states[i], times[i], geom)
-        step = 0.0 if i == 0 else float(np.linalg.norm(states[i] - states[i - 1]))
+        step = 0.0 if i == 0 else _norm(states[i] - states[i - 1])
         diag[i] = (res.stationarity, res.feasibility, geom.sigma_min, step)
     return Trajectory(times, states, diag[:, 0], diag[:, 1], diag[:, 2], diag[:, 3])

@@ -38,8 +38,10 @@ def _implicit_step(p: ProblemDef, y_prev: np.ndarray, t: float, dt: float,
 
     From ``start`` (default: the explicit Euler predictor, which costs one
     field evaluation), iterate y <- y - M_inv r(y) on the residual
-    r(y) = y - y_prev - dt rhs(y, t), where ``M_inv`` is the inverse of the
-    exact dr/dy = I - dt J(y), J the field Jacobian
+    r(y) = y - y_prev - dt rhs(y, t), for m = 0 formed as
+    (y - y_prev) + (dt / alpha) grad f(y, t) from one gradient call (``t`` a
+    float, so no numpy scalar enters it), where ``M_inv`` is the inverse of
+    the exact dr/dy = I - dt J(y), J the field Jacobian
     (:func:`~tvland.geometry.field_jacobian`), possibly evaluated at an
     earlier step (None: not evaluated yet).  When an iteration fails to
     bring the residual below :data:`_BE_CONTRACTION` times the previous one,
@@ -49,11 +51,17 @@ def _implicit_step(p: ProblemDef, y_prev: np.ndarray, t: float, dt: float,
     matrix for the next step and the :func:`~tvland.geometry.geometry` at
     the solution that its last residual used (None for m = 0).
     """
+    if p.m:
+        def resid(y):
+            geom = geometry(p, y)
+            r = y - y_prev - dt * ode_rhs(p, y, t, geom)
+            return r, _norm(r), geom
+    else:
+        grad, h = p.grad_objective, dt / p.alpha
 
-    def resid(y):
-        geom = geometry(p, y) if p.m else None
-        r = y - y_prev - dt * ode_rhs(p, y, t, geom)
-        return r, _norm(r), geom
+        def resid(y):
+            r = (y - y_prev) + h * grad(y, t)  # rhs = -grad / alpha
+            return r, _norm(r), None
 
     if start is None:
         start = y_prev + dt * ode_rhs(p, y_prev, t)  # explicit predictor
@@ -120,8 +128,8 @@ def backward_euler_trajectory(p: ProblemDef, x0: np.ndarray, dt: float,
     states[0] = x0
     geoms = [None] * (n_steps + 1)
     M_inv = None
-    for k in range(1, n_steps + 1):
-        states[k], M_inv, geoms[k] = _implicit_step(p, states[k - 1], times[k], dte,
+    for k, t in enumerate(times.tolist()[1:], start=1):
+        states[k], M_inv, geoms[k] = _implicit_step(p, states[k - 1], t, dte,
                                                     resid_tol, M_inv,
                                                     extrapolated_start(states, k))
     return trajectory_with_diagnostics(p, times, states, geoms if p.m else None)
@@ -174,13 +182,15 @@ def _lanewise(fn, *stacks):
     Returns the stacked result, or, when the stacked call raises, a list
     holding each lane's row or the exception its own call raised (each
     stack sliced to that lane), so that an exception stays with the lane it
-    came from.  Both ways give the same bits when ``fn`` treats each lane on
-    its own, as :func:`_polish_batch` does.
+    came from; a stack of one lane keeps the exception of its one call.
+    Both ways give the same bits when ``fn`` treats each lane on its own, as
+    :func:`_polish_batch` does.
     """
     try:
         return fn(*stacks)
-    except _LANE_FAILURES:
-        pass
+    except _LANE_FAILURES as exc:
+        if len(stacks[0]) == 1:
+            return [exc]
     rows = []
     for k in range(len(stacks[0])):
         try:

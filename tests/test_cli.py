@@ -561,6 +561,28 @@ def test_readme_command_lines_parse():
         parser.parse_args(argv)
 
 
+def test_parser_reused_across_runs(monkeypatch, capsys):
+    # each run parses with the parser of the run before it: back to back,
+    # runs print what they print on a fresh parser (no flag value of a run
+    # carries over: the second simulate would then have two grids), and a
+    # usage error after them still exits 1
+    ex1 = ["--scenario", "example1", "--alpha", "0.2", "--beta", "5"]
+    simulate = ["simulate", *ex1, "--x0", "-2", "--method", "discrete"]
+    calls = [["prop1", *ex1], [*simulate, "--N", "40"], [*simulate, "--dt", "0.2"]]
+
+    def fresh(argv):
+        monkeypatch.setattr(cli, "_parser", None)
+        return run(argv), capsys.readouterr()
+
+    alone = [fresh(argv) for argv in calls]
+    assert [rc for rc, _ in alone] == [0, 0, 0]
+    monkeypatch.setattr(cli, "_parser", None)
+    assert [(run(argv), capsys.readouterr()) for argv in calls] == alone
+    assert cli._build_parser() is cli._build_parser()
+    assert run(["prop1", *ex1, "--N", "40"]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "usage"
+
+
 def test_cli_leaves_scipy_out():
     # scipy takes about half a second to import; only --method reference
     # and thm3 with n >= 2 need it, and none of the calls below reaches either.

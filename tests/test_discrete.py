@@ -217,6 +217,19 @@ class TestNewtonEngine:
         assert len(iterations) == 2000
         assert sum(iterations) <= 2.5 * 2000
 
+    def test_data_path_twice_per_step(self):
+        # the step's subproblem and the diagnostics read d(t); Newton is
+        # handed the subproblem's, and x0's check and diagnostics add two
+        p, x0 = spurious_matrec(0.5)
+        calls = []
+
+        def data_path(t):
+            calls.append(t)
+            return p.data_path(t)
+
+        tv.discrete_trajectory(p.replace(data_path=data_path), x0, 50)
+        assert len(calls) == 2 * 50 + 2
+
     @pytest.mark.parametrize("alpha", [0.05, 0.1, 0.2, 0.5, 1.0])
     def test_matches_projected_gradient_across_alpha(self, alpha, monkeypatch):
         # dt = 1e-2, both paths solved to 1e-10: near the spurious start the

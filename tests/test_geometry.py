@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import tvland as tv
 from conftest import linear_constraint_problem
@@ -252,6 +254,14 @@ def circle_tracking_toy():
         horizon=2 * np.pi,
         alpha=1.0,
     )
+
+
+@given(st.lists(st.floats(-1e150, 1e150), max_size=10))
+def test_norm_has_the_bits_of_numpy(values):
+    # the hot paths take _norm for np.linalg.norm of a vector, so the two
+    # must agree bit for bit
+    v = np.array(values, dtype=float)
+    assert tv.geometry._norm(v).hex() == float(np.linalg.norm(v)).hex()
 
 
 class TestNewtonKKT:

@@ -28,6 +28,16 @@ class TestBackwardEuler:
         # escaping regime: the final state clears the barrier near 0.84
         assert be_traj_04_10.final_state[0] > 0.84
 
+    @pytest.mark.parametrize("beta, alpha, final", [(10.0, 0.4, 1.2832869669016653),
+                                                    (5.0, 0.2, -2.1370886855096063)])
+    def test_classify_regimes_keep_their_final_states(self, beta, alpha, final):
+        # the final states of the two classify regimes at dt = 1e-3; each step
+        # stops at residual 1e-10, so the rounding of the residual and of the
+        # start may move them, by far less than 1e-8
+        p, _ = tv.make_example1(beta, alpha=alpha)
+        traj = tv.backward_euler_trajectory(p, np.array([-2.0]), 1e-3)
+        assert abs(traj.final_state[0] - final) <= 1e-8
+
     def test_grid_lands_on_horizon(self, ex1_04_10, be_traj_04_10):
         p, _ = ex1_04_10
         assert be_traj_04_10.times[-1] == pytest.approx(p.horizon, abs=1e-12)
@@ -143,6 +153,28 @@ class TestExtrapolatedStart:
         kinked = smooth.copy()
         kinked[3] += 0.1  # second difference 0.1 against a step of 0.35
         assert tv.discrete.extrapolated_start(kinked, 4) is None
+
+    @pytest.mark.parametrize("d2", [0.049, 0.051])
+    def test_guard_at_the_smoothness_ratio(self, d2):
+        # last first difference 1 and second difference d2, ratio 0.05
+        states = np.array([[0.0], [1.0 + d2], [2.0], [3.0]])
+        start = tv.discrete.extrapolated_start(states, 4)
+        assert (start is None) == (d2 > tv.discrete._SMOOTH_RATIO)
+
+    def test_matrix_start_is_the_cubic(self):
+        # one product with the start rows gives 4 (y1 + y3) - 6 y2 - y4 to
+        # rounding: 16 ulps of the largest |y_i| bound both evaluations
+        rng = np.random.default_rng(4)
+        for _ in range(200):
+            c = rng.normal(size=(4, 3)) * 10.0 ** rng.uniform(-3, 3, size=3)
+            s = 10.0 ** rng.uniform(-4, -1) * np.arange(5.0)[:, None] + rng.uniform(-5, 5)
+            states = c[0] + c[1] * s + c[2] * s ** 2 + c[3] * s ** 3
+            y4, y3, y2, y1 = states[:4]
+            start = tv.discrete.extrapolated_start(states, 4)
+            if start is None:
+                continue
+            want = 4.0 * (y1 + y3) - 6.0 * y2 - y4
+            assert (np.abs(start - want) <= 16 * np.spacing(np.abs(states[:4]).max(axis=0))).all()
 
     @pytest.mark.parametrize("engine", ["discrete", "backward-euler"])
     @pytest.mark.parametrize("scenario", ["ex1-0.4-10", "ex1-0.2-5", "ex1-0.05-10",
@@ -631,6 +663,24 @@ class TestFrozenTimeFlows:
             assert np.array_equal(found[k], ode_module._polish_limit(q, Y0[k], 0.0, tol))
         with pytest.raises(np.linalg.LinAlgError):
             ode_module._polish_limit(q, Y0[1], 0.0, tol)
+
+    def test_raising_one_lane_polish_runs_once(self, ex1_04_10):
+        # a one-lane polish keeps the exception of its one run: the field at
+        # the start, then the raise at the Newton point near the sink 2
+        p, _ = ex1_04_10
+        calls = []
+
+        def grad(x, t):
+            calls.append(x)
+            if abs(x[0] - 2.0) < 1e-9:
+                raise ValueError("gradient fails at the limit")
+            return p.grad_objective(x, t)
+
+        q = p.replace(grad_objective=grad)
+        found = ode_module._polish_limits(q, np.array([[2.0 + 1e-6]]), [0.0],
+                                          ode_module._FLOW_TOL)
+        assert isinstance(found[0], ValueError)
+        assert len(calls) == 2
 
     def test_lanes_below_switch_speed(self, ex1_04_10):
         # at the minimizer (speed 0: its start is its limit) and beside the
