@@ -344,6 +344,8 @@ def _classifier(opt: _Options, scn: _Scenario) -> Callable:
     refused before any trajectory is simulated.
     """
     tbar_frac = opt.get("tbar_frac", 0.75)
+    if not 0.0 <= tbar_frac < 1.0:
+        raise UsageError(f"tbar_frac must lie in [0, 1), got {tbar_frac}")
     box = opt.get("box")
     starts = opt.get("starts", 64)
     seed = opt.get("seed", 0)
@@ -452,14 +454,19 @@ def _cmd_sweep(opt: _Options) -> int:
     if len(alphas) * len(betas) > 10_000:
         raise UsageError("sweep grid exceeds 10000 cells")
     cells = [(a, b) for a in alphas for b in betas]
-    values = {
-        "mode": opt.get("mode", "both"),
-        "x0": opt.get("x0", np.array([-2.0])),
-        "dt": opt.get("dt", 4e-3),
-        "classify": _classifier(opt, scn),
-    }
-    if values["mode"] not in ("prop1", "sim", "both"):
-        raise UsageError(f"unknown sweep mode {values['mode']!r}")
+    mode = opt.get("mode", "both")
+    if mode not in ("prop1", "sim", "both"):
+        raise UsageError(f"unknown sweep mode {mode!r}")
+    if mode == "prop1":
+        unread = [k for k in _SWEEP_SIM_KEYS if opt._raw(k) is not None]
+        if unread:
+            raise UsageError(f"sweep --mode prop1 does not read {', '.join(unread)}")
+    # the start and the step are the same for every cell: refuse them here
+    x0 = _problem.start_vector(scn.make(scn.params), opt.get("x0", np.array([-2.0])))
+    dt = opt.get("dt", 4e-3)
+    if not dt > 0.0:
+        raise UsageError(f"dt must be positive, got {dt}")
+    values = {"mode": mode, "x0": x0, "dt": dt, "classify": _classifier(opt, scn)}
     # one worker unless asked: the interpreter lock runs one cell at a time,
     # and a second worker only adds switching
     workers = int(os.environ.get("TVL_THREADS", "0")) or 1
@@ -475,6 +482,8 @@ def _cmd_sweep(opt: _Options) -> int:
 
 
 _SCENARIO_KEYS = ("scenario", *_SCENARIO_PARAMS)
+#: The sweep keys that only the simulated classification reads.
+_SWEEP_SIM_KEYS = ("x0", "dt", "tbar_frac", "starts", "seed", "checks")
 _GRID_KEYS = ("x0", "method", "N", "dt", "rel_tol")
 
 #: Each subcommand: its function, its help line and the option keys it
@@ -495,8 +504,7 @@ _COMMANDS = {
     "spectrum": (_cmd_spectrum, "Jacobian spectrum along a tracked minimizer trajectory",
                  (*_SCENARIO_KEYS, "x0", "N", "out")),
     "sweep": (_cmd_sweep, "grid sweep of prop1 and simulated verdicts",
-              ("scenario", "alpha_grid", "beta_grid", "mode", "x0", "dt", "tbar_frac",
-               "starts", "seed", "checks", "out")),
+              ("scenario", "alpha_grid", "beta_grid", "mode", *_SWEEP_SIM_KEYS, "out")),
     "validate": (_cmd_validate, "finite-difference derivative validation",
                  (*_SCENARIO_KEYS, "samples", "seed", "out", "json")),
 }

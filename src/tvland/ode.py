@@ -176,114 +176,49 @@ def integrate_reference(p: ProblemDef, x0: np.ndarray, rel_tol: float = 1e-9,
     return trajectory_with_diagnostics(p, times, states)
 
 
-def _lanewise(fn, *stacks):
-    """``fn`` of stacks of lanes, in one call, or lane by lane when that raises.
-
-    Returns the stacked result, or, when the stacked call raises, a list
-    holding each lane's row or the exception its own call raised (each
-    stack sliced to that lane), so that an exception stays with the lane it
-    came from; a stack of one lane keeps the exception of its one call.
-    Both ways give the same bits when ``fn`` treats each lane on its own, as
-    :func:`_polish_batch` does.
-    """
-    try:
-        return fn(*stacks)
-    except _LANE_FAILURES as exc:
-        if len(stacks[0]) == 1:
-            return [exc]
-    rows = []
-    for k in range(len(stacks[0])):
-        try:
-            rows.append(fn(*(a[k:k + 1] for a in stacks))[0])
-        except _LANE_FAILURES as exc:
-            rows.append(exc)
-    return rows
-
-
-def _unstable(J: np.ndarray) -> np.ndarray:
-    """Whether each Jacobian of the stack has an eigenvalue with real part
-    above 1e-6 max(1, |J|_2)."""
-    lam_max = np.linalg.eigvals(J).real.max(axis=1)
-    scale = np.maximum(1.0, np.linalg.svd(J, compute_uv=False)[:, 0])  # |J|_2
-    return lam_max > 1e-6 * scale
-
-
-def _min_norm_steps(J: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """Minimum-norm least-squares solutions of J d = -r, lane by lane (rcond 1e-6)."""
-    return -(np.linalg.pinv(J, rcond=1e-6) @ R[:, :, None])[:, :, 0]
-
-
-def _polish_batch(p: ProblemDef, Y0: np.ndarray, T: np.ndarray, tol: float) -> list:
-    """The entries of :func:`_polish_limits` for lanes that advance together.
-
-    Fields are evaluated as the flow evaluates them (:func:`_field_rows`),
-    Jacobians one lane at a time, and the steps and sink checks as stacked
-    linear algebra, so a lane gives the same bits alone as in any batch.
-    The first exception of any lane's field, Jacobian or sink check is
-    raised, and so is a LinAlgError of a step solve over more than one lane.
-    """
-    found: list = [None] * len(Y0)
-    radius = 0.05 * (1.0 + np.linalg.norm(Y0, axis=1))
-    stacked = has_stacked_gradient(p)
-    Y = Y0.copy()
-    live = np.arange(len(Y0))  # the lanes still iterating
-    for _ in range(30):
-        R, failed = _field_rows(p, Y[live], T[live], stacked)
-        if failed:
-            raise next(iter(failed.values()))
-        J = np.array([field_jacobian(p, Y[i], t) for i, t in zip(live, T[live].tolist())])
-        done = np.linalg.norm(R, axis=1) <= 1e-3 * tol
-        if done.any():
-            for i, unstable in zip(live[done], _unstable(J[done])):
-                found[i] = None if unstable else Y[i]
-            live, R, J = live[~done], R[~done], J[~done]
-        if not live.size:
-            break
-        try:
-            Y[live] += _min_norm_steps(J, R)
-        except np.linalg.LinAlgError:
-            if len(live) > 1:
-                raise  # the lane-by-lane run tells which lane's solve raised
-            break  # that lane finds no sink
-        live = live[~(np.linalg.norm(Y[live] - Y0[live], axis=1) > radius[live])]
-        if not live.size:
-            break
-    return found
-
-
-def _polish_limits(p: ProblemDef, Y0: np.ndarray, times, tol: float) -> list:
-    """The sinks of the frozen fields that Newton finds near slow flow points.
-
-    Lane k starts at row ``Y0[k]`` with the field frozen at ``times[k]``.
-    Returns one entry per lane: the sink, None when Newton finds none, or
-    the exception that failed the lane.  A lane accepts only when Newton
-    converges (|field| <= 1e-3 tol) within 0.05 (1 + |Y0[k]|) of its start
-    in 30 iterations and the field Jacobian
-    (:func:`~tvland.geometry.field_jacobian`) at the solution has no
-    eigenvalue with real part above 1e-6 max(1, |J|_2) (a saddle or source
-    is not the flow limit of a generic start).  Steps are minimum-norm
-    least-squares solutions: a constrained frozen field is neutral along the
-    m leaf normals, where its Jacobian is singular up to rounding, so a plain
-    solve would move the limit along them by that rounding.  A step whose
-    solve raises LinAlgError finds no sink.
-
-    The lanes advance together (:func:`_polish_batch`); a batch that raises
-    is run again lane by lane (:func:`_lanewise`), so that an exception
-    stays with its lane.
-    """
-    return _lanewise(lambda Y, T: _polish_batch(p, Y, T, tol), Y0,
-                     np.asarray(times, dtype=float))
-
-
 def _polish_limit(p: ProblemDef, y0: np.ndarray, t: float, tol: float) -> np.ndarray | None:
     """The sink of the time-t field that Newton finds near a slow flow point, or None.
 
-    The one-lane case of :func:`_polish_limits`, which gives the rules; the
-    lane's exception is raised.
+    Accepts only when Newton converges (|field| <= 1e-3 tol) within
+    0.05 (1 + |y0|) of ``y0`` in 30 iterations and the field Jacobian
+    (:func:`~tvland.geometry.field_jacobian`) at the solution has no
+    eigenvalue with real part above 1e-6 max(1, |J|_2) (a saddle or source
+    is not the flow limit of a generic start).  Steps are minimum-norm
+    least-squares solutions (rcond 1e-6): a constrained frozen field is
+    neutral along the m leaf normals, where its Jacobian is singular up to
+    rounding, so a plain solve would move the limit along them by that
+    rounding.  A step whose solve raises LinAlgError finds no sink.  An
+    exception of the field, the Jacobian or the sink check is raised.
     """
-    found = _polish_limits(p, np.asarray(y0, dtype=float)[None], [t], tol)[0]
-    if isinstance(found, Exception):
-        raise found
+    y = y0 = np.array(y0, dtype=float)
+    radius = 0.05 * (1.0 + _norm(y0))
+    for _ in range(30):
+        r = ode_rhs(p, y, t)
+        J = field_jacobian(p, y, t)
+        if _norm(r) <= 1e-3 * tol:
+            scale = max(1.0, np.linalg.svd(J, compute_uv=False)[0])  # |J|_2
+            return None if np.linalg.eigvals(J).real.max() > 1e-6 * scale else y
+        try:
+            y = y + np.linalg.lstsq(J, -r, rcond=1e-6)[0]
+        except np.linalg.LinAlgError:
+            return None
+        if _norm(y - y0) > radius:
+            return None
+    return None
+
+
+def _polish_limits(p: ProblemDef, Y0: np.ndarray, times, tol: float) -> list:
+    """:func:`_polish_limit` of each lane: row ``Y0[k]`` at time ``times[k]``.
+
+    Returns one entry per lane: the sink, None when Newton finds none, or
+    the exception (of :data:`_LANE_FAILURES`) that failed the lane.
+    """
+    found: list = []
+    for y0, t in zip(Y0, np.asarray(times, dtype=float).tolist()):
+        try:
+            found.append(_polish_limit(p, y0, t, tol))
+        except _LANE_FAILURES as exc:
+            found.append(exc)
     return found
 
 

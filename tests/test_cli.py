@@ -48,6 +48,27 @@ def read_csv(path):
     return lines[0].split(","), [line.split(",") for line in lines[1:]]
 
 
+def usage_message(capsys) -> str:
+    """The message of the usage error a run just reported, with nothing on stdout."""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "usage"
+    return err["message"]
+
+
+@pytest.fixture
+def no_engine(monkeypatch):
+    """Fails the test if a trajectory is simulated or a sweep cell runs."""
+    def engine(*args, **kwargs):
+        raise AssertionError("an engine ran")
+
+    for module, name in ((cli._ode, "backward_euler_trajectory"),
+                         (cli._ode, "integrate_reference"),
+                         (cli, "discrete_trajectory"), (cli, "_sweep_cell")):
+        monkeypatch.setattr(module, name, engine)
+
+
 class TestSimulate:
     def test_csv_contract(self, tmp_path):
         out = tmp_path / "traj.csv"
@@ -319,6 +340,12 @@ class TestClassifyCommand:
         assert [r.reason for r in results[0].records] == ["flow_not_converged"] * 2
         assert "reason" not in payload["checks"][0]
 
+    @pytest.mark.parametrize("frac", ["-0.5", "1", "nan"])
+    def test_bad_tbar_frac_refused_before_simulating(self, frac, no_engine, capsys):
+        code = run(["classify", *EX1, "--dt", "1e-4", "--tbar-frac", frac])
+        assert code == 1
+        assert "tbar_frac" in usage_message(capsys)
+
 
 class TestConfigFile:
     def test_config_plus_override(self, tmp_path, capsys):
@@ -477,6 +504,46 @@ class TestSweep:
         assert err["error"] == "usage"
         assert repr(line.split("=")[0]) in err["message"]
 
+    @pytest.mark.parametrize("flag, value, key", [
+        ("--tbar-frac", "2", "tbar_frac"),
+        ("--dt", "-1", "dt"),
+        ("--x0", "-2,5", "x0"),
+    ])
+    def test_shared_sim_values_refused_before_any_cell(self, flag, value, key,
+                                                        no_engine, capsys):
+        # every cell would fail on them alike, so they are usage errors
+        code = run(["sweep", "--alpha-grid", "0.2,0.4", "--beta-grid", "5,10",
+                    flag, value])
+        assert code == 1
+        assert key in usage_message(capsys)
+
+    def test_prop1_mode_refuses_sim_options(self, tmp_path, no_engine, capsys):
+        # prop1 cells simulate nothing, so the options of the simulation are
+        # refused, as flags and as config keys, and the error names them all
+        grid = ["sweep", "--alpha-grid", "0.4", "--beta-grid", "10", "--mode", "prop1"]
+        flags = ["--x0", "-2", "--dt", "1e-3", "--tbar-frac", "0.5", "--starts", "8",
+                 "--seed", "3", "--checks", "5"]
+        assert run([*grid, *flags]) == 1
+        assert usage_message(capsys).endswith(
+            "does not read x0, dt, tbar_frac, starts, seed, checks")
+        for i in range(0, len(flags), 2):
+            assert run([*grid, *flags[i:i + 2]]) == 1
+            assert flags[i][2:].replace("-", "_") in usage_message(capsys)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("mode=prop1\nseed=3\n")
+        assert run(["sweep", "--alpha-grid", "0.4", "--beta-grid", "10",
+                    "--config", str(cfg)]) == 1
+        assert usage_message(capsys).endswith("does not read seed")
+
+    def test_bad_grid_values_stay_cell_errors(self, capsys):
+        # a grid value fails its own cells only
+        code = run(["sweep", "--alpha-grid", "-1,0.4", "--beta-grid", "10",
+                    "--mode", "prop1"])
+        assert code == 0
+        bad, good = (row.split(",") for row in capsys.readouterr().out.splitlines()[1:])
+        assert bad[:3] == ["-1", "10", "error:ValueError"]
+        assert good == ["0.40000000000000002", "10", "true", ""]
+
     def test_oversized_grid_rejected(self, capsys):
         code = run(["sweep", "--scenario", "example1",
                     "--alpha-grid", "0:1:101", "--beta-grid", "0:1:101",
@@ -547,18 +614,33 @@ def test_usage_error_names_the_option(argv, cfg, key, tmp_path, capsys):
     assert key in err["message"]
 
 
+def readme_block(heading: str) -> str:
+    """The first code block under a README heading, without its fence lines."""
+    readme = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        block = fh.read().split(f"## {heading}\n", 1)[1].split("```")[1]
+    return block.split("\n", 1)[1]  # drop the language tag after the fence
+
+
 def test_readme_command_lines_parse():
     # every documented example is a valid command line of the parser, and
     # every subcommand has one
-    readme = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "README.md")
-    with open(readme, encoding="utf-8") as fh:
-        block = fh.read().split("## Command line", 1)[1].split("```")[1]
-    lines = block.replace("\\\n", " ").splitlines()
+    lines = readme_block("Command line").replace("\\\n", " ").splitlines()
     commands = [shlex.split(line)[1:] for line in lines if line.startswith("tvland ")]
     assert sorted(argv[0] for argv in commands) == sorted(cli._COMMANDS)
     parser = cli._build_parser()
     for argv in commands:
         parser.parse_args(argv)
+
+
+def test_readme_library_example(capsys):
+    # the library example runs and prints what its comments say it prints
+    code = readme_block("Library example")
+    exec(compile(code, "README.md", "exec"), {})
+    stated = [line.split("#", 1)[1].strip() for line in code.splitlines()
+              if line.startswith("print(")]
+    assert stated == ["Verdict.NON_SPURIOUS", "True"]
+    assert capsys.readouterr().out.splitlines() == stated
 
 
 def test_parser_reused_across_runs(monkeypatch, capsys):

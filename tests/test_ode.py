@@ -625,6 +625,33 @@ class TestFrozenTimeFlows:
         assert converged.tolist() == want_conv.tolist() == [False, True, False, True]
         assert np.array_equal(limits, want_limits, equal_nan=True)
 
+    def test_raising_lane_is_polished_once(self, ex1_04_10):
+        # the lanes of the test above with an unmarked gradient that counts
+        # its calls: a polish of four lanes makes the calls of four one-lane
+        # polishes, so a raising lane is not run a second time
+        p, _ = ex1_04_10
+        calls = []
+
+        def grad(x, t):
+            calls.append(x)
+            if abs(x[0] - 2.0) < 1e-9:
+                raise tv.SingularConstraintError("at the sink")
+            return p.grad_objective(x, t)
+
+        q = p.replace(grad_objective=grad)
+        tol = ode_module._FLOW_TOL
+        Y0 = np.array([[2.0 + 1e-6], [-2.0 + 1e-6], [2.0 - 2e-6], [-2.0 - 1e-6]])
+        ode_module._polish_limits(q, Y0, np.zeros(4), tol)
+        in_batch, one_lane = len(calls), 0
+        for y0 in Y0:
+            calls.clear()
+            try:
+                ode_module._polish_limit(q, y0, 0.0, tol)
+            except tv.SingularConstraintError:
+                pass
+            one_lane += len(calls)
+        assert in_batch == one_lane
+
     def test_raising_stacked_solve_rejects_its_lane(self, ex1_04_10):
         # a NaN Jacobian near -2 makes the stacked minimum-norm solve raise;
         # it is repeated lane by lane and only that lane finds no sink
