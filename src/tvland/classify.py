@@ -16,19 +16,16 @@ import numpy as np
 
 from .discrete import _restore_feasibility
 from .errors import SingularConstraintError, StepSolveError
-from .geometry import kkt_residual, newton_kkt
+from .geometry import (geometry, kkt_residual, lagrangian_hessian, newton_kkt,
+                       positive_definite_on_kernel)
 from .ode import frozen_time_flow, frozen_time_flows
 from .problem import MinimizerCatalog, ProblemDef, Trajectory
-from .spectrum import tangent_hessian_eigenvalues
 
 #: Distance under which a flow limit is identified with a catalog entry, and
 #: under which multistart limits are merged into one cluster.  Minimizers of
 #: the shipped scenarios are separated by at least 1.
 MEMBERSHIP_TOL = 1e-4
 CLUSTER_RADIUS = 1e-4
-
-#: Smallest tangent-Hessian eigenvalue accepted as a strict local minimum.
-SOSC_TOL = 1e-8
 
 #: Stationarity/feasibility bound every catalog entry must satisfy.
 CATALOG_KKT_TOL = 1e-6
@@ -161,12 +158,13 @@ def _polish_minimizer(p: ProblemDef, x: np.ndarray, t: float) -> np.ndarray:
 
 
 def _is_strict_minimizer(p: ProblemDef, x: np.ndarray, t: float) -> bool:
-    """The catalog entry test: KKT residuals within bound and SOSC holds."""
-    res = kkt_residual(p, x, t)
+    """The catalog entry test: KKT residuals within bound and SOSC (hess L > 0 on ker J)."""
+    geom = geometry(p, x)
+    res = kkt_residual(p, x, t, geom)
     if res.stationarity > CATALOG_KKT_TOL or res.feasibility > CATALOG_KKT_TOL:
         return False
-    eigs = tangent_hessian_eigenvalues(p, x, t)
-    return not (eigs.size and eigs[0] <= SOSC_TOL)
+    M = lagrangian_hessian(p, x, t, res.multipliers)
+    return positive_definite_on_kernel(M, geom.jacobian)
 
 
 def _assemble_catalog(p: ProblemDef, t: float, reps: list[np.ndarray],
@@ -283,14 +281,14 @@ def tracking_builder(p: ProblemDef, box, starts: int = 64, seed: int = 0,
     The first requested time pays for a full multistart.  Later times
     continue each known minimizer from its previous location by a Newton
     step (:func:`_polish_minimizer`, :func:`~tvland.geometry.newton_kkt`
-    on the KKT system) and keep the continued point when it passes
-    the test :func:`build_catalog` applies to its entries (KKT residuals
-    within ``CATALOG_KKT_TOL``, tangent Hessian eigenvalues above
-    ``SOSC_TOL``).  A point failing it is replaced by the polished limit of
-    the frozen-time flow from the previous location, and a flow that does
-    not settle triggers a fresh multistart, as does an empty previous
-    catalog.  Suited to landscapes whose minimizer count is stable over the
-    horizon; use :func:`multistart_builder` otherwise.
+    on the KKT system) and keep the continued point when it passes the test
+    :func:`build_catalog` applies to its entries (KKT residuals within
+    ``CATALOG_KKT_TOL``, Lagrangian Hessian positive definite on ker J).  A
+    point failing it is replaced by the polished limit of the frozen-time
+    flow from the previous location, and a flow that does not settle
+    triggers a fresh multistart, as does an empty previous catalog.  Suited
+    to landscapes whose minimizer count is stable over the horizon; use
+    :func:`multistart_builder` otherwise.
     """
     state: dict = {"catalog": None}
 

@@ -431,8 +431,8 @@ def _sweep_cell(scn: _Scenario, values: dict, alpha: float, beta: float) -> tupl
     try:
         p = scn.make(prm)
     except Exception as exc:
-        return (alpha, beta, f"error:{type(exc).__name__}",
-                f"error:{type(exc).__name__}")
+        error = f"error:{type(exc).__name__}"
+        return (alpha, beta, error if mode != "sim" else "", error if mode != "prop1" else "")
     if mode in ("prop1", "both"):
         try:
             prop1_field = str(_conditions.prop1_check(scn.prop1, alpha, beta).satisfied).lower()

@@ -22,7 +22,8 @@ an inverse of it is ever formed.
 
 :func:`newton_kkt` is the one Newton iteration on the KKT system
 grad f + w (x - x_prev) + J^T mu = 0, h(x) = d(t) that the discrete engine
-(w = alpha/dt), the KKT refinement and the catalog polish (w = 0) share.
+(w = alpha/dt), the KKT refinement, the catalog polish and the flow-limit
+polish (w = 0) share.
 """
 
 from __future__ import annotations
@@ -271,9 +272,10 @@ def newton_kkt(p: ProblemDef, x: np.ndarray, t: float,
     and stops once both residual norms are at most ``tol``.  The multipliers
     start as the least-squares fit -theta^T grad F(x), theta taken from
     ``geom`` (the geometry of a nearby point) or else computed at x.  ``d``
-    is d(t) when the caller already holds it (m > 0).  No step is damped or
-    checked for descent: callers that need a particular KKT point apply
-    their own safeguards.
+    replaces d(t) as the leaf value to reach (m > 0): d(t) when the caller
+    already holds it, or another leaf such as the one a flow preserves.  No
+    step is damped or checked for descent: callers that need a particular
+    KKT point apply their own safeguards.
 
     Raises
     ------

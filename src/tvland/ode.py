@@ -16,8 +16,9 @@ import numpy as np
 
 from .discrete import check_local_solution, discrete_trajectory, extrapolated_start
 from .errors import ImplicitSolveError, StiffnessError, TvlandError
-from .geometry import (GeometryResult, _norm, field_jacobian, geometry, ode_rhs,
-                       trajectory_with_diagnostics)
+from .geometry import (GeometryResult, _norm, field_jacobian, geometry,
+                       lagrangian_hessian, newton_kkt, ode_rhs,
+                       positive_definite_on_kernel, trajectory_with_diagnostics)
 from .problem import ProblemDef, Trajectory, has_stacked_gradient, start_vector
 
 _BE_RESID_TOL = 1e-10
@@ -177,34 +178,28 @@ def integrate_reference(p: ProblemDef, x0: np.ndarray, rel_tol: float = 1e-9,
 
 
 def _polish_limit(p: ProblemDef, y0: np.ndarray, t: float, tol: float) -> np.ndarray | None:
-    """The sink of the time-t field that Newton finds near a slow flow point, or None.
+    """The strict local minimum near a slow flow point that Newton finds, or None.
 
-    Accepts only when Newton converges (|field| <= 1e-3 tol) within
-    0.05 (1 + |y0|) of ``y0`` in 30 iterations and the field Jacobian
-    (:func:`~tvland.geometry.field_jacobian`) at the solution has no
-    eigenvalue with real part above 1e-6 max(1, |J|_2) (a saddle or source
-    is not the flow limit of a generic start).  Steps are minimum-norm
-    least-squares solutions (rcond 1e-6): a constrained frozen field is
-    neutral along the m leaf normals, where its Jacobian is singular up to
-    rounding, so a plain solve would move the limit along them by that
-    rounding.  A step whose solve raises LinAlgError finds no sink.  An
-    exception of the field, the Jacobian or the sink check is raised.
+    One :func:`~tvland.geometry.newton_kkt` run from ``y0`` (30 iterations,
+    tolerance 1e-3 alpha tol: |field| <= 1e-3 tol for m = 0), for m > 0 on
+    the flow's own leaf h = h(y0).  Accepts a converged point within
+    0.05 (1 + |y0|) of ``y0`` where, for m > 0, the frozen field vanishes
+    too (|field| <= 1e-3 tol; under moving data it is theta d' != 0 at
+    every KKT point) and the Lagrangian Hessian is positive definite on
+    ker J (a saddle is not the flow limit of a generic start).  A singular
+    KKT solve finds no sink; an exception of the problem's callables is raised.
     """
-    y = y0 = np.array(y0, dtype=float)
-    radius = 0.05 * (1.0 + _norm(y0))
-    for _ in range(30):
-        r = ode_rhs(p, y, t)
-        J = field_jacobian(p, y, t)
-        if _norm(r) <= 1e-3 * tol:
-            scale = max(1.0, np.linalg.svd(J, compute_uv=False)[0])  # |J|_2
-            return None if np.linalg.eigvals(J).real.max() > 1e-6 * scale else y
-        try:
-            y = y + np.linalg.lstsq(J, -r, rcond=1e-6)[0]
-        except np.linalg.LinAlgError:
-            return None
-        if _norm(y - y0) > radius:
-            return None
-    return None
+    y0 = np.array(y0, dtype=float)
+    res = newton_kkt(p, y0, t, tol=1e-3 * p.alpha * tol, max_iter=30,
+                     d=p.constraints(y0) if p.m else None)
+    y = res.x
+    if res.status != "converged" or _norm(y - y0) > 0.05 * (1.0 + _norm(y0)):
+        return None
+    geom = geometry(p, y)
+    if p.m and _norm(ode_rhs(p, y, t, geom)) > 1e-3 * tol:
+        return None
+    M = lagrangian_hessian(p, y, t, res.multipliers)
+    return y if positive_definite_on_kernel(M, geom.jacobian) else None
 
 
 def _polish_limits(p: ProblemDef, Y0: np.ndarray, times, tol: float) -> list:
@@ -240,8 +235,9 @@ def frozen_time_flow(p: ProblemDef, x: np.ndarray, t: float,
     field (:func:`~tvland.geometry.ode_rhs`) with t held fixed, from a start
     ``x`` of shape (n,), run until |dx/ds| <= tol (converged) or s reaches
     ``s_max`` (default 100 alpha; not converged).  Once the velocity is
-    moderately small the nearby equilibrium is refined by Newton and
-    returned, provided it is a verified sink; flows stalling near saddles or
+    moderately small the nearby KKT point on the flow's leaf is refined by
+    Newton (:func:`_polish_limit`) and returned, provided it is a strict
+    local minimum where the field vanishes; flows stalling near saddles or
     under moving data (where the frozen field has no equilibria at all) run
     out their budget and report ``converged = False``.  This is the one-lane
     case of :func:`frozen_time_flows`, which gives the stopping rules.
@@ -271,7 +267,7 @@ _DP_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
 _DP_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
 _ERR_EXPONENT = -1.0 / 5
 
-#: Exceptions of a field evaluation or sink check that fail only the lane of
+#: Exceptions of a field evaluation or polish that fail only the lane of
 #: :func:`frozen_time_flows` they arise in; they are raised (or absorbed by
 #: ``lane_errors``) once every lane has finished.
 _LANE_FAILURES = (TvlandError, ValueError, ArithmeticError)
@@ -329,13 +325,13 @@ def frozen_time_flows(p: ProblemDef, X: np.ndarray, times,
     converged.  Any other lane steps until an accepted step is slower than
     its switch speed: max(1e-4, 10 tol), or half the start speed when the
     start is already slower than that.  There the lane converges to the
-    equilibrium that the Newton sink check accepts, or to its state when
-    its speed is at most ``tol``.  Otherwise (a saddle shoulder) it halves
+    strict local minimum that :func:`_polish_limit` accepts, or to its state
+    when its speed is at most ``tol``.  Otherwise (a saddle shoulder) it halves
     its switch speed, below its current speed, and creeps on; once the
     switch speed falls to ``tol`` it stops.  A lane that stops so, or
     spends ``s_max``, is not converged and reports its last state.
 
-    A lane whose field or sink check raises keeps that exception; a
+    A lane whose field or polish raises keeps that exception; a
     non-finite stage or a step under the minimum gives it a
     :class:`~tvland.errors.StiffnessError`.  Once every lane has finished,
     the exception of the first failed lane whose type is not in

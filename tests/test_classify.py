@@ -150,8 +150,8 @@ class TestTrackingBuilder:
         monkeypatch.setattr(classify_module, "frozen_time_flow",
                             lambda *a, **k: flows.append(a[1].copy()) or scalar(*a, **k))
         # every continued point now fails the second-order test
-        monkeypatch.setattr(classify_module, "tangent_hessian_eigenvalues",
-                            lambda p, x, t: np.array([-1.0]))
+        monkeypatch.setattr(classify_module, "positive_definite_on_kernel",
+                            lambda M, J: False)
         cat = builder(4.72)
         assert len(flows) == len(first) == 2
         assert np.array_equal(np.vstack(flows), first.minimizers)

@@ -536,13 +536,19 @@ class TestSweep:
         assert usage_message(capsys).endswith("does not read seed")
 
     def test_bad_grid_values_stay_cell_errors(self, capsys):
-        # a grid value fails its own cells only
-        code = run(["sweep", "--alpha-grid", "-1,0.4", "--beta-grid", "10",
-                    "--mode", "prop1"])
-        assert code == 0
-        bad, good = (row.split(",") for row in capsys.readouterr().out.splitlines()[1:])
-        assert bad[:3] == ["-1", "10", "error:ValueError"]
-        assert good == ["0.40000000000000002", "10", "true", ""]
+        # a grid value fails its own cells only, in the columns its mode runs
+        verdicts = {"non-spurious", "spurious", "unresolved"}
+        for mode, bad_row in [("prop1", ["-1", "10", "error:ValueError", ""]),
+                              ("sim", ["-1", "10", "", "error:ValueError"]),
+                              ("both", ["-1", "10", "error:ValueError", "error:ValueError"])]:
+            sim = ["--checks", "2", "--starts", "8"] if mode != "prop1" else []
+            code = run(["sweep", "--alpha-grid", "-1,0.4", "--beta-grid", "10",
+                        "--mode", mode, *sim])
+            assert code == 0
+            bad, good = (row.split(",") for row in capsys.readouterr().out.splitlines()[1:])
+            assert bad == bad_row
+            assert good[:3] == ["0.40000000000000002", "10", "" if mode == "sim" else "true"]
+            assert good[3] in (verdicts if mode != "prop1" else {""})
 
     def test_oversized_grid_rejected(self, capsys):
         code = run(["sweep", "--scenario", "example1",

@@ -452,10 +452,7 @@ class TestFrozenTimeFlows:
             ode_module.frozen_time_flows(p, np.array([[1.0, 2.0]]), 0.0)
 
     def test_matches_scalar_on_frozen_matrix_recovery(self, matrec):
-        # Constrained limits are only defined up to the neutral leaf-normal
-        # directions (two integrations drift along them by ~1e-5), so the
-        # batch and the reference are compared after the KKT refinement that
-        # catalogs and continuation apply.
+        # the polish holds each limit on its flow's leaf, here h = d(0)
         frozen = tv.freeze_data(matrec, 0.0)
         rng = np.random.default_rng(5)
         X = np.array([tv.matrix_recovery_state(frozen, f, 0.0)
@@ -464,10 +461,10 @@ class TestFrozenTimeFlows:
         want_limits, want_conv = _reference_flows(frozen, X, np.zeros(len(X)))
         assert np.array_equal(converged, want_conv)
         assert converged.all()
-        for got, want in zip(limits, want_limits):
-            a = tv.kkt_refine(frozen, got, 0.0)
-            b = tv.kkt_refine(frozen, want, 0.0)
-            assert np.linalg.norm(a - b) <= 1e-8
+        assert np.abs(limits - want_limits).max() <= 1e-8
+        d0 = frozen.data_path(0.0)
+        for limit in limits:
+            assert np.linalg.norm(frozen.constraints(limit) - d0) <= 1e-8
 
     def test_moving_data_lane_spends_budget_without_rerun(self, matrec):
         # no equilibria under moving data: the lane spends s_max and is
@@ -477,6 +474,14 @@ class TestFrozenTimeFlows:
         want, want_conv = _reference_flows(matrec, z[None, :], [0.0])
         assert converged.tolist() == want_conv.tolist() == [False]
         assert np.abs(limits[0] - want[0]).max() <= 1e-8
+
+    def test_moving_data_kkt_point_is_no_sink(self, matrec):
+        # Z(0) is a KKT point of the time-0 problem, but under moving data
+        # the frozen field there is theta d' != 0, so the polish finds no sink
+        z = tv.matrix_recovery_global_state(0.0)
+        assert tv.kkt_residual(matrec, z, 0.0).stationarity <= 1e-10
+        assert np.linalg.norm(tv.ode_rhs(matrec, z, 0.0)) > 1e-3
+        assert ode_module._polish_limit(matrec, z, 0.0, ode_module._FLOW_TOL) is None
 
     def test_raising_lane_leaves_the_others(self, ex1_04_10):
         # the gradient raises beyond |x| = 100, as a degenerate constraint
@@ -551,11 +556,12 @@ class TestFrozenTimeFlows:
 
     @pytest.mark.parametrize("scenario", ["shoulder", "matrec"])
     def test_same_step_polishes_equal_one_lane_runs(self, scenario, monkeypatch):
-        # lanes that reach their switch speed in one step are polished in
-        # one call: on the shoulder problem at the shoulder (rejected, the
-        # lanes creep on) and at the sink, and on frozen matrix recovery
-        # (repeated starts) with the stacked minimum-norm steps of n = 6.
-        # Each row equals a one-lane run and the unmarked lane loop.
+        # lanes that reach their switch speed in the same step are handed
+        # to one _polish_limits call, which polishes each lane on its own:
+        # on the shoulder problem at the shoulder (rejected, the lanes creep
+        # on) and at the sink, and on frozen matrix recovery (repeated
+        # starts, n = 6).  Each row equals a one-lane run and the unmarked
+        # lane loop.
         if scenario == "shoulder":
             p = _shoulder_problem()
             X = np.linspace(-3.0, 3.0, 21)[:, None]
@@ -588,10 +594,10 @@ class TestFrozenTimeFlows:
             assert conv and np.array_equal(one, limit)
 
     def test_raising_stacked_field_in_a_polish_fails_its_lane(self, ex1_04_10):
-        # a marked gradient that raises on any stack holding a point within
-        # 1e-9 of the sink 2 at t = 0, which only Newton iterates reach: the
-        # polish repeats that evaluation lane by lane, and only the lanes
-        # heading to 2 fail
+        # a marked gradient that raises on any point within 1e-9 of the
+        # sink 2 at t = 0, which only Newton iterates reach: each lane is
+        # polished on its own, so only the lanes heading to 2 fail, and the
+        # flow batch repeats a raising stacked field lane by lane
         from tvland.problem import _stackable
 
         p, _ = ex1_04_10
@@ -653,8 +659,9 @@ class TestFrozenTimeFlows:
         assert in_batch == one_lane
 
     def test_raising_stacked_solve_rejects_its_lane(self, ex1_04_10):
-        # a NaN Jacobian near -2 makes the stacked minimum-norm solve raise;
-        # it is repeated lane by lane and only that lane finds no sink
+        # a NaN Hessian near -2 leaves the Newton iterates of that lane NaN,
+        # so it does not converge and finds no sink; the other lanes, each
+        # polished on its own, still reach 2
         p, _ = ex1_04_10
 
         def hess(x, t):
@@ -671,10 +678,10 @@ class TestFrozenTimeFlows:
             assert np.array_equal(found[k], ode_module._polish_limit(q, Y0[k], 0.0, tol))
             assert abs(found[k][0] - 2.0) <= 1e-12
 
-    def test_raising_sink_check_fails_its_lane(self, ex1_04_10):
-        # a NaN Jacobian near the sink 2: the lane that starts exactly there
-        # has converged at once, and the eigenvalues of its sink check raise;
-        # that lane keeps the exception and the others reach -2
+    def test_nan_hessian_at_the_limit_finds_no_sink(self, ex1_04_10):
+        # a NaN Hessian near the sink 2: the lane that starts exactly there
+        # has converged at once, and its second-order test cannot factor the
+        # Hessian; that lane finds no sink and the others reach -2
         p, _ = ex1_04_10
 
         def hess(x, t):
@@ -684,12 +691,11 @@ class TestFrozenTimeFlows:
         Y0 = np.array([[-2.0 + 1e-6], [2.0], [-2.0 - 1e-6]])
         tol = ode_module._FLOW_TOL
         found = ode_module._polish_limits(q, Y0, np.zeros(3), tol)
-        assert isinstance(found[1], np.linalg.LinAlgError)
+        assert found[1] is None
+        assert ode_module._polish_limit(q, Y0[1], 0.0, tol) is None
         for k in (0, 2):
             assert abs(found[k][0] + 2.0) <= 1e-12
             assert np.array_equal(found[k], ode_module._polish_limit(q, Y0[k], 0.0, tol))
-        with pytest.raises(np.linalg.LinAlgError):
-            ode_module._polish_limit(q, Y0[1], 0.0, tol)
 
     def test_raising_one_lane_polish_runs_once(self, ex1_04_10):
         # a one-lane polish keeps the exception of its one run: the field at
