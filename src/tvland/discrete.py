@@ -264,11 +264,10 @@ def discrete_trajectory(p: ProblemDef, x0: np.ndarray, steps: int,
     dt = p.horizon / steps
     times = np.linspace(0.0, p.horizon, steps + 1)
     states = np.empty((steps + 1, p.n))
-    geoms = [None] * (steps + 1)
     states[0] = x0
+    geom = None  # the geometry at the last state, once a step computed it
     for k in range(1, steps + 1):
-        states[k], geoms[k] = regularized_step(p, states[k - 1], times[k], dt,
-                                               stat_tol, feas_tol, return_geometry=True,
-                                               geom_prev=geoms[k - 1],
-                                               start=extrapolated_start(states, k))
-    return trajectory_with_diagnostics(p, times, states, geoms if p.m else None)
+        states[k], geom = regularized_step(p, states[k - 1], times[k], dt,
+                                           stat_tol, feas_tol, return_geometry=True,
+                                           geom_prev=geom, start=extrapolated_start(states, k))
+    return trajectory_with_diagnostics(p, times, states)

@@ -11,14 +11,12 @@ and the tracking dynamics follow
     x' = -eta(x, t) / alpha + theta(x) d'(t),
     eta(x, t) = P(x) grad f(x, t).
 
-Both come from one thin singular value decomposition J = U S V^T (V has
-orthonormal columns spanning the row space of J):
-
-    P(x)     = I - V V^T
-    theta(x) = V S^(-1) U^T
-
-and S also gives the conditioning sigma_min(J) = S[-1].  Neither J J^T nor
-an inverse of it is ever formed.
+Both come from one linear solve with the Gram matrix J J^T: A = (J J^T)^(-1) J
+gives theta = A^T and P = I - J^T A.  Since the singular values of theta are
+the reciprocals of those of J, 1 / |A|_F <= sigma_min(J), which certifies
+regularity without a decomposition; only a point the bound cannot clear
+takes a thin SVD of J, which decides whether J is degenerate.  The
+conditioning sigma_min(J) is computed only where a caller asks for it.
 
 :func:`newton_kkt` is the one Newton iteration on the KKT system
 grad f + w (x - x_prev) + J^T mu = 0, h(x) = d(t) that the discrete engine
@@ -30,27 +28,45 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .errors import SingularConstraintError
-from .problem import (ProblemDef, Trajectory, _central_difference,
-                      has_stacked_gradient)
+from .problem import ProblemDef, Trajectory, _central_difference, each_row
 
 #: Below this smallest singular value of J the constraints are treated as
 #: degenerate (non-singularity assumption violated).
 SINGULARITY_TOL = 1e-8
 
 
+#: The solve form serves only points where |J|_F^2 |A|_F^2, an upper bound on
+#: the condition number of J J^T, is at most this, so that the Gram solve
+#: loses at most six of the sixteen digits; other points take the SVD.
+_GRAM_COND_MAX = 1e6
+#: Relative room the bound 1 / |A|_F must leave above c_tol, far above the
+#: rounding of |A|_F under _GRAM_COND_MAX, so that the bound never clears a
+#: J whose SVD would put sigma_min below c_tol.
+_BOUND_ROOM = 1e-6
+
+
 @dataclass(frozen=True)
 class GeometryResult:
-    """Projector, pseudo-inverse map and conditioning at a point."""
+    """Projector and pseudo-inverse map at a point, with the J they come from.
+
+    ``sigma_min`` is computed from a thin SVD of ``jacobian`` at each access
+    (+inf for m = 0); the geometry itself never needs it.
+    """
 
     projector: np.ndarray  # (n, n)
     theta: np.ndarray      # (n, m)
-    sigma_min: float
     jacobian: np.ndarray   # (m, n), the J(x) the other fields come from
+
+    @property
+    def sigma_min(self) -> float:
+        if self.jacobian.shape[0] == 0:
+            return math.inf
+        return float(np.linalg.svd(self.jacobian, compute_uv=False)[-1])
 
 
 def require_regular(sigma: float, x: np.ndarray, c_tol: float = SINGULARITY_TOL) -> None:
@@ -60,11 +76,36 @@ def require_regular(sigma: float, x: np.ndarray, c_tol: float = SINGULARITY_TOL)
             f"sigma_min(J) = {sigma:.3e} < {c_tol:.1e} at x = {np.asarray(x)!r}")
 
 
-def geometry(p: ProblemDef, x: np.ndarray, c_tol: float = SINGULARITY_TOL) -> GeometryResult:
-    """Compute P(x), theta(x) and sigma_min(J(x)).
+def _certified_solve(J: np.ndarray, c_tol: float) -> Optional[np.ndarray]:
+    """A = (J J^T)^(-1) J if the bound 1 / |A|_F <= sigma_min(J) clears c_tol, else None.
 
-    For unconstrained problems (m = 0) the projector is the identity, theta
-    is an empty (n, 0) matrix and sigma_min is reported as +inf.
+    None also where J is not finite, J J^T cannot be factored or J is too
+    ill-conditioned for the solve (:data:`_GRAM_COND_MAX`).  The products
+    are of Python floats, so that no overflow warns.
+    """
+    j2 = float(np.vdot(J, J))
+    if not j2 < math.inf:  # a NaN or inf in J
+        return None
+    try:
+        A = np.linalg.solve(J @ J.T, J)
+    except np.linalg.LinAlgError:
+        return None
+    a2 = float(np.vdot(A, A))
+    # written so that a NaN fails both tests
+    if a2 * j2 <= _GRAM_COND_MAX and c_tol * c_tol * a2 <= 1.0 - _BOUND_ROOM:
+        return A
+    return None
+
+
+def geometry(p: ProblemDef, x: np.ndarray, c_tol: float = SINGULARITY_TOL) -> GeometryResult:
+    """Compute P(x) and theta(x), after checking that sigma_min(J(x)) >= c_tol.
+
+    A = (J J^T)^(-1) J comes from one solve where its norm certifies the
+    point (:func:`_certified_solve`).  Any other point, a non-finite J
+    included, takes a thin SVD of J, which decides with
+    :func:`require_regular` and gives P and theta.  For unconstrained
+    problems (m = 0) the projector is the identity and theta is an empty
+    (n, 0) matrix.
 
     Raises
     ------
@@ -73,14 +114,14 @@ def geometry(p: ProblemDef, x: np.ndarray, c_tol: float = SINGULARITY_TOL) -> Ge
     """
     n = p.n
     if p.m == 0:
-        return GeometryResult(np.eye(n), np.zeros((n, 0)), np.inf, np.zeros((0, n)))
+        return GeometryResult(np.eye(n), np.zeros((n, 0)), np.zeros((0, n)))
     J = np.asarray(p.jacobian(x), dtype=float)
+    A = _certified_solve(J, c_tol)
+    if A is not None:
+        return GeometryResult(np.eye(n) - J.T @ A, A.T, J)
     U, S, Vt = np.linalg.svd(J, full_matrices=False)
-    sigma = float(S[-1])
-    require_regular(sigma, x, c_tol)
-    P = np.eye(n) - Vt.T @ Vt
-    theta = (Vt.T / S) @ U.T
-    return GeometryResult(P, theta, sigma, J)
+    require_regular(float(S[-1]), x, c_tol)
+    return GeometryResult(np.eye(n) - Vt.T @ Vt, (Vt.T / S) @ U.T, J)
 
 
 def eta(p: ProblemDef, x: np.ndarray, t: float,
@@ -169,7 +210,8 @@ def data_jacobian(p: ProblemDef, x: np.ndarray, t: float,
                   geom: GeometryResult, H: Optional[np.ndarray] = None) -> np.ndarray:
     """K2 = d/dx [theta(x) d'(t)] = P (w . H) - theta N_v at any x, given its geometry.
 
-    Here w = (J J^T)^(-1) d', v = theta d' and N_v has rows (H_i v)^T.
+    Here v = theta d', w = (J J^T)^(-1) d' = theta^T v (as (J J^T)^(-1) =
+    theta^T theta) and N_v has rows (H_i v)^T.
     ``H`` is the :func:`constraint_hessians` stack at x, if already fetched.
     """
     dd = np.asarray(p.data_rate(t), dtype=float)
@@ -177,9 +219,8 @@ def data_jacobian(p: ProblemDef, x: np.ndarray, t: float,
         return np.zeros((p.n, p.n))
     if H is None:
         H = constraint_hessians(p, x)
-    J = geom.jacobian
-    w = np.linalg.solve(J @ J.T, dd)
     v = geom.theta @ dd
+    w = geom.theta.T @ v
     return geom.projector @ weighted_constraint_hessian(H, w) - geom.theta @ (H @ v)
 
 
@@ -235,7 +276,8 @@ class NewtonKKT(NamedTuple):
     """Outcome of :func:`newton_kkt`.
 
     ``status`` is ``"converged"`` (both residuals within tol at ``x``),
-    ``"singular"`` (the KKT matrix could not be factored), ``"max_step"``
+    ``"singular"`` (the KKT matrix could not be factored or gave a
+    non-finite step, as a NaN Hessian does), ``"max_step"``
     (the next step was longer than ``max_step`` and was not taken) or
     ``"max_iter"``.  ``iterations`` counts residual evaluations.
     ``hessian`` is the Lagrangian Hessian of F last formed (at the start of
@@ -320,6 +362,9 @@ def newton_kkt(p: ProblemDef, x: np.ndarray, t: float,
         try:
             delta = np.linalg.solve(KKT, rhs)
         except np.linalg.LinAlgError:
+            delta = None
+        # a NaN or inf entry makes delta . delta non-finite
+        if delta is None or not math.isfinite(delta.dot(delta)):
             return NewtonKKT(x, mu, "singular", it, M)
         if max_step is not None and _norm(delta[:n]) > max_step:
             return NewtonKKT(x, mu, "max_step", it, M)
@@ -331,32 +376,40 @@ def newton_kkt(p: ProblemDef, x: np.ndarray, t: float,
 
 
 def trajectory_with_diagnostics(p: ProblemDef, times: np.ndarray,
-                                states: np.ndarray,
-                                geoms: Optional[Sequence[Optional[GeometryResult]]] = None
-                                ) -> Trajectory:
+                                states: np.ndarray) -> Trajectory:
     """Assemble a Trajectory, filling per-point KKT and step diagnostics.
 
-    ``geoms``, when given, holds the :func:`geometry` of each state as an
-    engine already computed it, or None where it must be computed here.
-    Without ``geoms``, an unconstrained problem with an array-safe gradient
-    gets all its diagnostics from one stacked gradient call, with the same
-    bits as the per-point loop.
+    One pass over stacks: the gradients (L, n), and for m > 0 the Jacobians
+    (L, m, n), constraint values and data d(t) (L, m), each from one call of
+    a map marked array-safe (:func:`~tvland.problem.each_row`) and row by
+    row otherwise, with the same bits.  The least-squares multipliers come
+    from one batched solve of J J^T mu = -J grad f, stationarity and
+    feasibility from row norms, and sigma_min from one stacked SVD of the
+    Jacobians.
+
+    Raises
+    ------
+    SingularConstraintError
+        At the first state whose sigma_min(J) is below
+        :data:`SINGULARITY_TOL`.
     """
     times = np.asarray(times, dtype=float)
     states = np.atleast_2d(np.asarray(states, dtype=float))
     k = len(times)
-    if geoms is None and has_stacked_gradient(p):
-        grads = np.asarray(p.grad_objective(states, times[:, None]), dtype=float)
-        steps = np.zeros(k)
-        steps[1:] = np.linalg.norm(np.diff(states, axis=0), axis=1)
+    grads = each_row(p.grad_objective, states, times)
+    steps = np.zeros(k)
+    steps[1:] = np.linalg.norm(np.diff(states, axis=0), axis=1)
+    if p.m == 0:
         return Trajectory(times, states, np.linalg.norm(grads, axis=1),
                           np.zeros(k), np.full(k, np.inf), steps)
-    diag = np.empty((k, 4))
-    for i in range(k):
-        geom = None if geoms is None else geoms[i]
-        if geom is None:
-            geom = geometry(p, states[i])
-        res = kkt_residual(p, states[i], times[i], geom)
-        step = 0.0 if i == 0 else _norm(states[i] - states[i - 1])
-        diag[i] = (res.stationarity, res.feasibility, geom.sigma_min, step)
-    return Trajectory(times, states, diag[:, 0], diag[:, 1], diag[:, 2], diag[:, 3])
+    J = each_row(p.jacobian, states)
+    sigma = np.linalg.svd(J, compute_uv=False)[:, -1]
+    bad = np.flatnonzero(sigma < SINGULARITY_TOL)
+    if bad.size:
+        require_regular(sigma[bad[0]], states[bad[0]])
+    Jt = J.transpose(0, 2, 1)
+    mu = -np.linalg.solve(J @ Jt, J @ grads[:, :, None])
+    stat = np.linalg.norm(grads + (Jt @ mu)[..., 0], axis=1)
+    feas = np.linalg.norm(each_row(p.constraints, states) - each_row(p.data_path, times),
+                          axis=1)
+    return Trajectory(times, states, stat, feas, sigma, steps)

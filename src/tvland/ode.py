@@ -16,9 +16,8 @@ import numpy as np
 
 from .discrete import check_local_solution, discrete_trajectory, extrapolated_start
 from .errors import ImplicitSolveError, StiffnessError, TvlandError
-from .geometry import (GeometryResult, _norm, field_jacobian, geometry,
-                       lagrangian_hessian, newton_kkt, ode_rhs,
-                       positive_definite_on_kernel, trajectory_with_diagnostics)
+from .geometry import (_norm, field_jacobian, geometry, lagrangian_hessian, newton_kkt,
+                       ode_rhs, positive_definite_on_kernel, trajectory_with_diagnostics)
 from .problem import ProblemDef, Trajectory, has_stacked_gradient, start_vector
 
 _BE_RESID_TOL = 1e-10
@@ -33,9 +32,8 @@ _BE_CONTRACTION = 1e-3
 
 def _implicit_step(p: ProblemDef, y_prev: np.ndarray, t: float, dt: float,
                    resid_tol: float, M_inv: np.ndarray | None,
-                   start: np.ndarray | None = None
-                   ) -> tuple[np.ndarray, np.ndarray | None, GeometryResult | None]:
-    """Solve y = y_prev + dt * rhs(y, t) by simplified Newton: ``(y, M_inv, geom)``.
+                   start: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
+    """Solve y = y_prev + dt * rhs(y, t) by simplified Newton: ``(y, M_inv)``.
 
     From ``start`` (default: the explicit Euler predictor, which costs one
     field evaluation), iterate y <- y - M_inv r(y) on the residual
@@ -48,35 +46,33 @@ def _implicit_step(p: ProblemDef, y_prev: np.ndarray, t: float, dt: float,
     bring the residual below :data:`_BE_CONTRACTION` times the previous one,
     its iterate is kept only if the residual fell; the matrix is then
     re-evaluated at the current iterate and a Newton step, halved while the
-    residual grows, is taken.  Returns the solution, the inverse iteration
-    matrix for the next step and the :func:`~tvland.geometry.geometry` at
-    the solution that its last residual used (None for m = 0).
+    residual grows, is taken.  Returns the solution and the inverse
+    iteration matrix for the next step.
     """
     if p.m:
         def resid(y):
-            geom = geometry(p, y)
-            r = y - y_prev - dt * ode_rhs(p, y, t, geom)
-            return r, _norm(r), geom
+            r = y - y_prev - dt * ode_rhs(p, y, t)
+            return r, _norm(r)
     else:
         grad, h = p.grad_objective, dt / p.alpha
 
         def resid(y):
             r = (y - y_prev) + h * grad(y, t)  # rhs = -grad / alpha
-            return r, _norm(r), None
+            return r, _norm(r)
 
     if start is None:
         start = y_prev + dt * ode_rhs(p, y_prev, t)  # explicit predictor
     y = start
-    r, rnorm, geom = resid(y)
+    r, rnorm = resid(y)
     for _ in range(_BE_MAX_NEWTON):
         if rnorm <= resid_tol:
-            return y, M_inv, geom
+            return y, M_inv
         if M_inv is not None:
             y_new = y - M_inv @ r
-            r_new, rn, geom_new = resid(y_new)
+            r_new, rn = resid(y_new)
             stale = rn > _BE_CONTRACTION * rnorm
             if rn < rnorm:
-                y, r, rnorm, geom = y_new, r_new, rn, geom_new
+                y, r, rnorm = y_new, r_new, rn
             if not stale or rnorm <= resid_tol:
                 continue
         try:
@@ -88,14 +84,14 @@ def _implicit_step(p: ProblemDef, y_prev: np.ndarray, t: float, dt: float,
         lam = 1.0
         for _ in range(40):
             y_new = y + lam * delta
-            r_new, rn, geom_new = resid(y_new)
+            r_new, rn = resid(y_new)
             if rn < rnorm:
                 break
             lam *= 0.5
         else:
             raise ImplicitSolveError(
                 f"Newton damping stalled at t = {t:.6g}, residual {rnorm:.3e}")
-        y, r, rnorm, geom = y_new, r_new, rn, geom_new
+        y, r, rnorm = y_new, r_new, rn
     raise ImplicitSolveError(
         f"implicit step at t = {t:.6g} stopped at residual {rnorm:.3e}")
 
@@ -114,8 +110,7 @@ def backward_euler_trajectory(p: ProblemDef, x0: np.ndarray, dt: float,
     predictor otherwise.  The iteration matrix, from the exact Jacobian of
     the field, is inverted and reused across steps until an iteration with
     it stops contracting the residual.  The matrix lives in this call only,
-    so every run of a trajectory is the same.  For m > 0 the diagnostics
-    reuse the geometry each step's last residual computed.
+    so every run of a trajectory is the same.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -127,13 +122,11 @@ def backward_euler_trajectory(p: ProblemDef, x0: np.ndarray, dt: float,
     times = np.linspace(0.0, p.horizon, n_steps + 1)
     states = np.empty((n_steps + 1, p.n))
     states[0] = x0
-    geoms = [None] * (n_steps + 1)
     M_inv = None
     for k, t in enumerate(times.tolist()[1:], start=1):
-        states[k], M_inv, geoms[k] = _implicit_step(p, states[k - 1], t, dte,
-                                                    resid_tol, M_inv,
-                                                    extrapolated_start(states, k))
-    return trajectory_with_diagnostics(p, times, states, geoms if p.m else None)
+        states[k], M_inv = _implicit_step(p, states[k - 1], t, dte, resid_tol, M_inv,
+                                          extrapolated_start(states, k))
+    return trajectory_with_diagnostics(p, times, states)
 
 
 def solve_ivp(*args, **kwargs):

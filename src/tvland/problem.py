@@ -193,13 +193,15 @@ _STACKABLE = "_tvland_stackable"
 def _stackable(fn):
     """Mark ``fn`` as array-safe.
 
-    A marked gradient takes either one point (``x`` of shape (n,), scalar
-    ``t``) or a stack (``x`` of shape (L, n), ``t`` of shape (L, 1)) and
-    returns an array shaped like ``x``, each row bit for bit the per-point
-    result.  A marked derivative ``dg`` of a :class:`Scalar1DFunction`
-    takes a float or an array of floats and returns, entry by entry, bit for
-    bit its value at each float.  The mark lives on the callable, so
-    ``ProblemDef.replace`` with another gradient drops it.
+    A marked problem map takes either what it takes per point (``x`` of
+    shape (n,), a scalar ``t``) or a stack (``x`` of shape (L, n), ``t`` of
+    shape (L, 1)) and returns the stack of its per-point results, each row
+    bit for bit the per-point result: a gradient returns (L, n), a Jacobian
+    (L, m, n), constraint values and data d(t) (L, m).  A marked derivative
+    ``dg`` of a :class:`Scalar1DFunction` takes a float or an array of
+    floats and returns, entry by entry, bit for bit its value at each float.
+    The mark lives on the callable, so ``ProblemDef.replace`` with another
+    map drops it.
     """
     setattr(fn, _STACKABLE, True)
     return fn
@@ -208,6 +210,19 @@ def _stackable(fn):
 def _is_stackable(fn) -> bool:
     """Whether ``fn`` carries the array-safe mark of :func:`_stackable`."""
     return getattr(fn, _STACKABLE, False)
+
+
+def each_row(fn, *args) -> np.ndarray:
+    """A problem map at each row of ``args``, as one stacked float array.
+
+    ``args`` are (L, n) state stacks and (L,) time vectors, in the order
+    ``fn`` takes them.  A map marked array-safe (:func:`_stackable`) gets
+    them in one call, each time vector as an (L, 1) column; any other map
+    is called row by row, with one state and one time per call.
+    """
+    if _is_stackable(fn):
+        return np.asarray(fn(*(a[:, None] if a.ndim == 1 else a for a in args)), dtype=float)
+    return np.array([fn(*row) for row in zip(*args)], dtype=float)
 
 
 def has_stacked_gradient(p: "ProblemDef") -> bool:
@@ -308,9 +323,13 @@ SENSING_MATRICES = (
 _SYM = np.array([a + a.T for a in SENSING_MATRICES])
 
 
-def matrix_recovery_target(t: float) -> np.ndarray:
-    """Rank-one factor Z(t) tracked by the globally optimal solution."""
-    return np.array([0.8 + 0.2 * np.cos(t), 0.2 * np.sin(t)])
+def matrix_recovery_target(t) -> np.ndarray:
+    """Rank-one factor Z(t) tracked by the globally optimal solution.
+
+    For an (L, 1) time column, the (L, 2) stack of Z at each time.
+    """
+    z = (0.8 + 0.2 * np.cos(t), 0.2 * np.sin(t))
+    return np.hstack(z) if np.ndim(t) == 2 else np.array(z)
 
 
 def _target_rate(t: float) -> np.ndarray:
@@ -318,7 +337,13 @@ def _target_rate(t: float) -> np.ndarray:
 
 
 def _measure(X: np.ndarray) -> np.ndarray:
-    """<A_i, X X^T> for each sensing matrix (uses the symmetrized form)."""
+    """<A_i, X X^T> for each sensing matrix (uses the symmetrized form).
+
+    For a stack X of shape (L, 2), the (L, 4) rows of each X's measurements,
+    by the same products in the same order as for one X.
+    """
+    if X.ndim == 2:
+        return 0.5 * ((_SYM @ X[:, None, :, None])[..., 0] @ X[:, :, None])[..., 0]
     return 0.5 * ((_SYM @ X) @ X)
 
 
@@ -337,9 +362,10 @@ def make_matrix_recovery(consistent_data: bool = True, alpha: float = 0.1) -> Pr
     def objective(x, t):
         return float(np.dot(x[2:], x[2:]))
 
+    @_stackable
     def grad(x, t):
-        g = np.zeros(6)
-        g[2:] = 2.0 * x[2:]
+        g = np.zeros(x.shape)
+        g[..., 2:] = 2.0 * x[..., 2:]
         return g
 
     _HESS_F = np.diag([0.0, 0.0, 2.0, 2.0, 2.0, 2.0])
@@ -347,12 +373,18 @@ def make_matrix_recovery(consistent_data: bool = True, alpha: float = 0.1) -> Pr
     def hess(x, t):
         return _HESS_F.copy()
 
+    @_stackable
     def constraints(x):
-        return _measure(x[:2]) - x[2:]
+        return _measure(x[..., :2]) - x[..., 2:]
 
     _JAC_SLACK = np.hstack([np.zeros((4, 2)), -np.eye(4)])
 
+    @_stackable
     def jac(x):
+        if x.ndim == 2:  # a stack: the products of _measure's stacked form
+            J = np.repeat(_JAC_SLACK[None], len(x), axis=0)
+            J[..., :2] = (_SYM @ x[:, None, :2, None])[..., 0]
+            return J
         J = _JAC_SLACK.copy()
         J[:, :2] = _SYM @ x[:2]
         return J
@@ -367,10 +399,11 @@ def make_matrix_recovery(consistent_data: bool = True, alpha: float = 0.1) -> Pr
     def constraint_hessians(x):
         return _CHESS
 
+    @_stackable
     def data_path(t):
         d = _measure(matrix_recovery_target(t))
         if not consistent_data:
-            d[2] = 0.0
+            d[..., 2] = 0.0
         return d
 
     def data_rate(t):
@@ -500,9 +533,9 @@ class ValidationReport:
     ``grad_objective`` and ``constraint_hessian_deviation`` compares
     ``constraint_hessians`` with differences of ``jacobian``; both are 0
     when the map is absent.  ``stack_deviation`` is the largest |stacked -
-    per-point| over a stacked call of an array-safe gradient (0 for other
-    gradients) and passes only at exactly 0, since the stacked and
-    lane-by-lane flows must agree bit for bit.
+    per-point| over stacked calls of the maps marked array-safe (0 when none
+    is) and passes only at exactly 0, since the stacked and lane-by-lane
+    flows and diagnostics must agree bit for bit.
     """
 
     samples: int
@@ -560,9 +593,9 @@ def validate_problem(p: ProblemDef, samples: int = 20, seed: int = 0,
     Draws ``samples`` random (x, t) points (deterministic in ``seed``) and
     reports the worst relative deviation of grad_objective, jacobian,
     data_rate, hess_objective and constraint_hessians from finite
-    differences of their parent maps.  An array-safe gradient is also called
-    once on the stack of all sample points and compared with its per-point
-    values.  Deviations above ``tol`` are reported, never raised.
+    differences of their parent maps.  Each map marked array-safe is also
+    called once on the stack of all sample points and compared with its
+    per-point values.  Deviations above ``tol`` are reported, never raised.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
@@ -592,12 +625,13 @@ def validate_problem(p: ProblemDef, samples: int = 20, seed: int = 0,
             dev_d = max(dev_d, _rel_dev(fd_rate, np.asarray(p.data_rate(t))))
 
     dev_s = 0.0
-    if has_stacked_gradient(p):
-        stacked = np.asarray(p.grad_objective(xs, ts[:, None]), dtype=float)
-        rows = np.array([p.grad_objective(x, t) for x, t in zip(xs, ts)], dtype=float)
-        dev_s = np.inf
-        if stacked.shape == rows.shape:
-            dev_s = float(np.max(np.abs(stacked - rows)))
+    for fn, args in ((p.grad_objective, (xs, ts)), (p.jacobian, (xs,)),
+                     (p.constraints, (xs,)), (p.data_path, (ts,))):
+        if _is_stackable(fn):
+            stacked = each_row(fn, *args)
+            rows = np.array([fn(*row) for row in zip(*args)], dtype=float)
+            dev_s = max(dev_s, float(np.abs(stacked - rows).max(initial=0.0))
+                        if stacked.shape == rows.shape else np.inf)
 
     return ValidationReport(samples=samples, seed=seed, tol=tol,
                             grad_deviation=dev_g, jacobian_deviation=dev_j,

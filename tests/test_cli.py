@@ -116,6 +116,31 @@ class TestSimulate:
         # feasibility enforced by the engine
         assert all(float(r[-3]) <= 1e-9 for r in rows)
 
+    @pytest.mark.parametrize("method", ["discrete", "backward-euler"])
+    def test_unmarked_maps_print_the_same_csv(self, method, monkeypatch, capsys):
+        # the matrix-recovery maps wrapped in unmarked lambdas, as a counting
+        # wrapper leaves them, are called row by row with the same bits
+        from tvland import problem
+
+        x0 = problem.matrix_recovery_state(problem.make_matrix_recovery(True, alpha=0.5),
+                                           problem.THE_SPURIOUS_FACTOR, 0.0)
+        argv = ["simulate", "--scenario", "matrec", "--alpha", "0.5", "--N", "100",
+                "--x0", ",".join(repr(float(v)) for v in x0), "--method", method]
+        assert run(argv) == 0
+        marked = capsys.readouterr().out
+        make, made = problem.make_matrix_recovery, []
+
+        def unmarked(*args, **kwargs):
+            p = made.append(1) or make(*args, **kwargs)
+            return p.replace(**{name: (lambda f: lambda *a: f(*a))(getattr(p, name))
+                                for name in ("grad_objective", "jacobian", "constraints",
+                                             "data_path")})
+
+        monkeypatch.setattr(problem, "make_matrix_recovery", unmarked)
+        assert run(argv) == 0
+        assert made
+        assert capsys.readouterr().out == marked
+
     def test_floats_roundtrip(self, tmp_path):
         out = tmp_path / "traj.csv"
         run(["simulate", "--scenario", "example1", "--alpha", "0.4",

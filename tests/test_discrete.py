@@ -134,8 +134,8 @@ class TestDiscreteTrajectory:
 
     @pytest.mark.parametrize("engine", ["discrete", "backward-euler"])
     def test_reused_geometry_gives_fresh_diagnostics(self, engine):
-        # each engine hands its last geometry of each step to the diagnostics;
-        # they must equal diagnostics computed from scratch at the states
+        # each engine fills its diagnostics by the stacked pass over its
+        # states; they must equal diagnostics computed afresh from the states
         p = tv.make_matrix_recovery(True, alpha=0.5)
         x0 = tv.matrix_recovery_state(p, tv.problem.THE_SPURIOUS_FACTOR, 0.0)
         if engine == "discrete":

@@ -168,6 +168,83 @@ class TestKKTResidual:
                 np.linalg.norm(tv.eta(q, x, 0.0)), abs=1e-12)
 
 
+def _svd_form(J):
+    """P and theta from a thin SVD of J, after the regularity check: the
+    geometry as it was before the Gram solve."""
+    U, S, Vt = np.linalg.svd(J, full_matrices=False)
+    tv.geometry.require_regular(float(S[-1]), np.zeros(J.shape[1]))
+    return np.eye(J.shape[1]) - Vt.T @ Vt, (Vt.T / S) @ U.T
+
+
+@st.composite
+def row_scaled_jacobians(draw):
+    """A random m x n Jacobian (m <= n <= 8), its rows scaled by up to 1e-4 to
+    1e2 each, so that both the Gram solve and the SVD fallback are taken."""
+    n = draw(st.integers(1, 8))
+    m = draw(st.integers(1, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scales = 10.0 ** np.array(draw(st.lists(st.floats(-4.0, 2.0), min_size=m, max_size=m)))
+    return scales[:, None] * rng.standard_normal((m, n))
+
+
+class TestSolveForm:
+    @given(row_scaled_jacobians())
+    def test_agrees_with_the_svd_form(self, J):
+        S = np.linalg.svd(J, compute_uv=False)
+        if S[-1] < tv.geometry.SINGULARITY_TOL:
+            return  # test_raises_exactly_below_the_tolerance covers it
+        geom = tv.geometry.geometry(linear_constraint_problem(J), np.zeros(J.shape[1]))
+        P, theta = _svd_form(J)
+        tol = 1e-12 * (1.0 + S[0] / S[-1])  # 1e-12 (1 + |J| |J^+|)
+        assert np.abs(geom.projector - P).max() <= tol
+        # theta is measured against |J^+| = 1 / sigma_min
+        assert np.abs(geom.theta - theta).max() * S[-1] <= tol
+        assert geom.sigma_min == S[-1]
+
+    @given(row_scaled_jacobians(), st.floats(0.5, 2.0))
+    def test_raises_exactly_below_the_tolerance(self, J, r):
+        # J scaled so that sigma_min is r times the tolerance
+        c_tol = tv.geometry.SINGULARITY_TOL
+        J = J * (r * c_tol / np.linalg.svd(J, compute_uv=False)[-1])
+        below = np.linalg.svd(J, full_matrices=False)[1][-1] < c_tol
+        p = linear_constraint_problem(J)
+        if below:
+            with pytest.raises(tv.SingularConstraintError, match="sigma_min"):
+                tv.geometry.geometry(p, np.zeros(J.shape[1]))
+        else:
+            tv.geometry.geometry(p, np.zeros(J.shape[1]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_jacobian_meets_the_svd_form(self, bad):
+        # the SVD decides a non-finite J as it always did: a NaN fails to
+        # converge, an inf gives a NaN theta
+        J = np.array([[1.0, 0.0, 2.0], [0.0, bad, 1.0]])
+        p = linear_constraint_problem(J)
+        try:
+            want = _svd_form(J)
+        except np.linalg.LinAlgError as exc:
+            with pytest.raises(type(exc), match=str(exc)):
+                tv.geometry.geometry(p, np.zeros(3))
+            return
+        geom = tv.geometry.geometry(p, np.zeros(3))
+        assert np.array_equal(geom.projector, want[0], equal_nan=True)
+        assert np.array_equal(geom.theta, want[1], equal_nan=True)
+
+    def test_data_jacobian_keeps_its_value(self):
+        # w = theta^T theta d' stands in for the solve (J J^T) w = d'
+        p = circle_tracking_toy()
+        for x, t in (([1.0, 0.2], 0.3), ([-0.4, 0.9], 2.0)):
+            x = np.array(x)
+            geom = tv.geometry.geometry(p, x)
+            J, dd = geom.jacobian, p.data_rate(t)
+            w = np.linalg.solve(J @ J.T, dd)
+            H = tv.geometry.constraint_hessians(p, x)
+            want = (geom.projector @ tv.geometry.weighted_constraint_hessian(H, w)
+                    - geom.theta @ (H @ (geom.theta @ dd)))
+            assert np.allclose(tv.geometry.data_jacobian(p, x, t, geom), want,
+                               rtol=0.0, atol=1e-14)
+
+
 class TestTrajectoryDiagnostics:
     def test_stacked_diagnostics_equal_point_loop(self, ex1_04_10, be_traj_04_10):
         # example1 fills the diagnostics from one stacked gradient call; an
@@ -181,6 +258,48 @@ class TestTrajectoryDiagnostics:
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
         assert a.step_norm[0] == 0.0
         assert np.all(a.sigma_min == np.inf)
+
+
+    @pytest.mark.parametrize("consistent", [True, False])
+    def test_constrained_diagnostics_equal_row_calls(self, consistent):
+        # matrix recovery fills its diagnostics from one call per map; the
+        # maps wrapped in unmarked lambdas are called row by row, with the
+        # same bits
+        p = tv.make_matrix_recovery(consistent, alpha=0.5)
+        lanes = p.replace(**{name: (lambda f: lambda *a: f(*a))(getattr(p, name))
+                             for name in ("grad_objective", "jacobian", "constraints",
+                                          "data_path")})
+        rng = np.random.default_rng(5)
+        times = np.linspace(0.0, p.horizon, 41)
+        states = rng.standard_normal((41, 6))
+        a = tv.trajectory_with_diagnostics(p, times, states)
+        b = tv.trajectory_with_diagnostics(lanes, times, states)
+        for name in ("kkt_stationarity", "feasibility", "sigma_min", "step_norm"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+    def test_stacked_pass_matches_the_point_loop(self):
+        # the per-point loop the stacked pass replaced: geometry, kkt_residual
+        # and the step norm at each state, equal within rounding
+        p = tv.make_matrix_recovery(True, alpha=0.5)
+        rng = np.random.default_rng(6)
+        times = np.linspace(0.0, p.horizon, 33)
+        states = rng.standard_normal((33, 6)) * 2.0
+        traj = tv.trajectory_with_diagnostics(p, times, states)
+        for i, (t, x) in enumerate(zip(times, states)):
+            res = tv.kkt_residual(p, x, t)
+            assert traj.kkt_stationarity[i] == pytest.approx(res.stationarity, rel=1e-12, abs=1e-14)
+            assert traj.feasibility[i] == pytest.approx(res.feasibility, rel=1e-12, abs=1e-14)
+            assert traj.sigma_min[i] == pytest.approx(tv.geometry.geometry(p, x).sigma_min,
+                                                      rel=1e-14)
+            step = 0.0 if i == 0 else np.linalg.norm(x - states[i - 1])
+            assert traj.step_norm[i] == pytest.approx(step, rel=1e-15)
+
+    def test_degenerate_state_raises(self):
+        # J = x^T vanishes at the origin: the pass names the first such state
+        p = circle_tracking_toy()
+        states = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
+        with pytest.raises(tv.SingularConstraintError, match=r"x = array\(\[0\., 0\.\]\)"):
+            tv.trajectory_with_diagnostics(p, np.arange(3.0), states)
 
 
 def _old_kkt_refine(p, x, t, tol=1e-10, max_newton=50):
@@ -324,6 +443,21 @@ class TestNewtonKKT:
         assert newton_kkt(flat, np.array([0.0]), 0.0).status == "singular"
         with pytest.raises(tv.StepSolveError):
             tv.kkt_refine(flat, np.array([0.0]), 0.0)
+
+    def test_non_finite_step_stops_as_singular(self, ex1_04_10):
+        # a NaN Hessian below -1.9 makes the first step NaN: Newton stops
+        # there instead of iterating on NaN until max_iter
+        from tvland.geometry import newton_kkt
+        p, _ = ex1_04_10
+
+        def hess(x, t):
+            return np.full((1, 1), np.nan) if x[0] < -1.9 else p.hess_objective(x, t)
+
+        q = p.replace(hess_objective=hess)
+        res = newton_kkt(q, np.array([-2.0 + 1e-6]), 0.0, tol=4e-12, max_iter=30)
+        assert res.status == "singular"
+        assert res.iterations <= 2
+        assert np.isfinite(res.x).all()
 
 
 class TestPositiveDefiniteOnKernel:

@@ -76,6 +76,8 @@ class TestExample1:
         assert tv.problem.has_stacked_gradient(p.replace(alpha=1.0))
         wrapped = p.replace(grad_objective=lambda x, t: p.grad_objective(x, t))
         assert not tv.problem.has_stacked_gradient(wrapped)
+        # the matrix-recovery maps are array-safe, but its field needs J
+        assert tv.problem._is_stackable(matrec.grad_objective)
         assert not tv.problem.has_stacked_gradient(matrec)
 
 
@@ -145,6 +147,28 @@ class TestMatrixRecovery:
                 assert got.shape == ref.shape
                 assert np.all(np.abs(got - ref) <= 1e-15 * (1.0 + np.abs(ref)))
         assert tv.validate_problem(p, samples=20, seed=3).passed
+
+    @pytest.mark.parametrize("consistent", [True, False])
+    @given(rows=st.lists(st.tuples(st.floats(0.0, 2 * np.pi),
+                                   st.lists(st.floats(-1e3, 1e3), min_size=6, max_size=6)),
+                         min_size=1, max_size=12))
+    @settings(max_examples=60, deadline=None)
+    def test_stacked_maps_equal_point_calls(self, consistent, rows):
+        # the four maps marked array-safe return, on a stack, the per-point
+        # bits: the trajectory diagnostics take either form
+        from tvland.problem import _is_stackable, each_row
+
+        p = tv.make_matrix_recovery(consistent, alpha=0.5)
+        T = np.array([t for t, _ in rows])
+        X = np.array([x for _, x in rows])
+        for fn, args in ((p.grad_objective, (X, T)), (p.jacobian, (X,)),
+                         (p.constraints, (X,)), (p.data_path, (T,))):
+            assert _is_stackable(fn)
+            stacked = each_row(fn, *args)
+            points = np.array([fn(*row) for row in zip(*(a.tolist() if a.ndim == 1 else a
+                                                           for a in args))])
+            assert stacked.shape == points.shape
+            assert np.array_equal(stacked, points)
 
     def test_sign_flip_involution(self):
         x = np.array([0.3, -0.4, 1.0, 2.0, 3.0, 4.0])
@@ -261,6 +285,19 @@ class TestValidation:
         assert not rep.stack_ok
         assert not rep.passed
         assert tv.validate_problem(p, samples=20, seed=0).stack_deviation == 0.0
+
+    def test_stacked_jacobian_must_equal_rows(self, matrec):
+        # a marked Jacobian whose stacked rows are one ulp off fails the check
+        from tvland.problem import _stackable
+
+        def jac(x):
+            J = matrec.jacobian(x)
+            return np.nextafter(J, np.inf) if np.ndim(x) == 2 else J
+
+        rep = tv.validate_problem(matrec.replace(jacobian=_stackable(jac)), samples=10, seed=0)
+        assert rep.jacobian_ok
+        assert not rep.stack_ok
+        assert tv.validate_problem(matrec, samples=10, seed=0).stack_ok
 
     def test_deterministic_in_seed(self, matrec):
         a = tv.validate_problem(matrec, samples=10, seed=42)
