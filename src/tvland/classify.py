@@ -251,7 +251,9 @@ def _continue_catalog(p: ProblemDef, prev: MinimizerCatalog,
 
     Each entry is Newton-continued by :func:`_polish_minimizer`; a continued
     point failing the catalog entry test is re-flowed from the old entry
-    instead.  None means a flow did not settle.
+    instead.  None means a flow did not settle or two entries continued to
+    one point: a well vanished, and the one it drained into need not be the
+    only new minimizer, so the landscape is searched afresh.
     """
     reps: list[np.ndarray] = []
     for x_old in prev.minimizers:
@@ -268,9 +270,9 @@ def _continue_catalog(p: ProblemDef, prev: MinimizerCatalog,
             if not converged:
                 return None
             rep = _polish_minimizer(p, limit, t)
-        # a vanished well drops into a neighboring basin; merge
-        if all(np.linalg.norm(rep - r) > CLUSTER_RADIUS for r in reps):
-            reps.append(rep)
+        if any(np.linalg.norm(rep - r) <= CLUSTER_RADIUS for r in reps):
+            return None
+        reps.append(rep)
     return _assemble_catalog(p, t, reps, prev.equivalence, 0)
 
 
@@ -285,10 +287,11 @@ def tracking_builder(p: ProblemDef, box, starts: int = 64, seed: int = 0,
     :func:`build_catalog` applies to its entries (KKT residuals within
     ``CATALOG_KKT_TOL``, Lagrangian Hessian positive definite on ker J).  A
     point failing it is replaced by the polished limit of the frozen-time
-    flow from the previous location, and a flow that does not settle
-    triggers a fresh multistart, as does an empty previous catalog.  Suited
-    to landscapes whose minimizer count is stable over the horizon; use
-    :func:`multistart_builder` otherwise.
+    flow from the previous location.  A flow that does not settle, two
+    entries that continue to one point (a vanished well, which would shrink
+    the catalog) and an empty previous catalog trigger a fresh multistart.
+    Suited to landscapes whose minimizer count is stable over the horizon;
+    use :func:`multistart_builder` otherwise.
     """
     state: dict = {"catalog": None}
 

@@ -75,17 +75,20 @@ def extrapolated_start(states: np.ndarray, k: int) -> Optional[np.ndarray]:
 
 
 def _restore_feasibility(p: ProblemDef, x: np.ndarray, d_target: np.ndarray,
-                         feas_tol: float, theta: Optional[np.ndarray] = None) -> np.ndarray:
+                         feas_tol: float, theta: Optional[np.ndarray] = None,
+                         h: Optional[np.ndarray] = None) -> np.ndarray:
     """Newton iteration on h(x) = d_target with minimum-norm (lstsq) steps.
 
     Given ``theta``, the pseudo-inverse map at a nearby point, steps use it
     instead (a chord iteration) for as long as each halves the residual.
+    ``h`` is h(x) at the start, if already evaluated.
     """
     if p.m == 0:
         return x
     r_prev = np.inf
     for _ in range(31):
-        r = p.constraints(x) - d_target
+        r = (p.constraints(x) if h is None else h) - d_target
+        h = None  # the given h(x) serves the first residual only
         r_norm = _norm(r)
         if r_norm <= feas_tol:
             return x
@@ -117,21 +120,26 @@ class _Subproblem:
         return self.p.objective(y, self.t) + 0.5 * self.w * float(
             np.dot(y - self.x_prev, y - self.x_prev))
 
-    def proj_grad(self, y: np.ndarray, geom: GeometryResult) -> np.ndarray:
-        g = np.asarray(self.p.grad_objective(y, self.t), dtype=float) + self.w * (y - self.x_prev)
-        return geom.projector @ g if self.p.m else g
+    def proj_grad(self, y: np.ndarray, geom: GeometryResult,
+                  g: Optional[np.ndarray] = None) -> np.ndarray:
+        """P(y) grad F(y); ``g`` is grad F(y) if already evaluated."""
+        if g is None:
+            g = (np.asarray(self.p.grad_objective(y, self.t), dtype=float)
+                 + self.w * (y - self.x_prev))
+        return geom.project(g) if self.p.m else g
 
 
 def _newton_point(sp: _Subproblem, x: np.ndarray, start: np.ndarray,
                   geom_prev: Optional[GeometryResult], max_iter: int):
     """Safeguarded Newton-KKT from ``start``: ``(found, iterations)``, found
-    being ``(y, geometry at y)``, or None when Newton fails or a safeguard
-    rejects y; the descent safeguard compares y with the feasible x."""
+    being ``(y, geometry at y, h(y))``, or None when Newton fails or a
+    safeguard rejects y; the descent safeguard compares y with the feasible
+    x.  The geometry and the tests at y reuse Newton's J, h and grad F at y."""
     res = newton_kkt(sp.p, start, sp.t, prox=(sp.x_prev, sp.w), max_iter=max_iter,
                      tol=min(sp.stat_tol, sp.feas_tol), geom=geom_prev, d=sp.d)
     if res.status != "converged":
         return None, res.iterations
-    y, geom = res.x, geometry(sp.p, res.x)
+    y, geom = res.x, geometry(sp.p, res.x, J=res.jacobian)
     # newton_kkt checked |h(y) - d| <= feas_tol.  F(y) may exceed F(x) by
     # rounding and by what x's own infeasibility (<= feas_tol) is worth.
     f_x = sp.value(x)
@@ -139,15 +147,16 @@ def _newton_point(sp: _Subproblem, x: np.ndarray, start: np.ndarray,
     M = res.hessian
     if M is None:
         M = lagrangian_hessian(sp.p, y, sp.t, res.multipliers, sp.w)
-    ok = (_norm(sp.proj_grad(y, geom)) <= sp.stat_tol
+    ok = (_norm(sp.proj_grad(y, geom, res.gradient)) <= sp.stat_tol
           and sp.value(y) <= f_x + slack
           and positive_definite_on_kernel(M, geom.jacobian))
-    return ((y, geom) if ok else None), res.iterations
+    return ((y, geom, res.h) if ok else None), res.iterations
 
 
 def _projected_gradient(sp: _Subproblem, x: np.ndarray, max_iter: int):
     """Projected-gradient descent on F from the feasible x: ``(x, geometry at
-    x)`` at the first iterate passing the stop test, None after ``max_iter``."""
+    x, h(x))`` at the first iterate passing the stop test, None after
+    ``max_iter``."""
     p = sp.p
     geom = None  # geometry at x, carried over when the line search computed it
     for _ in range(max_iter):
@@ -156,8 +165,9 @@ def _projected_gradient(sp: _Subproblem, x: np.ndarray, max_iter: int):
             eta_a = sp.proj_grad(x, geom)
         gnorm = _norm(eta_a)
         if gnorm <= sp.stat_tol:
-            if p.m == 0 or _norm(p.constraints(x) - sp.d) <= sp.feas_tol:
-                return x, geom
+            h = p.constraints(x) if p.m else None
+            if h is None or _norm(h - sp.d) <= sp.feas_tol:
+                return x, geom, h
 
         f0 = sp.value(x)
         gg = float(np.dot(eta_a, eta_a))
@@ -193,18 +203,20 @@ def regularized_step(p: ProblemDef, x_prev: np.ndarray, t_next: float, dt: float
                      max_iter: int = _MAX_ITER, *,
                      return_geometry: bool = False,
                      geom_prev: Optional[GeometryResult] = None,
-                     start: Optional[np.ndarray] = None
-                     ) -> np.ndarray | tuple[np.ndarray, GeometryResult]:
+                     start: Optional[np.ndarray] = None,
+                     h_prev: Optional[np.ndarray] = None
+                     ) -> np.ndarray | tuple[np.ndarray, GeometryResult, Optional[np.ndarray]]:
     """Solve one proximally regularized problem to a KKT point.
 
     Returns x with the projected gradient of the augmented objective below
     ``stat_tol`` and the constraint violation below ``feas_tol``; with
-    ``return_geometry``, the pair ``(x, geometry(p, x))``, the geometry being
-    the one the solver computed at x for its stopping test.  ``geom_prev`` is
-    the geometry at ``x_prev``, if known.  Newton starts at ``start`` when
-    given (such as :func:`extrapolated_start`), else at ``x_prev`` restored
-    onto the new leaf.  ``max_iter`` bounds the Newton and projected-gradient
-    iterations together.
+    ``return_geometry``, the triple ``(x, geometry(p, x), h(x))`` (h None
+    for m = 0), as the solver evaluated them at x for its stopping test.
+    ``geom_prev`` and ``h_prev`` are the geometry and h at ``x_prev``, if
+    known.  Newton starts at ``start`` when given (such as
+    :func:`extrapolated_start`), else at ``x_prev`` restored onto the new
+    leaf.  ``max_iter`` bounds the Newton and projected-gradient iterations
+    together.
 
     Raises
     ------
@@ -224,7 +236,7 @@ def regularized_step(p: ProblemDef, x_prev: np.ndarray, t_next: float, dt: float
     sp = _Subproblem(p, x_prev, t_next, p.alpha / dt, p.data_path(t_next) if p.m else None,
                      stat_tol, feas_tol)
     theta_prev = None if geom_prev is None else geom_prev.theta
-    x = _restore_feasibility(p, x_prev.copy(), sp.d, feas_tol, theta_prev)
+    x = _restore_feasibility(p, x_prev.copy(), sp.d, feas_tol, theta_prev, h_prev)
     found, used = _newton_point(sp, x, x if start is None else start, geom_prev,
                                 min(_NEWTON_MAX_ITER, max_iter))
     found = found or _projected_gradient(sp, x, max_iter - used)
@@ -265,9 +277,10 @@ def discrete_trajectory(p: ProblemDef, x0: np.ndarray, steps: int,
     times = np.linspace(0.0, p.horizon, steps + 1)
     states = np.empty((steps + 1, p.n))
     states[0] = x0
-    geom = None  # the geometry at the last state, once a step computed it
+    geom = h = None  # the geometry and h at the last state, once a step computed them
     for k in range(1, steps + 1):
-        states[k], geom = regularized_step(p, states[k - 1], times[k], dt,
-                                           stat_tol, feas_tol, return_geometry=True,
-                                           geom_prev=geom, start=extrapolated_start(states, k))
+        states[k], geom, h = regularized_step(p, states[k - 1], times[k], dt,
+                                              stat_tol, feas_tol, return_geometry=True,
+                                              geom_prev=geom, start=extrapolated_start(states, k),
+                                              h_prev=h)
     return trajectory_with_diagnostics(p, times, states)

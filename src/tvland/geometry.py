@@ -12,8 +12,9 @@ and the tracking dynamics follow
     eta(x, t) = P(x) grad f(x, t).
 
 Both come from one linear solve with the Gram matrix J J^T: A = (J J^T)^(-1) J
-gives theta = A^T and P = I - J^T A.  Since the singular values of theta are
-the reciprocals of those of J, 1 / |A|_F <= sigma_min(J), which certifies
+gives theta = A^T and P g = g - J^T (A g); the n x n matrix P is formed only
+where a caller reads it.  Since the singular values of theta are the
+reciprocals of those of J, 1 / |A|_F <= sigma_min(J), which certifies
 regularity without a decomposition; only a point the bound cannot clear
 takes a thin SVD of J, which decides whether J is degenerate.  The
 conditioning sigma_min(J) is computed only where a caller asks for it.
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -52,15 +54,33 @@ _BOUND_ROOM = 1e-6
 
 @dataclass(frozen=True)
 class GeometryResult:
-    """Projector and pseudo-inverse map at a point, with the J they come from.
+    """Pseudo-inverse map at a point, with the J it comes from.
 
-    ``sigma_min`` is computed from a thin SVD of ``jacobian`` at each access
-    (+inf for m = 0); the geometry itself never needs it.
+    The projector is applied to a vector by :meth:`project` and formed as
+    the n x n matrix ``projector`` only when read.  ``sigma_min`` is
+    computed from a thin SVD of ``jacobian`` at each access (+inf for
+    m = 0); the geometry itself never needs it.
     """
 
-    projector: np.ndarray  # (n, n)
     theta: np.ndarray      # (n, m)
-    jacobian: np.ndarray   # (m, n), the J(x) the other fields come from
+    jacobian: np.ndarray   # (m, n), the J(x) theta comes from
+    #: Right singular vectors V^T of J where the thin SVD decided the point,
+    #: else None (theta^T = A and P = I - J^T A).
+    svd_rows: Optional[np.ndarray] = None
+
+    @cached_property
+    def projector(self) -> np.ndarray:
+        """P = I - J^T A, or I - V V^T where the SVD decided the point (n, n)."""
+        n = self.jacobian.shape[1]
+        if self.svd_rows is None:
+            return np.eye(n) - self.jacobian.T @ self.theta.T
+        return np.eye(n) - self.svd_rows.T @ self.svd_rows
+
+    def project(self, g: np.ndarray) -> np.ndarray:
+        """P g, as g - J^T (A g) without forming P where the solve served."""
+        if self.svd_rows is None:
+            return g - self.jacobian.T @ (self.theta.T @ g)
+        return self.projector @ g
 
     @property
     def sigma_min(self) -> float:
@@ -97,15 +117,16 @@ def _certified_solve(J: np.ndarray, c_tol: float) -> Optional[np.ndarray]:
     return None
 
 
-def geometry(p: ProblemDef, x: np.ndarray, c_tol: float = SINGULARITY_TOL) -> GeometryResult:
-    """Compute P(x) and theta(x), after checking that sigma_min(J(x)) >= c_tol.
+def geometry(p: ProblemDef, x: np.ndarray, c_tol: float = SINGULARITY_TOL,
+             J: Optional[np.ndarray] = None) -> GeometryResult:
+    """Compute theta(x) (and with it P(x)), after checking that sigma_min(J(x)) >= c_tol.
 
-    A = (J J^T)^(-1) J comes from one solve where its norm certifies the
-    point (:func:`_certified_solve`).  Any other point, a non-finite J
-    included, takes a thin SVD of J, which decides with
-    :func:`require_regular` and gives P and theta.  For unconstrained
-    problems (m = 0) the projector is the identity and theta is an empty
-    (n, 0) matrix.
+    ``J`` is J(x) when the caller already holds it.  A = (J J^T)^(-1) J
+    comes from one solve where its norm certifies the point
+    (:func:`_certified_solve`).  Any other point, a non-finite J included,
+    takes a thin SVD of J, which decides with :func:`require_regular` and
+    gives P and theta.  For unconstrained problems (m = 0) the projector is
+    the identity and theta is an empty (n, 0) matrix.
 
     Raises
     ------
@@ -114,14 +135,15 @@ def geometry(p: ProblemDef, x: np.ndarray, c_tol: float = SINGULARITY_TOL) -> Ge
     """
     n = p.n
     if p.m == 0:
-        return GeometryResult(np.eye(n), np.zeros((n, 0)), np.zeros((0, n)))
-    J = np.asarray(p.jacobian(x), dtype=float)
+        return GeometryResult(np.zeros((n, 0)), np.zeros((0, n)))
+    if J is None:
+        J = np.asarray(p.jacobian(x), dtype=float)
     A = _certified_solve(J, c_tol)
     if A is not None:
-        return GeometryResult(np.eye(n) - J.T @ A, A.T, J)
+        return GeometryResult(A.T, J)
     U, S, Vt = np.linalg.svd(J, full_matrices=False)
     require_regular(float(S[-1]), x, c_tol)
-    return GeometryResult(np.eye(n) - Vt.T @ Vt, (Vt.T / S) @ U.T, J)
+    return GeometryResult((Vt.T / S) @ U.T, J, Vt)
 
 
 def eta(p: ProblemDef, x: np.ndarray, t: float,
@@ -132,7 +154,7 @@ def eta(p: ProblemDef, x: np.ndarray, t: float,
         return grad
     if geom is None:
         geom = geometry(p, x)
-    return geom.projector @ grad
+    return geom.project(grad)
 
 
 def ode_rhs(p: ProblemDef, x: np.ndarray, t: float,
@@ -143,8 +165,7 @@ def ode_rhs(p: ProblemDef, x: np.ndarray, t: float,
         return -grad / p.alpha
     if geom is None:
         geom = geometry(p, x)
-    e = geom.projector @ grad
-    return -e / p.alpha + geom.theta @ np.asarray(p.data_rate(t), dtype=float)
+    return -geom.project(grad) / p.alpha + geom.theta @ np.asarray(p.data_rate(t), dtype=float)
 
 
 class KKTResidual(NamedTuple):
@@ -195,14 +216,17 @@ def lagrangian_hessian(p: ProblemDef, x: np.ndarray, t: float, mu: np.ndarray,
     """hess f(x, t) + sum_i mu_i H_i(x) + w I, each term only where nonzero.
 
     ``H`` is the :func:`constraint_hessians` stack at x, if already fetched.
+    w is added to the diagonal of a fresh matrix.
     """
     M = objective_hessian(p, x, t)
     if p.m:
         if H is None:
             H = constraint_hessians(p, x)
         M = M + weighted_constraint_hessian(H, mu)
+    elif w:
+        M = M.copy()  # not the problem's own array
     if w:
-        M = M + w * np.eye(p.n)
+        M.flat[::p.n + 1] += w
     return M
 
 
@@ -281,7 +305,10 @@ class NewtonKKT(NamedTuple):
     (the next step was longer than ``max_step`` and was not taken) or
     ``"max_iter"``.  ``iterations`` counts residual evaluations.
     ``hessian`` is the Lagrangian Hessian of F last formed (at the start of
-    the last step), None when no step was started.
+    the last step), None when no step was started.  ``jacobian``, ``h`` and
+    ``gradient`` are J(x), h(x) and grad F(x) as evaluated at the returned
+    ``x``; J and h are None for m = 0 and after ``"max_iter"``, which
+    returns an x they were not evaluated at.
     """
 
     x: np.ndarray
@@ -289,6 +316,9 @@ class NewtonKKT(NamedTuple):
     status: str
     iterations: int
     hessian: Optional[np.ndarray]
+    jacobian: Optional[np.ndarray]
+    h: Optional[np.ndarray]
+    gradient: np.ndarray
 
 
 def _norm(v: np.ndarray) -> float:
@@ -335,7 +365,7 @@ def newton_kkt(p: ProblemDef, x: np.ndarray, t: float,
     grad = grad_F(x)
     mu = np.zeros(0)
     r_feas = np.zeros(0)
-    M = None
+    M = J = h = None
     if m:
         mu = -((geom or geometry(p, x)).theta.T @ grad)
         if d is None:
@@ -344,12 +374,13 @@ def newton_kkt(p: ProblemDef, x: np.ndarray, t: float,
     for it in range(1, max_iter + 1):
         if m:
             J = np.asarray(p.jacobian(x), dtype=float)
+            h = p.constraints(x)
             r_stat = grad + J.T @ mu
-            r_feas = p.constraints(x) - d
+            r_feas = h - d
         else:
             r_stat = grad
         if _norm(r_stat) <= tol and _norm(r_feas) <= tol:
-            return NewtonKKT(x, mu, "converged", it, M)
+            return NewtonKKT(x, mu, "converged", it, M, J, h, grad)
         M = lagrangian_hessian(p, x, t, mu, w)
         if m:
             KKT[:n, :n] = M
@@ -365,14 +396,14 @@ def newton_kkt(p: ProblemDef, x: np.ndarray, t: float,
             delta = None
         # a NaN or inf entry makes delta . delta non-finite
         if delta is None or not math.isfinite(delta.dot(delta)):
-            return NewtonKKT(x, mu, "singular", it, M)
+            return NewtonKKT(x, mu, "singular", it, M, J, h, grad)
         if max_step is not None and _norm(delta[:n]) > max_step:
-            return NewtonKKT(x, mu, "max_step", it, M)
+            return NewtonKKT(x, mu, "max_step", it, M, J, h, grad)
         x = x + delta[:n]
         if m:
             mu = mu + delta[n:]
         grad = grad_F(x)
-    return NewtonKKT(x, mu, "max_iter", max_iter, M)
+    return NewtonKKT(x, mu, "max_iter", max_iter, M, None, None, grad)
 
 
 def trajectory_with_diagnostics(p: ProblemDef, times: np.ndarray,

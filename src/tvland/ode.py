@@ -37,31 +37,34 @@ def _implicit_step(p: ProblemDef, y_prev: np.ndarray, t: float, dt: float,
 
     From ``start`` (default: the explicit Euler predictor, which costs one
     field evaluation), iterate y <- y - M_inv r(y) on the residual
-    r(y) = y - y_prev - dt rhs(y, t), for m = 0 formed as
+    r(y) = y - y_prev - dt rhs(y, t), formed directly as
     (y - y_prev) + (dt / alpha) grad f(y, t) from one gradient call (``t`` a
-    float, so no numpy scalar enters it), where ``M_inv`` is the inverse of
-    the exact dr/dy = I - dt J(y), J the field Jacobian
-    (:func:`~tvland.geometry.field_jacobian`), possibly evaluated at an
-    earlier step (None: not evaluated yet).  When an iteration fails to
-    bring the residual below :data:`_BE_CONTRACTION` times the previous one,
-    its iterate is kept only if the residual fell; the matrix is then
-    re-evaluated at the current iterate and a Newton step, halved while the
-    residual grows, is taken.  Returns the solution and the inverse
-    iteration matrix for the next step.
+    float, so no numpy scalar enters it); for m > 0 the gradient is
+    projected by P(y) and theta(y) (dt d'(t)) is subtracted, d'(t) read once
+    per step.  ``M_inv`` is the inverse of the exact dr/dy = I - dt J(y), J
+    the field Jacobian (:func:`~tvland.geometry.field_jacobian`), possibly
+    evaluated at an earlier step (None: not evaluated yet).  When an
+    iteration fails to bring the residual below :data:`_BE_CONTRACTION`
+    times the previous one, its iterate is kept only if the residual fell;
+    the matrix is then re-evaluated at the current iterate and a Newton
+    step, halved while the residual grows, is taken.  Returns the solution
+    and the inverse iteration matrix for the next step.
     """
+    grad, h = p.grad_objective, dt / p.alpha
     if p.m:
+        rate = dt * np.asarray(p.data_rate(t), dtype=float)
+
         def resid(y):
-            r = y - y_prev - dt * ode_rhs(p, y, t)
+            geom = geometry(p, y)
+            r = (y - y_prev) + h * geom.project(grad(y, t)) - geom.theta @ rate
             return r, _norm(r)
     else:
-        grad, h = p.grad_objective, dt / p.alpha
-
         def resid(y):
             r = (y - y_prev) + h * grad(y, t)  # rhs = -grad / alpha
             return r, _norm(r)
 
-    if start is None:
-        start = y_prev + dt * ode_rhs(p, y_prev, t)  # explicit predictor
+    if start is None:  # the explicit predictor y_prev + dt rhs(y_prev, t)
+        start = y_prev - resid(y_prev)[0] if p.m else y_prev + dt * ode_rhs(p, y_prev, t)
     y = start
     r, rnorm = resid(y)
     for _ in range(_BE_MAX_NEWTON):
@@ -188,7 +191,7 @@ def _polish_limit(p: ProblemDef, y0: np.ndarray, t: float, tol: float) -> np.nda
     y = res.x
     if res.status != "converged" or _norm(y - y0) > 0.05 * (1.0 + _norm(y0)):
         return None
-    geom = geometry(p, y)
+    geom = geometry(p, y, J=res.jacobian)
     if p.m and _norm(ode_rhs(p, y, t, geom)) > 1e-3 * tol:
         return None
     M = lagrangian_hessian(p, y, t, res.multipliers)

@@ -140,6 +140,21 @@ class TestTrackingBuilder:
         assert cat.global_ids == fresh.global_ids
         assert cat.dropped == 0
 
+    @pytest.mark.parametrize("checks", [3, 5])
+    @pytest.mark.parametrize("regime, beta", [("ex1_04_10", 10.0), ("ex1_02_5", 5.0)])
+    def test_records_equal_fresh_multistarts(self, regime, beta, checks, request):
+        # with few checks a well vanishes between two of them, so two
+        # catalog entries continue into one basin; the builder then searches
+        # afresh, and every record is the one a fresh multistart gives (the
+        # classify run of the CLI at dt 1e-3, seed 7)
+        p, _ = request.getfixturevalue(regime)
+        box = (-(beta + 6.0), beta + 6.0)
+        traj = tv.backward_euler_trajectory(p, np.array([-2.0]), 1e-3)
+        records = [tv.classify_trajectory(p, traj, make(p, box, starts=64, seed=7),
+                                          0.75 * p.horizon, max_checks=checks).records
+                   for make in (tv.tracking_builder, tv.multistart_builder)]
+        assert records[0] == records[1]
+
     def test_sosc_failure_falls_back_to_flow(self, ex1_04_10, monkeypatch):
         p, _ = ex1_04_10
         fresh = tv.build_catalog(p, 4.72, starts=64, seed=0, box=BOX)

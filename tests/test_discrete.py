@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -56,6 +58,27 @@ def count_calls(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, wrapped)
     return calls
+
+
+def counting(p, *names):
+    """``(q, calls)``: p with the maps ``names`` counting their per-point calls.
+
+    Each wrapper keeps the array-safe mark of the map it wraps, so a stacked
+    call (the trajectory diagnostics) stays one call and is not counted.
+    """
+    calls = Counter()
+
+    def wrap(name):
+        fn = getattr(p, name)
+
+        def counted(*args):
+            if np.ndim(args[0]) < 2:
+                calls[name] += 1
+            return fn(*args)
+
+        return tv.problem._stackable(counted) if tv.problem._is_stackable(fn) else counted
+
+    return p.replace(**{name: wrap(name) for name in names}), calls
 
 
 def reject_newton(monkeypatch):
@@ -149,8 +172,9 @@ class TestDiscreteTrajectory:
     def test_step_returns_geometry_at_solution(self):
         p = tv.make_matrix_recovery(True, alpha=0.5)
         x0 = tv.matrix_recovery_state(p, tv.problem.THE_SPURIOUS_FACTOR, 0.0)
-        x, geom = tv.regularized_step(p, x0, 0.01, 0.01, return_geometry=True)
+        x, geom, h = tv.regularized_step(p, x0, 0.01, 0.01, return_geometry=True)
         assert np.array_equal(x, tv.regularized_step(p, x0, 0.01, 0.01))
+        assert np.array_equal(h, p.constraints(x))
         fresh = tv.geometry.geometry(p, x)
         assert np.array_equal(geom.projector, fresh.projector)
         assert np.array_equal(geom.theta, fresh.theta)
@@ -229,6 +253,22 @@ class TestNewtonEngine:
 
         tv.discrete_trajectory(p.replace(data_path=data_path), x0, 50)
         assert len(calls) == 2 * 50 + 2
+
+    def test_each_point_evaluated_once(self):
+        # the track-matrec run keeps its final state to the bit.  A step
+        # evaluates J and grad F at Newton's two iterates, whose last the
+        # acceptance tests reuse, and h four times: twice restoring the
+        # warm start, whose first residual reuses the accepted h of the step
+        # before, and twice in Newton.  x0's check and the first steps, which
+        # start from the restored warm start, add the rest.
+        p, x0 = spurious_matrec(0.5)
+        q, calls = counting(p, "jacobian", "grad_objective", "constraints")
+        traj = tv.discrete_trajectory(q, x0, 2000)
+        assert [v.hex() for v in traj.final_state] == [
+            "0x1.fee95d1da30eep-1", "-0x1.fb5bd76b225e1p-7", "-0x1.0e7c0701b56f9p-8",
+            "-0x1.b673966ce44a5p-6", "-0x1.165710d21fd42p-8", "0x1.b3670ef291a39p-13"]
+        assert calls == {"jacobian": 2 * 2000 + 7, "grad_objective": 2 * 2000 + 4,
+                         "constraints": 4 * 2000 + 5}
 
     @pytest.mark.parametrize("alpha", [0.05, 0.1, 0.2, 0.5, 1.0])
     def test_matches_projected_gradient_across_alpha(self, alpha, monkeypatch):

@@ -5,7 +5,7 @@ from scipy.integrate import solve_ivp
 import tvland as tv
 import tvland.ode as ode_module
 from conftest import linear_constraint_problem
-from test_discrete import scalar_quadratic, spurious_matrec
+from test_discrete import count_calls, counting, scalar_quadratic, spurious_matrec
 
 
 class TestBackwardEuler:
@@ -60,25 +60,15 @@ class TestBackwardEuler:
 
     def test_iteration_matrix_reused_across_steps(self, monkeypatch):
         # simplified Newton: the field Jacobian is re-evaluated only when an
-        # iteration with it stops contracting
+        # iteration with it stops contracting; each field evaluation is one
+        # gradient call
         p, x0 = _matrec_spurious()
-        calls = {"rhs": 0, "jac": 0}
-        rhs, jac = ode_module.ode_rhs, ode_module.field_jacobian
-
-        def counted_rhs(*args, **kwargs):
-            calls["rhs"] += 1
-            return rhs(*args, **kwargs)
-
-        def counted_jac(*args, **kwargs):
-            calls["jac"] += 1
-            return jac(*args, **kwargs)
-
-        monkeypatch.setattr(ode_module, "ode_rhs", counted_rhs)
-        monkeypatch.setattr(ode_module, "field_jacobian", counted_jac)
+        q, calls = counting(p, "grad_objective")
+        jac = count_calls(monkeypatch, ode_module, "field_jacobian")
         n_steps = 2000
-        tv.backward_euler_trajectory(p, x0, p.horizon / n_steps)
-        assert calls["rhs"] <= 6 * n_steps
-        assert 1 <= calls["jac"] <= n_steps // 10
+        tv.backward_euler_trajectory(q, x0, p.horizon / n_steps)
+        assert calls["grad_objective"] <= 6 * n_steps
+        assert 1 <= len(jac) <= n_steps // 10
 
     @pytest.mark.parametrize("stale", ["zero", "wrong_sign"])
     def test_stale_matrix_is_refreshed(self, stale, monkeypatch):
@@ -113,25 +103,32 @@ class TestBackwardEuler:
         assert np.array_equal(a.kkt_stationarity, b.kkt_stationarity)
 
     @pytest.mark.parametrize("case", ["matrec", "example1"])
-    def test_field_evaluations_per_step(self, case, monkeypatch):
+    def test_field_evaluations_per_step(self, case):
         # from the extrapolated start most steps take one or two field
-        # evaluations; the explicit predictor needed about four
+        # evaluations, one gradient call each; the explicit predictor needed
+        # about four
         if case == "matrec":
             p, x0 = _matrec_spurious()
             dt = p.horizon / 2000
         else:
             p, _ = tv.make_example1(10.0, alpha=0.4)
             x0, dt = np.array([-2.0]), 1e-3
-        calls = []
-        rhs = ode_module.ode_rhs
+        q, calls = counting(p, "grad_objective")
+        traj = tv.backward_euler_trajectory(q, x0, dt)
+        assert calls["grad_objective"] <= 2.5 * (len(traj) - 1)
 
-        def counted_rhs(*args, **kwargs):
-            calls.append(1)
-            return rhs(*args, **kwargs)
-
-        monkeypatch.setattr(ode_module, "ode_rhs", counted_rhs)
-        traj = tv.backward_euler_trajectory(p, x0, dt)
-        assert len(calls) <= 2.5 * (len(traj) - 1)
+    def test_data_rate_once_per_step(self, monkeypatch):
+        # the track-matrec run: each step reads d'(t) once, and each
+        # evaluation of the iteration matrix once more; its final state stays
+        # within 1e-8 of the one the residual through ode_rhs reached
+        p, x0 = _matrec_spurious()
+        q, calls = counting(p, "data_rate")
+        refreshes = count_calls(monkeypatch, ode_module, "field_jacobian")
+        traj = tv.backward_euler_trajectory(q, x0, p.horizon / 2000)
+        assert calls["data_rate"] == 2000 + len(refreshes)
+        want = [0.9965484983401073, -0.014446169898173834, -0.0038592669902334717,
+                -0.026760381136802097, -0.0044691424314446445, 0.0010563352504675387]
+        assert np.abs(traj.final_state - want).max() <= 1e-8
 
 
 def _matrec_spurious():
