@@ -16,8 +16,8 @@ import numpy as np
 
 from .discrete import _restore_feasibility
 from .errors import SingularConstraintError, StepSolveError
-from .geometry import (geometry, kkt_residual, lagrangian_hessian, newton_kkt,
-                       positive_definite_on_kernel)
+from .geometry import (NewtonKKT, geometry, kkt_residual, lagrangian_hessian,
+                       newton_kkt, positive_definite_on_kernel)
 from .ode import frozen_time_flow, frozen_time_flows
 from .problem import MinimizerCatalog, ProblemDef, Trajectory
 
@@ -138,29 +138,35 @@ def classify_trajectory(p: ProblemDef, traj: Trajectory,
     return ClassificationResult(verdict, t_bar, records)
 
 
-def _polish_minimizer(p: ProblemDef, x: np.ndarray, t: float) -> np.ndarray:
+def _polish_minimizer(p: ProblemDef, x: np.ndarray,
+                      t: float) -> tuple[np.ndarray, Optional[NewtonKKT]]:
     """Newton-sharpen a flow limit onto the KKT set of the time-t problem.
 
     Constrained flow limits drift off the target leaf by the integration
     tolerance (leaf-normal directions are neutrally stable); the KKT
     refinement pins them back.  Best effort: the unrefined point is returned
     when Newton leaves the vicinity (for m = 0, Newton keeps its last iterate
-    before a step longer than 1).
+    before a step longer than 1).  Returns the point and the Newton run that
+    evaluated J, h and grad f there (None if unrefined or after ``"max_iter"``).
     """
     if p.m == 0:
-        return newton_kkt(p, x, t, max_step=1.0, tol=1e-12, max_iter=25).x
+        res = newton_kkt(p, x, t, max_step=1.0, tol=1e-12, max_iter=25)
+        return res.x, (None if res.status == "max_iter" else res)
     try:
         res = newton_kkt(p, x, t)
     except (SingularConstraintError, np.linalg.LinAlgError):
-        return x
+        return x, None
     near = np.linalg.norm(res.x - x) <= 0.05 * (1.0 + np.linalg.norm(x))
-    return res.x if res.status == "converged" and near else x
+    return (res.x, res) if res.status == "converged" and near else (x, None)
 
 
-def _is_strict_minimizer(p: ProblemDef, x: np.ndarray, t: float) -> bool:
-    """The catalog entry test: KKT residuals within bound and SOSC (hess L > 0 on ker J)."""
-    geom = geometry(p, x)
-    res = kkt_residual(p, x, t, geom)
+def _is_strict_minimizer(p: ProblemDef, x: np.ndarray, t: float,
+                         newton: Optional[NewtonKKT] = None) -> bool:
+    """The catalog entry test: KKT residuals within bound and SOSC (hess L > 0 on ker J),
+    reading J, h and grad f from ``newton``, a Newton run that evaluated them at x."""
+    J, h, grad = (newton.jacobian, newton.h, newton.gradient) if newton else (None,) * 3
+    geom = geometry(p, x, J=J)
+    res = kkt_residual(p, x, t, geom, grad=grad, h=h)
     if res.stationarity > CATALOG_KKT_TOL or res.feasibility > CATALOG_KKT_TOL:
         return False
     M = lagrangian_hessian(p, x, t, res.multipliers)
@@ -231,8 +237,8 @@ def build_catalog(p: ProblemDef, t: float, starts: int, seed: int, box,
 
     reps = []
     for members in clusters:
-        rep = _polish_minimizer(p, np.mean(members, axis=0), t)
-        if _is_strict_minimizer(p, rep, t):
+        rep, newton = _polish_minimizer(p, np.mean(members, axis=0), t)
+        if _is_strict_minimizer(p, rep, t, newton):
             reps.append(rep)
         else:
             dropped += len(members)
@@ -257,9 +263,9 @@ def _continue_catalog(p: ProblemDef, prev: MinimizerCatalog,
     """
     reps: list[np.ndarray] = []
     for x_old in prev.minimizers:
-        rep = _polish_minimizer(p, x_old, t)
+        rep, newton = _polish_minimizer(p, x_old, t)
         try:
-            continued = _is_strict_minimizer(p, rep, t)
+            continued = _is_strict_minimizer(p, rep, t, newton)
         except SingularConstraintError:
             continued = False
         if not continued:
@@ -269,7 +275,7 @@ def _continue_catalog(p: ProblemDef, prev: MinimizerCatalog,
                 converged = False
             if not converged:
                 return None
-            rep = _polish_minimizer(p, limit, t)
+            rep = _polish_minimizer(p, limit, t)[0]
         if any(np.linalg.norm(rep - r) <= CLUSTER_RADIUS for r in reps):
             return None
         reps.append(rep)

@@ -26,7 +26,7 @@ from . import problem as _problem
 from . import spectrum as _spectrum
 from .discrete import discrete_trajectory
 from .errors import TvlandError
-from .problem import Scalar1DFunction, Trajectory
+from .problem import Trajectory
 
 SCHEMA_VERSION = 1
 
@@ -155,86 +155,60 @@ class _Options:
 
 @dataclasses.dataclass(frozen=True)
 class _Scenario:
-    """A shipped scenario: its parameter defaults and what the CLI builds from them.
-
-    ``prop1`` is the g of f = g(x - beta sin t); ``thm3`` gives (g, omega,
-    lambda) of f = g(x - beta e^(-lambda t) sin(omega t)), whose spurious
-    minimum is g.y1.
-    """
+    """A shipped scenario: its parameter defaults and what the CLI builds from them."""
 
     params: dict
     make: Callable
     box: Callable
     equivalence: Callable | None = None
-    prop1: Scalar1DFunction | None = None
-    thm3: Callable | None = None
 
 
-def _line_form(sf: Scalar1DFunction):
-    """A scalar landscape and its gradient as functions of y in R^1.
-
-    The gradient is marked array-safe when ``sf.dg`` is; it then also takes
-    a stack of points of shape (L, 1).
-    """
-    def grad(y):
-        if getattr(y, "ndim", 1) == 2:  # a stack of points
-            return sf.dg(y)
-        return np.array([sf.dg(y[0])])
-
-    if _problem._is_stackable(sf.dg):
-        _problem._stackable(grad)
-    return (lambda y: sf.g(y[0])), grad
-
-
-def _beta_box(prm: dict) -> tuple[float, float]:
+def _beta_box(p) -> tuple[float, float]:
     # the quartic's minima move by up to beta
-    return (-(abs(prm["beta"]) + 6.0), abs(prm["beta"]) + 6.0)
-
-
-def _make_damped(prm: dict):
-    sf = _problem.QUARTIC
-    return _problem.make_damped_sinusoid(
-        *_line_form(sf), prm["beta"], prm["omega"], prm["lambda"], [1.0],
-        hess_g=lambda y: np.array([[sf.d2g(y[0])]]), alpha=prm["alpha"])
+    return (-(p.landscape.beta + 6.0), p.landscape.beta + 6.0)
 
 
 _SCENARIOS = {
     "example1": _Scenario(
         params={"alpha": 1.0, "beta": 10.0},
         make=lambda prm: _problem.make_example1(prm["beta"], alpha=prm["alpha"])[0],
-        box=_beta_box,
-        prop1=_problem.QUARTIC,
-        thm3=lambda prm: (_problem.QUARTIC, 1.0, 0.0)),
+        box=_beta_box),
     "matrec": _Scenario(
         params={"alpha": 1.0, "consistent": True},
         make=lambda prm: _problem.make_matrix_recovery(prm["consistent"],
                                                        alpha=prm["alpha"]),
-        box=lambda prm: (-16.0, 16.0),
+        box=lambda p: (-16.0, 16.0),
         equivalence=_problem.matrix_recovery_sign_flip),
     "damped": _Scenario(
         params={"alpha": 1.0, "beta": 10.0, "omega": 1.0, "lambda": 0.1},
-        make=_make_damped,
-        box=_beta_box,
-        thm3=lambda prm: (_problem.QUARTIC, prm["omega"], prm["lambda"])),
+        make=lambda prm: _problem._translated_quartic(prm["beta"], prm["alpha"], prm["omega"],
+                                                      prm["lambda"], "damped"),
+        box=_beta_box),
 }
 
 #: The parameter keys of all scenarios.
 _SCENARIO_PARAMS = tuple(dict.fromkeys(k for s in _SCENARIOS.values() for k in s.params))
 
 
-def _scenario(opt: _Options, needs: str | None = None, default: str | None = None):
-    """The selected scenario, which must have the field ``needs``, and its parameters."""
+def _scenario(opt: _Options, default: str | None = None):
+    """The problem the selected scenario builds, and the scenario."""
     name = opt.require("scenario") if default is None else opt.get("scenario", default)
     scn = _SCENARIOS.get(name)
     if scn is None:
         raise UsageError(f"unknown scenario {name!r} (expected {', '.join(_SCENARIOS)})")
-    if needs is not None and getattr(scn, needs) is None:
-        raise UsageError(f"{opt.command} needs a scenario with a {needs} landscape; "
-                         f"{name!r} has none")
     unread = [k for k in _SCENARIO_PARAMS if k not in scn.params and opt.get(k) is not None]
     if unread:
         raise UsageError(f"scenario {name!r} does not read {', '.join(unread)}")
-    return scn, {k: opt.get(k, d) for k, d in scn.params.items()}
+    return scn.make({k: opt.get(k, d) for k, d in scn.params.items()}), scn
+
+
+def _landscape(p, command: str, undamped: bool = False) -> _problem.Landscape:
+    """The landscape of ``p``; ``undamped`` (prop1, sweep) also needs omega 1 and lambda 0."""
+    ls = p.landscape
+    if ls is None or undamped and (ls.omega, ls.lam) != (1.0, 0.0):
+        form = "beta sin t" if undamped else "beta e^(-lambda t) sin(omega t)"
+        raise UsageError(f"{command} needs f(x, t) = g(x - {form}), not {p.name!r} as given")
+    return ls
 
 
 #: Grid resolution when neither dt nor N is configured.
@@ -319,15 +293,13 @@ def _jsonable(v):
 # --------------------------- subcommands -----------------------------------
 
 def _cmd_simulate(opt: _Options) -> int:
-    scn, prm = _scenario(opt)
-    traj = _simulate(scn.make(prm), opt)
+    traj = _simulate(_scenario(opt)[0], opt)
     _write_trajectory_csv(traj, opt.get("out"))
     return 0
 
 
 def _cmd_flow(opt: _Options) -> int:
-    scn, prm = _scenario(opt)
-    p = scn.make(prm)
+    p = _scenario(opt)[0]
     x0 = opt.require("x0")
     t = opt.get("t", 0.0)
     limit, converged = _ode.frozen_time_flow(p, x0, t, s_max=opt.get("smax"),
@@ -338,7 +310,7 @@ def _cmd_flow(opt: _Options) -> int:
 
 
 def _classifier(opt: _Options, scn: _Scenario) -> Callable:
-    """The classification run of ``classify`` and ``sweep``: ``classify(p, prm, traj)``.
+    """The classification run of ``classify`` and ``sweep``: ``classify(p, traj)``.
 
     Its options are read with their defaults here, so that a bad value is
     refused before any trajectory is simulated.
@@ -351,8 +323,8 @@ def _classifier(opt: _Options, scn: _Scenario) -> Callable:
     seed = opt.get("seed", 0)
     checks = opt.get("checks", 200)
 
-    def classify(p, prm: dict, traj: Trajectory) -> _classify.ClassificationResult:
-        builder = _classify.tracking_builder(p, scn.box(prm) if box is None else box,
+    def classify(p, traj: Trajectory) -> _classify.ClassificationResult:
+        builder = _classify.tracking_builder(p, scn.box(p) if box is None else box,
                                              starts=starts, seed=seed,
                                              equivalence=scn.equivalence)
         return _classify.classify_trajectory(p, traj, builder, tbar_frac * p.horizon,
@@ -362,12 +334,11 @@ def _classifier(opt: _Options, scn: _Scenario) -> Callable:
 
 
 def _cmd_classify(opt: _Options) -> int:
-    scn, prm = _scenario(opt)
+    p, scn = _scenario(opt)
     strict = opt.get("strict", False)
-    p = scn.make(prm)
     classify = _classifier(opt, scn)
     traj = _simulate(p, opt)
-    result = classify(p, prm, traj)
+    result = classify(p, traj)
     payload = {
         "verdict": result.verdict.value,
         "t_bar": result.t_bar,
@@ -382,27 +353,25 @@ def _cmd_classify(opt: _Options) -> int:
 
 
 def _cmd_prop1(opt: _Options) -> int:
-    scn, prm = _scenario(opt, needs="prop1")
-    scn.make(prm)  # the scenario's checks of its parameters
-    rep = _conditions.prop1_check(scn.prop1, prm["alpha"], prm["beta"])
+    p = _scenario(opt)[0]
+    ls = _landscape(p, "prop1", undamped=True)
+    rep = _conditions.prop1_check(ls.g, p.alpha, ls.beta)
     _emit_report(rep, opt.get("out"))
     return 0
 
 
 def _cmd_thm3(opt: _Options) -> int:
-    scn, prm = _scenario(opt, needs="thm3")
-    scn.make(prm)  # the scenario's checks of its parameters
-    sf, omega, lam = scn.thm3(prm)
+    p = _scenario(opt)[0]
+    ls = _landscape(p, "thm3")
     rep = _conditions.thm3_check(
-        *_line_form(sf), [np.array([sf.y1])], opt.get("R", 0.5),
-        prm["alpha"], prm["beta"], omega, lam, seed=opt.get("seed", 0))
+        *_conditions.line_form(ls.g), [np.array([ls.g.y1])], opt.get("R", 0.5),
+        p.alpha, ls.beta, ls.omega, ls.lam, seed=opt.get("seed", 0))
     _emit_report(rep, opt.get("out"))
     return 0
 
 
 def _cmd_spectrum(opt: _Options) -> int:
-    scn, prm = _scenario(opt)
-    p = scn.make(prm)
+    p = _scenario(opt)[0]
     x0 = opt.require("x0")
     times = np.linspace(0.0, p.horizon, opt.get("N", 64) + 1)
     ztraj = _spectrum.kkt_track(p, x0, times)
@@ -415,8 +384,7 @@ def _cmd_spectrum(opt: _Options) -> int:
 
 
 def _cmd_validate(opt: _Options) -> int:
-    scn, prm = _scenario(opt)
-    rep = _problem.validate_problem(scn.make(prm), samples=opt.get("samples", 100),
+    rep = _problem.validate_problem(_scenario(opt)[0], samples=opt.get("samples", 100),
                                     seed=opt.get("seed", 0))
     _emit_report(rep, opt.get("out"))
     return 0
@@ -435,20 +403,22 @@ def _sweep_cell(scn: _Scenario, values: dict, alpha: float, beta: float) -> tupl
         return (alpha, beta, error if mode != "sim" else "", error if mode != "prop1" else "")
     if mode in ("prop1", "both"):
         try:
-            prop1_field = str(_conditions.prop1_check(scn.prop1, alpha, beta).satisfied).lower()
+            prop1_field = str(_conditions.prop1_check(p.landscape.g, alpha,
+                                                      beta).satisfied).lower()
         except Exception as exc:
             prop1_field = f"error:{type(exc).__name__}"
     if mode in ("sim", "both"):
         try:
             traj = _ode.backward_euler_trajectory(p, values["x0"], values["dt"])
-            verdict_field = values["classify"](p, prm, traj).verdict.value
+            verdict_field = values["classify"](p, traj).verdict.value
         except Exception as exc:
             verdict_field = f"error:{type(exc).__name__}"
     return (alpha, beta, prop1_field, verdict_field)
 
 
 def _cmd_sweep(opt: _Options) -> int:
-    scn, _ = _scenario(opt, needs="prop1", default="example1")
+    p, scn = _scenario(opt, default="example1")
+    ls = _landscape(p, "sweep", undamped=True)
     alphas = opt.require("alpha_grid")
     betas = opt.require("beta_grid")
     if len(alphas) * len(betas) > 10_000:
@@ -462,7 +432,7 @@ def _cmd_sweep(opt: _Options) -> int:
         if unread:
             raise UsageError(f"sweep --mode prop1 does not read {', '.join(unread)}")
     # the start and the step are the same for every cell: refuse them here
-    x0 = _problem.start_vector(scn.make(scn.params), opt.get("x0", np.array([-2.0])))
+    x0 = _problem.start_vector(p, opt.get("x0", np.array([ls.g.y1])))
     dt = opt.get("dt", 4e-3)
     if not dt > 0.0:
         raise UsageError(f"dt must be positive, got {dt}")
@@ -470,12 +440,8 @@ def _cmd_sweep(opt: _Options) -> int:
     # one worker unless asked: the interpreter lock runs one cell at a time,
     # and a second worker only adds switching
     workers = int(os.environ.get("TVL_THREADS", "0")) or 1
-    rows: list = [None] * len(cells)
-    if cells:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_sweep_cell, scn, values, a, b) for a, b in cells]
-            for i, fut in enumerate(futures):
-                rows[i] = fut.result()
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        rows = list(pool.map(lambda cell: _sweep_cell(scn, values, *cell), cells))
     _write_rows(opt.get("out"), ["alpha", "beta", "prop1_satisfied", "sim_verdict"],
                 [(float(a), float(b), s, v) for a, b, s, v in rows])
     return 0
@@ -498,7 +464,7 @@ _COMMANDS = {
                  (*_SCENARIO_KEYS, *_GRID_KEYS, "tbar_frac", "box", "starts", "seed",
                   "checks", "strict", "out", "json")),
     "prop1": (_cmd_prop1, "one-dimensional escape condition report",
-              ("scenario", "alpha", "beta", "out", "json")),
+              ("scenario", "alpha", "beta", "omega", "lambda", "out", "json")),
     "thm3": (_cmd_thm3, "multi-dimensional escape condition report",
              ("scenario", "alpha", "beta", "omega", "lambda", "R", "seed", "out", "json")),
     "spectrum": (_cmd_spectrum, "Jacobian spectrum along a tracked minimizer trajectory",

@@ -362,6 +362,21 @@ def _inverse_gauss(u: np.ndarray) -> np.ndarray:
     return ndtri(np.clip(u, 1e-12, 1 - 1e-12))
 
 
+def line_form(sf: Scalar1DFunction):
+    """A scalar landscape and its gradient as functions of y in R^1, as thm3_check takes them.
+
+    The gradient also takes an (L, 1) stack, marked array-safe when ``sf.dg`` is.
+    """
+    def grad(y):
+        if getattr(y, "ndim", 1) == 2:  # a stack of points
+            return sf.dg(y)
+        return np.array([sf.dg(y[0])])
+
+    if _is_stackable(sf.dg):
+        _stackable(grad)
+    return (lambda y: sf.g(y[0])), grad
+
+
 def thm3_check(g, grad_g, minima, R: float, alpha: float, beta: float,
                omega: float, lam: float,
                ball_samples: int = _DENSE_SAMPLES,

@@ -175,20 +175,22 @@ class KKTResidual(NamedTuple):
 
 
 def kkt_residual(p: ProblemDef, x: np.ndarray, t: float,
-                 geom: Optional[GeometryResult] = None) -> KKTResidual:
+                 geom: Optional[GeometryResult] = None, grad: Optional[np.ndarray] = None,
+                 h: Optional[np.ndarray] = None) -> KKTResidual:
     """Stationarity and feasibility residuals with least-squares multipliers.
 
     The multipliers solve (J J^T) mu = -J grad f, so the stationarity norm
-    |grad f + J^T mu| coincides with |eta(x, t)| up to roundoff.
+    |grad f + J^T mu| coincides with |eta(x, t)| up to roundoff.  ``grad``
+    and ``h`` are grad f(x, t) and h(x) when the caller already holds them.
     """
-    grad = np.asarray(p.grad_objective(x, t), dtype=float)
+    grad = np.asarray(p.grad_objective(x, t), dtype=float) if grad is None else grad
     if p.m == 0:
         return KKTResidual(_norm(grad), 0.0, np.zeros(0))
     if geom is None:
         geom = geometry(p, x)
     mu = -(geom.theta.T @ grad)
     stat = _norm(grad + geom.jacobian.T @ mu)
-    feas = _norm(p.constraints(x) - p.data_path(t))
+    feas = _norm((p.constraints(x) if h is None else h) - p.data_path(t))
     return KKTResidual(stat, feas, mu)
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -44,6 +44,8 @@ class ProblemDef:
     hess_objective, constraint_hessians : callable, optional
         Second derivatives; where one is absent, central differences of
         ``grad_objective`` or ``jacobian`` stand in for it.
+    landscape : Landscape, optional
+        The scalar g and s(t) of f(x, t) = g(x - s(t)) (example1, damped).
     """
 
     n: int
@@ -59,6 +61,7 @@ class ProblemDef:
     hess_objective: Optional[Callable[[Vector, float], Matrix]] = None
     constraint_hessians: Optional[Callable[[Vector], Sequence[Matrix]]] = None
     name: str = ""
+    landscape: Optional["Landscape"] = None
 
     def __post_init__(self):
         if self.alpha <= 0:
@@ -186,6 +189,15 @@ class Scalar1DFunction:
         return self.stationary_points[2]
 
 
+class Landscape(NamedTuple):
+    """A scalar landscape g translated by s(t) = beta e^(-lam t) sin(omega t)."""
+
+    g: Scalar1DFunction
+    beta: float
+    omega: float
+    lam: float
+
+
 #: Attribute marking a callable that also accepts a stack of points.
 _STACKABLE = "_tvland_stackable"
 
@@ -260,48 +272,63 @@ QUARTIC = Scalar1DFunction(g=_quartic, dg=_quartic_d1, d2g=_quartic_d2,
 
 
 _EMPTY = np.zeros(0)
-_EMPTY_JAC1 = np.zeros((0, 1))
+
+
+def _unconstrained(n: int, **fields) -> ProblemDef:
+    """A problem on R^n with m = 0; ``fields`` are its other ProblemDef fields."""
+    empty_jac = np.zeros((0, n))
+    return ProblemDef(n=n, m=0, constraints=lambda x: _EMPTY, jacobian=lambda x: empty_jac,
+                      constraint_hessians=lambda x: (), data_path=lambda t: _EMPTY,
+                      data_rate=lambda t: _EMPTY, **fields)
+
+
+def _shift(beta: float, omega: float, lam: float) -> Callable:
+    """s(t) = beta e^(-lam t) sin(omega t) at a float t or an (L, 1) time column.
+
+    example1's beta sin t (lam = 0, omega = 1) skips the exact factors e^(-0 t) = 1 and 1 t.
+    """
+    if beta <= 0:
+        raise ValueError(f"beta must be positive, got {beta}")
+    if omega <= 0 or lam < 0:
+        raise ValueError(f"need omega > 0 and lam >= 0, got omega={omega}, lam={lam}")
+    b, sin, exp = float(beta), np.sin, np.exp  # bound here: each call saves two lookups
+    if lam == 0 and omega == 1:
+        return lambda t: b * sin(t)
+    return lambda t: b * exp(-lam * t) * sin(omega * t)
+
+
+def _translated_quartic(beta: float, alpha: float, omega: float, lam: float,
+                        name: str) -> ProblemDef:
+    """f(x, t) = g(x - s(t)) on [0, 2 pi / omega] for the quartic g and s of :func:`_shift`.
+
+    The problem carries its :class:`Landscape`; its gradient is marked array-safe.
+    """
+    s = _shift(beta, omega, lam)
+
+    def objective(x, t):
+        return _quartic(x[0] - s(t))
+
+    @_stackable
+    def grad(x, t):
+        if getattr(x, "ndim", 1) == 2:  # a stack of points, one time per row
+            return _quartic_d1(x - s(t))
+        return np.array([_quartic_d1(x[0] - s(t))])
+
+    def hess(x, t):
+        return np.array([[_quartic_d2(x[0] - s(t))]])
+
+    return _unconstrained(1, objective=objective, grad_objective=grad, hess_objective=hess,
+                          horizon=2.0 * np.pi / omega, alpha=alpha, name=name,
+                          landscape=Landscape(QUARTIC, float(beta), omega, lam))
 
 
 def make_example1(beta: float, alpha: float = 1.0) -> tuple[ProblemDef, Scalar1DFunction]:
     """Oscillating double-well scenario: f(x, t) = g(x - beta sin t) on [0, 2 pi].
 
-    The quartic g has a spurious local minimum at -2, a local maximum at
-    -3/8 and the global minimum at 2, so the moving landscape keeps a
-    spurious minimum at -2 + beta sin t at all times.
+    The landscape keeps the spurious minimum -2 of the quartic g (:data:`QUARTIC`)
+    at -2 + beta sin t at all times.
     """
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    b = float(beta)
-
-    def objective(x, t):
-        return _quartic(x[0] - b * np.sin(t))
-
-    @_stackable
-    def grad(x, t):
-        if getattr(x, "ndim", 1) == 2:  # a stack of points, one time per row
-            return _quartic_d1(x - b * np.sin(t))
-        return np.array([_quartic_d1(x[0] - b * np.sin(t))])
-
-    def hess(x, t):
-        return np.array([[_quartic_d2(x[0] - b * np.sin(t))]])
-
-    p = ProblemDef(
-        n=1,
-        m=0,
-        objective=objective,
-        grad_objective=grad,
-        hess_objective=hess,
-        constraints=lambda x: _EMPTY,
-        jacobian=lambda x: _EMPTY_JAC1,
-        constraint_hessians=lambda x: (),
-        data_path=lambda t: _EMPTY,
-        data_rate=lambda t: _EMPTY,
-        horizon=2.0 * np.pi,
-        alpha=alpha,
-        name="example1",
-    )
-    return p, QUARTIC
+    return _translated_quartic(beta, alpha, 1.0, 0.0, "example1"), QUARTIC
 
 
 # ---------------------------------------------------------------------------
@@ -477,16 +504,12 @@ def make_damped_sinusoid(
     The gradient is marked array-safe when ``grad_g`` is.
     """
     u = np.asarray(u, dtype=float)
-    n = u.size
     if abs(np.linalg.norm(u) - 1.0) > 1e-12:
         raise ValueError("u must be a unit vector (within 1e-12)")
-    if beta <= 0 or omega <= 0:
-        raise ValueError("beta and omega must be positive")
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
+    s = _shift(beta, omega, lam)
 
     def shift(t):
-        return beta * np.exp(-lam * t) * np.sin(omega * t) * u
+        return s(t) * u
 
     def objective(x, t):
         return g(x - shift(t))
@@ -501,22 +524,9 @@ def make_damped_sinusoid(
         def hess(x, t):
             return np.asarray(hess_g(x - shift(t)), dtype=float)
 
-    empty_jac = np.zeros((0, n))
-    return ProblemDef(
-        n=n,
-        m=0,
-        objective=objective,
-        grad_objective=grad,
-        hess_objective=hess,
-        constraints=lambda x: _EMPTY,
-        jacobian=lambda x: empty_jac,
-        constraint_hessians=lambda x: (),
-        data_path=lambda t: _EMPTY,
-        data_rate=lambda t: _EMPTY,
-        horizon=2.0 * np.pi / omega if horizon is None else horizon,
-        alpha=alpha,
-        name="damped",
-    )
+    return _unconstrained(u.size, objective=objective, grad_objective=grad, hess_objective=hess,
+                          horizon=2.0 * np.pi / omega if horizon is None else horizon,
+                          alpha=alpha, name="damped")
 
 
 # ---------------------------------------------------------------------------

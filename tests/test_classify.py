@@ -140,6 +140,30 @@ class TestTrackingBuilder:
         assert cat.global_ids == fresh.global_ids
         assert cat.dropped == 0
 
+    @pytest.mark.parametrize("case", ["example1", "matrec"])
+    def test_entry_test_reads_the_polish_evaluations(self, case, ex1_04_10, matrec):
+        # the entry test after a polish evaluates no gradient, J or h again,
+        # and decides as the test that evaluates them afresh
+        from tvland.classify import _is_strict_minimizer, _polish_minimizer
+
+        p, x0, t = ((ex1_04_10[0], np.array([2.3]), 0.0) if case == "example1" else
+                    (matrec, tv.matrix_recovery_global_state(0.5) + 1e-4, 0.5))
+        calls = []
+
+        def counted(name):
+            fn = getattr(p, name)
+            return lambda *a: calls.append(name) or fn(*a)
+
+        q = p.replace(**{name: counted(name)
+                         for name in ("grad_objective", "jacobian", "constraints")})
+        rep, newton = _polish_minimizer(q, x0, t)
+        assert newton is not None and newton.status == "converged"
+        calls.clear()
+        assert _is_strict_minimizer(q, rep, t, newton)
+        assert calls == []
+        assert _is_strict_minimizer(q, rep, t)
+        assert "grad_objective" in calls
+
     @pytest.mark.parametrize("checks", [3, 5])
     @pytest.mark.parametrize("regime, beta", [("ex1_04_10", 10.0), ("ex1_02_5", 5.0)])
     def test_records_equal_fresh_multistarts(self, regime, beta, checks, request):

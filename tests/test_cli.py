@@ -21,7 +21,7 @@ READS = {
     "flow": _SCENARIO | {"--x0", "--t", "--smax", "--tol", "--out", "--json"},
     "classify": _SCENARIO | _GRID | {"--tbar-frac", "--box", "--starts", "--seed",
                                      "--checks", "--strict", "--out", "--json"},
-    "prop1": {"--scenario", "--alpha", "--beta", "--out", "--json"},
+    "prop1": {"--scenario", "--alpha", "--beta", "--omega", "--lambda", "--out", "--json"},
     "thm3": {"--scenario", "--alpha", "--beta", "--omega", "--lambda", "--R", "--seed",
              "--out", "--json"},
     "spectrum": _SCENARIO | {"--x0", "--N", "--out"},
@@ -643,6 +643,34 @@ def test_usage_error_names_the_option(argv, cfg, key, tmp_path, capsys):
     err = json.loads(captured.err)
     assert err["error"] == "usage"
     assert key in err["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["prop1", "--scenario", "matrec"], id="prop1-matrec"),
+    pytest.param(["prop1", "--scenario", "damped"], id="prop1-damped"),  # lambda 0.1
+    pytest.param(["thm3", "--scenario", "matrec"], id="thm3-matrec"),
+    pytest.param(["sweep", "--scenario", "damped", "--alpha-grid", "0.4", "--beta-grid", "10"],
+                 id="sweep-damped"),
+    pytest.param(["thm3", "--scenario", "example1", "--omega", "2"], id="thm3-example1-omega"),
+])
+def test_landscape_commands_refuse_other_problems(argv, capsys):
+    # prop1 and sweep read f = g(x - beta sin t) from the problem, thm3 any
+    # f = g(x - beta e^(-lambda t) sin(omega t)); other problems are refused
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "usage"
+
+
+@pytest.mark.parametrize("argv", [["prop1"], ["thm3", "--R", "0.7"],
+                                  ["simulate", "--x0", "-2", "--N", "50"]],
+                         ids=["prop1", "thm3", "simulate"])
+def test_undamped_damped_scenario_prints_example1(argv, capsys):
+    params = ["--alpha", "0.4", "--beta", "10"]
+    assert run([*argv, "--scenario", "example1", *params]) == 0
+    example1 = capsys.readouterr().out
+    assert run([*argv, "--scenario", "damped", *params, "--lambda", "0", "--omega", "1"]) == 0
+    assert capsys.readouterr().out == example1
 
 
 def readme_block(heading: str) -> str:

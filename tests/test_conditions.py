@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import tvland as tv
+from tvland.conditions import line_form
 from tvland.problem import QUARTIC
 
 
@@ -325,11 +326,10 @@ class TestStackedGrids:
     CASES = [(QUARTIC, 0.4, 10.0), (QUARTIC, 0.2, 5.0)]
 
     def test_quartic_slope_is_marked(self):
-        from tvland import cli
         from tvland.problem import _is_stackable
 
         assert _is_stackable(QUARTIC.dg)
-        assert _is_stackable(cli._line_form(QUARTIC)[1])
+        assert _is_stackable(line_form(QUARTIC)[1])
         assert not _is_stackable(_unmarked(QUARTIC).dg)
 
     @pytest.mark.parametrize("case", range(3))
@@ -347,14 +347,12 @@ class TestStackedGrids:
 
     @pytest.mark.parametrize("case", range(3))
     def test_thm3_reports_equal(self, case):
-        from tvland import cli
-
         sf, alpha, beta = self.CASES[case] if case < 2 else (_grid_root_cubic(), 0.3, 1.0)
-        g, grad = cli._line_form(sf)
+        g, grad = line_form(sf)
         args = ([np.array([sf.y1])], 0.5, alpha, beta, 1.0, 0.0)
         marked = tv.thm3_check(g, grad, *args)
         assert marked == tv.thm3_check(g, lambda y: grad(y), *args)
-        assert marked == tv.thm3_check(*cli._line_form(_unmarked(sf)), *args)
+        assert marked == tv.thm3_check(*line_form(_unmarked(sf)), *args)
 
     def test_one_call_per_grid(self):
         # prop1 samples 10 000 + 20 001 points and thm3 10 000; marked
@@ -367,9 +365,7 @@ class TestStackedGrids:
         grids = sorted(shape for shape in calls if shape)
         assert grids == [(10_000,), (20_001,)]
         assert len(calls) < 300
-        from tvland import cli
-
-        g, grad = cli._line_form(sf)
+        g, grad = line_form(sf)
         calls.clear()
         tv.thm3_check(g, _counted(grad, calls), [np.array([-2.0])], 0.5, 0.4, 10.0, 1.0, 0.0)
         assert sorted(shape for shape in calls if shape != (1,)) == [(10_000, 1)]

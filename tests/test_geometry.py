@@ -403,7 +403,7 @@ class TestNewtonKKT:
         rng = np.random.default_rng(3)
         for x0, t in zip(rng.uniform(-16, 16, 200), rng.uniform(0, 2 * np.pi, 200)):
             x0 = np.array([x0])
-            assert np.array_equal(_polish_minimizer(p, x0, t),
+            assert np.array_equal(_polish_minimizer(p, x0, t)[0],
                                   _old_unconstrained_polish(p, x0, t))
 
     def test_statuses(self, ex1_04_10):

@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tvland as tv
+from tvland.conditions import line_form
+from tvland.problem import each_row
 
 
 class TestExample1:
@@ -30,6 +32,13 @@ class TestExample1:
         p, sf = ex1_04_10
         for x in (-3.0, 0.5, 4.0):
             assert p.objective(np.array([x]), 0.0) == sf.g(x)
+
+    def test_carries_its_landscape(self, ex1_04_10, matrec):
+        p, sf = ex1_04_10
+        assert p.landscape == (sf, 10.0, 1.0, 0.0)
+        assert matrec.landscape is None
+        g, dg = line_form(sf)
+        assert tv.make_damped_sinusoid(g, dg, 1.0, 1.0, 0.0, [1.0]).landscape is None
 
     def test_dimensions_and_horizon(self, ex1_04_10):
         p, _ = ex1_04_10
@@ -182,9 +191,7 @@ class TestDampedSinusoid:
     @staticmethod
     def _quartic_parts():
         _, sf = tv.make_example1(1.0)
-        g = lambda y: sf.g(y[0])
-        dg = lambda y: np.array([sf.dg(y[0])])
-        return g, dg
+        return line_form(sf)
 
     def test_zero_phase(self):
         g, dg = self._quartic_parts()
@@ -194,11 +201,23 @@ class TestDampedSinusoid:
 
     def test_reduces_to_example1(self):
         g, dg = self._quartic_parts()
-        p = tv.make_damped_sinusoid(g, dg, beta=10.0, omega=1.0, lam=1e-12, u=[1.0])
-        p1, _ = tv.make_example1(10.0)
-        for t in (0.3, 1.7, 4.0):
-            x = np.array([0.8])
-            assert p.objective(x, t) == pytest.approx(p1.objective(x, t), rel=1e-9)
+        p1, sf = tv.make_example1(10.0)
+        hess_g = lambda y: np.array([[sf.d2g(y[0])]])
+        for lam in (1e-12, 0.0):
+            p = tv.make_damped_sinusoid(g, dg, beta=10.0, omega=1.0, lam=lam, u=[1.0],
+                                        hess_g=hess_g)
+            for t in (0.3, 1.7, 4.0):
+                x = np.array([0.8])
+                assert p.objective(x, t) == pytest.approx(p1.objective(x, t), rel=1e-9)
+        # at lam = 0 the shift is beta sin t, bit for bit
+        rng = np.random.default_rng(4)
+        xs, ts = rng.uniform(-15.0, 15.0, (500, 1)), rng.uniform(0.0, 2 * np.pi, 500)
+        for x, t in zip(xs, ts):
+            assert p.objective(x, t) == p1.objective(x, t)
+            assert np.array_equal(p.grad_objective(x, t), p1.grad_objective(x, t))
+            assert np.array_equal(p.hess_objective(x, t), p1.hess_objective(x, t))
+        assert np.array_equal(each_row(p.grad_objective, xs, ts),
+                              each_row(p1.grad_objective, xs, ts))
 
     def test_gradient_is_translated(self):
         g, dg = self._quartic_parts()
