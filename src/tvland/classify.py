@@ -9,7 +9,7 @@ limit and matching that limit against a catalog of known minimizers.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -108,8 +108,8 @@ def classify_trajectory(p: ProblemDef, traj: Trajectory,
     non-global basin, and UNRESOLVED otherwise.
 
     The catalogs are built first, one per check in time order (a tracking
-    builder continues each catalog from the previous one); then the
-    membership flows of all checks run as one batch of
+    builder translates the first catalog or continues the previous one);
+    then the membership flows of all checks run as one batch of
     :func:`~tvland.ode.frozen_time_flows`.  Each record carries the
     membership of :func:`attraction_membership` and its reason.
     """
@@ -284,27 +284,41 @@ def _continue_catalog(p: ProblemDef, prev: MinimizerCatalog,
 
 def tracking_builder(p: ProblemDef, box, starts: int = 64, seed: int = 0,
                      equivalence=None) -> Callable[[float], MinimizerCatalog]:
-    """Catalog builder that multistarts once, then continues minimizers in t.
+    """Catalog builder that multistarts once, then follows the minimizers in t.
 
-    The first requested time pays for a full multistart.  Later times
-    continue each known minimizer from its previous location by a Newton
-    step (:func:`_polish_minimizer`, :func:`~tvland.geometry.newton_kkt`
-    on the KKT system) and keep the continued point when it passes the test
-    :func:`build_catalog` applies to its entries (KKT residuals within
-    ``CATALOG_KKT_TOL``, Lagrangian Hessian positive definite on ker J).  A
-    point failing it is replaced by the polished limit of the frozen-time
-    flow from the previous location.  A flow that does not settle, two
-    entries that continue to one point (a vanished well, which would shrink
-    the catalog) and an empty previous catalog trigger a fresh multistart.
-    Suited to landscapes whose minimizer count is stable over the horizon;
-    use :func:`multistart_builder` otherwise.
+    The first requested time t0 pays for a full multistart
+    (:func:`build_catalog` with ``box``, ``starts`` and ``seed``).  When
+    ``p`` carries a landscape, f(x, t) = g(x - s(t)), every later time t is
+    answered by that catalog translated by s(t) - s(t0): the frozen-time
+    minimizers move with s while their values, their lexicographic order and
+    so the global ids stay the same.
+
+    Otherwise later times continue each known minimizer from its previous
+    location by a Newton step (:func:`_polish_minimizer`,
+    :func:`~tvland.geometry.newton_kkt` on the KKT system) and keep the
+    continued point when it passes the test :func:`build_catalog` applies to
+    its entries (KKT residuals within ``CATALOG_KKT_TOL``, Lagrangian Hessian
+    positive definite on ker J).  A point failing it is replaced by the
+    polished limit of the frozen-time flow from the previous location.  A
+    flow that does not settle and two entries that continue to one point
+    (which would shrink the catalog) trigger a fresh multistart.
+
+    On either path an empty catalog triggers a fresh multistart, and a
+    catalog that did not come from one has ``dropped`` = 0.  Suited to
+    landscapes whose minimizer count is stable over the horizon; use
+    :func:`multistart_builder` otherwise.
     """
     state: dict = {"catalog": None}
+    ls = p.landscape
 
     def build(t: float) -> MinimizerCatalog:
         prev = state["catalog"]
         cat = None
         if prev is not None and len(prev):
+            if ls is not None:  # prev is the multistart catalog at t0
+                delta = ls.shift(t) - ls.shift(prev.anchor_time)
+                return replace(prev, anchor_time=t, minimizers=prev.minimizers + delta,
+                               dropped=0)
             cat = _continue_catalog(p, prev, t)
         if cat is None:
             cat = build_catalog(p, t, starts, seed, box, equivalence)

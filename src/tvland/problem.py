@@ -46,6 +46,11 @@ class ProblemDef:
         ``grad_objective`` or ``jacobian`` stand in for it.
     landscape : Landscape, optional
         The scalar g and s(t) of f(x, t) = g(x - s(t)) (example1, damped).
+        Carrying one promises that f is this translate, so that the
+        frozen-time minimizers at t are those at t0 moved by s(t) - s(t0)
+        (:func:`~tvland.classify.tracking_builder` relies on it); a
+        ``replace`` that changes ``objective`` or ``grad_objective`` must
+        also pass ``landscape=None``.
     """
 
     n: int
@@ -196,6 +201,10 @@ class Landscape(NamedTuple):
     beta: float
     omega: float
     lam: float
+
+    def shift(self, t: float) -> float:
+        """s(t), by :func:`_shift`."""
+        return _shift(self.beta, self.omega, self.lam)(t)
 
 
 #: Attribute marking a callable that also accepts a stack of points.

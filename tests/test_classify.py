@@ -123,9 +123,74 @@ class TestMembership:
         assert [(r.member, r.reason) for r in res.records] == [(None, "no_catalog_match")]
 
 
+def count_calls(monkeypatch, *names):
+    """Count the calls of the named ``tvland.classify`` functions, by name."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        fn = getattr(classify_module, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(classify_module, name, counted)
+    return calls
+
+
 class TestTrackingBuilder:
-    def test_continuation_matches_flow_without_flowing(self, ex1_04_10, monkeypatch):
+    def test_translated_catalog_matches_fresh_multistart(self, ex1_04_10):
         p, _ = ex1_04_10
+        builder = tv.tracking_builder(p, BOX, starts=64, seed=0)
+        first = builder(4.7)
+        for t in (4.72, 5.9, 1.0):
+            cat = builder(t)
+            fresh = tv.build_catalog(p, t, starts=64, seed=0, box=BOX)
+            assert cat.anchor_time == t
+            assert len(cat) == len(first) == len(fresh) == 2
+            assert np.abs(cat.minimizers - fresh.minimizers).max() <= 1e-9
+            assert np.abs(cat.objective_values - fresh.objective_values).max() <= 1e-9
+            assert cat.global_ids == fresh.global_ids
+            assert cat.dropped == 0
+
+    def test_translated_landscape_multistarts_once(self, ex1_04_10, be_traj_04_10,
+                                                   monkeypatch):
+        # f = g(x - s(t)): one multistart at the first check, then its
+        # translates; no entry is continued or re-flowed
+        p, _ = ex1_04_10
+        calls = count_calls(monkeypatch, "build_catalog", "frozen_time_flow",
+                            "_continue_catalog")
+        res = tv.classify_trajectory(p, be_traj_04_10, tv.tracking_builder(p, BOX, seed=0),
+                                     0.75 * p.horizon)
+        assert len(res.records) == 200
+        assert calls == {"build_catalog": 1, "frozen_time_flow": 0, "_continue_catalog": 0}
+
+    def test_problem_without_landscape_continues(self, ex1_04_10, be_traj_04_10,
+                                                 monkeypatch):
+        # the same f with no translation claim continues its catalog check by
+        # check, to the records of the translated catalogs
+        p, _ = ex1_04_10
+        want = tv.classify_trajectory(p, be_traj_04_10, tv.tracking_builder(p, BOX, seed=0),
+                                      0.75 * p.horizon, max_checks=40).records
+        q = p.replace(landscape=None)
+        calls = count_calls(monkeypatch, "build_catalog", "_continue_catalog")
+        got = tv.classify_trajectory(q, be_traj_04_10, tv.tracking_builder(q, BOX, seed=0),
+                                     0.75 * q.horizon, max_checks=40).records
+        assert calls == {"build_catalog": 1, "_continue_catalog": 39}
+        assert got == want
+
+    def test_matrix_recovery_continues(self, matrec, monkeypatch):
+        frozen = tv.freeze_data(matrec, 0.0)
+        calls = count_calls(monkeypatch, "build_catalog", "_continue_catalog")
+        builder = tv.tracking_builder(frozen, (-2.0, 2.0), starts=48, seed=5,
+                                      equivalence=tv.matrix_recovery_sign_flip)
+        first = builder(0.0)
+        cat = builder(0.1)
+        assert len(first) >= 1
+        assert calls == {"build_catalog": 1, "_continue_catalog": 1}
+        assert np.abs(cat.minimizers - first.minimizers).max() <= 1e-9
+
+    def test_continuation_matches_flow_without_flowing(self, ex1_04_10, monkeypatch):
+        p = ex1_04_10[0].replace(landscape=None)
         flows = []
         scalar = classify_module.frozen_time_flow
         monkeypatch.setattr(classify_module, "frozen_time_flow",
@@ -167,20 +232,26 @@ class TestTrackingBuilder:
     @pytest.mark.parametrize("checks", [3, 5])
     @pytest.mark.parametrize("regime, beta", [("ex1_04_10", 10.0), ("ex1_02_5", 5.0)])
     def test_records_equal_fresh_multistarts(self, regime, beta, checks, request):
-        # with few checks a well vanishes between two of them, so two
-        # catalog entries continue into one basin; the builder then searches
-        # afresh, and every record is the one a fresh multistart gives (the
-        # classify run of the CLI at dt 1e-3, seed 7)
+        # with few checks the landscape moves so far between two of them
+        # that both catalog entries continue into one basin (in three of
+        # these four runs; no well vanishes, the landscape only translates).
+        # A continuing builder (the same f with no landscape) then searches
+        # afresh, and the translating one needs no search.  Either way every
+        # record is the one a fresh multistart gives (the classify run of the
+        # CLI at dt 1e-3, seed 7)
         p, _ = request.getfixturevalue(regime)
         box = (-(beta + 6.0), beta + 6.0)
         traj = tv.backward_euler_trajectory(p, np.array([-2.0]), 1e-3)
-        records = [tv.classify_trajectory(p, traj, make(p, box, starts=64, seed=7),
+        records = [tv.classify_trajectory(q, traj, make(q, box, starts=64, seed=7),
                                           0.75 * p.horizon, max_checks=checks).records
-                   for make in (tv.tracking_builder, tv.multistart_builder)]
-        assert records[0] == records[1]
+                   for q, make in ((p, tv.tracking_builder),
+                                   (p.replace(landscape=None), tv.tracking_builder),
+                                   (p, tv.multistart_builder))]
+        assert records[0] == records[2]
+        assert records[1] == records[2]
 
     def test_sosc_failure_falls_back_to_flow(self, ex1_04_10, monkeypatch):
-        p, _ = ex1_04_10
+        p = ex1_04_10[0].replace(landscape=None)
         fresh = tv.build_catalog(p, 4.72, starts=64, seed=0, box=BOX)
         builder = tv.tracking_builder(p, BOX, starts=64, seed=0)
         first = builder(4.7)
@@ -308,3 +379,28 @@ def test_verdict_stable_under_halving_dt(regime, box, verdict, request):
         builder = tv.tracking_builder(p, box, starts=64, seed=0)
         result = tv.classify_trajectory(p, traj, builder, 0.75 * 2 * np.pi)
         assert result.verdict is verdict, dt
+
+
+#: The 6 x 6 sweep grid at dt 4e-3 with 40 checks, and both acceptance
+#: regimes at dt 1e-3 with 200 checks, as (alpha, beta, dt, checks).
+ORACLE_CASES = ([(a, b, 4e-3, 40) for a in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6)
+                 for b in (2.0, 4.0, 6.0, 8.0, 10.0, 12.0)]
+                + [(0.4, 10.0, 1e-3, 200), (0.2, 5.0, 1e-3, 200)])
+
+
+@pytest.mark.parametrize("alpha, beta, dt, checks", ORACLE_CASES)
+def test_records_match_the_exact_basin_split(alpha, beta, dt, checks):
+    # n = 1: the frozen landscape at t is the quartic moved by beta sin t, so
+    # a state left of its local maximum y2 + beta sin t flows to the spurious
+    # minimum (catalog id 0 in lexicographic order) and one right of it to
+    # the global minimum (id 1).  This oracle shares no code with the flows
+    # or the catalogs.  Each run classifies as a sweep cell (grid) or the
+    # CLI's classify (regimes) does, from the spurious minimum
+    p, g = tv.make_example1(beta, alpha)
+    traj = tv.backward_euler_trajectory(p, np.array([g.y1]), dt)
+    builder = tv.tracking_builder(p, (-(beta + 6.0), beta + 6.0), starts=64, seed=0)
+    res = tv.classify_trajectory(p, traj, builder, 0.75 * p.horizon, max_checks=checks)
+    states = dict(zip(traj.times, traj.states[:, 0]))
+    right = [bool(states[r.time] > g.y2 + beta * np.sin(r.time)) for r in res.records]
+    assert len(res.records) == checks
+    assert [(r.member, r.is_global) for r in res.records] == [(int(w), w) for w in right]

@@ -365,6 +365,21 @@ class TestClassifyCommand:
         assert [r.reason for r in results[0].records] == ["flow_not_converged"] * 2
         assert "reason" not in payload["checks"][0]
 
+    @pytest.mark.parametrize("box, verdict", [(["--box", "1,20"], "unresolved"),
+                                              ([], "spurious")], ids=["box", "default"])
+    def test_options_drive_the_one_multistart(self, box, verdict, monkeypatch, capsys):
+        # the box 1..20 reaches only the global well, so the trapped state's
+        # basin matches no catalog entry at any check
+        searches = []
+        build = cli._classify.build_catalog
+        monkeypatch.setattr(cli._classify, "build_catalog",
+                            lambda *a: searches.append(a[2:5]) or build(*a))
+        code = run(["classify", "--scenario", "example1", "--alpha", "0.2", "--beta", "5",
+                    "--x0", "-2", "--dt", "1e-3", "--checks", "20", *box])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["verdict"] == verdict
+        assert searches == [(64, 0, (1.0, 20.0) if box else (-11.0, 11.0))]
+
     @pytest.mark.parametrize("frac", ["-0.5", "1", "nan"])
     def test_bad_tbar_frac_refused_before_simulating(self, frac, no_engine, capsys):
         code = run(["classify", *EX1, "--dt", "1e-4", "--tbar-frac", frac])

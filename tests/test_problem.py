@@ -40,6 +40,17 @@ class TestExample1:
         g, dg = line_form(sf)
         assert tv.make_damped_sinusoid(g, dg, 1.0, 1.0, 0.0, [1.0]).landscape is None
 
+    @pytest.mark.parametrize("omega, lam", [(1.0, 0.0), (2.0, 0.3)])
+    def test_landscape_shift_translates_f(self, omega, lam):
+        # f(x + s(t), t) = g(x): the catalog of a translated landscape moves by s
+        p = tv.problem._translated_quartic(3.0, 1.0, omega, lam, "damped")
+        for t in (0.0, 0.4, 2.5):
+            s = p.landscape.shift(t)
+            assert s == pytest.approx(3.0 * np.exp(-lam * t) * np.sin(omega * t), abs=1e-15)
+            for x in (-2.0, 0.3, 2.0):
+                assert p.objective(np.array([x + s]), t) == pytest.approx(
+                    p.landscape.g.g(x), rel=1e-13)
+
     def test_dimensions_and_horizon(self, ex1_04_10):
         p, _ = ex1_04_10
         assert p.n == 1 and p.m == 0
