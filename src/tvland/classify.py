@@ -37,9 +37,9 @@ class Verdict(enum.Enum):
     UNRESOLVED = "unresolved"
 
 
-def _match_catalog(catalog: MinimizerCatalog, limit: np.ndarray, converged: bool,
-                   tol: float) -> tuple[Optional[int], str]:
-    """Catalog id within ``tol`` of a flow limit (modulo the equivalence).
+def _match_catalog(p: ProblemDef, catalog: MinimizerCatalog, limit: np.ndarray,
+                   converged: bool, tol: float) -> tuple[Optional[int], str]:
+    """Catalog id within ``tol`` of a flow limit (modulo ``p.equivalence``).
 
     Returns ``(id, "member")``, or ``(None, reason)`` with reason
     ``"flow_not_converged"`` or ``"no_catalog_match"``.
@@ -48,12 +48,10 @@ def _match_catalog(catalog: MinimizerCatalog, limit: np.ndarray, converged: bool
         return None, "flow_not_converged"
     if len(catalog) == 0:
         return None, "no_catalog_match"
-    candidates = [limit]
-    if catalog.equivalence is not None:
-        candidates.append(np.asarray(catalog.equivalence(limit), dtype=float))
-    dists = np.full(len(catalog), np.inf)
-    for c in candidates:
-        dists = np.minimum(dists, np.linalg.norm(catalog.minimizers - c, axis=1))
+    dists = np.linalg.norm(catalog.minimizers - limit, axis=1)
+    if p.equivalence is not None:
+        twin = np.linalg.norm(catalog.minimizers - p.equivalence(limit), axis=1)
+        dists = np.minimum(dists, twin)
     best = int(np.argmin(dists))
     if dists[best] > tol:
         return None, "no_catalog_match"
@@ -66,11 +64,11 @@ def attraction_membership(p: ProblemDef, x: np.ndarray, t: float,
     """Catalog id of the minimizer whose basin contains x at time t.
 
     Runs the frozen-time flow from x; returns the index of the catalog entry
-    within ``tol`` of the flow limit (modulo the catalog equivalence), or
+    within ``tol`` of the flow limit (modulo ``p.equivalence``), or
     None when the flow does not settle or its limit matches no entry.
     """
     limit, converged = frozen_time_flow(p, x, t)
-    return _match_catalog(catalog, limit, converged, tol)[0]
+    return _match_catalog(p, catalog, limit, converged, tol)[0]
 
 
 @dataclass
@@ -126,7 +124,7 @@ def classify_trajectory(p: ProblemDef, traj: Trajectory,
     limits, converged = frozen_time_flows(p, traj.states[idx], times)
     records = []
     for t, catalog, limit, conv in zip(times, catalogs, limits, converged):
-        member, reason = _match_catalog(catalog, limit, conv, tol)
+        member, reason = _match_catalog(p, catalog, limit, conv, tol)
         is_global = member is not None and member in catalog.global_ids
         records.append(MembershipRecord(t, member, is_global, reason))
     if any(r.member is not None and not r.is_global for r in records):
@@ -174,21 +172,19 @@ def _is_strict_minimizer(p: ProblemDef, x: np.ndarray, t: float,
 
 
 def _assemble_catalog(p: ProblemDef, t: float, reps: list[np.ndarray],
-                      equivalence, dropped: int) -> MinimizerCatalog:
+                      dropped: int) -> MinimizerCatalog:
     """Catalog of ``reps`` sorted lexicographically, with their global ids."""
     if not reps:
-        return MinimizerCatalog(t, np.zeros((0, p.n)), [], np.zeros(0),
-                                equivalence, dropped)
+        return MinimizerCatalog(t, np.zeros((0, p.n)), [], np.zeros(0), dropped)
     reps = sorted(reps, key=lambda r: tuple(r))
     minimizers = np.vstack(reps)
     values = np.array([p.objective(m, t) for m in minimizers])
     fmin = values.min()
     global_ids = [i for i, v in enumerate(values) if v <= fmin + 1e-9 * (1 + abs(fmin))]
-    return MinimizerCatalog(t, minimizers, global_ids, values, equivalence, dropped)
+    return MinimizerCatalog(t, minimizers, global_ids, values, dropped)
 
 
 def build_catalog(p: ProblemDef, t: float, starts: int, seed: int, box,
-                  equivalence: Optional[Callable[[np.ndarray], np.ndarray]] = None,
                   cluster_radius: float = CLUSTER_RADIUS) -> MinimizerCatalog:
     """Catalog the frozen-time local minimizers found by multistart flows.
 
@@ -242,13 +238,13 @@ def build_catalog(p: ProblemDef, t: float, starts: int, seed: int, box,
             reps.append(rep)
         else:
             dropped += len(members)
-    return _assemble_catalog(p, t, reps, equivalence, dropped)
+    return _assemble_catalog(p, t, reps, dropped)
 
 
-def multistart_builder(p: ProblemDef, box, starts: int = 64, seed: int = 0,
-                       equivalence=None) -> Callable[[float], MinimizerCatalog]:
+def multistart_builder(p: ProblemDef, box, starts: int = 64,
+                       seed: int = 0) -> Callable[[float], MinimizerCatalog]:
     """Catalog builder running a fresh multistart search at every time."""
-    return lambda t: build_catalog(p, t, starts, seed, box, equivalence)
+    return lambda t: build_catalog(p, t, starts, seed, box)
 
 
 def _continue_catalog(p: ProblemDef, prev: MinimizerCatalog,
@@ -279,11 +275,11 @@ def _continue_catalog(p: ProblemDef, prev: MinimizerCatalog,
         if any(np.linalg.norm(rep - r) <= CLUSTER_RADIUS for r in reps):
             return None
         reps.append(rep)
-    return _assemble_catalog(p, t, reps, prev.equivalence, 0)
+    return _assemble_catalog(p, t, reps, 0)
 
 
-def tracking_builder(p: ProblemDef, box, starts: int = 64, seed: int = 0,
-                     equivalence=None) -> Callable[[float], MinimizerCatalog]:
+def tracking_builder(p: ProblemDef, box, starts: int = 64,
+                     seed: int = 0) -> Callable[[float], MinimizerCatalog]:
     """Catalog builder that multistarts once, then follows the minimizers in t.
 
     The first requested time t0 pays for a full multistart
@@ -321,7 +317,7 @@ def tracking_builder(p: ProblemDef, box, starts: int = 64, seed: int = 0,
                                dropped=0)
             cat = _continue_catalog(p, prev, t)
         if cat is None:
-            cat = build_catalog(p, t, starts, seed, box, equivalence)
+            cat = build_catalog(p, t, starts, seed, box)
         state["catalog"] = cat
         return cat
 

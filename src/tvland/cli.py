@@ -58,6 +58,13 @@ def _count(raw: str) -> int:
     return n
 
 
+def _positive(raw: str) -> float:
+    v = float(raw)
+    if not 0.0 < v < np.inf:
+        raise ValueError("expected a positive finite number")
+    return v
+
+
 def _vector(raw: str) -> np.ndarray:
     return np.array([float(v) for v in raw.split(",")])
 
@@ -80,8 +87,9 @@ def _grid(raw: str) -> list[float]:
 
 #: How the text of each option key is read; the other keys are strings.
 _CASTS = {
-    **dict.fromkeys(("alpha", "beta", "omega", "lambda", "R", "dt", "rel_tol",
-                     "tbar_frac", "t", "smax", "tol"), float),
+    **dict.fromkeys(("alpha", "beta", "omega", "lambda", "R", "tbar_frac", "t", "smax",
+                     "tol"), float),
+    **dict.fromkeys(("dt", "rel_tol"), _positive),
     **dict.fromkeys(("N", "starts", "checks", "samples"), _count),
     **dict.fromkeys(("consistent", "strict"), _boolean),
     **dict.fromkeys(("alpha_grid", "beta_grid"), _grid),
@@ -159,31 +167,19 @@ class _Scenario:
 
     params: dict
     make: Callable
-    box: Callable
-    equivalence: Callable | None = None
-
-
-def _beta_box(p) -> tuple[float, float]:
-    # the quartic's minima move by up to beta
-    return (-(p.landscape.beta + 6.0), p.landscape.beta + 6.0)
 
 
 _SCENARIOS = {
     "example1": _Scenario(
         params={"alpha": 1.0, "beta": 10.0},
-        make=lambda prm: _problem.make_example1(prm["beta"], alpha=prm["alpha"])[0],
-        box=_beta_box),
+        make=lambda prm: _problem.make_example1(prm["beta"], alpha=prm["alpha"])[0]),
     "matrec": _Scenario(
         params={"alpha": 1.0, "consistent": True},
-        make=lambda prm: _problem.make_matrix_recovery(prm["consistent"],
-                                                       alpha=prm["alpha"]),
-        box=lambda p: (-16.0, 16.0),
-        equivalence=_problem.matrix_recovery_sign_flip),
+        make=lambda prm: _problem.make_matrix_recovery(prm["consistent"], alpha=prm["alpha"])),
     "damped": _Scenario(
         params={"alpha": 1.0, "beta": 10.0, "omega": 1.0, "lambda": 0.1},
         make=lambda prm: _problem._translated_quartic(prm["beta"], prm["alpha"], prm["omega"],
-                                                      prm["lambda"], "damped"),
-        box=_beta_box),
+                                                      prm["lambda"], "damped")),
 }
 
 #: The parameter keys of all scenarios.
@@ -281,8 +277,6 @@ def _emit_report(rep, out) -> None:
 
 
 def _jsonable(v):
-    if v is None or isinstance(v, (bool, int, str)):
-        return v
     if isinstance(v, float):
         return v if np.isfinite(v) else str(v)
     if isinstance(v, np.ndarray):
@@ -302,6 +296,8 @@ def _cmd_flow(opt: _Options) -> int:
     p = _scenario(opt)[0]
     x0 = opt.require("x0")
     t = opt.get("t", 0.0)
+    if not np.isfinite(t):
+        raise UsageError(f"t must be finite, got {t}")
     limit, converged = _ode.frozen_time_flow(p, x0, t, s_max=opt.get("smax"),
                                              tol=opt.get("tol", _ode._FLOW_TOL))
     _emit_json({"limit": _jsonable(limit), "converged": converged, "t": t},
@@ -309,7 +305,7 @@ def _cmd_flow(opt: _Options) -> int:
     return 0
 
 
-def _classifier(opt: _Options, scn: _Scenario) -> Callable:
+def _classifier(opt: _Options) -> Callable:
     """The classification run of ``classify`` and ``sweep``: ``classify(p, traj)``.
 
     Its options are read with their defaults here, so that a bad value is
@@ -324,9 +320,8 @@ def _classifier(opt: _Options, scn: _Scenario) -> Callable:
     checks = opt.get("checks", 200)
 
     def classify(p, traj: Trajectory) -> _classify.ClassificationResult:
-        builder = _classify.tracking_builder(p, scn.box(p) if box is None else box,
-                                             starts=starts, seed=seed,
-                                             equivalence=scn.equivalence)
+        builder = _classify.tracking_builder(p, p.search_box if box is None else box,
+                                             starts=starts, seed=seed)
         return _classify.classify_trajectory(p, traj, builder, tbar_frac * p.horizon,
                                              max_checks=checks)
 
@@ -334,9 +329,9 @@ def _classifier(opt: _Options, scn: _Scenario) -> Callable:
 
 
 def _cmd_classify(opt: _Options) -> int:
-    p, scn = _scenario(opt)
+    p = _scenario(opt)[0]
     strict = opt.get("strict", False)
-    classify = _classifier(opt, scn)
+    classify = _classifier(opt)
     traj = _simulate(p, opt)
     result = classify(p, traj)
     payload = {
@@ -433,10 +428,8 @@ def _cmd_sweep(opt: _Options) -> int:
             raise UsageError(f"sweep --mode prop1 does not read {', '.join(unread)}")
     # the start and the step are the same for every cell: refuse them here
     x0 = _problem.start_vector(p, opt.get("x0", np.array([ls.g.y1])))
-    dt = opt.get("dt", 4e-3)
-    if not dt > 0.0:
-        raise UsageError(f"dt must be positive, got {dt}")
-    values = {"mode": mode, "x0": x0, "dt": dt, "classify": _classifier(opt, scn)}
+    values = {"mode": mode, "x0": x0, "dt": opt.get("dt", 4e-3),
+              "classify": _classifier(opt)}
     # one worker unless asked: the interpreter lock runs one cell at a time,
     # and a second worker only adds switching
     workers = int(os.environ.get("TVL_THREADS", "0")) or 1

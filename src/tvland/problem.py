@@ -51,6 +51,13 @@ class ProblemDef:
         (:func:`~tvland.classify.tracking_builder` relies on it); a
         ``replace`` that changes ``objective`` or ``grad_objective`` must
         also pass ``landscape=None``.
+    search_box : (lo, hi), optional
+        Bounds, on every coordinate, of a box holding the frozen-time
+        minimizers over [0, T]: the CLI's default catalog multistart box.
+    equivalence : callable, optional
+        An involution mapping a minimizer to its symmetric twin (matrec's
+        sign flip X <-> -X); basin membership identifies points modulo it.
+        Like ``landscape``, a ``replace`` that changes f or h must drop it.
     """
 
     n: int
@@ -67,6 +74,8 @@ class ProblemDef:
     constraint_hessians: Optional[Callable[[Vector], Sequence[Matrix]]] = None
     name: str = ""
     landscape: Optional["Landscape"] = None
+    search_box: Optional[tuple[float, float]] = None
+    equivalence: Optional[Callable[[Vector], Vector]] = None
 
     def __post_init__(self):
         if self.alpha <= 0:
@@ -146,17 +155,13 @@ class Trajectory:
 class MinimizerCatalog:
     """Known local minimizers of the frozen-time problem at ``anchor_time``.
 
-    ``global_ids`` indexes the entries attaining the minimum objective among
-    catalog entries.  ``equivalence``, when given, is an involution mapping a
-    minimizer to a symmetric twin (e.g. the sign flip X <-> -X of low-rank
-    factorizations); membership tests identify points modulo it.
+    ``global_ids`` indexes the entries attaining the least objective value.
     """
 
     anchor_time: float
     minimizers: np.ndarray  # (k, n)
     global_ids: list[int]
     objective_values: np.ndarray  # (k,)
-    equivalence: Optional[Callable[[Vector], Vector]] = None
     dropped: int = 0
 
     def __post_init__(self):
@@ -328,7 +333,9 @@ def _translated_quartic(beta: float, alpha: float, omega: float, lam: float,
 
     return _unconstrained(1, objective=objective, grad_objective=grad, hess_objective=hess,
                           horizon=2.0 * np.pi / omega, alpha=alpha, name=name,
-                          landscape=Landscape(QUARTIC, float(beta), omega, lam))
+                          landscape=Landscape(QUARTIC, float(beta), omega, lam),
+                          # the quartic's minima move by up to beta
+                          search_box=(-(beta + 6.0), beta + 6.0))
 
 
 def make_example1(beta: float, alpha: float = 1.0) -> tuple[ProblemDef, Scalar1DFunction]:
@@ -462,6 +469,8 @@ def make_matrix_recovery(consistent_data: bool = True, alpha: float = 0.1) -> Pr
         horizon=2.0 * np.pi,
         alpha=alpha,
         name="matrec" if consistent_data else "matrec-raw",
+        search_box=(-16.0, 16.0),
+        equivalence=matrix_recovery_sign_flip,
     )
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -54,8 +56,7 @@ class TestBuildCatalog:
         # factors; the marginal point near (0, 1/sqrt 2) is not a strict
         # minimum of the frozen landscape and must not be cataloged
         frozen = tv.freeze_data(matrec, 0.0)
-        cat = tv.build_catalog(frozen, 0.0, starts=48, seed=5, box=(-2.0, 2.0),
-                               equivalence=tv.matrix_recovery_sign_flip)
+        cat = tv.build_catalog(frozen, 0.0, starts=48, seed=5, box=(-2.0, 2.0))
         assert len(cat) >= 1
         z0 = tv.matrix_recovery_global_state(0.0)
         for x in cat.minimizers:
@@ -100,19 +101,36 @@ class TestMembership:
         z0 = tv.matrix_recovery_global_state(0.0)
         cat = tv.MinimizerCatalog(
             anchor_time=0.0, minimizers=z0[None, :], global_ids=[0],
-            objective_values=np.array([0.0]),
-            equivalence=tv.matrix_recovery_sign_flip)
+            objective_values=np.array([0.0]))
         minus = z0.copy()
         minus[:2] = -minus[:2]
         mid = tv.attraction_membership(frozen, minus, 0.0, cat)
         assert mid == 0
 
-    def test_unresolved_without_equivalence(self, matrec):
+    def test_built_catalog_reads_the_problem_equivalence(self, matrec):
+        # build_catalog takes no equivalence: membership reads the sign flip
+        # from the problem, so the catalog cut down to the entry +Z(0) still
+        # holds -Z(0), and a problem without the flip does not
         frozen = tv.freeze_data(matrec, 0.0)
+        cat = tv.build_catalog(frozen, 0.0, starts=48, seed=5, box=(-2.0, 2.0))
+        z0 = tv.matrix_recovery_global_state(0.0)
+        plus = int(np.argmin(np.linalg.norm(cat.minimizers - z0, axis=1)))
+        one = dataclasses.replace(cat, minimizers=cat.minimizers[plus:plus + 1],
+                                  global_ids=[0],
+                                  objective_values=cat.objective_values[plus:plus + 1])
+        minus = tv.matrix_recovery_sign_flip(z0)
+        for x in (z0, minus):
+            assert tv.attraction_membership(frozen, x, 0.0, cat) in cat.global_ids
+            assert tv.attraction_membership(frozen, x, 0.0, one) == 0
+        bare = frozen.replace(equivalence=None)
+        assert tv.attraction_membership(bare, minus, 0.0, one) is None
+
+    def test_unresolved_without_equivalence(self, matrec):
+        frozen = tv.freeze_data(matrec.replace(equivalence=None), 0.0)
         z0 = tv.matrix_recovery_global_state(0.0)
         cat = tv.MinimizerCatalog(
             anchor_time=0.0, minimizers=z0[None, :], global_ids=[0],
-            objective_values=np.array([0.0]), equivalence=None)
+            objective_values=np.array([0.0]))
         minus = z0.copy()
         minus[:2] = -minus[:2]
         assert tv.attraction_membership(frozen, minus, 0.0, cat) is None
@@ -181,8 +199,7 @@ class TestTrackingBuilder:
     def test_matrix_recovery_continues(self, matrec, monkeypatch):
         frozen = tv.freeze_data(matrec, 0.0)
         calls = count_calls(monkeypatch, "build_catalog", "_continue_catalog")
-        builder = tv.tracking_builder(frozen, (-2.0, 2.0), starts=48, seed=5,
-                                      equivalence=tv.matrix_recovery_sign_flip)
+        builder = tv.tracking_builder(frozen, (-2.0, 2.0), starts=48, seed=5)
         first = builder(0.0)
         cat = builder(0.1)
         assert len(first) >= 1

@@ -278,6 +278,20 @@ class TestReports:
         assert captured.out == ""
         assert json.loads(captured.err)["error"] == "usage"
 
+    @pytest.mark.parametrize("t", ["nan", "inf", "-inf"])
+    def test_flow_time_must_be_finite(self, t, capsys):
+        assert run(["flow", "--scenario", "example1", "--x0", "2.5", f"--t={t}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert json.loads(captured.err) == {"error": "usage",
+                                            "message": f"t must be finite, got {t}"}
+
+    @pytest.mark.parametrize("t", ["-1", "100"])
+    def test_flow_time_outside_the_horizon_accepted(self, t, capsys):
+        assert run(["flow", "--scenario", "example1", "--x0", "2.5", "--t", t]) == 0
+        assert json.loads(capsys.readouterr().out)["t"] == float(t)
+
     def test_validate_json(self, capsys):
         code = run(["validate", "--scenario", "matrec", "--samples", "10",
                     "--seed", "3"])
@@ -658,6 +672,43 @@ def test_usage_error_names_the_option(argv, cfg, key, tmp_path, capsys):
     err = json.loads(captured.err)
     assert err["error"] == "usage"
     assert key in err["message"]
+
+
+@pytest.mark.parametrize("value", ["-0.5", "0", "inf", "nan", "-1"])
+@pytest.mark.parametrize("argv", [
+    pytest.param(["simulate", *EX1, "--method", "discrete", "--dt"], id="discrete"),
+    pytest.param(["simulate", *EX1, "--method", "backward-euler", "--dt"],
+                 id="backward-euler"),
+    pytest.param(["simulate", *EX1, "--method", "reference", "--rel-tol"], id="reference"),
+    pytest.param(["classify", *EX1, "--method", "discrete", "--dt"], id="classify"),
+    pytest.param(["sweep", "--alpha-grid", "0.4", "--beta-grid", "10", "--dt"], id="sweep"),
+])
+def test_step_and_tolerance_must_be_positive_and_finite(argv, value, no_engine, capsys):
+    # a step or tolerance of zero, below zero, infinite or NaN is refused
+    # with one JSON line before any engine runs
+    assert run([*argv, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    err = json.loads(captured.err)
+    assert err["error"] == "usage"
+    assert err["message"] == (f"invalid value for {argv[-1][2:].replace('-', '_')}: "
+                              f"{value!r} (expected a positive finite number)")
+
+
+@pytest.mark.parametrize("name, beta", [("example1", None), ("example1", 5.0),
+                                        ("damped", None), ("damped", 2.5),
+                                        ("matrec", None)])
+def test_scenario_problems_carry_search_box(name, beta):
+    # the box the CLI's catalog multistart samples when no --box is given:
+    # +-(beta + 6) on the translated quartics, whose minima move by up to
+    # beta, and +-16 on matrec, the only scenario with a symmetry
+    scn = cli._SCENARIOS[name]
+    prm = scn.params if beta is None else {**scn.params, "beta": beta}
+    half = 16.0 if name == "matrec" else prm["beta"] + 6.0
+    p = scn.make(prm)
+    assert p.search_box == (-half, half)
+    assert (p.equivalence is not None) == (name == "matrec")
 
 
 @pytest.mark.parametrize("argv", [

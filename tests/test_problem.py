@@ -197,6 +197,18 @@ class TestMatrixRecovery:
         assert np.allclose(y[2:], x[2:])
         assert np.allclose(tv.matrix_recovery_sign_flip(y), x)
 
+    @pytest.mark.parametrize("consistent", [True, False])
+    def test_carries_sign_flip_and_search_box(self, consistent):
+        p = tv.make_matrix_recovery(consistent)
+        assert p.equivalence is tv.matrix_recovery_sign_flip
+        assert p.search_box == (-16.0, 16.0)
+
+    def test_freeze_data_keeps_search_box_and_equivalence(self, matrec, ex1_04_10):
+        for p in (matrec, ex1_04_10[0]):
+            frozen = tv.freeze_data(p, 0.7)
+            assert frozen.search_box == p.search_box
+            assert frozen.equivalence is p.equivalence
+
 
 class TestDampedSinusoid:
     @staticmethod
