@@ -16,7 +16,7 @@ import numpy as np
 
 from .discrete import _restore_feasibility
 from .errors import SingularConstraintError, StepSolveError
-from .geometry import (NewtonKKT, geometry, kkt_residual, lagrangian_hessian,
+from .geometry import (NewtonKKT, _norm, geometry, kkt_residual, lagrangian_hessian,
                        newton_kkt, positive_definite_on_kernel)
 from .ode import frozen_time_flow, frozen_time_flows
 from .problem import MinimizerCatalog, ProblemDef, Trajectory
@@ -154,7 +154,7 @@ def _polish_minimizer(p: ProblemDef, x: np.ndarray,
         res = newton_kkt(p, x, t)
     except (SingularConstraintError, np.linalg.LinAlgError):
         return x, None
-    near = np.linalg.norm(res.x - x) <= 0.05 * (1.0 + np.linalg.norm(x))
+    near = _norm(res.x - x) <= 0.05 * (1.0 + _norm(x))
     return (res.x, res) if res.status == "converged" and near else (x, None)
 
 
@@ -225,7 +225,7 @@ def build_catalog(p: ProblemDef, t: float, starts: int, seed: int, box,
     clusters: list[list[np.ndarray]] = []
     for lim in limits[converged]:
         for members in clusters:
-            if np.linalg.norm(lim - members[0]) <= cluster_radius:
+            if _norm(lim - members[0]) <= cluster_radius:
                 members.append(lim)
                 break
         else:
@@ -272,7 +272,7 @@ def _continue_catalog(p: ProblemDef, prev: MinimizerCatalog,
             if not converged:
                 return None
             rep = _polish_minimizer(p, limit, t)[0]
-        if any(np.linalg.norm(rep - r) <= CLUSTER_RADIUS for r in reps):
+        if any(_norm(rep - r) <= CLUSTER_RADIUS for r in reps):
             return None
         reps.append(rep)
     return _assemble_catalog(p, t, reps, 0)

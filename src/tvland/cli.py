@@ -77,12 +77,14 @@ def _box(raw: str) -> tuple:
 
 
 def _grid(raw: str) -> list[float]:
-    """Sorted grid values from ``lo:hi:count`` (a linspace) or a comma list."""
+    """Sorted grid values from ``lo:hi:count`` (a linspace) or a comma list, NaN last."""
     raw = raw.strip()
     if ":" in raw:
         lo, hi, count = raw.split(":")
-        return sorted(float(v) for v in np.linspace(float(lo), float(hi), int(count)))
-    return sorted(float(v) for v in raw.split(",") if v.strip())
+        values = np.linspace(float(lo), float(hi), int(count))
+    else:
+        values = [float(v) for v in raw.split(",") if v.strip()]
+    return np.sort(values, kind="stable").tolist()
 
 
 #: How the text of each option key is read; the other keys are strings.

@@ -27,7 +27,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import RootBracketError
-from .problem import Scalar1DFunction, _is_stackable, _stackable
+from .geometry import _norm
+from .problem import Scalar1DFunction, _is_stackable, _stackable, _vdot
 
 _DENSE_SAMPLES = 10_000
 #: Absolute tolerance in y of the bounded Brent search and of bisection.
@@ -435,11 +436,11 @@ def thm3_check(g, grad_g, minima, R: float, alpha: float, beta: float,
     else:
         for k, y in enumerate(minima):
             pts = _ball_samples(y, R, ball_samples, seed + k)
-            norms = np.array([np.linalg.norm(grad_g(pt)) for pt in pts])
+            norms = np.array([_norm(grad_g(pt)) for pt in pts])
             best = pts[int(np.argmax(norms))]
             C1 = max(C1, float(norms.max()), _refine_ball_max(grad_g, y, R, best))
             dirs = _sphere_samples(n, sphere_samples, seed + 17 * (k + 1))
-            vals = np.array([float(np.dot(grad_g(y - R * d), d)) for d in dirs])
+            vals = np.array([float(_vdot(grad_g(y - R * d), d)) for d in dirs])
             dbest = dirs[int(np.argmin(vals))]
             C2 = min(C2, float(vals.min()), _refine_sphere_min(grad_g, y, R, dbest))
 
@@ -466,19 +467,19 @@ def _refine_ball_max(grad_g, center: np.ndarray, R: float, x0: np.ndarray) -> fl
     from scipy import optimize  # slow to import; only n >= 2 refines
 
     res = optimize.minimize(
-        lambda x: -float(np.dot(grad_g(x), grad_g(x))),
+        lambda x: -float(_vdot(grad_g(x), grad_g(x))),
         x0, method="SLSQP",
         constraints=[{"type": "ineq",
-                      "fun": lambda x: R * R - float(np.dot(x - center, x - center))}],
+                      "fun": lambda x: R * R - float(_vdot(x - center, x - center))}],
         options={"maxiter": 200, "ftol": 1e-14})
     x = res.x
     if not np.all(np.isfinite(x)):
         return -np.inf
     offset = x - center
-    dist = float(np.linalg.norm(offset))
+    dist = _norm(offset)
     if dist > R:
         x = center + offset * (R / dist)
-    return float(np.linalg.norm(grad_g(x)))
+    return _norm(grad_g(x))
 
 
 def _refine_sphere_min(grad_g, center: np.ndarray, R: float, d0: np.ndarray) -> float:
@@ -491,13 +492,13 @@ def _refine_sphere_min(grad_g, center: np.ndarray, R: float, d0: np.ndarray) -> 
     from scipy import optimize  # slow to import; only n >= 2 refines
 
     res = optimize.minimize(
-        lambda d: float(np.dot(grad_g(center - R * d), d)),
+        lambda d: float(_vdot(grad_g(center - R * d), d)),
         d0, method="SLSQP",
         constraints=[{"type": "eq",
-                      "fun": lambda d: float(np.dot(d, d)) - 1.0}],
+                      "fun": lambda d: float(_vdot(d, d)) - 1.0}],
         options={"maxiter": 200, "ftol": 1e-14})
-    length = float(np.linalg.norm(res.x))
+    length = _norm(res.x)
     if not np.isfinite(length) or length == 0.0:
         return np.inf
     d = res.x / length
-    return float(np.dot(grad_g(center - R * d), d))
+    return float(_vdot(grad_g(center - R * d), d))

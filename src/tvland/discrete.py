@@ -28,7 +28,7 @@ from .errors import InitializationError, StepSolveError
 from .geometry import (GeometryResult, _norm, geometry, kkt_residual,
                        lagrangian_hessian, newton_kkt, positive_definite_on_kernel,
                        require_regular, trajectory_with_diagnostics)
-from .problem import ProblemDef, Trajectory, start_vector
+from .problem import ProblemDef, Trajectory, _vdot, start_vector
 
 #: Inner-solver tolerances: far below the acceptance tolerances of the
 #: simulation studies built on top.
@@ -68,10 +68,12 @@ def extrapolated_start(states: np.ndarray, k: int) -> Optional[np.ndarray]:
     """
     if k < 4:
         return None
-    y, d1, d2 = _START_ROWS @ states[k - 4:k]
-    if d2.dot(d2) > _SMOOTH_RATIO ** 2 * d1.dot(d1):
+    q = _START_ROWS @ states[k - 4:k]
+    # its diagonal holds |d1|^2 and |d2|^2; a product this small keeps the interpreter lock
+    gram = q[1:] @ q[1:].T
+    if gram[1, 1] > _SMOOTH_RATIO ** 2 * gram[0, 0]:
         return None
-    return y
+    return q[0]
 
 
 def _restore_feasibility(p: ProblemDef, x: np.ndarray, d_target: np.ndarray,
@@ -117,8 +119,8 @@ class _Subproblem:
     feas_tol: float
 
     def value(self, y: np.ndarray) -> float:
-        return self.p.objective(y, self.t) + 0.5 * self.w * float(
-            np.dot(y - self.x_prev, y - self.x_prev))
+        step = y - self.x_prev
+        return self.p.objective(y, self.t) + 0.5 * self.w * float(_vdot(step, step))
 
     def proj_grad(self, y: np.ndarray, geom: GeometryResult,
                   g: Optional[np.ndarray] = None) -> np.ndarray:
@@ -170,7 +172,7 @@ def _projected_gradient(sp: _Subproblem, x: np.ndarray, max_iter: int):
                 return x, geom, h
 
         f0 = sp.value(x)
-        gg = float(np.dot(eta_a, eta_a))
+        gg = float(_vdot(eta_a, eta_a))
         s = 1.0 / sp.w
         for _ in range(80):
             x_trial = x - s * eta_a

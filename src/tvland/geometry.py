@@ -35,7 +35,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import SingularConstraintError
-from .problem import ProblemDef, Trajectory, _central_difference, each_row
+from .problem import ProblemDef, Trajectory, _central_difference, _vdot, each_row
 
 #: Below this smallest singular value of J the constraints are treated as
 #: degenerate (non-singularity assumption violated).
@@ -103,14 +103,14 @@ def _certified_solve(J: np.ndarray, c_tol: float) -> Optional[np.ndarray]:
     ill-conditioned for the solve (:data:`_GRAM_COND_MAX`).  The products
     are of Python floats, so that no overflow warns.
     """
-    j2 = float(np.vdot(J, J))
+    j2 = float(_vdot(J, J))
     if not j2 < math.inf:  # a NaN or inf in J
         return None
     try:
         A = np.linalg.solve(J @ J.T, J)
     except np.linalg.LinAlgError:
         return None
-    a2 = float(np.vdot(A, A))
+    a2 = float(_vdot(A, A))
     # written so that a NaN fails both tests
     if a2 * j2 <= _GRAM_COND_MAX and c_tol * c_tol * a2 <= 1.0 - _BOUND_ROOM:
         return A
@@ -324,8 +324,13 @@ class NewtonKKT(NamedTuple):
 
 
 def _norm(v: np.ndarray) -> float:
-    """Euclidean norm of a vector, the same bits as np.linalg.norm."""
-    return math.sqrt(v.dot(v))
+    """Euclidean norm of a vector, the same bits as np.linalg.norm on a contiguous one.
+
+    ``np.vdot`` keeps the interpreter lock, while ``ndarray.dot`` (and so
+    ``np.linalg.norm`` of a vector) releases and retakes it at every call,
+    which makes threads running small products hand it back and forth.
+    """
+    return math.sqrt(_vdot(v, v))
 
 
 def newton_kkt(p: ProblemDef, x: np.ndarray, t: float,
@@ -397,7 +402,7 @@ def newton_kkt(p: ProblemDef, x: np.ndarray, t: float,
         except np.linalg.LinAlgError:
             delta = None
         # a NaN or inf entry makes delta . delta non-finite
-        if delta is None or not math.isfinite(delta.dot(delta)):
+        if delta is None or not math.isfinite(_vdot(delta, delta)):
             return NewtonKKT(x, mu, "singular", it, M, J, h, grad)
         if max_step is not None and _norm(delta[:n]) > max_step:
             return NewtonKKT(x, mu, "max_step", it, M, J, h, grad)

@@ -14,6 +14,7 @@ maps are pure, so problems are safe to share across workers.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -21,6 +22,11 @@ import numpy as np
 
 Vector = np.ndarray
 Matrix = np.ndarray
+
+#: np.vdot's C function, without the __array_function__ dispatch np.vdot
+#: adds to every call (np.vdot itself where numpy does not expose it).  Like
+#: np.vdot, and unlike ndarray.dot, it keeps the interpreter lock.
+_vdot = getattr(np.vdot, "_implementation", np.vdot)
 
 
 @dataclass(frozen=True)
@@ -78,10 +84,10 @@ class ProblemDef:
     equivalence: Optional[Callable[[Vector], Vector]] = None
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if self.horizon <= 0:
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
+        if not 0 < self.horizon < math.inf:
+            raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
         if self.n < 1:
             raise ValueError(f"n must be at least 1, got {self.n}")
         if not 0 <= self.m <= self.n:
@@ -296,16 +302,18 @@ def _unconstrained(n: int, **fields) -> ProblemDef:
                       data_rate=lambda t: _EMPTY, **fields)
 
 
-def _shift(beta: float, omega: float, lam: float) -> Callable:
-    """s(t) = beta e^(-lam t) sin(omega t) at a float t or an (L, 1) time column.
+def _shift(beta: float, omega: float, lam: float, sin=np.sin) -> Callable:
+    """s(t) = beta e^(-lam t) sin(omega t) at a float t, or at an (L, 1) time column.
 
+    ``sin`` is the sine it calls: ``np.sin`` takes both, ``math.sin`` (the
+    same bits on a float, without numpy-scalar arithmetic) a float only.
     example1's beta sin t (lam = 0, omega = 1) skips the exact factors e^(-0 t) = 1 and 1 t.
     """
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    if omega <= 0 or lam < 0:
-        raise ValueError(f"need omega > 0 and lam >= 0, got omega={omega}, lam={lam}")
-    b, sin, exp = float(beta), np.sin, np.exp  # bound here: each call saves two lookups
+    if not 0 < beta < math.inf:
+        raise ValueError(f"beta must be positive and finite, got {beta}")
+    if not (0 < omega < math.inf and 0 <= lam < math.inf):
+        raise ValueError(f"need finite omega > 0 and lam >= 0, got omega={omega}, lam={lam}")
+    b, exp = float(beta), np.exp  # bound here: each call saves two lookups
     if lam == 0 and omega == 1:
         return lambda t: b * sin(t)
     return lambda t: b * exp(-lam * t) * sin(omega * t)
@@ -316,20 +324,22 @@ def _translated_quartic(beta: float, alpha: float, omega: float, lam: float,
     """f(x, t) = g(x - s(t)) on [0, 2 pi / omega] for the quartic g and s of :func:`_shift`.
 
     The problem carries its :class:`Landscape`; its gradient is marked array-safe.
+    One point is evaluated in Python floats, a stack in numpy arrays, with
+    the same bits (``math.sin`` and ``np.sin`` agree on these floats).
     """
-    s = _shift(beta, omega, lam)
+    s, s_point = _shift(beta, omega, lam), _shift(beta, omega, lam, math.sin)
 
     def objective(x, t):
-        return _quartic(x[0] - s(t))
+        return _quartic(x.item(0) - s_point(t))
 
     @_stackable
     def grad(x, t):
         if getattr(x, "ndim", 1) == 2:  # a stack of points, one time per row
             return _quartic_d1(x - s(t))
-        return np.array([_quartic_d1(x[0] - s(t))])
+        return np.array([_quartic_d1(x.item(0) - s_point(t))])
 
     def hess(x, t):
-        return np.array([[_quartic_d2(x[0] - s(t))]])
+        return np.array([[_quartic_d2(x.item(0) - s_point(t))]])
 
     return _unconstrained(1, objective=objective, grad_objective=grad, hess_objective=hess,
                           horizon=2.0 * np.pi / omega, alpha=alpha, name=name,
@@ -403,7 +413,7 @@ def make_matrix_recovery(consistent_data: bool = True, alpha: float = 0.1) -> Pr
     """
 
     def objective(x, t):
-        return float(np.dot(x[2:], x[2:]))
+        return float(_vdot(x[2:], x[2:]))
 
     @_stackable
     def grad(x, t):
@@ -522,7 +532,7 @@ def make_damped_sinusoid(
     The gradient is marked array-safe when ``grad_g`` is.
     """
     u = np.asarray(u, dtype=float)
-    if abs(np.linalg.norm(u) - 1.0) > 1e-12:
+    if abs(math.sqrt(_vdot(u, u)) - 1.0) > 1e-12:
         raise ValueError("u must be a unit vector (within 1e-12)")
     s = _shift(beta, omega, lam)
 
@@ -604,7 +614,7 @@ def _rel_dev(fd: np.ndarray, an: np.ndarray) -> float:
 def _central_difference(fn, x: np.ndarray) -> np.ndarray:
     """Central differences of ``fn`` at x with step 1e-6 (1 + |x|), one
     trailing axis per coordinate."""
-    h = 1e-6 * (1.0 + np.linalg.norm(x))
+    h = 1e-6 * (1.0 + math.sqrt(_vdot(x, x)))
     cols = []
     for j in range(x.size):
         e = np.zeros(x.size)

@@ -696,6 +696,47 @@ def test_step_and_tolerance_must_be_positive_and_finite(argv, value, no_engine, 
                               f"{value!r} (expected a positive finite number)")
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("argv, key", [
+    pytest.param(["prop1", "--scenario", "example1", "--alpha"], "alpha", id="prop1-alpha"),
+    pytest.param(["prop1", "--scenario", "example1", "--beta"], "beta", id="prop1-beta"),
+    pytest.param(["simulate", *EX1, "--N", "20", "--alpha"], "alpha", id="simulate-alpha"),
+    pytest.param(["simulate", *EX1, "--N", "20", "--beta"], "beta", id="simulate-beta"),
+    pytest.param(["simulate", *MATREC, "--N", "5", "--alpha"], "alpha", id="matrec-alpha"),
+    pytest.param(["thm3", "--scenario", "damped", "--omega"], "omega", id="thm3-omega"),
+    pytest.param(["thm3", "--scenario", "damped", "--lambda"], "lam", id="thm3-lambda"),
+    pytest.param(["classify", "--scenario", "damped", "--x0", "-2", "--N", "20", "--beta"],
+                 "beta", id="classify-beta"),
+])
+def test_scenario_parameters_must_be_finite(argv, key, value, no_engine, capsys):
+    # a NaN or infinite alpha, beta, omega or lambda is a usage error with
+    # one JSON line, before any engine runs
+    assert run([*argv, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    err = json.loads(captured.err)
+    assert err["error"] == "usage"
+    assert key in err["message"] and "finite" in err["message"]
+
+
+@pytest.mark.parametrize("grid", ["alpha", "beta"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_grid_values_are_cell_errors(grid, value, capsys):
+    # the cell of a NaN or infinite grid value reads error:ValueError, and
+    # the grid stays sorted, NaN last
+    grids = {"alpha": "0.4", "beta": "10"}
+    grids[grid] = {"alpha": "0.4,{},0.2", "beta": "10,{},5"}[grid].format(value)
+    assert run(["sweep", "--alpha-grid", grids["alpha"], "--beta-grid", grids["beta"],
+                "--mode", "prop1"]) == 0
+    rows = [row.split(",") for row in capsys.readouterr().out.splitlines()[1:]]
+    column = 0 if grid == "alpha" else 1
+    assert [row[column] for row in rows] == (
+        ["0.20000000000000001", "0.40000000000000002", value] if grid == "alpha"
+        else ["5", "10", value])
+    assert [row[2] for row in rows] == ["false", "true", "error:ValueError"]
+
+
 @pytest.mark.parametrize("name, beta", [("example1", None), ("example1", 5.0),
                                         ("damped", None), ("damped", 2.5),
                                         ("matrec", None)])

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -381,6 +383,19 @@ def test_norm_has_the_bits_of_numpy(values):
     # must agree bit for bit
     v = np.array(values, dtype=float)
     assert tv.geometry._norm(v).hex() == float(np.linalg.norm(v)).hex()
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_norm_bits_on_contiguous_and_strided_vectors(n):
+    # contiguous vectors get np.linalg.norm's bits.  np.linalg.norm copies a
+    # strided view to a contiguous array first, whose dot sums in another
+    # order from n = 4 on; there _norm keeps the bits of sqrt(v.dot(v))
+    rng = np.random.default_rng(n)
+    for _ in range(2000):
+        v = rng.standard_normal(2 * n) * 10.0 ** rng.uniform(-7, 7)
+        contiguous, strided = v[:n], v[::2]
+        assert tv.geometry._norm(contiguous) == np.linalg.norm(contiguous)
+        assert tv.geometry._norm(strided) == math.sqrt(strided.dot(strided))
 
 
 class TestNewtonKKT:

@@ -158,6 +158,32 @@ class TestExtrapolatedStart:
         start = tv.discrete.extrapolated_start(states, 4)
         assert (start is None) == (d2 > tv.discrete._SMOOTH_RATIO)
 
+    @pytest.mark.parametrize("n", [1, 2, 6])
+    def test_gram_test_takes_the_two_dot_decision(self, n):
+        # the smoothness test reads |d1|^2 and |d2|^2 off the diagonal of one
+        # small product; on smooth histories near the ratio and on kinked
+        # ones it decides as d2.dot(d2) > ratio^2 d1.dot(d1) did, and returns
+        # the first row of the start product
+        rng = np.random.default_rng(n)
+        rows, ratio = tv.discrete._START_ROWS, tv.discrete._SMOOTH_RATIO
+        decisions = set()
+        for i in range(4000):
+            scale = 10.0 ** rng.uniform(-6, 6)
+            if i % 2:  # a quadratic whose second difference is near ratio * step
+                k = np.arange(4.0)[:, None]
+                step = rng.normal(size=n) * scale
+                curve = step * ratio * rng.uniform(0.5, 1.5, size=n) * rng.choice([-1, 1], n)
+                states = rng.normal(size=n) * scale + step * k + 0.5 * curve * k * k
+            else:
+                states = rng.normal(size=(4, n)) * scale
+            y, d1, d2 = rows @ states
+            start = tv.discrete.extrapolated_start(states, 4)
+            kinked = d2.dot(d2) > ratio ** 2 * d1.dot(d1)
+            assert (start is None) == kinked
+            assert kinked or np.array_equal(start, y)
+            decisions.add(kinked)
+        assert decisions == {True, False}
+
     def test_matrix_start_is_the_cubic(self):
         # one product with the start rows gives 4 (y1 + y3) - 6 y2 - y4 to
         # rounding: 16 ulps of the largest |y_i| bound both evaluations

@@ -69,6 +69,13 @@ class TestExample1:
         with pytest.raises(ValueError):
             tv.make_example1(0.0)
 
+    @pytest.mark.parametrize("beta, omega, lam", [
+        (np.nan, 1.0, 0.0), (np.inf, 1.0, 0.0), (10.0, np.nan, 0.1), (10.0, np.inf, 0.1),
+        (10.0, 2.0, np.nan), (10.0, 2.0, np.inf)])
+    def test_rejects_non_finite_shift(self, beta, omega, lam):
+        with pytest.raises(ValueError, match="finite"):
+            tv.problem._translated_quartic(beta, 1.0, omega, lam, "q")
+
     def test_purity(self, ex1_04_10):
         p, _ = ex1_04_10
         x = np.array([0.7])
@@ -90,6 +97,26 @@ class TestExample1:
         assert np.array_equal(G, rows)
         scalar = [sf.dg(float(y)) for y in (X - 10.0 * np.sin(T))[:, 0]]
         assert np.array_equal(G[:, 0], scalar)
+
+    @pytest.mark.parametrize("N", [1571, 6283])
+    @pytest.mark.parametrize("omega, lam", [(1.0, 0.0), (2.0, 0.1)], ids=["example1", "damped"])
+    def test_point_maps_equal_stacked_rows(self, omega, lam, N):
+        # one point is evaluated in Python floats with math.sin; on the time
+        # grids of dt 4e-3 and 1e-3 its gradient equals the stacked rows, and
+        # its objective and Hessian equal the quartic evaluated in numpy
+        # scalars at the stacked shift np.sin gives, bit for bit
+        p = tv.problem._translated_quartic(10.0, 0.4, omega, lam, "q")
+        T = np.linspace(0.0, 2 * np.pi, N + 1)
+        X = np.random.default_rng(N).uniform(-16.0, 16.0, (N + 1, 1))
+        shift = p.landscape.shift(T[:, None])[:, 0]
+        assert np.array_equal(each_row(p.grad_objective, X, T),
+                              [p.grad_objective(x, t) for x, t in zip(X, T)])
+        Y = X[:, 0] - shift  # numpy scalars, as the per-point maps used before
+        assert [p.objective(x, t) for x, t in zip(X, T)] == [p.landscape.g.g(y) for y in Y]
+        assert [p.hess_objective(x, t)[0, 0] for x, t in zip(X, T)] == \
+            [p.landscape.g.d2g(y) for y in Y]
+        assert [p.grad_objective(x, t)[0] for x, t in zip(X, T)] == \
+            [p.landscape.g.dg(y) for y in Y]
 
     def test_replaced_gradient_drops_the_mark(self, ex1_04_10, matrec):
         p, _ = ex1_04_10
@@ -359,6 +386,11 @@ class TestProblemDefInvariants:
             p.replace(alpha=0.0)
         with pytest.raises(ValueError):
             p.replace(horizon=-1.0)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="alpha must be positive and finite"):
+                p.replace(alpha=bad)
+            with pytest.raises(ValueError, match="horizon must be positive and finite"):
+                p.replace(horizon=bad)
         with pytest.raises(ValueError):
             p.replace(m=3)  # m > n
 
