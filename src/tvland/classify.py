@@ -16,19 +16,14 @@ import numpy as np
 
 from .discrete import _restore_feasibility
 from .errors import SingularConstraintError, StepSolveError
-from .geometry import (NewtonKKT, _norm, geometry, kkt_residual, lagrangian_hessian,
-                       newton_kkt, positive_definite_on_kernel)
-from .ode import frozen_time_flow, frozen_time_flows
+from .geometry import _norm
+from .ode import _FLOW_TOL, _polish_limit, frozen_time_flow, frozen_time_flows
 from .problem import MinimizerCatalog, ProblemDef, Trajectory
 
 #: Distance under which a flow limit is identified with a catalog entry, and
 #: under which multistart limits are merged into one cluster.  Minimizers of
 #: the shipped scenarios are separated by at least 1.
 MEMBERSHIP_TOL = 1e-4
-CLUSTER_RADIUS = 1e-4
-
-#: Stationarity/feasibility bound every catalog entry must satisfy.
-CATALOG_KKT_TOL = 1e-6
 
 
 class Verdict(enum.Enum):
@@ -38,8 +33,8 @@ class Verdict(enum.Enum):
 
 
 def _match_catalog(p: ProblemDef, catalog: MinimizerCatalog, limit: np.ndarray,
-                   converged: bool, tol: float) -> tuple[Optional[int], str]:
-    """Catalog id within ``tol`` of a flow limit (modulo ``p.equivalence``).
+                   converged: bool) -> tuple[Optional[int], str]:
+    """Catalog id within :data:`MEMBERSHIP_TOL` of a flow limit (modulo ``p.equivalence``).
 
     Returns ``(id, "member")``, or ``(None, reason)`` with reason
     ``"flow_not_converged"`` or ``"no_catalog_match"``.
@@ -53,22 +48,21 @@ def _match_catalog(p: ProblemDef, catalog: MinimizerCatalog, limit: np.ndarray,
         twin = np.linalg.norm(catalog.minimizers - p.equivalence(limit), axis=1)
         dists = np.minimum(dists, twin)
     best = int(np.argmin(dists))
-    if dists[best] > tol:
+    if dists[best] > MEMBERSHIP_TOL:
         return None, "no_catalog_match"
     return best, "member"
 
 
 def attraction_membership(p: ProblemDef, x: np.ndarray, t: float,
-                          catalog: MinimizerCatalog,
-                          tol: float = MEMBERSHIP_TOL) -> Optional[int]:
+                          catalog: MinimizerCatalog) -> Optional[int]:
     """Catalog id of the minimizer whose basin contains x at time t.
 
     Runs the frozen-time flow from x; returns the index of the catalog entry
-    within ``tol`` of the flow limit (modulo ``p.equivalence``), or
+    within :data:`MEMBERSHIP_TOL` of the flow limit (modulo ``p.equivalence``), or
     None when the flow does not settle or its limit matches no entry.
     """
     limit, converged = frozen_time_flow(p, x, t)
-    return _match_catalog(p, catalog, limit, converged, tol)[0]
+    return _match_catalog(p, catalog, limit, converged)[0]
 
 
 @dataclass
@@ -96,7 +90,6 @@ class ClassificationResult:
 def classify_trajectory(p: ProblemDef, traj: Trajectory,
                         catalog_builder: Callable[[float], MinimizerCatalog],
                         t_bar: float,
-                        tol: float = MEMBERSHIP_TOL,
                         max_checks: int = 200) -> ClassificationResult:
     """Classify a trajectory as spurious / non-spurious on [t_bar, T].
 
@@ -124,7 +117,7 @@ def classify_trajectory(p: ProblemDef, traj: Trajectory,
     limits, converged = frozen_time_flows(p, traj.states[idx], times)
     records = []
     for t, catalog, limit, conv in zip(times, catalogs, limits, converged):
-        member, reason = _match_catalog(p, catalog, limit, conv, tol)
+        member, reason = _match_catalog(p, catalog, limit, conv)
         is_global = member is not None and member in catalog.global_ids
         records.append(MembershipRecord(t, member, is_global, reason))
     if any(r.member is not None and not r.is_global for r in records):
@@ -134,41 +127,6 @@ def classify_trajectory(p: ProblemDef, traj: Trajectory,
     else:
         verdict = Verdict.NON_SPURIOUS
     return ClassificationResult(verdict, t_bar, records)
-
-
-def _polish_minimizer(p: ProblemDef, x: np.ndarray,
-                      t: float) -> tuple[np.ndarray, Optional[NewtonKKT]]:
-    """Newton-sharpen a flow limit onto the KKT set of the time-t problem.
-
-    Constrained flow limits drift off the target leaf by the integration
-    tolerance (leaf-normal directions are neutrally stable); the KKT
-    refinement pins them back.  Best effort: the unrefined point is returned
-    when Newton leaves the vicinity (for m = 0, Newton keeps its last iterate
-    before a step longer than 1).  Returns the point and the Newton run that
-    evaluated J, h and grad f there (None if unrefined or after ``"max_iter"``).
-    """
-    if p.m == 0:
-        res = newton_kkt(p, x, t, max_step=1.0, tol=1e-12, max_iter=25)
-        return res.x, (None if res.status == "max_iter" else res)
-    try:
-        res = newton_kkt(p, x, t)
-    except (SingularConstraintError, np.linalg.LinAlgError):
-        return x, None
-    near = _norm(res.x - x) <= 0.05 * (1.0 + _norm(x))
-    return (res.x, res) if res.status == "converged" and near else (x, None)
-
-
-def _is_strict_minimizer(p: ProblemDef, x: np.ndarray, t: float,
-                         newton: Optional[NewtonKKT] = None) -> bool:
-    """The catalog entry test: KKT residuals within bound and SOSC (hess L > 0 on ker J),
-    reading J, h and grad f from ``newton``, a Newton run that evaluated them at x."""
-    J, h, grad = (newton.jacobian, newton.h, newton.gradient) if newton else (None,) * 3
-    geom = geometry(p, x, J=J)
-    res = kkt_residual(p, x, t, geom, grad=grad, h=h)
-    if res.stationarity > CATALOG_KKT_TOL or res.feasibility > CATALOG_KKT_TOL:
-        return False
-    M = lagrangian_hessian(p, x, t, res.multipliers)
-    return positive_definite_on_kernel(M, geom.jacobian)
 
 
 def _assemble_catalog(p: ProblemDef, t: float, reps: list[np.ndarray],
@@ -184,19 +142,18 @@ def _assemble_catalog(p: ProblemDef, t: float, reps: list[np.ndarray],
     return MinimizerCatalog(t, minimizers, global_ids, values, dropped)
 
 
-def build_catalog(p: ProblemDef, t: float, starts: int, seed: int, box,
-                  cluster_radius: float = CLUSTER_RADIUS) -> MinimizerCatalog:
+def build_catalog(p: ProblemDef, t: float, starts: int, seed: int, box) -> MinimizerCatalog:
     """Catalog the frozen-time local minimizers found by multistart flows.
 
     Flows start from ``starts`` uniform samples of ``box = (lo, hi)``
     (finite, lo <= hi; deterministic in ``seed``), each first restored onto
     the time-t leaf when m > 0, and run as one batch of
     :func:`~tvland.ode.frozen_time_flows`.  Limits are clustered within
-    ``cluster_radius`` and each polished cluster representative is kept when
-    its KKT residuals are within ``CATALOG_KKT_TOL`` and the
-    tangent-restricted Lagrangian Hessian is positive definite.  Starts whose
-    restoration or flow raises, flows that fail to settle, and clusters
-    failing the test are dropped and counted in ``catalog.dropped``.
+    :data:`MEMBERSHIP_TOL`, and a cluster is kept as the point that
+    :func:`~tvland.ode._polish_limit`, the flows' own strict-minimum test,
+    finds from its mean on the leaf h = d(t).  Starts whose restoration or
+    flow raises, flows that fail to settle, and clusters failing the test
+    are dropped and counted in ``catalog.dropped``.
     """
     if starts < 1:
         raise ValueError("starts must be at least 1")
@@ -208,13 +165,13 @@ def build_catalog(p: ProblemDef, t: float, starts: int, seed: int, box,
     points = lo + (hi - lo) * rng.random((starts, p.n))
 
     dropped = 0
+    d = p.data_path(t)
     if p.m:
         # flows preserve h(x), so starts must sit on the time-t leaf
-        d_target = p.data_path(t)
         feasible = []
         for x0 in points:
             try:
-                feasible.append(_restore_feasibility(p, x0, d_target, 1e-10))
+                feasible.append(_restore_feasibility(p, x0, d, 1e-10))
             except (SingularConstraintError, StepSolveError):
                 dropped += 1
         points = np.array(feasible).reshape(-1, p.n)
@@ -225,7 +182,7 @@ def build_catalog(p: ProblemDef, t: float, starts: int, seed: int, box,
     clusters: list[list[np.ndarray]] = []
     for lim in limits[converged]:
         for members in clusters:
-            if _norm(lim - members[0]) <= cluster_radius:
+            if _norm(lim - members[0]) <= MEMBERSHIP_TOL:
                 members.append(lim)
                 break
         else:
@@ -233,11 +190,11 @@ def build_catalog(p: ProblemDef, t: float, starts: int, seed: int, box,
 
     reps = []
     for members in clusters:
-        rep, newton = _polish_minimizer(p, np.mean(members, axis=0), t)
-        if _is_strict_minimizer(p, rep, t, newton):
-            reps.append(rep)
-        else:
+        rep = _polish_limit(p, np.mean(members, axis=0), t, _FLOW_TOL, d=d)
+        if rep is None:
             dropped += len(members)
+        else:
+            reps.append(rep)
     return _assemble_catalog(p, t, reps, dropped)
 
 
@@ -251,28 +208,24 @@ def _continue_catalog(p: ProblemDef, prev: MinimizerCatalog,
                       t: float) -> Optional[MinimizerCatalog]:
     """Continue every entry of ``prev`` to time t, or None when one is lost.
 
-    Each entry is Newton-continued by :func:`_polish_minimizer`; a continued
-    point failing the catalog entry test is re-flowed from the old entry
-    instead.  None means a flow did not settle or two entries continued to
-    one point: a well vanished, and the one it drained into need not be the
-    only new minimizer, so the landscape is searched afresh.
+    Each entry is Newton-continued by :func:`~tvland.ode._polish_limit` on
+    the leaf h = d(t), within 1 + |x| of it; an entry it does not continue
+    is re-flowed from its old location instead, and the flow's limit is
+    already polished.  None means a flow did not settle or two entries
+    continued to one point: a well vanished, and the one it drained into
+    need not be the only new minimizer, so the landscape is searched afresh.
     """
+    d = p.data_path(t)
     reps: list[np.ndarray] = []
     for x_old in prev.minimizers:
-        rep, newton = _polish_minimizer(p, x_old, t)
         try:
-            continued = _is_strict_minimizer(p, rep, t, newton)
-        except SingularConstraintError:
-            continued = False
-        if not continued:
-            try:
-                limit, converged = frozen_time_flow(p, x_old, t)
-            except SingularConstraintError:
-                converged = False
+            rep = _polish_limit(p, x_old, t, _FLOW_TOL, d=d, reach=1.0)
+            converged = rep is not None
             if not converged:
-                return None
-            rep = _polish_minimizer(p, limit, t)[0]
-        if any(_norm(rep - r) <= CLUSTER_RADIUS for r in reps):
+                rep, converged = frozen_time_flow(p, x_old, t)
+        except SingularConstraintError:
+            converged = False
+        if not converged or any(_norm(rep - r) <= MEMBERSHIP_TOL for r in reps):
             return None
         reps.append(rep)
     return _assemble_catalog(p, t, reps, 0)
@@ -290,14 +243,13 @@ def tracking_builder(p: ProblemDef, box, starts: int = 64,
     so the global ids stay the same.
 
     Otherwise later times continue each known minimizer from its previous
-    location by a Newton step (:func:`_polish_minimizer`,
-    :func:`~tvland.geometry.newton_kkt` on the KKT system) and keep the
-    continued point when it passes the test :func:`build_catalog` applies to
-    its entries (KKT residuals within ``CATALOG_KKT_TOL``, Lagrangian Hessian
-    positive definite on ker J).  A point failing it is replaced by the
-    polished limit of the frozen-time flow from the previous location.  A
-    flow that does not settle and two entries that continue to one point
-    (which would shrink the catalog) trigger a fresh multistart.
+    location (:func:`_continue_catalog`): Newton on the KKT system finds
+    the nearby point that passes the test :func:`build_catalog` applies to
+    its entries (:func:`~tvland.ode._polish_limit`).  An entry it does not
+    continue is replaced by the limit of the frozen-time flow from its
+    previous location.  A flow that does not settle and two entries that
+    continue to one point (which would shrink the catalog) trigger a fresh
+    multistart.
 
     On either path an empty catalog triggers a fresh multistart, and a
     catalog that did not come from one has ``dropped`` = 0.  Suited to

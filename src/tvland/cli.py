@@ -71,8 +71,8 @@ def _vector(raw: str) -> np.ndarray:
 
 def _box(raw: str) -> tuple:
     box = _vector(raw)
-    if box.size != 2 or not box[0] < box[1]:
-        raise ValueError("expected lo,hi with lo < hi")
+    if box.size != 2 or not -np.inf < box[0] < box[1] < np.inf:
+        raise ValueError("expected finite lo,hi with lo < hi")
     return (box[0], box[1])
 
 
@@ -84,6 +84,8 @@ def _grid(raw: str) -> list[float]:
         values = np.linspace(float(lo), float(hi), int(count))
     else:
         values = [float(v) for v in raw.split(",") if v.strip()]
+    if len(values) == 0:
+        raise ValueError("expected at least one value")
     return np.sort(values, kind="stable").tolist()
 
 

@@ -252,7 +252,7 @@ def check_local_solution(p: ProblemDef, x0: np.ndarray, t: float = 0.0,
                          tol: float = INIT_TOL) -> None:
     """Raise InitializationError unless x0 is a KKT point of p at time t."""
     res = kkt_residual(p, np.asarray(x0, dtype=float), t)
-    if res.stationarity > tol or res.feasibility > tol:
+    if not (res.stationarity <= tol and res.feasibility <= tol):  # NaN fails
         raise InitializationError(
             f"x0 is not a local solution at t = {t:g}: stationarity = "
             f"{res.stationarity:.3e}, feasibility = {res.feasibility:.3e} (tol {tol:g})")

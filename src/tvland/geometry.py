@@ -21,8 +21,8 @@ conditioning sigma_min(J) is computed only where a caller asks for it.
 
 :func:`newton_kkt` is the one Newton iteration on the KKT system
 grad f + w (x - x_prev) + J^T mu = 0, h(x) = d(t) that the discrete engine
-(w = alpha/dt), the KKT refinement, the catalog polish and the flow-limit
-polish (w = 0) share.
+(w = alpha/dt), the KKT refinement and the strict-minimum test of flow
+limits and catalog entries (w = 0) share.
 """
 
 from __future__ import annotations
@@ -175,22 +175,20 @@ class KKTResidual(NamedTuple):
 
 
 def kkt_residual(p: ProblemDef, x: np.ndarray, t: float,
-                 geom: Optional[GeometryResult] = None, grad: Optional[np.ndarray] = None,
-                 h: Optional[np.ndarray] = None) -> KKTResidual:
+                 geom: Optional[GeometryResult] = None) -> KKTResidual:
     """Stationarity and feasibility residuals with least-squares multipliers.
 
     The multipliers solve (J J^T) mu = -J grad f, so the stationarity norm
-    |grad f + J^T mu| coincides with |eta(x, t)| up to roundoff.  ``grad``
-    and ``h`` are grad f(x, t) and h(x) when the caller already holds them.
+    |grad f + J^T mu| coincides with |eta(x, t)| up to roundoff.
     """
-    grad = np.asarray(p.grad_objective(x, t), dtype=float) if grad is None else grad
+    grad = np.asarray(p.grad_objective(x, t), dtype=float)
     if p.m == 0:
         return KKTResidual(_norm(grad), 0.0, np.zeros(0))
     if geom is None:
         geom = geometry(p, x)
     mu = -(geom.theta.T @ grad)
     stat = _norm(grad + geom.jacobian.T @ mu)
-    feas = _norm((p.constraints(x) if h is None else h) - p.data_path(t))
+    feas = _norm(p.constraints(x) - p.data_path(t))
     return KKTResidual(stat, feas, mu)
 
 
@@ -303,10 +301,8 @@ class NewtonKKT(NamedTuple):
 
     ``status`` is ``"converged"`` (both residuals within tol at ``x``),
     ``"singular"`` (the KKT matrix could not be factored or gave a
-    non-finite step, as a NaN Hessian does), ``"max_step"``
-    (the next step was longer than ``max_step`` and was not taken) or
-    ``"max_iter"``.  ``iterations`` counts residual evaluations.
-    ``hessian`` is the Lagrangian Hessian of F last formed (at the start of
+    non-finite step, as a NaN Hessian does) or ``"max_iter"``.
+    ``iterations`` counts residual evaluations.  ``hessian`` is the Lagrangian Hessian of F last formed (at the start of
     the last step), None when no step was started.  ``jacobian``, ``h`` and
     ``gradient`` are J(x), h(x) and grad F(x) as evaluated at the returned
     ``x``; J and h are None for m = 0 and after ``"max_iter"``, which
@@ -335,8 +331,7 @@ def _norm(v: np.ndarray) -> float:
 
 def newton_kkt(p: ProblemDef, x: np.ndarray, t: float,
                prox: Optional[tuple[np.ndarray, float]] = None,
-               max_step: Optional[float] = None, tol: float = 1e-10,
-               max_iter: int = 50,
+               tol: float = 1e-10, max_iter: int = 50,
                geom: Optional[GeometryResult] = None,
                d: Optional[np.ndarray] = None) -> NewtonKKT:
     """Newton's method on the KKT system of the time-t problem from x.
@@ -404,8 +399,6 @@ def newton_kkt(p: ProblemDef, x: np.ndarray, t: float,
         # a NaN or inf entry makes delta . delta non-finite
         if delta is None or not math.isfinite(_vdot(delta, delta)):
             return NewtonKKT(x, mu, "singular", it, M, J, h, grad)
-        if max_step is not None and _norm(delta[:n]) > max_step:
-            return NewtonKKT(x, mu, "max_step", it, M, J, h, grad)
         x = x + delta[:n]
         if m:
             mu = mu + delta[n:]

@@ -173,23 +173,27 @@ def integrate_reference(p: ProblemDef, x0: np.ndarray, rel_tol: float = 1e-9,
     return trajectory_with_diagnostics(p, times, states)
 
 
-def _polish_limit(p: ProblemDef, y0: np.ndarray, t: float, tol: float) -> np.ndarray | None:
-    """The strict local minimum near a slow flow point that Newton finds, or None.
+def _polish_limit(p: ProblemDef, y0: np.ndarray, t: float, tol: float,
+                  d: np.ndarray | None = None, reach: float = 0.05) -> np.ndarray | None:
+    """The strict local minimum near ``y0`` that Newton finds, or None.
 
-    One :func:`~tvland.geometry.newton_kkt` run from ``y0`` (30 iterations,
-    tolerance 1e-3 alpha tol: |field| <= 1e-3 tol for m = 0), for m > 0 on
-    the flow's own leaf h = h(y0).  Accepts a converged point within
-    0.05 (1 + |y0|) of ``y0`` where, for m > 0, the frozen field vanishes
+    This is the one test of a strict local minimizer: flow limits and catalog
+    entries pass it alike.  One :func:`~tvland.geometry.newton_kkt` run from
+    ``y0`` (30 iterations, tolerance 1e-3 alpha tol: |field| <= 1e-3 tol for
+    m = 0), for m > 0 on the leaf h = ``d`` (default h(y0), the leaf a flow
+    through y0 keeps; catalogs pass d(t)).  Accepts a converged point within
+    ``reach`` (1 + |y0|) of ``y0`` where, for m > 0, the frozen field vanishes
     too (|field| <= 1e-3 tol; under moving data it is theta d' != 0 at
     every KKT point) and the Lagrangian Hessian is positive definite on
     ker J (a saddle is not the flow limit of a generic start).  A singular
     KKT solve finds no sink; an exception of the problem's callables is raised.
     """
     y0 = np.array(y0, dtype=float)
-    res = newton_kkt(p, y0, t, tol=1e-3 * p.alpha * tol, max_iter=30,
-                     d=p.constraints(y0) if p.m else None)
+    if p.m and d is None:
+        d = p.constraints(y0)
+    res = newton_kkt(p, y0, t, tol=1e-3 * p.alpha * tol, max_iter=30, d=d)
     y = res.x
-    if res.status != "converged" or _norm(y - y0) > 0.05 * (1.0 + _norm(y0)):
+    if res.status != "converged" or _norm(y - y0) > reach * (1.0 + _norm(y0)):
         return None
     geom = geometry(p, y, J=res.jacobian)
     if p.m and _norm(ode_rhs(p, y, t, geom)) > 1e-3 * tol:

@@ -99,10 +99,12 @@ class ProblemDef:
 
 
 def start_vector(p: ProblemDef, x0) -> np.ndarray:
-    """``x0`` as a float array; raises ValueError unless its shape is (p.n,)."""
+    """``x0`` as a float array; raises ValueError unless it is finite of shape (p.n,)."""
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (p.n,):
         raise ValueError(f"x0 must have shape ({p.n},), got {x0.shape}")
+    if not np.isfinite(x0).all():
+        raise ValueError(f"x0 must be finite, got {x0}")
     return x0
 
 

@@ -71,6 +71,23 @@ class TestBuildCatalog:
         assert np.array_equal(a.minimizers, b.minimizers)
         assert a.global_ids == b.global_ids
 
+    @pytest.mark.parametrize("alpha", [1.0, 0.5, 0.1])
+    @pytest.mark.parametrize("consistent", [True, False], ids=["consistent", "inconsistent"])
+    def test_frozen_matrix_recovery_entries_sit_on_the_data(self, consistent, alpha):
+        # entries are polished on the leaf h = d(t) of the time-t problem, not
+        # on the leaf of their flow, which sits up to about 1e-9 off it; each
+        # catalog holds both sign-symmetric factors, and the inconsistent data
+        # drop one start at t = 0 with seed 5
+        p = tv.make_matrix_recovery(consistent, alpha=alpha)
+        for t in (0.0, 1.3):
+            frozen = tv.freeze_data(p, t)
+            for seed in (5, 0):
+                cat = tv.build_catalog(frozen, t, starts=8, seed=seed, box=(-2.0, 2.0))
+                dropped = int(not consistent and t == 0.0 and seed == 5)
+                assert (len(cat), cat.global_ids, cat.dropped) == (2, [0, 1], dropped)
+                for x in cat.minimizers:
+                    assert np.linalg.norm(frozen.constraints(x) - frozen.data_path(t)) <= 1e-12
+
     @pytest.mark.parametrize("box", [(5.0, -5.0), (-5.0, np.inf)],
                              ids=["inverted", "infinite"])
     def test_inverted_or_infinite_box_refused(self, ex1_04_10, box):
@@ -155,6 +172,23 @@ def count_calls(monkeypatch, *names):
     return calls
 
 
+def assert_builders_agree(p, beta, checks):
+    """The translating, the continuing and the multistart builder give equal records.
+
+    The trajectory starts at -2 with dt 1e-3 and each builder searches the
+    box +-(beta + 6) with 64 starts from seed 7, as the CLI's classify does.
+    """
+    box = (-(beta + 6.0), beta + 6.0)
+    traj = tv.backward_euler_trajectory(p, np.array([-2.0]), 1e-3)
+    records = [tv.classify_trajectory(q, traj, make(q, box, starts=64, seed=7),
+                                      0.75 * p.horizon, max_checks=checks).records
+               for q, make in ((p, tv.tracking_builder),
+                               (p.replace(landscape=None), tv.tracking_builder),
+                               (p, tv.multistart_builder))]
+    assert records[0] == records[2]
+    assert records[1] == records[2]
+
+
 class TestTrackingBuilder:
     def test_translated_catalog_matches_fresh_multistart(self, ex1_04_10):
         p, _ = ex1_04_10
@@ -185,15 +219,17 @@ class TestTrackingBuilder:
     def test_problem_without_landscape_continues(self, ex1_04_10, be_traj_04_10,
                                                  monkeypatch):
         # the same f with no translation claim continues its catalog check by
-        # check, to the records of the translated catalogs
+        # check, to the records of the translated catalogs; Newton reaches
+        # every continued entry, so no entry is re-flowed
         p, _ = ex1_04_10
         want = tv.classify_trajectory(p, be_traj_04_10, tv.tracking_builder(p, BOX, seed=0),
                                       0.75 * p.horizon, max_checks=40).records
         q = p.replace(landscape=None)
-        calls = count_calls(monkeypatch, "build_catalog", "_continue_catalog")
+        calls = count_calls(monkeypatch, "build_catalog", "_continue_catalog",
+                            "frozen_time_flow")
         got = tv.classify_trajectory(q, be_traj_04_10, tv.tracking_builder(q, BOX, seed=0),
                                      0.75 * q.horizon, max_checks=40).records
-        assert calls == {"build_catalog": 1, "_continue_catalog": 39}
+        assert calls == {"build_catalog": 1, "_continue_catalog": 39, "frozen_time_flow": 0}
         assert got == want
 
     def test_matrix_recovery_continues(self, matrec, monkeypatch):
@@ -222,30 +258,6 @@ class TestTrackingBuilder:
         assert cat.global_ids == fresh.global_ids
         assert cat.dropped == 0
 
-    @pytest.mark.parametrize("case", ["example1", "matrec"])
-    def test_entry_test_reads_the_polish_evaluations(self, case, ex1_04_10, matrec):
-        # the entry test after a polish evaluates no gradient, J or h again,
-        # and decides as the test that evaluates them afresh
-        from tvland.classify import _is_strict_minimizer, _polish_minimizer
-
-        p, x0, t = ((ex1_04_10[0], np.array([2.3]), 0.0) if case == "example1" else
-                    (matrec, tv.matrix_recovery_global_state(0.5) + 1e-4, 0.5))
-        calls = []
-
-        def counted(name):
-            fn = getattr(p, name)
-            return lambda *a: calls.append(name) or fn(*a)
-
-        q = p.replace(**{name: counted(name)
-                         for name in ("grad_objective", "jacobian", "constraints")})
-        rep, newton = _polish_minimizer(q, x0, t)
-        assert newton is not None and newton.status == "converged"
-        calls.clear()
-        assert _is_strict_minimizer(q, rep, t, newton)
-        assert calls == []
-        assert _is_strict_minimizer(q, rep, t)
-        assert "grad_objective" in calls
-
     @pytest.mark.parametrize("checks", [3, 5])
     @pytest.mark.parametrize("regime, beta", [("ex1_04_10", 10.0), ("ex1_02_5", 5.0)])
     def test_records_equal_fresh_multistarts(self, regime, beta, checks, request):
@@ -257,15 +269,17 @@ class TestTrackingBuilder:
         # record is the one a fresh multistart gives (the classify run of the
         # CLI at dt 1e-3, seed 7)
         p, _ = request.getfixturevalue(regime)
-        box = (-(beta + 6.0), beta + 6.0)
-        traj = tv.backward_euler_trajectory(p, np.array([-2.0]), 1e-3)
-        records = [tv.classify_trajectory(q, traj, make(q, box, starts=64, seed=7),
-                                          0.75 * p.horizon, max_checks=checks).records
-                   for q, make in ((p, tv.tracking_builder),
-                                   (p.replace(landscape=None), tv.tracking_builder),
-                                   (p, tv.multistart_builder))]
-        assert records[0] == records[2]
-        assert records[1] == records[2]
+        assert_builders_agree(p, beta, checks)
+
+    @pytest.mark.parametrize("checks", [5, 20])
+    @pytest.mark.parametrize("beta, alpha, omega, lam", [(10.0, 0.4, 1.0, 0.1),
+                                                         (5.0, 0.2, 2.0, 0.3)])
+    def test_damped_records_equal_fresh_multistarts(self, beta, alpha, omega, lam, checks):
+        # the same on the damped landscape, whose shift beta e^(-lambda t)
+        # sin(omega t) the translating builder applies (the CLI's damped
+        # classify at dt 1e-3, seed 7)
+        p = tv.problem._translated_quartic(beta, alpha, omega, lam, "damped")
+        assert_builders_agree(p, beta, checks)
 
     def test_sosc_failure_falls_back_to_flow(self, ex1_04_10, monkeypatch):
         p = ex1_04_10[0].replace(landscape=None)
@@ -276,9 +290,8 @@ class TestTrackingBuilder:
         scalar = classify_module.frozen_time_flow
         monkeypatch.setattr(classify_module, "frozen_time_flow",
                             lambda *a, **k: flows.append(a[1].copy()) or scalar(*a, **k))
-        # every continued point now fails the second-order test
-        monkeypatch.setattr(classify_module, "positive_definite_on_kernel",
-                            lambda M, J: False)
+        # no entry is continued now: each is re-flowed
+        monkeypatch.setattr(classify_module, "_polish_limit", lambda *a, **k: None)
         cat = builder(4.72)
         assert len(flows) == len(first) == 2
         assert np.array_equal(np.vstack(flows), first.minimizers)

@@ -488,14 +488,14 @@ class TestSweep:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
-    def test_empty_grid(self, tmp_path):
+    def test_empty_grid(self, tmp_path, capsys):
+        # a grid without values is refused, not answered by a header alone
         out = tmp_path / "empty.csv"
         code = run(["sweep", "--scenario", "example1", "--alpha-grid", "",
                     "--beta-grid", "1,2", "--out", str(out)])
-        assert code == 0
-        header, rows = read_csv(out)
-        assert header == ["alpha", "beta", "prop1_satisfied", "sim_verdict"]
-        assert rows == []
+        assert code == 1
+        assert "alpha_grid" in json.loads(capsys.readouterr().err)["message"]
+        assert not out.exists()
 
     def test_linspace_grid_syntax(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -658,11 +658,19 @@ MATREC = ["--scenario", "matrec", "--x0", "1,0,0,0,0,0"]
     # an inverted box
     pytest.param(["classify", *EX1, "--N", "50", "--checks", "2", "--box=5,-5"], None,
                  "box", id="box-inverted"),
+    # an infinite box, refused before the trajectory is simulated
+    pytest.param(["classify", *EX1, "--N", "50", "--checks", "2", "--box=-inf,inf"], None,
+                 "box", id="box-infinite"),
+    # grids without a value
+    pytest.param(["sweep", "--alpha-grid", "0.4:0.4:0", "--beta-grid", "10"], None,
+                 "alpha_grid", id="alpha-grid-linspace-of-none"),
+    pytest.param(["sweep", "--alpha-grid", "0.4", "--beta-grid", ","], None,
+                 "beta_grid", id="beta-grid-comma"),
     # a radius that is not a positive finite number
     pytest.param(["thm3", "--scenario", "example1", "--R", "inf"], None, "R", id="R=inf"),
     pytest.param(["thm3", "--scenario", "example1", "--R", "nan"], None, "R", id="R=nan"),
 ])
-def test_usage_error_names_the_option(argv, cfg, key, tmp_path, capsys):
+def test_usage_error_names_the_option(argv, cfg, key, tmp_path, capsys, no_engine):
     if cfg is not None:
         (tmp_path / "run.cfg").write_text(cfg)
         argv = argv + ["--config", str(tmp_path / "run.cfg")]
@@ -718,6 +726,33 @@ def test_scenario_parameters_must_be_finite(argv, key, value, no_engine, capsys)
     err = json.loads(captured.err)
     assert err["error"] == "usage"
     assert key in err["message"] and "finite" in err["message"]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("argv, x0", [
+    pytest.param(["flow", "--scenario", "example1"], "{}", id="flow"),
+    pytest.param(["simulate", "--scenario", "example1", "--N", "5"], "{}", id="backward-euler"),
+    pytest.param(["simulate", "--scenario", "example1", "--N", "5", "--method", "discrete"],
+                 "{}", id="discrete"),
+    pytest.param(["simulate", "--scenario", "example1", "--N", "5", "--method", "reference"],
+                 "{}", id="reference"),
+    pytest.param(["spectrum", "--scenario", "example1", "--N", "4"], "{}", id="spectrum"),
+    pytest.param(["classify", "--scenario", "damped", "--N", "5", "--checks", "2"], "{}",
+                 id="classify"),
+    pytest.param(["sweep", "--alpha-grid", "0.4", "--beta-grid", "10", "--mode", "sim"], "{}",
+                 id="sweep"),
+    pytest.param(["simulate", "--scenario", "matrec", "--N", "5", "--method", "discrete"],
+                 "{},0.7,0,0,0,0", id="matrec"),
+])
+def test_non_finite_start_is_a_usage_error(argv, x0, value, capsys):
+    # one usage JSON line naming x0, from every command that takes a start
+    assert run([*argv, "--x0=" + x0.format(value)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    err = json.loads(captured.err)
+    assert err["error"] == "usage"
+    assert "x0 must be finite" in err["message"]
 
 
 @pytest.mark.parametrize("grid", ["alpha", "beta"])

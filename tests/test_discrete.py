@@ -142,6 +142,12 @@ class TestDiscreteTrajectory:
         with pytest.raises(tv.InitializationError):
             tv.discrete_trajectory(p, np.array([1.0]), 4)
 
+    def test_nan_start_is_not_a_local_solution(self):
+        # NaN residuals fail the check instead of passing every comparison
+        p, _ = tv.make_example1(10.0, alpha=0.4)
+        with pytest.raises(tv.InitializationError, match="stationarity = nan"):
+            tv.check_local_solution(p, np.array([np.nan]))
+
     def test_check_can_be_disabled(self):
         p = scalar_quadratic()
         traj = tv.discrete_trajectory(p, np.array([1.0]), 8, check_x0=False)

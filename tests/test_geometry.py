@@ -342,24 +342,6 @@ def _old_kkt_refine(p, x, t, tol=1e-10, max_newton=50):
     raise tv.StepSolveError("stalled")
 
 
-def _old_unconstrained_polish(p, x, t):
-    """The m = 0 catalog polish loop as it was before the shared kernel."""
-    x = x.copy()
-    for _ in range(25):
-        g = np.asarray(p.grad_objective(x, t), dtype=float)
-        if np.linalg.norm(g) <= 1e-12:
-            break
-        H = np.asarray(p.hess_objective(x, t), dtype=float)
-        try:
-            step = np.linalg.solve(H, -g)
-        except np.linalg.LinAlgError:
-            break
-        if np.linalg.norm(step) > 1.0:
-            break
-        x = x + step
-    return x
-
-
 def circle_tracking_toy():
     """n = 2, m = 1: a point on a circle of moving radius, pulled to (2, 0)."""
     return tv.ProblemDef(
@@ -412,15 +394,6 @@ class TestNewtonKKT:
                 x = _old_kkt_refine(p, x, float(t))
                 assert np.array_equal(got, x)
 
-    def test_unconstrained_polish_keeps_its_iterations(self, ex1_04_10):
-        from tvland.classify import _polish_minimizer
-        p, _ = ex1_04_10
-        rng = np.random.default_rng(3)
-        for x0, t in zip(rng.uniform(-16, 16, 200), rng.uniform(0, 2 * np.pi, 200)):
-            x0 = np.array([x0])
-            assert np.array_equal(_polish_minimizer(p, x0, t)[0],
-                                  _old_unconstrained_polish(p, x0, t))
-
     def test_statuses(self, ex1_04_10):
         from tvland.geometry import newton_kkt
         p, _ = ex1_04_10
@@ -432,9 +405,6 @@ class TestNewtonKKT:
         at_min = newton_kkt(p, res.x, 0.0)
         assert (at_min.status, at_min.iterations, at_min.hessian) == ("converged", 1, None)
         assert newton_kkt(p, np.array([2.3]), 0.0, max_iter=1).status == "max_iter"
-        # near the quartic's inflection point the Newton step (-16.5) is not taken
-        far = newton_kkt(p, np.array([1.0]), 0.0, max_step=1.0)
-        assert far.status == "max_step" and far.x[0] == 1.0
 
     def test_proximal_term(self):
         # min x^2/2 + w (x - x_prev)^2 / 2 is x_prev w / (1 + w): one step

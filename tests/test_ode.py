@@ -281,18 +281,35 @@ class TestReferenceIntegrator:
             tv.integrate_reference(p, np.array([1.0]), n_samples=16)
 
 
-@pytest.mark.parametrize("run", [
+#: Every engine that takes a start vector, as run(p, x0).
+ENGINES = pytest.mark.parametrize("run", [
     lambda p, x: tv.frozen_time_flow(p, x, 0.0),
     lambda p, x: tv.backward_euler_trajectory(p, x, 0.1),
     lambda p, x: tv.integrate_reference(p, x, n_samples=4),
     lambda p, x: tv.kkt_track(p, x, np.linspace(0.0, p.horizon, 3)),
-], ids=["frozen_time_flow", "backward_euler", "reference", "kkt_track"])
+    lambda p, x: tv.discrete_trajectory(p, x, 4),
+], ids=["frozen_time_flow", "backward_euler", "reference", "kkt_track", "discrete"])
+
+
+@ENGINES
 def test_start_of_the_wrong_length_refused(ex1_04_10, run):
     # example1 reads only x[0]; a longer start must not pass, nor become
     # several flow lanes
     p, _ = ex1_04_10
     with pytest.raises(ValueError, match=r"x0 must have shape \(1,\), got \(2,\)"):
         run(p, np.array([-2.0, 5.0]))
+
+
+@ENGINES
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("case", ["example1", "matrec"])
+def test_non_finite_start_refused(case, value, run, ex1_04_10, matrec):
+    # refused before any evaluation, not as a solver failure downstream
+    p = ex1_04_10[0] if case == "example1" else matrec
+    x0 = np.zeros(p.n)
+    x0[0] = value
+    with pytest.raises(ValueError, match="x0 must be finite"):
+        run(p, x0)
 
 
 class TestFrozenTimeFlow:
