@@ -9,6 +9,7 @@ limit and matching that limit against a catalog of known minimizers.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -146,8 +147,8 @@ def build_catalog(p: ProblemDef, t: float, starts: int, seed: int, box) -> Minim
     """Catalog the frozen-time local minimizers found by multistart flows.
 
     Flows start from ``starts`` uniform samples of ``box = (lo, hi)``
-    (finite, lo <= hi; deterministic in ``seed``), each first restored onto
-    the time-t leaf when m > 0, and run as one batch of
+    (lo <= hi with a finite width hi - lo; deterministic in ``seed``), each
+    first restored onto the time-t leaf when m > 0, and run as one batch of
     :func:`~tvland.ode.frozen_time_flows`.  Limits are clustered within
     :data:`MEMBERSHIP_TOL`, and a cluster is kept as the point that
     :func:`~tvland.ode._polish_limit`, the flows' own strict-minimum test,
@@ -159,8 +160,9 @@ def build_catalog(p: ProblemDef, t: float, starts: int, seed: int, box) -> Minim
         raise ValueError("starts must be at least 1")
     lo = np.broadcast_to(np.asarray(box[0], dtype=float), (p.n,)).copy()
     hi = np.broadcast_to(np.asarray(box[1], dtype=float), (p.n,)).copy()
-    if not (np.isfinite(lo).all() and np.isfinite(hi).all() and (lo <= hi).all()):
-        raise ValueError(f"box bounds must be finite with lo <= hi, got {box}")
+    # in Python floats, whose overflow gives inf without a numpy warning
+    if not all(a <= b and math.isfinite(b - a) for a, b in zip(lo.tolist(), hi.tolist())):
+        raise ValueError(f"box bounds must have lo <= hi and a finite width hi - lo, got {box}")
     rng = np.random.default_rng(seed)
     points = lo + (hi - lo) * rng.random((starts, p.n))
 
@@ -231,8 +233,9 @@ def _continue_catalog(p: ProblemDef, prev: MinimizerCatalog,
     return _assemble_catalog(p, t, reps, 0)
 
 
-def tracking_builder(p: ProblemDef, box, starts: int = 64,
-                     seed: int = 0) -> Callable[[float], MinimizerCatalog]:
+def tracking_builder(p: ProblemDef, box, starts: int = 64, seed: int = 0,
+                     catalog: Optional[MinimizerCatalog] = None
+                     ) -> Callable[[float], MinimizerCatalog]:
     """Catalog builder that multistarts once, then follows the minimizers in t.
 
     The first requested time t0 pays for a full multistart
@@ -255,15 +258,27 @@ def tracking_builder(p: ProblemDef, box, starts: int = 64,
     catalog that did not come from one has ``dropped`` = 0.  Suited to
     landscapes whose minimizer count is stable over the horizon; use
     :func:`multistart_builder` otherwise.
+
+    A given ``catalog``, one of g at t0 = 0, replaces the first multistart.
+    Every shift s has s(0) = 0, so f(., 0) = g for every problem that
+    translates g: a sweep searches g once and each cell translates that
+    catalog to its own s.  It is refused unless ``p`` carries a landscape
+    and ``catalog.anchor_time == 0``.
     """
-    state: dict = {"catalog": None}
     ls = p.landscape
+    if catalog is not None:
+        if ls is None:
+            raise ValueError(f"a given catalog needs a problem with a landscape, not {p.name!r}")
+        if catalog.anchor_time != 0.0:
+            raise ValueError(f"a given catalog must be anchored at t = 0, "
+                             f"got {catalog.anchor_time}")
+    state: dict = {"catalog": catalog}
 
     def build(t: float) -> MinimizerCatalog:
         prev = state["catalog"]
         cat = None
         if prev is not None and len(prev):
-            if ls is not None:  # prev is the multistart catalog at t0
+            if ls is not None:  # prev is the first catalog, at t0
                 delta = ls.shift(t) - ls.shift(prev.anchor_time)
                 return replace(prev, anchor_time=t, minimizers=prev.minimizers + delta,
                                dropped=0)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import re
 import sys
@@ -71,8 +72,9 @@ def _vector(raw: str) -> np.ndarray:
 
 def _box(raw: str) -> tuple:
     box = _vector(raw)
-    if box.size != 2 or not -np.inf < box[0] < box[1] < np.inf:
-        raise ValueError("expected finite lo,hi with lo < hi")
+    # the width in Python floats, whose overflow gives inf without a numpy warning
+    if box.size != 2 or not (box[0] < box[1] and math.isfinite(float(box[1]) - float(box[0]))):
+        raise ValueError("expected lo,hi with lo < hi and a finite width hi - lo")
     return (box[0], box[1])
 
 
@@ -310,7 +312,9 @@ def _cmd_flow(opt: _Options) -> int:
 
 
 def _classifier(opt: _Options) -> Callable:
-    """The classification run of ``classify`` and ``sweep``: ``classify(p, traj)``.
+    """The classification run of ``classify`` and ``sweep``: ``classify(p, traj, catalog)``.
+
+    ``catalog`` is passed to :func:`~tvland.classify.tracking_builder`.
 
     Its options are read with their defaults here, so that a bad value is
     refused before any trajectory is simulated.
@@ -323,9 +327,9 @@ def _classifier(opt: _Options) -> Callable:
     seed = opt.get("seed", 0)
     checks = opt.get("checks", 200)
 
-    def classify(p, traj: Trajectory) -> _classify.ClassificationResult:
+    def classify(p, traj: Trajectory, catalog=None) -> _classify.ClassificationResult:
         builder = _classify.tracking_builder(p, p.search_box if box is None else box,
-                                             starts=starts, seed=seed)
+                                             starts=starts, seed=seed, catalog=catalog)
         return _classify.classify_trajectory(p, traj, builder, tbar_frac * p.horizon,
                                              max_checks=checks)
 
@@ -407,11 +411,13 @@ def _sweep_cell(scn: _Scenario, values: dict, alpha: float, beta: float) -> tupl
         except Exception as exc:
             prop1_field = f"error:{type(exc).__name__}"
     if mode in ("sim", "both"):
-        try:
-            traj = _ode.backward_euler_trajectory(p, values["x0"], values["dt"])
-            verdict_field = values["classify"](p, traj).verdict.value
-        except Exception as exc:
-            verdict_field = f"error:{type(exc).__name__}"
+        verdict_field = values["catalog_error"]
+        if not verdict_field:
+            try:
+                traj = _ode.backward_euler_trajectory(p, values["x0"], values["dt"])
+                verdict_field = values["classify"](p, traj, values["catalog"]).verdict.value
+            except Exception as exc:
+                verdict_field = f"error:{type(exc).__name__}"
     return (alpha, beta, prop1_field, verdict_field)
 
 
@@ -433,12 +439,25 @@ def _cmd_sweep(opt: _Options) -> int:
     # the start and the step are the same for every cell: refuse them here
     x0 = _problem.start_vector(p, opt.get("x0", np.array([ls.g.y1])))
     values = {"mode": mode, "x0": x0, "dt": opt.get("dt", 4e-3),
-              "classify": _classifier(opt)}
+              "classify": _classifier(opt), "catalog": None, "catalog_error": ""}
+    if mode != "prop1":
+        # every cell's shift has s(0) = 0, so f(., 0) = g in every cell: one
+        # multistart of g at t = 0 serves them all, each translating it
+        try:
+            values["catalog"] = _classify.build_catalog(
+                p, 0.0, opt.get("starts", 64), opt.get("seed", 0), p.search_box)
+        except Exception as exc:
+            values["catalog_error"] = f"error:{type(exc).__name__}"
     # one worker unless asked: the interpreter lock runs one cell at a time,
     # and a second worker only adds switching
     workers = int(os.environ.get("TVL_THREADS", "0")) or 1
+
+    def sweep_cell(cell):
+        with np.errstate(all="ignore"):  # a pool thread starts without run()'s errstate
+            return _sweep_cell(scn, values, *cell)
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        rows = list(pool.map(lambda cell: _sweep_cell(scn, values, *cell), cells))
+        rows = list(pool.map(sweep_cell, cells))
     _write_rows(opt.get("out"), ["alpha", "beta", "prop1_satisfied", "sim_verdict"],
                 [(float(a), float(b), s, v) for a, b, s, v in rows])
     return 0
@@ -511,7 +530,10 @@ def run(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command][0](_Options(args))
+        # stderr carries only the one JSON error line: a numerical failure
+        # shows as an exception, not as numpy's floating-point warnings
+        with np.errstate(all="ignore"):
+            return _COMMANDS[args.command][0](_Options(args))
     except (TvlandError, np.linalg.LinAlgError) as exc:
         sys.stderr.write(json.dumps({"error": type(exc).__name__,
                                      "message": str(exc)}) + "\n")

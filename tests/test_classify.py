@@ -1,4 +1,6 @@
 import dataclasses
+import functools
+import warnings
 
 import numpy as np
 import pytest
@@ -88,12 +90,16 @@ class TestBuildCatalog:
                 for x in cat.minimizers:
                     assert np.linalg.norm(frozen.constraints(x) - frozen.data_path(t)) <= 1e-12
 
-    @pytest.mark.parametrize("box", [(5.0, -5.0), (-5.0, np.inf)],
-                             ids=["inverted", "infinite"])
+    @pytest.mark.parametrize("box", [(5.0, -5.0), (-5.0, np.inf), (-1e308, 1e308)],
+                             ids=["inverted", "infinite", "overflowing-width"])
     def test_inverted_or_infinite_box_refused(self, ex1_04_10, box):
+        # a finite box whose width hi - lo overflows is refused as well,
+        # without numpy's overflow warning
         p, _ = ex1_04_10
-        with pytest.raises(ValueError, match="box"):
-            tv.build_catalog(p, 0.0, starts=4, seed=0, box=box)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="box"):
+                tv.build_catalog(p, 0.0, starts=4, seed=0, box=box)
 
 
 class TestMembership:
@@ -170,6 +176,15 @@ def count_calls(monkeypatch, *names):
 
         monkeypatch.setattr(classify_module, name, counted)
     return calls
+
+
+@functools.lru_cache(maxsize=None)
+def sweep_catalog() -> tv.MinimizerCatalog:
+    """The catalog a default sweep shares among its cells: one multistart of
+    g at t = 0 on the sweep's own problem (example1 with alpha 1, beta 10),
+    in its search box, with 64 starts and seed 0."""
+    p = tv.make_example1(10.0, alpha=1.0)[0]
+    return tv.build_catalog(p, 0.0, starts=64, seed=0, box=p.search_box)
 
 
 def assert_builders_agree(p, beta, checks):
@@ -280,6 +295,32 @@ class TestTrackingBuilder:
         # classify at dt 1e-3, seed 7)
         p = tv.problem._translated_quartic(beta, alpha, omega, lam, "damped")
         assert_builders_agree(p, beta, checks)
+
+    def test_given_catalog_replaces_the_first_multistart(self, ex1_04_10, be_traj_04_10,
+                                                         monkeypatch):
+        # a catalog of g at t = 0 from another problem translating the same
+        # g (alpha 1, beta 10 here): no search runs, and every record is the
+        # one of the problem's own multistart
+        p, _ = ex1_04_10
+        want = tv.classify_trajectory(p, be_traj_04_10, tv.tracking_builder(p, BOX, seed=0),
+                                      0.75 * p.horizon, max_checks=40).records
+        calls = count_calls(monkeypatch, "build_catalog")
+        builder = tv.tracking_builder(p, BOX, seed=0, catalog=sweep_catalog())
+        got = tv.classify_trajectory(p, be_traj_04_10, builder, 0.75 * p.horizon,
+                                     max_checks=40).records
+        assert calls == {"build_catalog": 0}
+        assert got == want
+
+    def test_given_catalog_needs_a_landscape(self, ex1_04_10):
+        p = ex1_04_10[0].replace(landscape=None)
+        with pytest.raises(ValueError, match="landscape"):
+            tv.tracking_builder(p, BOX, catalog=sweep_catalog())
+
+    def test_given_catalog_must_be_anchored_at_zero(self, ex1_04_10):
+        p, _ = ex1_04_10
+        moved = dataclasses.replace(sweep_catalog(), anchor_time=0.5)
+        with pytest.raises(ValueError, match="t = 0"):
+            tv.tracking_builder(p, BOX, catalog=moved)
 
     def test_sosc_failure_falls_back_to_flow(self, ex1_04_10, monkeypatch):
         p = ex1_04_10[0].replace(landscape=None)
@@ -424,13 +465,17 @@ def test_records_match_the_exact_basin_split(alpha, beta, dt, checks):
     # a state left of its local maximum y2 + beta sin t flows to the spurious
     # minimum (catalog id 0 in lexicographic order) and one right of it to
     # the global minimum (id 1).  This oracle shares no code with the flows
-    # or the catalogs.  Each run classifies as a sweep cell (grid) or the
-    # CLI's classify (regimes) does, from the spurious minimum
+    # or the catalogs.  Each run classifies as the CLI's classify does, from
+    # the spurious minimum; a grid cell also runs as a sweep cell does, on
+    # the sweep's one catalog of g at t = 0
     p, g = tv.make_example1(beta, alpha)
     traj = tv.backward_euler_trajectory(p, np.array([g.y1]), dt)
-    builder = tv.tracking_builder(p, (-(beta + 6.0), beta + 6.0), starts=64, seed=0)
-    res = tv.classify_trajectory(p, traj, builder, 0.75 * p.horizon, max_checks=checks)
+    catalogs = [None] + ([sweep_catalog()] if (dt, checks) == (4e-3, 40) else [])
     states = dict(zip(traj.times, traj.states[:, 0]))
-    right = [bool(states[r.time] > g.y2 + beta * np.sin(r.time)) for r in res.records]
-    assert len(res.records) == checks
-    assert [(r.member, r.is_global) for r in res.records] == [(int(w), w) for w in right]
+    for catalog in catalogs:
+        builder = tv.tracking_builder(p, (-(beta + 6.0), beta + 6.0), starts=64, seed=0,
+                                      catalog=catalog)
+        res = tv.classify_trajectory(p, traj, builder, 0.75 * p.horizon, max_checks=checks)
+        right = [bool(states[r.time] > g.y2 + beta * np.sin(r.time)) for r in res.records]
+        assert len(res.records) == checks
+        assert [(r.member, r.is_global) for r in res.records] == [(int(w), w) for w in right]

@@ -4,6 +4,7 @@ import re
 import shlex
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -488,6 +489,74 @@ class TestSweep:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("threads", [None, "1", "2"], ids=["unset", "1", "2"])
+    def test_one_multistart_per_sweep(self, threads, tmp_path, monkeypatch):
+        # every cell's landscape is g at t = 0, so the sweep searches g once,
+        # on its own problem with --starts and --seed, and each cell
+        # translates that catalog; no cell searches
+        if threads is None:
+            monkeypatch.delenv("TVL_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("TVL_THREADS", threads)
+        searches = []
+        build = cli._classify.build_catalog
+        monkeypatch.setattr(cli._classify, "build_catalog",
+                            lambda *a: searches.append(a[1:]) or build(*a))
+        code = run(["sweep", "--scenario", "example1", "--alpha-grid", "0.2,0.4",
+                    "--beta-grid", "5,10", "--mode", "both", "--dt", "4e-3",
+                    "--checks", "30", "--starts", "48", "--seed", "3",
+                    "--out", str(tmp_path / "sweep.csv")])
+        assert code == 0
+        assert searches == [(0.0, 48, 3, (-16.0, 16.0))]
+        _, rows = read_csv(tmp_path / "sweep.csv")
+        table = {(float(r[0]), float(r[1])): (r[2], r[3]) for r in rows}
+        assert table[(0.4, 10.0)] == ("true", "non-spurious")
+        assert table[(0.2, 5.0)] == ("false", "spurious")
+
+    def test_prop1_sweep_searches_nothing(self, tmp_path, monkeypatch):
+        searches = []
+        monkeypatch.setattr(cli._classify, "build_catalog", lambda *a: searches.append(a))
+        code = run(["sweep", "--scenario", "example1", "--alpha-grid", "0.2,0.4",
+                    "--beta-grid", "5,10", "--mode", "prop1",
+                    "--out", str(tmp_path / "sweep.csv")])
+        assert code == 0
+        assert searches == []
+
+    @pytest.mark.parametrize("mode", ["sim", "both"])
+    def test_failed_multistart_errors_every_sim_cell(self, mode, tmp_path, monkeypatch):
+        # a failing shared search is recorded in every cell, as a failing
+        # per-cell search was; it never aborts the sweep, and prop1 still runs
+        grid = ["sweep", "--scenario", "example1", "--alpha-grid", "0.2,0.4",
+                "--beta-grid", "5,10", "--out"]
+        assert run([*grid, str(tmp_path / "prop1.csv"), "--mode", "prop1"]) == 0
+
+        def fail(*args):
+            raise RuntimeError("no search")
+
+        monkeypatch.setattr(cli._classify, "build_catalog", fail)
+        code = run([*grid, str(tmp_path / "sweep.csv"), "--mode", mode, "--checks", "30"])
+        assert code == 0
+        _, rows = read_csv(tmp_path / "sweep.csv")
+        _, prop1_rows = read_csv(tmp_path / "prop1.csv")
+        assert [r[3] for r in rows] == ["error:RuntimeError"] * 4
+        assert [r[2] for r in rows] == ([""] * 4 if mode == "sim"
+                                        else [r[2] for r in prop1_rows])
+
+    def test_sweep_threads_keep_numpy_quiet(self, tmp_path, monkeypatch):
+        # pool threads do not inherit run()'s numpy error state; each cell
+        # sets it again, so an overflow in a cell warns nowhere
+        monkeypatch.setenv("TVL_THREADS", "2")
+        monkeypatch.setattr(cli, "_sweep_cell",
+                            lambda scn, values, a, b: (a, b, "", str(np.float64(b) * 1e308)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["sweep", "--scenario", "example1", "--alpha-grid", "0.2,0.4",
+                        "--beta-grid", "5,10", "--mode", "prop1",
+                        "--out", str(tmp_path / "sweep.csv")])
+        assert code == 0
+        _, rows = read_csv(tmp_path / "sweep.csv")
+        assert [r[3] for r in rows] == ["inf"] * 4
+
     def test_empty_grid(self, tmp_path, capsys):
         # a grid without values is refused, not answered by a header alone
         out = tmp_path / "empty.csv"
@@ -661,6 +730,9 @@ MATREC = ["--scenario", "matrec", "--x0", "1,0,0,0,0,0"]
     # an infinite box, refused before the trajectory is simulated
     pytest.param(["classify", *EX1, "--N", "50", "--checks", "2", "--box=-inf,inf"], None,
                  "box", id="box-infinite"),
+    # a finite box whose width overflows, refused in the same way
+    pytest.param(["classify", *EX1, "--N", "50", "--checks", "2", "--box=-1e308,1e308"],
+                 None, "box", id="box-width-overflow"),
     # grids without a value
     pytest.param(["sweep", "--alpha-grid", "0.4:0.4:0", "--beta-grid", "10"], None,
                  "alpha_grid", id="alpha-grid-linspace-of-none"),
@@ -753,6 +825,21 @@ def test_non_finite_start_is_a_usage_error(argv, x0, value, capsys):
     err = json.loads(captured.err)
     assert err["error"] == "usage"
     assert "x0 must be finite" in err["message"]
+
+
+def test_huge_start_keeps_stderr_to_one_line():
+    # the field at x0 = 1e300 overflows: numpy's warning is not printed,
+    # the one JSON line of the numerical failure is (in a fresh process,
+    # where no test harness captures warnings)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-m", "tvland.cli", "flow", "--scenario", "example1",
+         "--alpha", "0.4", "--beta", "10", "--x0", "1e300"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert len(out.stderr.splitlines()) == 1
+    assert json.loads(out.stderr)["error"] == "StiffnessError"
 
 
 @pytest.mark.parametrize("grid", ["alpha", "beta"])
