@@ -12,10 +12,11 @@ norm on balls of radius R) and C2 (smallest inward slope on their spheres).
 All extremal constants are computed by dense (quasi-random) sampling plus
 local refinement; doubling the sampling budget moves them by well under the
 reporting tolerance on the shipped scenarios.  The one-dimensional
-refinements (a bounded Brent search and bisection) are transcriptions of
-scipy's, so they give scipy's floats without importing it; scipy is loaded
-only by the multi-dimensional checker, for its quasi-random samples and
-SLSQP refinement.
+refinements are written here on the standard library: a golden-section
+search for maxima and a transcription of scipy's bisection for roots, which
+gives scipy's floats without importing it.  scipy is loaded only by the
+multi-dimensional checker, for its quasi-random samples and SLSQP
+refinement.
 """
 
 from __future__ import annotations
@@ -31,8 +32,11 @@ from .geometry import _norm
 from .problem import Scalar1DFunction, _is_stackable, _stackable, _vdot
 
 _DENSE_SAMPLES = 10_000
-#: Absolute tolerance in y of the bounded Brent search and of bisection.
+#: Absolute and relative tolerances in y of the golden-section search and of
+#: bisection (the relative one is scipy's default for bisection).
 _XTOL = 1e-12
+_RTOL = 4.0 * np.finfo(float).eps
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass
@@ -69,85 +73,30 @@ class Thm3Report:
     satisfied: bool
 
 
-def _fminbound(func, x1, x2, maxfun: int = 500):
-    """Smallest value of ``func`` that a bounded Brent search on [x1, x2] finds.
+def _golden_max(fn, lo: float, hi: float) -> float:
+    """Largest value of ``fn`` that a golden-section search on [lo, hi] finds.
 
-    A transcription of scipy's ``minimize_scalar(method="bounded")`` (Brent's
-    fmin: parabolic steps guarded by golden sections) at ``xatol`` = _XTOL,
-    without its status reporting; it performs the same floating-point
-    operations in the same order, so it returns scipy's value.
+    Kiefer's search: two interior points split the bracket in the golden
+    ratio, the side beyond the worse one is dropped, and one new point is
+    evaluated per step until hi - lo <= _XTOL + _RTOL max(|lo|, |hi|).  The
+    relative term ends brackets far from 0, where _XTOL is below the float
+    spacing; a NaN value only shrinks the bracket, so the search still ends.
     """
-    if not (np.isfinite(x1) and np.isfinite(x2)):
-        raise ValueError("Optimization bounds must be finite scalars.")
-    if x1 > x2:
-        raise ValueError("The lower bound exceeds the upper bound.")
-    sqrt_eps = math.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
-    a, b = x1, x2
-    fulc = a + golden_mean * (b - a)
-    nfc, xf = fulc, fulc
-    rat = e = 0.0
-    x = xf
-    fx = func(x)
-    num = 1
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * np.abs(xf) + _XTOL / 3.0
-    tol2 = 2.0 * tol1
-
-    while np.abs(xf - xm) > (tol2 - 0.5 * (b - a)):
-        golden = True
-        if np.abs(e) > tol1:  # try a parabolic fit
-            golden = False
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = np.abs(q)
-            r = e
-            e = rat
-            if (np.abs(p) < np.abs(0.5 * q * r)) and (p > q * (a - xf)) and (p < q * (b - xf)):
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if ((x - a) < tol2) or ((b - x) < tol2):
-                    si = np.sign(xm - xf) + ((xm - xf) == 0)
-                    rat = tol1 * si
-            else:
-                golden = True
-        if golden:
-            e = (a - xf) if xf >= xm else (b - xf)
-            rat = golden_mean * e
-
-        si = np.sign(rat) + (rat == 0)
-        x = xf + si * np.maximum(np.abs(rat), tol1)
-        fu = func(x)
-        num += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
+    if not math.isfinite(hi - lo):
+        raise ValueError(f"bounds must be finite, got [{lo}, {hi}]")
+    a, b = float(lo), float(hi)
+    c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
+    fc, fd = fn(c), fn(d)
+    while b - a > _XTOL + _RTOL * max(abs(a), abs(b)):
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - _INV_PHI * (b - a)
+            fc = fn(c)
         else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if (fu <= fnfc) or (nfc == xf):
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif (fu <= ffulc) or (fulc == xf) or (fulc == nfc):
-                fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * np.abs(xf) + _XTOL / 3.0
-        tol2 = 2.0 * tol1
-        if num >= maxfun:
-            break
-    return fx
+            a, c, fc = c, d, fd
+            d = a + _INV_PHI * (b - a)
+            fd = fn(d)
+    return max(fc, fd)
 
 
 def _bisect(f, a: float, b: float) -> float:
@@ -160,8 +109,6 @@ def _bisect(f, a: float, b: float) -> float:
     RuntimeError when the bracket is still wider than the tolerance after
     100 halvings.
     """
-    rtol = 4.0 * np.finfo(float).eps
-
     def value(x):
         fx = f(x)
         if np.isnan(fx):
@@ -184,7 +131,7 @@ def _bisect(f, a: float, b: float) -> float:
         fm = value(xm)
         if fm * fa >= 0:
             xa = xm
-        if fm == 0 or abs(dm) < _XTOL + rtol * abs(xm):
+        if fm == 0 or abs(dm) < _XTOL + _RTOL * abs(xm):
             return xm
     raise RuntimeError("Failed to converge after 100 iterations.")
 
@@ -202,12 +149,17 @@ def _grid_values(fn, ys: np.ndarray) -> np.ndarray:
 
 
 def _line_max(fn, lo: float, hi: float, samples: int = _DENSE_SAMPLES) -> float:
-    """max of fn on [lo, hi] by dense sampling plus bounded Brent refinement."""
+    """max of fn on [lo, hi] by dense sampling plus golden-section refinement.
+
+    The grid includes both ends, so an endpoint maximum is a grid value; an
+    interior one is refined on the four grid cells around the best point,
+    where the value is second-order insensitive to the argmax's last digits.
+    """
     ys = np.linspace(lo, hi, samples)
     vals = _grid_values(fn, ys)
     i = int(np.argmax(vals))
-    refined = _fminbound(lambda y: -fn(y), ys[max(0, i - 2)], ys[min(samples - 1, i + 2)])
-    return max(float(vals[i]), float(-refined))
+    refined = _golden_max(fn, ys[max(0, i - 2)], ys[min(samples - 1, i + 2)])
+    return max(float(vals[i]), float(refined))
 
 
 def _max_slope(sf: Scalar1DFunction, samples: int = _DENSE_SAMPLES) -> float:
@@ -264,8 +216,8 @@ def _with_barriers(sf: Scalar1DFunction, report: Prop1Report) -> Prop1Report:
     does not exist.
     """
     alpha, beta = report.alpha, report.beta
-    if alpha <= 0 or beta <= 0:
-        raise ValueError("alpha and beta must be positive")
+    if not (0 < alpha < math.inf and 0 < beta < math.inf):
+        raise ValueError(f"alpha and beta must be positive and finite, got {alpha}, {beta}")
     level = -alpha * beta
     report.m1, report.m2 = _barrier_left(sf, level), _barrier_right(sf, level)
     ratio = report.C / (alpha * beta)
@@ -320,8 +272,8 @@ def prop1_region(sf: Scalar1DFunction, alpha_grid, beta_grid) -> RegionResult:
     """
     alphas = np.asarray(list(alpha_grid), dtype=float)
     betas = np.asarray(list(beta_grid), dtype=float)
-    if np.any(alphas <= 0) or np.any(betas <= 0):
-        raise ValueError("grids must be positive")
+    if not (np.all((alphas > 0) & (alphas < np.inf)) and np.all((betas > 0) & (betas < np.inf))):
+        raise ValueError("grids must be positive and finite")
     sat = np.zeros((alphas.size, betas.size), dtype=bool)
     failed = np.zeros_like(sat)
     for i, a in enumerate(alphas):
@@ -406,8 +358,9 @@ def thm3_check(g, grad_g, minima, R: float, alpha: float, beta: float,
     """
     if not 0 < R < math.inf:
         raise ValueError(f"R must be positive and finite, got {R}")
-    if alpha <= 0 or beta <= 0 or omega <= 0 or lam < 0:
-        raise ValueError("need alpha, beta, omega > 0 and lam >= 0")
+    if not (0 < alpha < math.inf and 0 < beta < math.inf and 0 < omega < math.inf
+            and 0 <= lam < math.inf):
+        raise ValueError("need finite alpha, beta, omega > 0 and finite lam >= 0")
     minima = [np.atleast_1d(np.asarray(y, dtype=float)) for y in minima]
     if not minima:
         raise ValueError("minima must be nonempty")

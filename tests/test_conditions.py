@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -80,6 +81,13 @@ class TestProp1Constants:
         from tvland.conditions import _max_slope
         assert abs(_max_slope(quartic, 10_000) - _max_slope(quartic, 20_000)) <= 1e-3
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["alpha", "beta"])
+    def test_rejects_non_finite_parameters(self, quartic, name, value):
+        params = {"alpha": 0.4, "beta": 10.0, name: value}
+        with pytest.raises(ValueError, match="finite"):
+            tv.prop1_constants(quartic, **params)
+
 
 class TestProp1Check:
     def test_escaping_pair_satisfied(self, quartic):
@@ -132,6 +140,15 @@ class TestProp1Check:
         assert rep.m1 is None and rep.m2 is None
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["alpha", "beta"])
+    def test_rejects_non_finite_parameters(self, quartic, name, value):
+        # otherwise a non-finite level -alpha beta reads as "no barrier
+        # points" and gives a verdict
+        params = {"alpha": 0.4, "beta": 10.0, name: value}
+        with pytest.raises(ValueError, match="finite"):
+            tv.prop1_check(quartic, **params)
+
 
 class TestProp1Region:
     def test_verdict_grid(self, quartic):
@@ -152,6 +169,13 @@ class TestProp1Region:
     def test_rejects_nonpositive_grid(self, quartic):
         with pytest.raises(ValueError):
             tv.prop1_region(quartic, [0.0, 0.1], [1.0])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["alpha_grid", "beta_grid"])
+    def test_rejects_non_finite_grid(self, quartic, name, value):
+        grids = {"alpha_grid": [0.4], "beta_grid": [10.0], name: [0.2, value]}
+        with pytest.raises(ValueError, match="finite"):
+            tv.prop1_region(quartic, **grids)
 
 
 def quartic_g(y):
@@ -292,6 +316,13 @@ class TestThm3:
             tv.thm3_check(quartic_g, quartic_dg, [np.array([-2.0])], R,
                           0.4, 10.0, 1.0, 0.0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["alpha", "beta", "omega", "lam"])
+    def test_rejects_non_finite_parameters(self, name, value):
+        params = {"alpha": 0.4, "beta": 10.0, "omega": 1.0, "lam": 0.0, name: value}
+        with pytest.raises(ValueError, match="finite"):
+            tv.thm3_check(quartic_g, quartic_dg, [np.array([-2.0])], 0.5, **params)
+
 
 def _counted(fn, calls):
     """``fn`` with each call appended to ``calls``, carrying ``fn``'s mark."""
@@ -378,7 +409,7 @@ def _damped_slope(t):
     return lambda y: QUARTIC.dg(y - shift)
 
 
-#: (function, bracket) cases of the scipy transcriptions: example1's g' and
+#: (function, bracket) cases of the bisection transcription: example1's g' and
 #: its square, the damped landscape at three times, on wide brackets and on
 #: the five-point windows that the dense line search refines.
 _SLOPES = [QUARTIC.dg, lambda y: -QUARTIC.dg(y), lambda y: QUARTIC.dg(y) ** 2,
@@ -394,27 +425,93 @@ def _windows(fn):
             for i in (int(np.argmax(vals)), int(np.argmin(vals)))]
 
 
-class TestScipyTranscriptions:
-    """The 1-D refinements give scipy's floats without importing scipy."""
+class TestGoldenMax:
+    """The golden-section search that refines the 1-D maxima."""
 
-    @pytest.mark.parametrize("k", range(len(_SLOPES)))
-    def test_fminbound_is_scipys_bounded_brent(self, k):
-        from scipy.optimize import minimize_scalar
-        from tvland.conditions import _fminbound
+    def test_interior_maximum_is_exact(self):
+        from tvland.conditions import _golden_max
 
-        fn = _SLOPES[k]
-        for lo, hi in _BRACKETS + _windows(fn):
-            for maxfun in (500, 6):
-                ref = minimize_scalar(fn, bounds=(lo, hi), method="bounded",
-                                      options={"xatol": 1e-12, "maxiter": maxfun})
-                got = _fminbound(fn, lo, hi, maxfun=maxfun)
-                assert float(got) == float(ref.fun), (lo, hi, maxfun)
+        # g'' = 3y^2 + 0.75y - 4 vanishes at the argmax (-0.75 - sqrt(48.5625)) / 6
+        top = QUARTIC.dg((-0.75 - math.sqrt(48.5625)) / 6.0)
+        assert top == 2.137392539040352
+        assert _golden_max(QUARTIC.dg, -1.4, -1.2) == top
 
-    def test_fminbound_refuses_infinite_bounds(self):
-        from tvland.conditions import _fminbound
+    def test_endpoint_maximum(self):
+        from tvland.conditions import _golden_max
+
+        # g'' < 0 on [-1, 0.8], so the maximum is the left end's
+        assert QUARTIC.dg(-1.0) == 1.875
+        assert abs(_golden_max(QUARTIC.dg, -1.0, 0.8) - 1.875) <= 1e-11
+
+    @staticmethod
+    def _bounded(fn):
+        """``fn``, failing the test from its 100th call on."""
+        calls = []
+
+        def wrapped(y):
+            calls.append(y)
+            assert len(calls) < 100, "the search does not end"
+            return fn(y)
+
+        return wrapped
+
+    def test_far_bracket_terminates(self):
+        # 1e-12 is below the float spacing at 1e8; the relative term ends it
+        from tvland.conditions import _golden_max
+
+        top = _golden_max(self._bounded(lambda y: -(y - 1e8 - 1.0) ** 2),
+                          1e8 - 6.0, 1e8 + 6.0)
+        assert -1e-12 <= top <= 0.0
+
+    def test_nan_values_terminate(self):
+        from tvland.conditions import _golden_max
+
+        assert math.isnan(_golden_max(self._bounded(lambda y: math.nan), 0.0, 1.0))
+
+    @pytest.mark.parametrize("lo, hi", [(-np.inf, 1.0), (0.0, np.inf), (np.nan, 1.0)])
+    def test_refuses_non_finite_bounds(self, lo, hi):
+        from tvland.conditions import _golden_max
 
         with pytest.raises(ValueError, match="finite"):
-            _fminbound(QUARTIC.dg, -np.inf, 1.0)
+            _golden_max(QUARTIC.dg, lo, hi)
+
+
+#: Reported constants on example1's quartic for the two acceptance regimes,
+#: as float.hex: C, t1, t2 of prop1_check, and C1, C2 of thm3_check by R.
+_PINNED_PROP1 = {
+    (0.4, 10.0): ("0x1.11961426f2448p+1", "0x1.11385dfdc7ae2p+1", "0x1.098386455efa7p+2"),
+    (0.2, 5.0): ("0x1.11961426f2448p+1", None, None),
+}
+_PINNED_THM3 = {
+    0.1: ("0x1.6a1cac0831270p-1", "-0x1.6a1cac0831270p-1"),
+    0.5: ("0x1.3200000000000p+2", "-0x1.3200000000000p+2"),
+    2.0: ("0x1.5c00000000000p+5", "-0x1.5c00000000000p+5"),
+    5.0: ("0x1.2a20000000000p+8", "-0x1.2a20000000000p+8"),
+}
+
+
+def _hex(x):
+    return None if x is None else float(x).hex()
+
+
+class TestPinnedConstants:
+    """A change to the refinements cannot move a reported constant unnoticed."""
+
+    @pytest.mark.parametrize("regime", list(_PINNED_PROP1), ids=["0.4-10", "0.2-5"])
+    def test_prop1_constants(self, regime):
+        rep = tv.prop1_check(QUARTIC, *regime)
+        assert (_hex(rep.C), _hex(rep.t1), _hex(rep.t2)) == _PINNED_PROP1[regime]
+
+    @pytest.mark.parametrize("regime", list(_PINNED_PROP1), ids=["0.4-10", "0.2-5"])
+    @pytest.mark.parametrize("R", list(_PINNED_THM3))
+    def test_thm3_constants(self, regime, R):
+        rep = tv.thm3_check(*line_form(QUARTIC), [np.array([QUARTIC.y1])], R,
+                            *regime, 1.0, 0.0)
+        assert (_hex(rep.C1), _hex(rep.C2)) == _PINNED_THM3[R]
+
+
+class TestScipyTranscriptions:
+    """Bisection gives scipy's roots without importing scipy."""
 
     @pytest.mark.parametrize("k", range(len(_SLOPES)))
     def test_bisect_is_scipys(self, k):

@@ -8,6 +8,14 @@ from conftest import linear_constraint_problem
 from test_discrete import count_calls, counting, scalar_quadratic, spurious_matrec
 
 
+def _max_step_residual(p, traj):
+    """Largest |y_k - y_{k-1} - dt rhs(y_k, t_k)| over the steps of ``traj``."""
+    dt = traj.times[1] - traj.times[0]
+    return max(np.linalg.norm(traj.states[k] - traj.states[k - 1]
+                              - dt * tv.ode_rhs(p, traj.states[k], traj.times[k]))
+               for k in range(1, len(traj)))
+
+
 class TestBackwardEuler:
     def test_linear_closed_form(self):
         # y_k = y_{k-1} / (1 + dt/alpha) exactly for f = x^2/2
@@ -51,12 +59,19 @@ class TestBackwardEuler:
         pe, _ = ex1_04_10
         pm, xm = _matrec_spurious()
         for p, x0, dt in ((pe, np.array([-2.0]), 5e-2), (pm, xm, pm.horizon / 400)):
-            traj = tv.backward_euler_trajectory(p, x0, dt)
-            dt = traj.times[1] - traj.times[0]
-            for k in range(1, len(traj)):
-                resid = traj.states[k] - traj.states[k - 1] \
-                    - dt * tv.ode_rhs(p, traj.states[k], traj.times[k])
-                assert np.linalg.norm(resid) <= 1e-10
+            assert _max_step_residual(p, tv.backward_euler_trajectory(p, x0, dt)) <= 1e-10
+
+    @pytest.mark.parametrize("alpha, consistent, n_steps",
+                             [(0.05, True, 10), (0.1, False, 10), (0.5, True, 20)])
+    def test_coarse_constrained_grids_complete(self, alpha, consistent, n_steps):
+        # matrix recovery (m = 4) from the lifted spurious start on coarse
+        # grids, where full Newton steps raise the residual: halving the
+        # step still brings every step to the tolerance
+        p = tv.make_matrix_recovery(consistent, alpha=alpha)
+        x0 = tv.matrix_recovery_state(p, tv.problem.THE_SPURIOUS_FACTOR, 0.0)
+        traj = tv.backward_euler_trajectory(p, x0, p.horizon / n_steps)
+        assert len(traj) == n_steps + 1
+        assert _max_step_residual(p, traj) <= 1e-10
 
     def test_iteration_matrix_reused_across_steps(self, monkeypatch):
         # simplified Newton: the field Jacobian is re-evaluated only when an
