@@ -1,7 +1,8 @@
 """Integrators for the tracking ODE and the frozen-time flow.
 
 The implicit (backward Euler) integrator mirrors the limit construction the
-discrete engine approximates; the adaptive explicit integrator serves as a
+discrete engine approximates (on an n = 1 landscape, in Python floats with
+the bits of numpy); the adaptive explicit integrator serves as a
 high-accuracy reference oracle for convergence studies.  Only that oracle
 uses scipy (``solve_ivp``), imported on its first call; the frozen-time
 flows run a Dormand-Prince stepper written here on numpy alone.
@@ -10,6 +11,7 @@ flows run a Dormand-Prince stepper written here on numpy alone.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,48 +32,61 @@ _BE_MAX_NEWTON = 60
 _BE_CONTRACTION = 1e-3
 
 
-def _implicit_step(p: ProblemDef, y_prev: np.ndarray, t: float, dt: float,
-                   resid_tol: float, M_inv: np.ndarray | None,
-                   start: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
+def _implicit_step(p: ProblemDef, y_prev, t: float, dt: float, resid_tol: float, M_inv,
+                   start=None, point=None) -> tuple:
     """Solve y = y_prev + dt * rhs(y, t) by simplified Newton: ``(y, M_inv)``.
 
     From ``start`` (default: the explicit Euler predictor, which costs one
     field evaluation), iterate y <- y - M_inv r(y) on the residual
     r(y) = y - y_prev - dt rhs(y, t), formed directly as
     (y - y_prev) + (dt / alpha) grad f(y, t) from one gradient call (``t`` a
-    float, so no numpy scalar enters it); for m > 0 the gradient is
-    projected by P(y) and theta(y) (dt d'(t)) is subtracted, d'(t) read once
-    per step.  ``M_inv`` is the inverse of the exact dr/dy = I - dt J(y), J
-    the field Jacobian (:func:`~tvland.geometry.field_jacobian`), possibly
-    evaluated at an earlier step (None: not evaluated yet).  When an
-    iteration fails to bring the residual below :data:`_BE_CONTRACTION`
-    times the previous one, its iterate is kept only if the residual fell;
-    the matrix is then re-evaluated at the current iterate and a Newton
-    step, halved while the residual grows, is taken.  Returns the solution
-    and the inverse iteration matrix for the next step.
+    float); for m > 0 the gradient is projected by P(y) and theta(y) (dt
+    d'(t)) is subtracted, d'(t) read once per step.  ``M_inv`` is the
+    inverse of dr/dy = I - dt J(y), J the field Jacobian
+    (:func:`~tvland.geometry.field_jacobian`), possibly from an earlier step
+    (None: not evaluated yet).  When an iteration fails to bring the
+    residual below :data:`_BE_CONTRACTION` times the previous one, its
+    iterate is kept only if the residual fell; the matrix is then
+    re-evaluated at the current iterate and a Newton step, halved while the
+    residual grows, is taken.  Given ``point`` (n = 1: a landscape's
+    :meth:`~tvland.problem.Landscape.point_derivatives`), y, r and M_inv =
+    1 / (1 + dt g''(y - s(t)) / alpha) are Python floats, with the bits of
+    the array iteration.
     """
-    grad, h = p.grad_objective, dt / p.alpha
+    h = dt / p.alpha
+    if point is not None:
+        grad, d2g = point
+        norm, product = (lambda r: math.sqrt(r * r)), operator.mul  # _norm's bits
+
+        def matrix(y):
+            return 1.0 / (1.0 - dt * (-d2g(y, t) / p.alpha))
+    else:
+        grad, norm, product = p.grad_objective, _norm, operator.matmul
+
+        def matrix(y):
+            return np.linalg.inv(np.eye(p.n) - dt * field_jacobian(p, y, t))
     if p.m:
         rate = dt * np.asarray(p.data_rate(t), dtype=float)
 
         def resid(y):
             geom = geometry(p, y)
             r = (y - y_prev) + h * geom.project(grad(y, t)) - geom.theta @ rate
-            return r, _norm(r)
+            return r, norm(r)
     else:
         def resid(y):
             r = (y - y_prev) + h * grad(y, t)  # rhs = -grad / alpha
-            return r, _norm(r)
+            return r, norm(r)
 
     if start is None:  # the explicit predictor y_prev + dt rhs(y_prev, t)
-        start = y_prev - resid(y_prev)[0] if p.m else y_prev + dt * ode_rhs(p, y_prev, t)
+        start = (y_prev - resid(y_prev)[0] if p.m
+                 else y_prev + dt * (-grad(y_prev, t) / p.alpha))
     y = start
     r, rnorm = resid(y)
     for _ in range(_BE_MAX_NEWTON):
         if rnorm <= resid_tol:
             return y, M_inv
         if M_inv is not None:
-            y_new = y - M_inv @ r
+            y_new = y - product(M_inv, r)
             r_new, rn = resid(y_new)
             stale = rn > _BE_CONTRACTION * rnorm
             if rn < rnorm:
@@ -79,10 +94,10 @@ def _implicit_step(p: ProblemDef, y_prev: np.ndarray, t: float, dt: float,
             if not stale or rnorm <= resid_tol:
                 continue
         try:
-            M_inv = np.linalg.inv(np.eye(p.n) - dt * field_jacobian(p, y, t))
-        except np.linalg.LinAlgError as exc:
+            M_inv = matrix(y)
+        except (np.linalg.LinAlgError, ZeroDivisionError) as exc:
             raise ImplicitSolveError(f"singular Newton system at t = {t:.6g}") from exc
-        delta = -(M_inv @ r)
+        delta = -product(M_inv, r)
         # damp by half while the residual grows
         lam = 1.0
         for _ in range(40):
@@ -102,7 +117,7 @@ def _implicit_step(p: ProblemDef, y_prev: np.ndarray, t: float, dt: float,
 def backward_euler_trajectory(p: ProblemDef, x0: np.ndarray, dt: float,
                               resid_tol: float = _BE_RESID_TOL,
                               check_x0: bool = True) -> Trajectory:
-    """Integrate the tracking ODE with implicit Euler steps of size ~dt.
+    """Integrate the tracking ODE with implicit Euler steps of size ~dt (finite, > 0).
 
     The grid is snapped to N = round(T / dt) even steps so the final point
     lands exactly on the horizon.  Each step solves the implicit equation
@@ -113,10 +128,12 @@ def backward_euler_trajectory(p: ProblemDef, x0: np.ndarray, dt: float,
     predictor otherwise.  The iteration matrix, from the exact Jacobian of
     the field, is inverted and reused across steps until an iteration with
     it stops contracting the residual.  The matrix lives in this call only,
-    so every run of a trajectory is the same.
+    so every run of a trajectory is the same.  An unconstrained n = 1
+    problem with a landscape (example1, damped) steps in Python floats, bit
+    for bit as in arrays (:meth:`~tvland.problem.Landscape.point_derivatives`).
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     x0 = start_vector(p, x0)
     if check_x0:
         check_local_solution(p, x0)
@@ -126,9 +143,12 @@ def backward_euler_trajectory(p: ProblemDef, x0: np.ndarray, dt: float,
     states = np.empty((n_steps + 1, p.n))
     states[0] = x0
     M_inv = None
+    point = p.landscape.point_derivatives() if p.landscape and p.n == 1 and not p.m else None
     for k, t in enumerate(times.tolist()[1:], start=1):
-        states[k], M_inv = _implicit_step(p, states[k - 1], t, dte, resid_tol, M_inv,
-                                          extrapolated_start(states, k))
+        y_prev, start = states[k - 1], extrapolated_start(states, k)
+        if point is not None:
+            y_prev, start = y_prev.item(), start if start is None else start.item()
+        states[k], M_inv = _implicit_step(p, y_prev, t, dte, resid_tol, M_inv, start, point)
     return trajectory_with_diagnostics(p, times, states)
 
 

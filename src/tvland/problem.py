@@ -54,9 +54,9 @@ class ProblemDef:
         The scalar g and s(t) of f(x, t) = g(x - s(t)) (example1, damped).
         Carrying one promises that f is this translate, so that the
         frozen-time minimizers at t are those at t0 moved by s(t) - s(t0)
-        (:func:`~tvland.classify.tracking_builder` relies on it); a
-        ``replace`` that changes ``objective`` or ``grad_objective`` must
-        also pass ``landscape=None``.
+        (:func:`~tvland.classify.tracking_builder` relies on it), and backward
+        Euler steps it from g' and g'', not ``grad_objective``; a ``replace``
+        that changes f or its derivatives must also pass ``landscape=None``.
     search_box : (lo, hi), optional
         Bounds, on every coordinate, of a box holding the frozen-time
         minimizers over [0, T]: the CLI's default catalog multistart box.
@@ -219,6 +219,12 @@ class Landscape(NamedTuple):
         """s(t), by :func:`_shift`."""
         return _shift(self.beta, self.omega, self.lam)(t)
 
+    def point_derivatives(self) -> tuple[Callable, Callable]:
+        """g'(y - s(t)) and g''(y - s(t)) of floats y and t, in Python floats: the one
+        per-point form that :func:`_translated_quartic` and backward Euler share."""
+        dg, d2g, s = self.g.dg, self.g.d2g, _shift(self.beta, self.omega, self.lam, math.sin)
+        return (lambda y, t: dg(y - s(t))), (lambda y, t: d2g(y - s(t)))
+
 
 #: Attribute marking a callable that also accepts a stack of points.
 _STACKABLE = "_tvland_stackable"
@@ -329,7 +335,9 @@ def _translated_quartic(beta: float, alpha: float, omega: float, lam: float,
     One point is evaluated in Python floats, a stack in numpy arrays, with
     the same bits (``math.sin`` and ``np.sin`` agree on these floats).
     """
+    landscape = Landscape(QUARTIC, float(beta), omega, lam)
     s, s_point = _shift(beta, omega, lam), _shift(beta, omega, lam, math.sin)
+    dg, d2g = landscape.point_derivatives()
 
     def objective(x, t):
         return _quartic(x.item(0) - s_point(t))
@@ -338,14 +346,14 @@ def _translated_quartic(beta: float, alpha: float, omega: float, lam: float,
     def grad(x, t):
         if getattr(x, "ndim", 1) == 2:  # a stack of points, one time per row
             return _quartic_d1(x - s(t))
-        return np.array([_quartic_d1(x.item(0) - s_point(t))])
+        return np.array([dg(x.item(0), t)])
 
     def hess(x, t):
-        return np.array([[_quartic_d2(x.item(0) - s_point(t))]])
+        return np.array([[d2g(x.item(0), t)]])
 
     return _unconstrained(1, objective=objective, grad_objective=grad, hess_objective=hess,
                           horizon=2.0 * np.pi / omega, alpha=alpha, name=name,
-                          landscape=Landscape(QUARTIC, float(beta), omega, lam),
+                          landscape=landscape,
                           # the quartic's minima move by up to beta
                           search_box=(-(beta + 6.0), beta + 6.0))
 
