@@ -239,8 +239,9 @@ def _simulate(p, opt: _Options) -> Trajectory:
         if dt is not None:
             raise UsageError("the reference method is adaptive; it takes N "
                              "(output samples), not dt")
-        return _ode.integrate_reference(p, x0, 1e-9 if rel_tol is None else rel_tol,
-                                        n_samples=512 if n is None else n)
+        return _ode.integrate_reference(
+            p, x0, _ode.REFERENCE_REL_TOL if rel_tol is None else rel_tol,
+            n_samples=512 if n is None else n)
     raise UsageError(f"unknown method {method!r} "
                      "(expected discrete, backward-euler, or reference)")
 

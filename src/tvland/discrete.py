@@ -230,8 +230,8 @@ def regularized_step(p: ProblemDef, x_prev: np.ndarray, t_next: float, dt: float
     x_prev = np.asarray(x_prev, dtype=float)
     if not np.all(np.isfinite(x_prev)):
         raise ValueError("x_prev must be finite")
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    if not 0 < dt < np.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     if dt < 1e-12 * p.horizon:
         raise ValueError(f"dt = {dt} is degenerate for horizon {p.horizon}")
 
@@ -248,14 +248,13 @@ def regularized_step(p: ProblemDef, x_prev: np.ndarray, t_next: float, dt: float
     return found if return_geometry else found[0]
 
 
-def check_local_solution(p: ProblemDef, x0: np.ndarray, t: float = 0.0,
-                         tol: float = INIT_TOL) -> None:
-    """Raise InitializationError unless x0 is a KKT point of p at time t."""
-    res = kkt_residual(p, np.asarray(x0, dtype=float), t)
-    if not (res.stationarity <= tol and res.feasibility <= tol):  # NaN fails
+def check_local_solution(p: ProblemDef, x0: np.ndarray) -> None:
+    """Raise InitializationError unless x0 is a KKT point of p at t = 0, to :data:`INIT_TOL`."""
+    res = kkt_residual(p, np.asarray(x0, dtype=float), 0.0)
+    if not (res.stationarity <= INIT_TOL and res.feasibility <= INIT_TOL):  # NaN fails
         raise InitializationError(
-            f"x0 is not a local solution at t = {t:g}: stationarity = "
-            f"{res.stationarity:.3e}, feasibility = {res.feasibility:.3e} (tol {tol:g})")
+            f"x0 is not a local solution at t = 0: stationarity = {res.stationarity:.3e}, "
+            f"feasibility = {res.feasibility:.3e} (tol {INIT_TOL:g})")
 
 
 def discrete_trajectory(p: ProblemDef, x0: np.ndarray, steps: int,

@@ -46,9 +46,9 @@ SINGULARITY_TOL = 1e-8
 #: the condition number of J J^T, is at most this, so that the Gram solve
 #: loses at most six of the sixteen digits; other points take the SVD.
 _GRAM_COND_MAX = 1e6
-#: Relative room the bound 1 / |A|_F must leave above c_tol, far above the
-#: rounding of |A|_F under _GRAM_COND_MAX, so that the bound never clears a
-#: J whose SVD would put sigma_min below c_tol.
+#: Relative room the bound 1 / |A|_F must leave above SINGULARITY_TOL, far
+#: above the rounding of |A|_F under _GRAM_COND_MAX, so that the bound never
+#: clears a J whose SVD would put sigma_min below SINGULARITY_TOL.
 _BOUND_ROOM = 1e-6
 
 
@@ -89,15 +89,15 @@ class GeometryResult:
         return float(np.linalg.svd(self.jacobian, compute_uv=False)[-1])
 
 
-def require_regular(sigma: float, x: np.ndarray, c_tol: float = SINGULARITY_TOL) -> None:
-    """Raise SingularConstraintError if sigma = sigma_min(J(x)) < c_tol."""
-    if sigma < c_tol:
+def require_regular(sigma: float, x: np.ndarray) -> None:
+    """Raise SingularConstraintError if sigma = sigma_min(J(x)) < SINGULARITY_TOL."""
+    if sigma < SINGULARITY_TOL:
         raise SingularConstraintError(
-            f"sigma_min(J) = {sigma:.3e} < {c_tol:.1e} at x = {np.asarray(x)!r}")
+            f"sigma_min(J) = {sigma:.3e} < {SINGULARITY_TOL:.1e} at x = {np.asarray(x)!r}")
 
 
-def _certified_solve(J: np.ndarray, c_tol: float) -> Optional[np.ndarray]:
-    """A = (J J^T)^(-1) J if the bound 1 / |A|_F <= sigma_min(J) clears c_tol, else None.
+def _certified_solve(J: np.ndarray) -> Optional[np.ndarray]:
+    """A = (J J^T)^(-1) J if 1 / |A|_F <= sigma_min(J) clears SINGULARITY_TOL, else None.
 
     None also where J is not finite, J J^T cannot be factored or J is too
     ill-conditioned for the solve (:data:`_GRAM_COND_MAX`).  The products
@@ -112,14 +112,13 @@ def _certified_solve(J: np.ndarray, c_tol: float) -> Optional[np.ndarray]:
         return None
     a2 = float(_vdot(A, A))
     # written so that a NaN fails both tests
-    if a2 * j2 <= _GRAM_COND_MAX and c_tol * c_tol * a2 <= 1.0 - _BOUND_ROOM:
+    if a2 * j2 <= _GRAM_COND_MAX and SINGULARITY_TOL * SINGULARITY_TOL * a2 <= 1.0 - _BOUND_ROOM:
         return A
     return None
 
 
-def geometry(p: ProblemDef, x: np.ndarray, c_tol: float = SINGULARITY_TOL,
-             J: Optional[np.ndarray] = None) -> GeometryResult:
-    """Compute theta(x) (and with it P(x)), after checking that sigma_min(J(x)) >= c_tol.
+def geometry(p: ProblemDef, x: np.ndarray, J: Optional[np.ndarray] = None) -> GeometryResult:
+    """Compute theta(x) (and with it P(x)), after checking sigma_min(J(x)) >= SINGULARITY_TOL.
 
     ``J`` is J(x) when the caller already holds it.  A = (J J^T)^(-1) J
     comes from one solve where its norm certifies the point
@@ -131,18 +130,18 @@ def geometry(p: ProblemDef, x: np.ndarray, c_tol: float = SINGULARITY_TOL,
     Raises
     ------
     SingularConstraintError
-        If sigma_min(J(x)) < c_tol.
+        If sigma_min(J(x)) < SINGULARITY_TOL.
     """
     n = p.n
     if p.m == 0:
         return GeometryResult(np.zeros((n, 0)), np.zeros((0, n)))
     if J is None:
         J = np.asarray(p.jacobian(x), dtype=float)
-    A = _certified_solve(J, c_tol)
+    A = _certified_solve(J)
     if A is not None:
         return GeometryResult(A.T, J)
     U, S, Vt = np.linalg.svd(J, full_matrices=False)
-    require_regular(float(S[-1]), x, c_tol)
+    require_regular(float(S[-1]), x)
     return GeometryResult((Vt.T / S) @ U.T, J, Vt)
 
 

@@ -22,6 +22,7 @@ from .geometry import (_norm, field_jacobian, geometry, lagrangian_hessian, newt
                        ode_rhs, positive_definite_on_kernel, trajectory_with_diagnostics)
 from .problem import ProblemDef, Trajectory, has_stacked_gradient, start_vector
 
+REFERENCE_REL_TOL = 1e-9
 _BE_RESID_TOL = 1e-10
 _BE_MAX_NEWTON = 60
 #: A simplified-Newton iteration whose residual exceeds this fraction of the
@@ -32,7 +33,7 @@ _BE_MAX_NEWTON = 60
 _BE_CONTRACTION = 1e-3
 
 
-def _implicit_step(p: ProblemDef, y_prev, t: float, dt: float, resid_tol: float, M_inv,
+def _implicit_step(p: ProblemDef, y_prev, t: float, dt: float, M_inv,
                    start=None, point=None) -> tuple:
     """Solve y = y_prev + dt * rhs(y, t) by simplified Newton: ``(y, M_inv)``.
 
@@ -51,7 +52,7 @@ def _implicit_step(p: ProblemDef, y_prev, t: float, dt: float, resid_tol: float,
     residual grows, is taken.  Given ``point`` (n = 1: a landscape's
     :meth:`~tvland.problem.Landscape.point_derivatives`), y, r and M_inv =
     1 / (1 + dt g''(y - s(t)) / alpha) are Python floats, with the bits of
-    the array iteration.
+    the array iteration (g'' passes through ``float``: 1 / 0 raises, never warns).
     """
     h = dt / p.alpha
     if point is not None:
@@ -59,7 +60,7 @@ def _implicit_step(p: ProblemDef, y_prev, t: float, dt: float, resid_tol: float,
         norm, product = (lambda r: math.sqrt(r * r)), operator.mul  # _norm's bits
 
         def matrix(y):
-            return 1.0 / (1.0 - dt * (-d2g(y, t) / p.alpha))
+            return 1.0 / (1.0 - dt * (-float(d2g(y, t)) / p.alpha))
     else:
         grad, norm, product = p.grad_objective, _norm, operator.matmul
 
@@ -83,7 +84,7 @@ def _implicit_step(p: ProblemDef, y_prev, t: float, dt: float, resid_tol: float,
     y = start
     r, rnorm = resid(y)
     for _ in range(_BE_MAX_NEWTON):
-        if rnorm <= resid_tol:
+        if rnorm <= _BE_RESID_TOL:
             return y, M_inv
         if M_inv is not None:
             y_new = y - product(M_inv, r)
@@ -91,7 +92,7 @@ def _implicit_step(p: ProblemDef, y_prev, t: float, dt: float, resid_tol: float,
             stale = rn > _BE_CONTRACTION * rnorm
             if rn < rnorm:
                 y, r, rnorm = y_new, r_new, rn
-            if not stale or rnorm <= resid_tol:
+            if not stale or rnorm <= _BE_RESID_TOL:
                 continue
         try:
             M_inv = matrix(y)
@@ -115,15 +116,14 @@ def _implicit_step(p: ProblemDef, y_prev, t: float, dt: float, resid_tol: float,
 
 
 def backward_euler_trajectory(p: ProblemDef, x0: np.ndarray, dt: float,
-                              resid_tol: float = _BE_RESID_TOL,
                               check_x0: bool = True) -> Trajectory:
     """Integrate the tracking ODE with implicit Euler steps of size ~dt (finite, > 0).
 
     The grid is snapped to N = round(T / dt) even steps so the final point
     lands exactly on the horizon.  Each step solves the implicit equation
-    y_k = y_{k-1} + dt rhs(y_k, t_k) to residual ``resid_tol`` by simplified
-    Newton (:func:`_implicit_step`), started at the cubic extrapolation of
-    the last four states while the trajectory is smooth
+    y_k = y_{k-1} + dt rhs(y_k, t_k) to residual :data:`_BE_RESID_TOL` by
+    simplified Newton (:func:`_implicit_step`), started at the cubic
+    extrapolation of the last four states while the trajectory is smooth
     (:func:`~tvland.discrete.extrapolated_start`) and at the explicit Euler
     predictor otherwise.  The iteration matrix, from the exact Jacobian of
     the field, is inverted and reused across steps until an iteration with
@@ -148,7 +148,7 @@ def backward_euler_trajectory(p: ProblemDef, x0: np.ndarray, dt: float,
         y_prev, start = states[k - 1], extrapolated_start(states, k)
         if point is not None:
             y_prev, start = y_prev.item(), start if start is None else start.item()
-        states[k], M_inv = _implicit_step(p, y_prev, t, dte, resid_tol, M_inv, start, point)
+        states[k], M_inv = _implicit_step(p, y_prev, t, dte, M_inv, start, point)
     return trajectory_with_diagnostics(p, times, states)
 
 
@@ -179,7 +179,7 @@ def _reference_solution(p: ProblemDef, x0: np.ndarray, rel_tol: float):
     return sol
 
 
-def integrate_reference(p: ProblemDef, x0: np.ndarray, rel_tol: float = 1e-9,
+def integrate_reference(p: ProblemDef, x0: np.ndarray, rel_tol: float = REFERENCE_REL_TOL,
                         n_samples: int = 512) -> Trajectory:
     """High-accuracy explicit reference trajectory, sampled on a uniform grid.
 
@@ -486,18 +486,17 @@ class ConvergenceRow:
 
 
 def convergence_study(p: ProblemDef, x0: np.ndarray, dts,
-                      rel_tol: float = 1e-9,
                       check_x0: bool = True) -> list[ConvergenceRow]:
     """Grid errors of the discrete and implicit engines for each step size.
 
     ``dts`` must be sorted in decreasing order, each dividing the horizon
     evenly within rounding.  Errors are sup over grid points of the distance
-    to the dense reference solution.
+    to the dense reference solution at :data:`REFERENCE_REL_TOL`.
     """
     dts = list(dts)
     if any(dts[i] <= dts[i + 1] for i in range(len(dts) - 1)):
         raise ValueError("dts must be strictly decreasing")
-    sol = _reference_solution(p, x0, rel_tol)
+    sol = _reference_solution(p, x0, REFERENCE_REL_TOL)
     rows = []
     for dt in dts:
         n_steps = max(1, round(p.horizon / dt))

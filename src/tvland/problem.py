@@ -186,7 +186,8 @@ class Scalar1DFunction:
     """A scalar landscape with exactly three stationary points y1 < y2 < y3.
 
     y1 and y3 are local minima with g(y1) > g(y3) (so y3 is global) and y2 is
-    a local maximum.
+    a local maximum.  ``dg`` and ``d2g`` take and return Python floats on
+    backward Euler's float path (:meth:`Landscape.point_derivatives`).
     """
 
     g: Callable[[float], float]
@@ -532,10 +533,9 @@ def make_damped_sinusoid(
     lam: float,
     u,
     hess_g: Optional[Callable[[Vector], Matrix]] = None,
-    horizon: Optional[float] = None,
     alpha: float = 1.0,
 ) -> ProblemDef:
-    """Unconstrained problem f(x, t) = g(x - beta e^(-lam t) sin(omega t) u).
+    """Unconstrained f(x, t) = g(x - beta e^(-lam t) sin(omega t) u) on [0, 2 pi / omega].
 
     ``u`` must be a unit vector; ``lam = 0`` gives the undamped special case
     (with n = 1, omega = 1, u = (1,) this reduces to the example1 form).
@@ -563,8 +563,7 @@ def make_damped_sinusoid(
             return np.asarray(hess_g(x - shift(t)), dtype=float)
 
     return _unconstrained(u.size, objective=objective, grad_objective=grad, hess_objective=hess,
-                          horizon=2.0 * np.pi / omega if horizon is None else horizon,
-                          alpha=alpha, name="damped")
+                          horizon=2.0 * np.pi / omega, alpha=alpha, name="damped")
 
 
 # ---------------------------------------------------------------------------
@@ -634,8 +633,7 @@ def _central_difference(fn, x: np.ndarray) -> np.ndarray:
     return np.stack(cols, axis=-1)
 
 
-def validate_problem(p: ProblemDef, samples: int = 20, seed: int = 0,
-                     tol: float = 1e-5) -> ValidationReport:
+def validate_problem(p: ProblemDef, samples: int = 20, seed: int = 0) -> ValidationReport:
     """Check analytic derivatives against central finite differences.
 
     Draws ``samples`` random (x, t) points (deterministic in ``seed``) and
@@ -643,7 +641,7 @@ def validate_problem(p: ProblemDef, samples: int = 20, seed: int = 0,
     data_rate, hess_objective and constraint_hessians from finite
     differences of their parent maps.  Each map marked array-safe is also
     called once on the stack of all sample points and compared with its
-    per-point values.  Deviations above ``tol`` are reported, never raised.
+    per-point values.  Deviations above 1e-5 are reported, never raised.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
@@ -681,7 +679,7 @@ def validate_problem(p: ProblemDef, samples: int = 20, seed: int = 0,
             dev_s = max(dev_s, float(np.abs(stacked - rows).max(initial=0.0))
                         if stacked.shape == rows.shape else np.inf)
 
-    return ValidationReport(samples=samples, seed=seed, tol=tol,
+    return ValidationReport(samples=samples, seed=seed, tol=1e-5,
                             grad_deviation=dev_g, jacobian_deviation=dev_j,
                             data_rate_deviation=dev_d, hess_deviation=dev_h,
                             constraint_hessian_deviation=dev_ch,

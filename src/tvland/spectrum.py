@@ -63,14 +63,13 @@ class SpectrumReport:
     """Eigenvalues with counts classified by real part.
 
     ``n_zero``/``n_neg``/``n_pos`` partition the spectrum by the sign of the
-    real part against the relative threshold ``zero_tol * scale`` (so they
+    real part against the relative threshold ``1e-8 * scale`` (so they
     always sum to n); ``n_zero_modulus`` additionally counts eigenvalues that
     are zero in modulus, distinguishing genuinely null directions from purely
     rotational ones.
     """
 
     eigenvalues: np.ndarray
-    zero_tol: float
     scale: float
     n_zero: int = field(init=False)
     n_neg: int = field(init=False)
@@ -79,7 +78,7 @@ class SpectrumReport:
 
     def __post_init__(self):
         lam = np.asarray(self.eigenvalues)
-        thr = self.zero_tol * self.scale
+        thr = 1e-8 * self.scale
         self.n_zero = int(np.sum(np.abs(lam.real) <= thr))
         self.n_neg = int(np.sum(lam.real < -thr))
         self.n_pos = int(np.sum(lam.real > thr))
@@ -90,10 +89,10 @@ class SpectrumReport:
         return float(np.max(self.eigenvalues.real))
 
 
-def eigen_report(M: np.ndarray, zero_tol: float = 1e-8) -> SpectrumReport:
+def eigen_report(M: np.ndarray) -> SpectrumReport:
     """Full nonsymmetric spectrum of M with relative zero thresholding.
 
-    The classification threshold is ``zero_tol * max(1, |M|_2)``.
+    The classification threshold is ``1e-8 * max(1, |M|_2)``.
     """
     M = np.asarray(M, dtype=float)
     n = M.shape[0]
@@ -106,7 +105,7 @@ def eigen_report(M: np.ndarray, zero_tol: float = 1e-8) -> SpectrumReport:
         lam = np.linalg.eigvals(M)
     except np.linalg.LinAlgError as exc:
         raise EigenConvergenceError(f"eigenvalue iteration failed: {exc}") from exc
-    return SpectrumReport(np.sort_complex(lam), zero_tol, scale)
+    return SpectrumReport(np.sort_complex(lam), scale)
 
 
 @dataclass
@@ -125,8 +124,7 @@ class SpectrumSample:
         return self.report.n_pos > 0
 
 
-def spectrum_along_trajectory(p: ProblemDef, ztraj: Trajectory,
-                              zero_tol: float = 1e-8) -> list[SpectrumSample]:
+def spectrum_along_trajectory(p: ProblemDef, ztraj: Trajectory) -> list[SpectrumSample]:
     """Per-time spectrum of K1 + K2 along a KKT trajectory.
 
     Samples with ``n_pos > 0`` flag times where the data variation makes the
@@ -135,7 +133,7 @@ def spectrum_along_trajectory(p: ProblemDef, ztraj: Trajectory,
     out = []
     for t, z in zip(ztraj.times, ztraj.states):
         K1, K2 = variant_jacobian(p, z, float(t))
-        out.append(SpectrumSample(float(t), eigen_report(K1 + K2, zero_tol)))
+        out.append(SpectrumSample(float(t), eigen_report(K1 + K2)))
     return out
 
 
@@ -154,19 +152,18 @@ def tangent_hessian_eigenvalues(p: ProblemDef, x: np.ndarray, t: float) -> np.nd
     return np.linalg.eigvalsh(0.5 * (red + red.T))
 
 
-def kkt_refine(p: ProblemDef, x: np.ndarray, t: float,
-               tol: float = 1e-10, max_newton: int = 50) -> np.ndarray:
+def kkt_refine(p: ProblemDef, x: np.ndarray, t: float) -> np.ndarray:
     """Newton-refine x to a KKT point of the problem at time t.
 
     Solves grad f + J^T mu = 0, h = d(t) from the given (near-KKT) point by
-    :func:`~tvland.geometry.newton_kkt`.
+    :func:`~tvland.geometry.newton_kkt` with its default tolerance and budget.
 
     Raises
     ------
     StepSolveError
         If the Newton iteration stalls or meets a singular KKT system.
     """
-    res = newton_kkt(p, x, t, tol=tol, max_iter=max_newton)
+    res = newton_kkt(p, x, t)
     if res.status == "singular":
         raise StepSolveError(f"singular KKT system at t = {t:g}")
     if res.status != "converged":
@@ -174,8 +171,7 @@ def kkt_refine(p: ProblemDef, x: np.ndarray, t: float,
     return res.x
 
 
-def kkt_track(p: ProblemDef, x0: np.ndarray, times: np.ndarray,
-              tol: float = 1e-10, max_newton: int = 50) -> Trajectory:
+def kkt_track(p: ProblemDef, x0: np.ndarray, times: np.ndarray) -> Trajectory:
     """Continue a KKT point along the time grid by Newton on the KKT system.
 
     Starting from the KKT point ``x0`` at ``times[0] = 0``, each subsequent
@@ -189,6 +185,6 @@ def kkt_track(p: ProblemDef, x0: np.ndarray, times: np.ndarray,
     x = start_vector(p, x0)
     states = np.empty((len(times), p.n))
     for i, t in enumerate(times):
-        x = kkt_refine(p, x, float(t), tol=tol, max_newton=max_newton)
+        x = kkt_refine(p, x, float(t))
         states[i] = x
     return trajectory_with_diagnostics(p, times, states)

@@ -134,7 +134,7 @@ def test_criterion_6_step_bound(ex1_04_10):
 def test_criterion_7_invariant_spectrum(matrec, ex1_04_10):
     """Eigenvalue split of the data-frozen Jacobian at reference minima."""
     z = tv.matrix_recovery_global_state(0.0)
-    rep = tv.eigen_report(tv.invariant_jacobian(matrec, z, 0.0), zero_tol=1e-8)
+    rep = tv.eigen_report(tv.invariant_jacobian(matrec, z, 0.0))
     assert (rep.n_zero, rep.n_neg, rep.n_pos) == (4, 2, 0)
 
     p, _ = ex1_04_10

@@ -101,6 +101,10 @@ class TestBuildCatalog:
             with pytest.raises(ValueError, match="box"):
                 tv.build_catalog(p, 0.0, starts=4, seed=0, box=box)
 
+    def test_zero_starts_refused(self, ex1_04_10):
+        with pytest.raises(ValueError, match="starts must be at least 1"):
+            tv.build_catalog(ex1_04_10[0], 0.0, starts=0, seed=0, box=(-6.0, 6.0))
+
 
 class TestMembership:
     def test_fixed_point_membership(self, ex1_04_10):

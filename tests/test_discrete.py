@@ -118,10 +118,16 @@ class TestRegularizedStep:
 
     def test_rejects_bad_dt(self, ex1_04_10):
         p, _ = ex1_04_10
-        with pytest.raises(ValueError):
-            tv.regularized_step(p, np.array([-2.0]), 0.1, 0.0)
-        with pytest.raises(ValueError):
+        for dt in (np.nan, np.inf, 0.0, -0.1):
+            with pytest.raises(ValueError, match=f"dt must be positive and finite, got {dt}"):
+                tv.regularized_step(p, np.array([-2.0]), 0.1, dt)
+        with pytest.raises(ValueError, match="degenerate"):
             tv.regularized_step(p, np.array([-2.0]), 0.1, 1e-14 * p.horizon)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_x_prev(self, ex1_04_10, bad):
+        with pytest.raises(ValueError, match="x_prev must be finite"):
+            tv.regularized_step(ex1_04_10[0], np.array([bad]), 0.1, 1e-3)
 
     def test_budget_exhaustion_raises(self, ex1_04_10):
         p, _ = ex1_04_10
@@ -136,6 +142,10 @@ class TestDiscreteTrajectory:
         assert len(traj) == 2
         assert traj.states[0, 0] == 2.0
         assert traj.times[-1] == pytest.approx(p.horizon)
+
+    def test_rejects_zero_steps(self, ex1_04_10):
+        with pytest.raises(ValueError, match="steps must be at least 1"):
+            tv.discrete_trajectory(ex1_04_10[0], np.array([-2.0]), 0)
 
     def test_rejects_non_stationary_start(self):
         p, _ = tv.make_example1(3.0, alpha=0.5)

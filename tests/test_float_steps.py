@@ -6,6 +6,9 @@ the numpy array path.  Both must give the same bits, and the same errors
 where a coarse grid stalls.
 """
 
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
@@ -79,17 +82,23 @@ def test_stalling_grids_raise_the_same_error(case):
 def test_zero_iteration_matrix_is_a_singular_system():
     # at y = s(t), g'' = -4, so alpha = 1 and dt = 1/4 make 1 - dt J = 0
     # exactly: the float path refuses the division as the array path
-    # refuses the singular inverse, with the same message
+    # refuses the singular inverse, with the same message, also where g''
+    # returns numpy scalars (no divide-by-zero warning)
     p, t, dt = _example1(1.0, 10.0), 0.5, 0.25
     point = p.landscape.point_derivatives()
+    quartic = p.landscape.g
+    numpy_quartic = dataclasses.replace(quartic, d2g=lambda y: np.float64(quartic.d2g(y)))
+    numpy_point = p.landscape._replace(g=numpy_quartic).point_derivatives()
     y = float(p.landscape.shift(t))
     assert point[1](y, t) == -4.0
     messages = []
-    for y_prev, start, pt in ((1.0, y, point), (np.array([1.0]), np.array([y]), None)):
-        with pytest.raises(tv.ImplicitSolveError) as info:
-            ode_module._implicit_step(p, y_prev, t, dt, 1e-10, None, start, pt)
+    for y_prev, start, pt in ((1.0, y, point), (1.0, y, numpy_point),
+                              (np.array([1.0]), np.array([y]), None)):
+        with warnings.catch_warnings(), pytest.raises(tv.ImplicitSolveError) as info:
+            warnings.simplefilter("error")
+            ode_module._implicit_step(p, y_prev, t, dt, None, start, pt)
         messages.append(str(info.value))
-    assert messages == [f"singular Newton system at t = {t:.6g}"] * 2
+    assert messages == [f"singular Newton system at t = {t:.6g}"] * 3
 
 
 @pytest.mark.parametrize("make", [lambda: _example1(0.4, 10.0), lambda: _damped(2.0, 0.3)],

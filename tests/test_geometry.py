@@ -232,6 +232,15 @@ class TestSolveForm:
         assert np.array_equal(geom.projector, want[0], equal_nan=True)
         assert np.array_equal(geom.theta, want[1], equal_nan=True)
 
+    def test_projects_where_the_svd_decides(self):
+        # regular (sigma_min = 1e-4) but conditioned past _GRAM_COND_MAX
+        J = np.array([[1.0, 0.0, 0.0], [0.0, 1e-4, 0.0]])
+        geom = tv.geometry.geometry(linear_constraint_problem(J), np.zeros(3))
+        assert geom.svd_rows is not None
+        g = np.array([0.3, -1.2, 2.5])
+        assert np.array_equal(geom.project(g), geom.projector @ g)
+        assert np.abs(J @ geom.project(g)).max() <= 1e-12
+
     def test_data_jacobian_keeps_its_value(self):
         # w = theta^T theta d' stands in for the solve (J J^T) w = d'
         p = circle_tracking_toy()

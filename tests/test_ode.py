@@ -105,12 +105,12 @@ class TestBackwardEuler:
             return jac(*args, **kwargs)
 
         monkeypatch.setattr(ode_module, "field_jacobian", counted_jac)
-        y, M_inv = ode_module._implicit_step(p, x0, t, dt, 1e-10, M_stale)
+        y, M_inv = ode_module._implicit_step(p, x0, t, dt, M_stale)
         assert refreshes
         assert not np.array_equal(M_inv, M_stale)
         resid = y - x0 - dt * tv.ode_rhs(p, y, t)
         assert np.linalg.norm(resid) <= 1e-10
-        y_fresh, _ = ode_module._implicit_step(p, x0, t, dt, 1e-10, None)
+        y_fresh, _ = ode_module._implicit_step(p, x0, t, dt, None)
         assert np.linalg.norm(y - y_fresh) <= 1e-9
 
     def test_reruns_are_bit_identical(self):

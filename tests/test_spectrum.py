@@ -169,7 +169,7 @@ class TestEigenReport:
     @settings(max_examples=60, deadline=None)
     def test_diagonal_counts_match_signs(self, diag):
         M = np.diag(diag)
-        rep = tv.eigen_report(M, zero_tol=1e-8)
+        rep = tv.eigen_report(M)
         thr = 1e-8 * max(1.0, np.abs(diag).max(initial=0.0))
         assert rep.n_neg == sum(1 for v in diag if v < -thr)
         assert rep.n_pos == sum(1 for v in diag if v > thr)
