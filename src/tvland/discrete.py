@@ -28,7 +28,7 @@ from .errors import InitializationError, StepSolveError
 from .geometry import (GeometryResult, _norm, geometry, kkt_residual,
                        lagrangian_hessian, newton_kkt, positive_definite_on_kernel,
                        require_regular, trajectory_with_diagnostics)
-from .problem import ProblemDef, Trajectory, _vdot, start_vector
+from .problem import ProblemDef, Trajectory, _vdot, each_row, start_vector
 
 #: Inner-solver tolerances: far below the acceptance tolerances of the
 #: simulation studies built on top.
@@ -199,6 +199,14 @@ def _projected_gradient(sp: _Subproblem, x: np.ndarray, max_iter: int):
     return None
 
 
+def _check_dt(p: ProblemDef, dt: float) -> None:
+    """Raise ValueError unless dt is positive, finite and not degenerate for the horizon."""
+    if not 0 < dt < np.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+    if dt < 1e-12 * p.horizon:
+        raise ValueError(f"dt = {dt} is degenerate for horizon {p.horizon}")
+
+
 def regularized_step(p: ProblemDef, x_prev: np.ndarray, t_next: float, dt: float,
                      stat_tol: float = STATIONARITY_TOL,
                      feas_tol: float = FEASIBILITY_TOL,
@@ -206,7 +214,8 @@ def regularized_step(p: ProblemDef, x_prev: np.ndarray, t_next: float, dt: float
                      return_geometry: bool = False,
                      geom_prev: Optional[GeometryResult] = None,
                      start: Optional[np.ndarray] = None,
-                     h_prev: Optional[np.ndarray] = None
+                     h_prev: Optional[np.ndarray] = None,
+                     _d: Optional[np.ndarray] = None
                      ) -> np.ndarray | tuple[np.ndarray, GeometryResult, Optional[np.ndarray]]:
     """Solve one proximally regularized problem to a KKT point.
 
@@ -218,7 +227,8 @@ def regularized_step(p: ProblemDef, x_prev: np.ndarray, t_next: float, dt: float
     known.  Newton starts at ``start`` when given (such as
     :func:`extrapolated_start`), else at ``x_prev`` restored onto the new
     leaf.  ``max_iter`` bounds the Newton and projected-gradient iterations
-    together.
+    together.  ``_d`` is private to :func:`discrete_trajectory`: d(t_next)
+    from its grid stack, for a step whose x_prev and dt it has checked.
 
     Raises
     ------
@@ -227,16 +237,14 @@ def regularized_step(p: ProblemDef, x_prev: np.ndarray, t_next: float, dt: float
     SingularConstraintError
         If the constraint Jacobian degenerates along the way.
     """
-    x_prev = np.asarray(x_prev, dtype=float)
-    if not np.all(np.isfinite(x_prev)):
-        raise ValueError("x_prev must be finite")
-    if not 0 < dt < np.inf:
-        raise ValueError(f"dt must be positive and finite, got {dt}")
-    if dt < 1e-12 * p.horizon:
-        raise ValueError(f"dt = {dt} is degenerate for horizon {p.horizon}")
+    if _d is None:
+        x_prev = np.asarray(x_prev, dtype=float)
+        if not np.all(np.isfinite(x_prev)):
+            raise ValueError("x_prev must be finite")
+        _check_dt(p, dt)
+        _d = p.data_path(t_next) if p.m else None
 
-    sp = _Subproblem(p, x_prev, t_next, p.alpha / dt, p.data_path(t_next) if p.m else None,
-                     stat_tol, feas_tol)
+    sp = _Subproblem(p, x_prev, t_next, p.alpha / dt, _d, stat_tol, feas_tol)
     theta_prev = None if geom_prev is None else geom_prev.theta
     x = _restore_feasibility(p, x_prev.copy(), sp.d, feas_tol, theta_prev, h_prev)
     found, used = _newton_point(sp, x, x if start is None else start, geom_prev,
@@ -267,6 +275,8 @@ def discrete_trajectory(p: ProblemDef, x0: np.ndarray, steps: int,
     :data:`INIT_TOL` unless ``check_x0`` is False, which drops the guarantee
     that the trajectory approximates the tracking ODE).  Each step starts
     Newton at :func:`extrapolated_start` of the states before it, if any.
+    d(t) is read once, at all grid times in one stacked call
+    (:func:`~tvland.problem.each_row`), for the steps and the diagnostics.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
@@ -278,10 +288,15 @@ def discrete_trajectory(p: ProblemDef, x0: np.ndarray, steps: int,
     times = np.linspace(0.0, p.horizon, steps + 1)
     states = np.empty((steps + 1, p.n))
     states[0] = x0
+    _check_dt(p, dt)
+    # The steps skip regularized_step's checks: dt is checked above, and x0
+    # by start_vector, while a step accepts only finite states (a non-finite
+    # entry makes its stop test's residual non-finite).
+    data = each_row(p.data_path, times) if p.m else np.empty((steps + 1, 0))
     geom = h = None  # the geometry and h at the last state, once a step computed them
     for k in range(1, steps + 1):
         states[k], geom, h = regularized_step(p, states[k - 1], times[k], dt,
                                               stat_tol, feas_tol, return_geometry=True,
                                               geom_prev=geom, start=extrapolated_start(states, k),
-                                              h_prev=h)
-    return trajectory_with_diagnostics(p, times, states)
+                                              h_prev=h, _d=data[k])
+    return trajectory_with_diagnostics(p, times, states, _d=data)

@@ -406,7 +406,8 @@ def newton_kkt(p: ProblemDef, x: np.ndarray, t: float,
 
 
 def trajectory_with_diagnostics(p: ProblemDef, times: np.ndarray,
-                                states: np.ndarray) -> Trajectory:
+                                states: np.ndarray, *,
+                                _d: Optional[np.ndarray] = None) -> Trajectory:
     """Assemble a Trajectory, filling per-point KKT and step diagnostics.
 
     One pass over stacks: the gradients (L, n), and for m > 0 the Jacobians
@@ -415,7 +416,8 @@ def trajectory_with_diagnostics(p: ProblemDef, times: np.ndarray,
     row otherwise, with the same bits.  The least-squares multipliers come
     from one batched solve of J J^T mu = -J grad f, stationarity and
     feasibility from row norms, and sigma_min from one stacked SVD of the
-    Jacobians.
+    Jacobians.  ``_d`` is private to the discrete engine: the stack of d at
+    ``times`` that its steps read.
 
     Raises
     ------
@@ -440,6 +442,6 @@ def trajectory_with_diagnostics(p: ProblemDef, times: np.ndarray,
     Jt = J.transpose(0, 2, 1)
     mu = -np.linalg.solve(J @ Jt, J @ grads[:, :, None])
     stat = np.linalg.norm(grads + (Jt @ mu)[..., 0], axis=1)
-    feas = np.linalg.norm(each_row(p.constraints, states) - each_row(p.data_path, times),
-                          axis=1)
+    h = each_row(p.constraints, states)
+    feas = np.linalg.norm(h - (each_row(p.data_path, times) if _d is None else _d), axis=1)
     return Trajectory(times, states, stat, feas, sigma, steps)

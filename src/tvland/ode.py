@@ -10,6 +10,7 @@ flows run a Dormand-Prince stepper written here on numpy alone.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -20,7 +21,8 @@ from .discrete import check_local_solution, discrete_trajectory, extrapolated_st
 from .errors import ImplicitSolveError, StiffnessError, TvlandError
 from .geometry import (_norm, field_jacobian, geometry, lagrangian_hessian, newton_kkt,
                        ode_rhs, positive_definite_on_kernel, trajectory_with_diagnostics)
-from .problem import ProblemDef, Trajectory, has_stacked_gradient, start_vector
+from .problem import (ProblemDef, Trajectory, each_row, has_stacked_gradient, start_vector,
+                      steps_on_landscape)
 
 REFERENCE_REL_TOL = 1e-9
 _BE_RESID_TOL = 1e-10
@@ -34,7 +36,7 @@ _BE_CONTRACTION = 1e-3
 
 
 def _implicit_step(p: ProblemDef, y_prev, t: float, dt: float, M_inv,
-                   start=None, point=None) -> tuple:
+                   start=None, point=None, rate=None) -> tuple:
     """Solve y = y_prev + dt * rhs(y, t) by simplified Newton: ``(y, M_inv)``.
 
     From ``start`` (default: the explicit Euler predictor, which costs one
@@ -42,7 +44,8 @@ def _implicit_step(p: ProblemDef, y_prev, t: float, dt: float, M_inv,
     r(y) = y - y_prev - dt rhs(y, t), formed directly as
     (y - y_prev) + (dt / alpha) grad f(y, t) from one gradient call (``t`` a
     float); for m > 0 the gradient is projected by P(y) and theta(y) (dt
-    d'(t)) is subtracted, d'(t) read once per step.  ``M_inv`` is the
+    d'(t)) is subtracted, d'(t) being ``rate`` when the caller holds it and
+    read once per step otherwise.  ``M_inv`` is the
     inverse of dr/dy = I - dt J(y), J the field Jacobian
     (:func:`~tvland.geometry.field_jacobian`), possibly from an earlier step
     (None: not evaluated yet).  When an iteration fails to bring the
@@ -67,7 +70,7 @@ def _implicit_step(p: ProblemDef, y_prev, t: float, dt: float, M_inv,
         def matrix(y):
             return np.linalg.inv(np.eye(p.n) - dt * field_jacobian(p, y, t))
     if p.m:
-        rate = dt * np.asarray(p.data_rate(t), dtype=float)
+        rate = dt * np.asarray(p.data_rate(t) if rate is None else rate, dtype=float)
 
         def resid(y):
             geom = geometry(p, y)
@@ -128,9 +131,12 @@ def backward_euler_trajectory(p: ProblemDef, x0: np.ndarray, dt: float,
     predictor otherwise.  The iteration matrix, from the exact Jacobian of
     the field, is inverted and reused across steps until an iteration with
     it stops contracting the residual.  The matrix lives in this call only,
-    so every run of a trajectory is the same.  An unconstrained n = 1
-    problem with a landscape (example1, damped) steps in Python floats, bit
-    for bit as in arrays (:meth:`~tvland.problem.Landscape.point_derivatives`).
+    so every run of a trajectory is the same.  For m > 0, d'(t) at the N
+    step times comes from one stacked call (:func:`~tvland.problem.each_row`).
+    An unconstrained n = 1 problem stepped on its landscape (example1,
+    damped; :func:`~tvland.problem.steps_on_landscape`) steps in Python
+    floats, bit for bit as in arrays
+    (:meth:`~tvland.problem.Landscape.point_derivatives`).
     """
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be positive and finite, got {dt}")
@@ -143,12 +149,13 @@ def backward_euler_trajectory(p: ProblemDef, x0: np.ndarray, dt: float,
     states = np.empty((n_steps + 1, p.n))
     states[0] = x0
     M_inv = None
-    point = p.landscape.point_derivatives() if p.landscape and p.n == 1 and not p.m else None
-    for k, t in enumerate(times.tolist()[1:], start=1):
+    point = p.landscape.point_derivatives() if steps_on_landscape(p) else None
+    rates = each_row(p.data_rate, times[1:]) if p.m else itertools.repeat(None)
+    for k, (t, rate) in enumerate(zip(times.tolist()[1:], rates), start=1):
         y_prev, start = states[k - 1], extrapolated_start(states, k)
         if point is not None:
             y_prev, start = y_prev.item(), start if start is None else start.item()
-        states[k], M_inv = _implicit_step(p, y_prev, t, dte, M_inv, start, point)
+        states[k], M_inv = _implicit_step(p, y_prev, t, dte, M_inv, start, point, rate)
     return trajectory_with_diagnostics(p, times, states)
 
 

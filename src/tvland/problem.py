@@ -54,9 +54,11 @@ class ProblemDef:
         The scalar g and s(t) of f(x, t) = g(x - s(t)) (example1, damped).
         Carrying one promises that f is this translate, so that the
         frozen-time minimizers at t are those at t0 moved by s(t) - s(t0)
-        (:func:`~tvland.classify.tracking_builder` relies on it), and backward
-        Euler steps it from g' and g'', not ``grad_objective``; a ``replace``
-        that changes f or its derivatives must also pass ``landscape=None``.
+        (:func:`~tvland.classify.tracking_builder` relies on it).  Backward
+        Euler steps it from g' and g'' while ``grad_objective`` and
+        ``hess_objective`` are the maps built from it
+        (:func:`steps_on_landscape`); a ``replace`` that changes f must
+        also pass ``landscape=None``.
     search_box : (lo, hi), optional
         Bounds, on every coordinate, of a box holding the frozen-time
         minimizers over [0, T]: the CLI's default catalog multistart box.
@@ -238,11 +240,11 @@ def _stackable(fn):
     shape (n,), a scalar ``t``) or a stack (``x`` of shape (L, n), ``t`` of
     shape (L, 1)) and returns the stack of its per-point results, each row
     bit for bit the per-point result: a gradient returns (L, n), a Jacobian
-    (L, m, n), constraint values and data d(t) (L, m).  A marked derivative
-    ``dg`` of a :class:`Scalar1DFunction` takes a float or an array of
-    floats and returns, entry by entry, bit for bit its value at each float.
-    The mark lives on the callable, so ``ProblemDef.replace`` with another
-    map drops it.
+    (L, m, n), constraint values, data d(t) and its rate d'(t) (L, m).  A
+    marked derivative ``dg`` of a :class:`Scalar1DFunction` takes a float or
+    an array of floats and returns, entry by entry, bit for bit its value at
+    each float.  The mark lives on the callable, so ``ProblemDef.replace``
+    with another map drops it.
     """
     setattr(fn, _STACKABLE, True)
     return fn
@@ -272,6 +274,32 @@ def has_stacked_gradient(p: "ProblemDef") -> bool:
     True for unconstrained problems whose gradient is marked array-safe.
     """
     return p.m == 0 and _is_stackable(p.grad_objective)
+
+
+#: Attribute marking a derivative map of f built from the problem's landscape.
+_FROM_LANDSCAPE = "_tvland_from_landscape"
+
+
+def _from_landscape(fn):
+    """Mark ``fn`` as a derivative of f built from the problem's landscape.
+
+    Like the array-safe mark, it lives on the callable, so
+    ``ProblemDef.replace`` with another map drops it.
+    """
+    setattr(fn, _FROM_LANDSCAPE, True)
+    return fn
+
+
+def steps_on_landscape(p: "ProblemDef") -> bool:
+    """Whether backward Euler may step ``p`` on its landscape's g' and g''.
+
+    True for an unconstrained n = 1 problem with a landscape whose gradient
+    and Hessian are the maps built from it (:func:`_from_landscape`); a
+    problem whose ``replace`` swapped either steps its own maps.
+    """
+    return (p.landscape is not None and p.n == 1 and p.m == 0
+            and getattr(p.grad_objective, _FROM_LANDSCAPE, False)
+            and getattr(p.hess_objective, _FROM_LANDSCAPE, False))
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +360,8 @@ def _translated_quartic(beta: float, alpha: float, omega: float, lam: float,
                         name: str) -> ProblemDef:
     """f(x, t) = g(x - s(t)) on [0, 2 pi / omega] for the quartic g and s of :func:`_shift`.
 
-    The problem carries its :class:`Landscape`; its gradient is marked array-safe.
+    The problem carries its :class:`Landscape`; its gradient is marked array-safe,
+    and its gradient and Hessian as built from the landscape.
     One point is evaluated in Python floats, a stack in numpy arrays, with
     the same bits (``math.sin`` and ``np.sin`` agree on these floats).
     """
@@ -343,12 +372,14 @@ def _translated_quartic(beta: float, alpha: float, omega: float, lam: float,
     def objective(x, t):
         return _quartic(x.item(0) - s_point(t))
 
+    @_from_landscape
     @_stackable
     def grad(x, t):
         if getattr(x, "ndim", 1) == 2:  # a stack of points, one time per row
             return _quartic_d1(x - s(t))
         return np.array([dg(x.item(0), t)])
 
+    @_from_landscape
     def hess(x, t):
         return np.array([[d2g(x.item(0), t)]])
 
@@ -396,8 +427,10 @@ def matrix_recovery_target(t) -> np.ndarray:
     return np.hstack(z) if np.ndim(t) == 2 else np.array(z)
 
 
-def _target_rate(t: float) -> np.ndarray:
-    return np.array([-0.2 * np.sin(t), 0.2 * np.cos(t)])
+def _target_rate(t) -> np.ndarray:
+    """Z'(t); for an (L, 1) time column, the (L, 2) stack of Z' at each time."""
+    dz = (-0.2 * np.sin(t), 0.2 * np.cos(t))
+    return np.hstack(dz) if np.ndim(t) == 2 else np.array(dz)
 
 
 def _measure(X: np.ndarray) -> np.ndarray:
@@ -470,10 +503,15 @@ def make_matrix_recovery(consistent_data: bool = True, alpha: float = 0.1) -> Pr
             d[..., 2] = 0.0
         return d
 
+    @_stackable
     def data_rate(t):
-        r = (_SYM @ matrix_recovery_target(t)) @ _target_rate(t)
+        Z, dZ = matrix_recovery_target(t), _target_rate(t)
+        if Z.ndim == 2:  # a stack: the products of one time, batched
+            r = ((_SYM @ Z[:, None, :, None])[..., 0] @ dZ[:, :, None])[..., 0]
+        else:
+            r = (_SYM @ Z) @ dZ
         if not consistent_data:
-            r[2] = 0.0
+            r[..., 2] = 0.0
         return r
 
     return ProblemDef(
@@ -672,7 +710,7 @@ def validate_problem(p: ProblemDef, samples: int = 20, seed: int = 0) -> Validat
 
     dev_s = 0.0
     for fn, args in ((p.grad_objective, (xs, ts)), (p.jacobian, (xs,)),
-                     (p.constraints, (xs,)), (p.data_path, (ts,))):
+                     (p.constraints, (xs,)), (p.data_path, (ts,)), (p.data_rate, (ts,))):
         if _is_stackable(fn):
             stacked = each_row(fn, *args)
             rows = np.array([fn(*row) for row in zip(*args)], dtype=float)

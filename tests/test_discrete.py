@@ -1,3 +1,4 @@
+import functools
 from collections import Counter
 
 import numpy as np
@@ -63,20 +64,23 @@ def count_calls(monkeypatch, module, name):
 def counting(p, *names):
     """``(q, calls)``: p with the maps ``names`` counting their per-point calls.
 
-    Each wrapper keeps the array-safe mark of the map it wraps, so a stacked
-    call (the trajectory diagnostics) stays one call and is not counted.
+    Each wrapper keeps the marks of the map it wraps (array-safe, built from
+    the landscape), so a stacked call (the trajectory diagnostics, a grid's
+    d(t) or d'(t)) stays one call and is not counted, and a landscape
+    problem still steps on its landscape.
     """
     calls = Counter()
 
     def wrap(name):
         fn = getattr(p, name)
 
+        @functools.wraps(fn)
         def counted(*args):
             if np.ndim(args[0]) < 2:
                 calls[name] += 1
             return fn(*args)
 
-        return tv.problem._stackable(counted) if tv.problem._is_stackable(fn) else counted
+        return counted
 
     return p.replace(**{name: wrap(name) for name in names}), calls
 
@@ -257,9 +261,10 @@ class TestNewtonEngine:
         assert len(iterations) == 2000
         assert sum(iterations) <= 2.5 * 2000
 
-    def test_data_path_twice_per_step(self):
-        # the step's subproblem and the diagnostics read d(t); Newton is
-        # handed the subproblem's, and x0's check and diagnostics add two
+    def test_data_path_once_per_grid_time(self):
+        # an unmarked d(t) is read row by row once per grid time, for the
+        # steps (Newton is handed the subproblem's) and the diagnostics
+        # alike; x0's check adds one
         p, x0 = spurious_matrec(0.5)
         calls = []
 
@@ -268,7 +273,7 @@ class TestNewtonEngine:
             return p.data_path(t)
 
         tv.discrete_trajectory(p.replace(data_path=data_path), x0, 50)
-        assert len(calls) == 2 * 50 + 2
+        assert len(calls) == 50 + 2
 
     def test_each_point_evaluated_once(self):
         # the track-matrec run keeps its final state to the bit.  A step

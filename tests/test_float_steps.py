@@ -114,6 +114,26 @@ def test_landscape_steps_call_no_array_map(make, monkeypatch):
     assert calls["grad_objective"] == calls["hess_objective"] == 0
 
 
+def test_replaced_gradient_takes_the_array_path():
+    # a replace that swaps the gradient keeps the landscape, whose g' no
+    # longer is the gradient's: backward Euler steps the replaced map
+    p = _example1(0.4, 10.0)
+    q = p.replace(grad_objective=lambda x, t: 3.0 * p.grad_objective(x, t))
+    assert not tv.problem.steps_on_landscape(q)
+    runs = [tv.backward_euler_trajectory(r, np.array([-2.0]), 1e-2, check_x0=False)
+            for r in (p, q, _arrays(q))]
+    assert np.array_equal(runs[1].states, runs[2].states)
+    assert not np.array_equal(runs[1].states, runs[0].states)
+
+
+def test_landscape_problems_step_on_the_landscape():
+    assert tv.problem.steps_on_landscape(_example1(0.4, 10.0))
+    assert tv.problem.steps_on_landscape(_damped(2.0, 0.3))
+    p = _example1(0.4, 10.0)
+    assert not tv.problem.steps_on_landscape(p.replace(hess_objective=lambda x, t: p.hess_objective(x, t)))
+    assert not tv.problem.steps_on_landscape(_arrays(p))
+
+
 def test_matrix_recovery_stays_on_arrays(monkeypatch):
     p = tv.make_matrix_recovery(True, alpha=0.5)
     x0 = tv.matrix_recovery_state(p, tv.problem.THE_SPURIOUS_FACTOR, 0.0)

@@ -144,17 +144,29 @@ class TestBackwardEuler:
         assert len(traj) - 1 <= calls["grad_objective"] <= 2.5 * (len(traj) - 1)
 
     def test_data_rate_once_per_step(self, monkeypatch):
-        # the track-matrec run: each step reads d'(t) once, and each
-        # evaluation of the iteration matrix once more; its final state stays
-        # within 1e-8 of the one the residual through ode_rhs reached
+        # the track-matrec run with an unmarked d'(t): it is read row by row
+        # once per step time, and each evaluation of the iteration matrix
+        # once more; its final state stays within 1e-8 of the one the
+        # residual through ode_rhs reached
         p, x0 = _matrec_spurious()
-        q, calls = counting(p, "data_rate")
+        q, calls = counting(p.replace(data_rate=lambda t: p.data_rate(t)), "data_rate")
         refreshes = count_calls(monkeypatch, ode_module, "field_jacobian")
         traj = tv.backward_euler_trajectory(q, x0, p.horizon / 2000)
         assert calls["data_rate"] == 2000 + len(refreshes)
         want = [0.9965484983401073, -0.014446169898173834, -0.0038592669902334717,
                 -0.026760381136802097, -0.0044691424314446445, 0.0010563352504675387]
         assert np.abs(traj.final_state - want).max() <= 1e-8
+
+    def test_marked_data_rate_once_per_grid(self, monkeypatch):
+        # matrix recovery's d'(t) is array-safe: one stacked call reads it at
+        # all step times, so per point only the iteration-matrix refreshes
+        # read it
+        p, x0 = _matrec_spurious()
+        q, calls = counting(p, "data_rate")
+        refreshes = count_calls(monkeypatch, ode_module, "field_jacobian")
+        tv.backward_euler_trajectory(q, x0, p.horizon / 2000)
+        assert refreshes
+        assert calls["data_rate"] == len(refreshes)
 
 
 def _matrec_spurious():

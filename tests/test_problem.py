@@ -355,6 +355,20 @@ class TestValidation:
         assert not rep.passed
         assert tv.validate_problem(p, samples=20, seed=0).stack_deviation == 0.0
 
+    def test_stacked_data_rate_must_equal_rows(self, matrec):
+        # a marked d'(t) whose stacked rows are one ulp off fails the check
+        from tvland.problem import _stackable
+
+        def data_rate(t):
+            r = matrec.data_rate(t)
+            return np.nextafter(r, np.inf) if np.ndim(t) == 2 else r
+
+        rep = tv.validate_problem(matrec.replace(data_rate=_stackable(data_rate)),
+                                  samples=10, seed=0)
+        assert rep.data_rate_ok
+        assert not rep.stack_ok
+        assert not rep.passed
+
     def test_stacked_jacobian_must_equal_rows(self, matrec):
         # a marked Jacobian whose stacked rows are one ulp off fails the check
         from tvland.problem import _stackable

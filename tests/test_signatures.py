@@ -16,7 +16,7 @@ import tvland.ode as ode_module
 
 SIGNATURES = {
     tv.backward_euler_trajectory: ["p", "x0", "dt", "check_x0"],
-    ode_module._implicit_step: ["p", "y_prev", "t", "dt", "M_inv", "start", "point"],
+    ode_module._implicit_step: ["p", "y_prev", "t", "dt", "M_inv", "start", "point", "rate"],
     tv.check_local_solution: ["p", "x0"],
     tv.convergence_study: ["p", "x0", "dts", "check_x0"],
     tv.eigen_report: ["M"],
