@@ -243,7 +243,10 @@ def tracking_builder(p: ProblemDef, box, starts: int = 64, seed: int = 0,
     ``p`` carries a landscape, f(x, t) = g(x - s(t)), every later time t is
     answered by that catalog translated by s(t) - s(t0): the frozen-time
     minimizers move with s while their values, their lexicographic order and
-    so the global ids stay the same.
+    so the global ids stay the same.  A translate is kept only where
+    |grad f(x, t)| <= alpha :data:`~tvland.ode._FLOW_TOL` at every entry x;
+    at the first miss (a ``replace`` swapped f) the run drops the landscape
+    and continues as below.
 
     Otherwise later times continue each known minimizer from its previous
     location (:func:`_continue_catalog`): Newton on the KKT system finds
@@ -265,23 +268,26 @@ def tracking_builder(p: ProblemDef, box, starts: int = 64, seed: int = 0,
     catalog to its own s.  It is refused unless ``p`` carries a landscape
     and ``catalog.anchor_time == 0``.
     """
-    ls = p.landscape
     if catalog is not None:
-        if ls is None:
+        if p.landscape is None:
             raise ValueError(f"a given catalog needs a problem with a landscape, not {p.name!r}")
         if catalog.anchor_time != 0.0:
             raise ValueError(f"a given catalog must be anchored at t = 0, "
                              f"got {catalog.anchor_time}")
-    state: dict = {"catalog": catalog}
+    state: dict = {"catalog": catalog, "landscape": p.landscape}
 
     def build(t: float) -> MinimizerCatalog:
-        prev = state["catalog"]
+        prev, ls = state["catalog"], state["landscape"]
         cat = None
         if prev is not None and len(prev):
             if ls is not None:  # prev is the first catalog, at t0
                 delta = ls.shift(t) - ls.shift(prev.anchor_time)
-                return replace(prev, anchor_time=t, minimizers=prev.minimizers + delta,
-                               dropped=0)
+                cat = replace(prev, anchor_time=t, minimizers=prev.minimizers + delta,
+                              dropped=0)
+                if all(_norm(p.grad_objective(x, t)) <= p.alpha * _FLOW_TOL
+                       for x in cat.minimizers):
+                    return cat
+                state["landscape"] = None
             cat = _continue_catalog(p, prev, t)
         if cat is None:
             cat = build_catalog(p, t, starts, seed, box)

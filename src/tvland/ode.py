@@ -1,8 +1,8 @@
 """Integrators for the tracking ODE and the frozen-time flow.
 
 The implicit (backward Euler) integrator mirrors the limit construction the
-discrete engine approximates (on an n = 1 landscape, in Python floats with
-the bits of numpy); the adaptive explicit integrator serves as a
+discrete engine approximates (on maps with float forms, in Python floats
+with the bits of numpy); the adaptive explicit integrator serves as a
 high-accuracy reference oracle for convergence studies.  Only that oracle
 uses scipy (``solve_ivp``), imported on its first call; the frozen-time
 flows run a Dormand-Prince stepper written here on numpy alone.
@@ -21,8 +21,8 @@ from .discrete import check_local_solution, discrete_trajectory, extrapolated_st
 from .errors import ImplicitSolveError, StiffnessError, TvlandError
 from .geometry import (_norm, field_jacobian, geometry, lagrangian_hessian, newton_kkt,
                        ode_rhs, positive_definite_on_kernel, trajectory_with_diagnostics)
-from .problem import (ProblemDef, Trajectory, each_row, has_stacked_gradient, start_vector,
-                      steps_on_landscape)
+from .problem import (ProblemDef, Trajectory, each_row, has_stacked_gradient, point_form,
+                      start_vector)
 
 REFERENCE_REL_TOL = 1e-9
 _BE_RESID_TOL = 1e-10
@@ -52,18 +52,18 @@ def _implicit_step(p: ProblemDef, y_prev, t: float, dt: float, M_inv,
     residual below :data:`_BE_CONTRACTION` times the previous one, its
     iterate is kept only if the residual fell; the matrix is then
     re-evaluated at the current iterate and a Newton step, halved while the
-    residual grows, is taken.  Given ``point`` (n = 1: a landscape's
-    :meth:`~tvland.problem.Landscape.point_derivatives`), y, r and M_inv =
-    1 / (1 + dt g''(y - s(t)) / alpha) are Python floats, with the bits of
-    the array iteration (g'' passes through ``float``: 1 / 0 raises, never warns).
+    residual grows, is taken.  Given ``point`` (the float forms of f' and f'',
+    :func:`~tvland.problem.point_form`), y, r and M_inv = 1 / (1 + dt
+    f''(y, t) / alpha) are Python floats, with the bits of the array
+    iteration (f'' passes through ``float``: 1 / 0 raises, never warns).
     """
     h = dt / p.alpha
     if point is not None:
-        grad, d2g = point
+        grad, hess = point
         norm, product = (lambda r: math.sqrt(r * r)), operator.mul  # _norm's bits
 
         def matrix(y):
-            return 1.0 / (1.0 - dt * (-float(d2g(y, t)) / p.alpha))
+            return 1.0 / (1.0 - dt * (-float(hess(y, t)) / p.alpha))
     else:
         grad, norm, product = p.grad_objective, _norm, operator.matmul
 
@@ -133,10 +133,10 @@ def backward_euler_trajectory(p: ProblemDef, x0: np.ndarray, dt: float,
     it stops contracting the residual.  The matrix lives in this call only,
     so every run of a trajectory is the same.  For m > 0, d'(t) at the N
     step times comes from one stacked call (:func:`~tvland.problem.each_row`).
-    An unconstrained n = 1 problem stepped on its landscape (example1,
-    damped; :func:`~tvland.problem.steps_on_landscape`) steps in Python
-    floats, bit for bit as in arrays
-    (:meth:`~tvland.problem.Landscape.point_derivatives`).
+    An unconstrained problem whose gradient and Hessian both carry float
+    forms (:func:`~tvland.problem.point_form`: example1, damped) steps in
+    Python floats, bit for bit as in arrays; a map swapped in by
+    ``ProblemDef.replace`` carries none and is stepped in arrays.
     """
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be positive and finite, got {dt}")
@@ -149,7 +149,8 @@ def backward_euler_trajectory(p: ProblemDef, x0: np.ndarray, dt: float,
     states = np.empty((n_steps + 1, p.n))
     states[0] = x0
     M_inv = None
-    point = p.landscape.point_derivatives() if steps_on_landscape(p) else None
+    forms = (point_form(p.grad_objective), point_form(p.hess_objective))
+    point = None if p.m or None in forms else forms
     rates = each_row(p.data_rate, times[1:]) if p.m else itertools.repeat(None)
     for k, (t, rate) in enumerate(zip(times.tolist()[1:], rates), start=1):
         y_prev, start = states[k - 1], extrapolated_start(states, k)

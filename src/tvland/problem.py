@@ -49,23 +49,21 @@ class ProblemDef:
         Proximal regularization weight, > 0.
     hess_objective, constraint_hessians : callable, optional
         Second derivatives; where one is absent, central differences of
-        ``grad_objective`` or ``jacobian`` stand in for it.
+        ``grad_objective`` or ``jacobian`` stand in for it.  Backward Euler
+        steps in floats when m = 0 and ``grad_objective`` and
+        ``hess_objective`` both carry float forms (:func:`point_form`).
     landscape : Landscape, optional
         The scalar g and s(t) of f(x, t) = g(x - s(t)) (example1, damped).
-        Carrying one promises that f is this translate, so that the
-        frozen-time minimizers at t are those at t0 moved by s(t) - s(t0)
-        (:func:`~tvland.classify.tracking_builder` relies on it).  Backward
-        Euler steps it from g' and g'' while ``grad_objective`` and
-        ``hess_objective`` are the maps built from it
-        (:func:`steps_on_landscape`); a ``replace`` that changes f must
-        also pass ``landscape=None``.
+        :func:`~tvland.classify.tracking_builder` translates its first
+        catalog by s(t) - s(t0) and keeps a translate only where
+        ``grad_objective`` vanishes at every entry.
     search_box : (lo, hi), optional
         Bounds, on every coordinate, of a box holding the frozen-time
         minimizers over [0, T]: the CLI's default catalog multistart box.
     equivalence : callable, optional
         An involution mapping a minimizer to its symmetric twin (matrec's
         sign flip X <-> -X); basin membership identifies points modulo it.
-        Like ``landscape``, a ``replace`` that changes f or h must drop it.
+        A ``replace`` that changes f or h must drop it.
     """
 
     n: int
@@ -188,8 +186,8 @@ class Scalar1DFunction:
     """A scalar landscape with exactly three stationary points y1 < y2 < y3.
 
     y1 and y3 are local minima with g(y1) > g(y3) (so y3 is global) and y2 is
-    a local maximum.  ``dg`` and ``d2g`` take and return Python floats on
-    backward Euler's float path (:meth:`Landscape.point_derivatives`).
+    a local maximum.  ``dg`` and ``d2g`` take and return Python floats in the
+    float forms of a translated problem's maps (:func:`point_form`).
     """
 
     g: Callable[[float], float]
@@ -221,12 +219,6 @@ class Landscape(NamedTuple):
     def shift(self, t: float) -> float:
         """s(t), by :func:`_shift`."""
         return _shift(self.beta, self.omega, self.lam)(t)
-
-    def point_derivatives(self) -> tuple[Callable, Callable]:
-        """g'(y - s(t)) and g''(y - s(t)) of floats y and t, in Python floats: the one
-        per-point form that :func:`_translated_quartic` and backward Euler share."""
-        dg, d2g, s = self.g.dg, self.g.d2g, _shift(self.beta, self.omega, self.lam, math.sin)
-        return (lambda y, t: dg(y - s(t))), (lambda y, t: d2g(y - s(t)))
 
 
 #: Attribute marking a callable that also accepts a stack of points.
@@ -276,30 +268,18 @@ def has_stacked_gradient(p: "ProblemDef") -> bool:
     return p.m == 0 and _is_stackable(p.grad_objective)
 
 
-#: Attribute marking a derivative map of f built from the problem's landscape.
-_FROM_LANDSCAPE = "_tvland_from_landscape"
+#: Attribute holding the float form of a per-point map of an n = 1 problem.
+_POINT = "_tvland_point"
 
 
-def _from_landscape(fn):
-    """Mark ``fn`` as a derivative of f built from the problem's landscape.
+def point_form(fn):
+    """The float form of an n = 1 problem's gradient or Hessian ``fn``, or None.
 
-    Like the array-safe mark, it lives on the callable, so
-    ``ProblemDef.replace`` with another map drops it.
+    The form maps floats y and t to the one entry of ``fn(np.array([y]), t)``,
+    bit for bit, as a float.  Like the array-safe mark it lives on the
+    callable, so ``ProblemDef.replace`` with another map drops it.
     """
-    setattr(fn, _FROM_LANDSCAPE, True)
-    return fn
-
-
-def steps_on_landscape(p: "ProblemDef") -> bool:
-    """Whether backward Euler may step ``p`` on its landscape's g' and g''.
-
-    True for an unconstrained n = 1 problem with a landscape whose gradient
-    and Hessian are the maps built from it (:func:`_from_landscape`); a
-    problem whose ``replace`` swapped either steps its own maps.
-    """
-    return (p.landscape is not None and p.n == 1 and p.m == 0
-            and getattr(p.grad_objective, _FROM_LANDSCAPE, False)
-            and getattr(p.hess_objective, _FROM_LANDSCAPE, False))
+    return getattr(fn, _POINT, None)
 
 
 # ---------------------------------------------------------------------------
@@ -361,28 +341,34 @@ def _translated_quartic(beta: float, alpha: float, omega: float, lam: float,
     """f(x, t) = g(x - s(t)) on [0, 2 pi / omega] for the quartic g and s of :func:`_shift`.
 
     The problem carries its :class:`Landscape`; its gradient is marked array-safe,
-    and its gradient and Hessian as built from the landscape.
+    and its gradient and Hessian carry their float forms (:func:`point_form`).
     One point is evaluated in Python floats, a stack in numpy arrays, with
     the same bits (``math.sin`` and ``np.sin`` agree on these floats).
     """
     landscape = Landscape(QUARTIC, float(beta), omega, lam)
     s, s_point = _shift(beta, omega, lam), _shift(beta, omega, lam, math.sin)
-    dg, d2g = landscape.point_derivatives()
+    dg, d2g = QUARTIC.dg, QUARTIC.d2g
 
     def objective(x, t):
         return _quartic(x.item(0) - s_point(t))
 
-    @_from_landscape
+    def grad_point(y, t):
+        return dg(y - s_point(t))
+
+    def hess_point(y, t):
+        return d2g(y - s_point(t))
+
     @_stackable
     def grad(x, t):
         if getattr(x, "ndim", 1) == 2:  # a stack of points, one time per row
             return _quartic_d1(x - s(t))
-        return np.array([dg(x.item(0), t)])
+        return np.array([grad_point(x.item(0), t)])
 
-    @_from_landscape
     def hess(x, t):
-        return np.array([[d2g(x.item(0), t)]])
+        return np.array([[hess_point(x.item(0), t)]])
 
+    setattr(grad, _POINT, grad_point)
+    setattr(hess, _POINT, hess_point)
     return _unconstrained(1, objective=objective, grad_objective=grad, hess_objective=hess,
                           horizon=2.0 * np.pi / omega, alpha=alpha, name=name,
                           landscape=landscape,

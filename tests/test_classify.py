@@ -251,6 +251,28 @@ class TestTrackingBuilder:
         assert calls == {"build_catalog": 1, "_continue_catalog": 39, "frozen_time_flow": 0}
         assert got == want
 
+    def test_replaced_maps_are_not_translated(self, ex1_04_10):
+        # f frozen at t = 0 through replace, with the landscape kept: its
+        # minimizers stay at -2 and 2, so translates of the first catalog
+        # fail their gradient check and the builder continues instead;
+        # backward Euler steps the frozen gradient, whose zero at -2 keeps
+        # the state there
+        p, _ = ex1_04_10
+        q = p.replace(**{name: (lambda f: lambda x, t: f(x, 0.0))(getattr(p, name))
+                         for name in ("objective", "grad_objective", "hess_objective")})
+        assert q.landscape is p.landscape
+        builder = tv.tracking_builder(q, BOX, seed=0)
+        assert builder(0.0).minimizers[:, 0] == pytest.approx([-2.0, 2.0], abs=1e-8)
+        for t in (1.0, 3.0, 5.0):
+            cat = builder(t)
+            assert cat.anchor_time == t
+            assert cat.minimizers[:, 0] == pytest.approx([-2.0, 2.0], abs=1e-8)
+            assert cat.global_ids == [1]
+        traj = tv.backward_euler_trajectory(q, np.array([-2.0]), 1e-2)
+        assert (traj.states == -2.0).all()
+        assert not (tv.backward_euler_trajectory(p, np.array([-2.0]), 1e-2).states
+                    == -2.0).all()
+
     def test_matrix_recovery_continues(self, matrec, monkeypatch):
         frozen = tv.freeze_data(matrec, 0.0)
         calls = count_calls(monkeypatch, "build_catalog", "_continue_catalog")

@@ -5,6 +5,7 @@ import shlex
 import subprocess
 import sys
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -542,6 +543,21 @@ class TestSweep:
         assert [r[2] for r in rows] == ([""] * 4 if mode == "sim"
                                         else [r[2] for r in prop1_rows])
 
+    def test_failed_simulation_is_a_cell_error(self, capsys):
+        # on the grid dt = 2 pi / 10 backward Euler stalls in both cells
+        # (ROADMAP item 11): each cell records the error type, prop1 still
+        # runs and the sweep exits 0
+        code = run(["sweep", "--alpha-grid", "0.2,0.4", "--beta-grid", "10", "--mode", "both",
+                    "--dt", "0.6283185307179586", "--checks", "20"])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.splitlines() == [
+            "alpha,beta,prop1_satisfied,sim_verdict",
+            "0.20000000000000001,10,false,error:ImplicitSolveError",
+            "0.40000000000000002,10,true,error:ImplicitSolveError",
+        ]
+
     def test_sweep_threads_keep_numpy_quiet(self, tmp_path, monkeypatch):
         # pool threads do not inherit run()'s numpy error state; each cell
         # sets it again, so an overflow in a cell warns nowhere
@@ -900,6 +916,49 @@ def test_undamped_damped_scenario_prints_example1(argv, capsys):
     example1 = capsys.readouterr().out
     assert run([*argv, "--scenario", "damped", *params, "--lambda", "0", "--omega", "1"]) == 0
     assert capsys.readouterr().out == example1
+
+
+#: Commands that build example1, each run in about a second at most.
+COUNTED_RUNS = {
+    "classify": ["classify", "--scenario", "example1", "--alpha", "0.4", "--beta", "10",
+                 "--x0", "-2", "--dt", "4e-3", "--checks", "40"],
+    "prop1": ["prop1", "--scenario", "example1", "--alpha", "0.4", "--beta", "10"],
+    "thm3": ["thm3", "--scenario", "example1", "--alpha", "0.4", "--beta", "10"],
+    "sweep": ["sweep", "--alpha-grid", "0.2,0.4", "--beta-grid", "5,10", "--mode", "both",
+              "--checks", "20"],
+}
+
+
+@pytest.mark.parametrize("command", list(COUNTED_RUNS))
+def test_counting_wrappers_print_the_same_bytes(command, monkeypatch, capsys):
+    # example1 with its objective, gradient and Jacobian swapped through
+    # replace for plain counting functions, as a call-counting tracer wraps
+    # them: the landscape stays while the float forms and the array-safe
+    # mark go, and each command prints the same bytes with the same code
+    from tvland import problem
+
+    argv = COUNTED_RUNS[command]
+    want = (run(argv), *capsys.readouterr())
+    make, calls = problem.make_example1, Counter()
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return call
+
+    def counting_example1(*args, **kwargs):
+        calls["make_example1"] += 1
+        p, g = make(*args, **kwargs)
+        return p.replace(**{name: counted(name, getattr(p, name))
+                            for name in ("objective", "grad_objective", "jacobian")}), g
+
+    monkeypatch.setattr(problem, "make_example1", counting_example1)
+    assert (run(argv), *capsys.readouterr()) == want
+    assert calls["make_example1"]
+    if command in ("classify", "sweep"):  # prop1 and thm3 read only the landscape
+        assert calls["objective"] and calls["grad_objective"]
 
 
 def readme_block(heading: str) -> str:

@@ -64,10 +64,10 @@ def count_calls(monkeypatch, module, name):
 def counting(p, *names):
     """``(q, calls)``: p with the maps ``names`` counting their per-point calls.
 
-    Each wrapper keeps the marks of the map it wraps (array-safe, built from
-    the landscape), so a stacked call (the trajectory diagnostics, a grid's
-    d(t) or d'(t)) stays one call and is not counted, and a landscape
-    problem still steps on its landscape.
+    Each wrapper keeps the attributes of the map it wraps (the array-safe
+    mark, the float form), so a stacked call (the trajectory diagnostics, a
+    grid's d(t) or d'(t)) stays one call and is not counted, and example1
+    still steps in floats on its forms, which are not counted.
     """
     calls = Counter()
 

@@ -1,12 +1,11 @@
 """Backward Euler's Python-float steps on one-dimensional landscapes.
 
-An unconstrained n = 1 problem that carries a landscape (example1, damped)
-is stepped in Python floats; the same problem without its landscape takes
-the numpy array path.  Both must give the same bits, and the same errors
-where a coarse grid stalls.
+An unconstrained problem whose gradient and Hessian carry float forms
+(example1, damped) is stepped in Python floats; the same problem with plain
+wrappers of both maps takes the numpy array path.  Both must give the same
+bits, and the same errors where a coarse grid stalls.
 """
 
-import dataclasses
 import warnings
 
 import numpy as np
@@ -15,6 +14,7 @@ import pytest
 import tvland as tv
 import tvland.ode as ode_module
 from test_discrete import count_calls, counting
+from tvland.problem import point_form
 
 
 def _example1(alpha, beta):
@@ -50,14 +50,22 @@ def _dt(p, step):
 
 
 def _arrays(p):
-    """``p`` without its landscape: backward Euler steps it in numpy arrays."""
-    return p.replace(landscape=None)
+    """``p`` with plain wrappers of its gradient and Hessian.
+
+    The wrappers carry no float form, so backward Euler steps the problem
+    in numpy arrays.
+    """
+    grad, hess = p.grad_objective, p.hess_objective
+    q = p.replace(grad_objective=lambda x, t: grad(x, t), hess_objective=lambda x, t: hess(x, t))
+    assert point_form(q.grad_objective) is None and point_form(q.hess_objective) is None
+    return q
 
 
 @pytest.mark.parametrize("case", list(COMPLETE))
 def test_float_steps_are_the_array_steps(case):
     make, step = COMPLETE[case]
     p = make()
+    assert point_form(p.grad_objective) and point_form(p.hess_objective)
     dt = _dt(p, step)
     fl = tv.backward_euler_trajectory(p, np.array([-2.0]), dt)
     ar = tv.backward_euler_trajectory(_arrays(p), np.array([-2.0]), dt)
@@ -85,10 +93,8 @@ def test_zero_iteration_matrix_is_a_singular_system():
     # refuses the singular inverse, with the same message, also where g''
     # returns numpy scalars (no divide-by-zero warning)
     p, t, dt = _example1(1.0, 10.0), 0.5, 0.25
-    point = p.landscape.point_derivatives()
-    quartic = p.landscape.g
-    numpy_quartic = dataclasses.replace(quartic, d2g=lambda y: np.float64(quartic.d2g(y)))
-    numpy_point = p.landscape._replace(g=numpy_quartic).point_derivatives()
+    point = (point_form(p.grad_objective), point_form(p.hess_objective))
+    numpy_point = (point[0], lambda y, t: np.float64(point[1](y, t)))
     y = float(p.landscape.shift(t))
     assert point[1](y, t) == -4.0
     messages = []
@@ -115,23 +121,37 @@ def test_landscape_steps_call_no_array_map(make, monkeypatch):
 
 
 def test_replaced_gradient_takes_the_array_path():
-    # a replace that swaps the gradient keeps the landscape, whose g' no
-    # longer is the gradient's: backward Euler steps the replaced map
+    # a replace that swaps the gradient drops its float form, while the
+    # landscape and the Hessian's form stay: backward Euler steps the
+    # replaced map
     p = _example1(0.4, 10.0)
     q = p.replace(grad_objective=lambda x, t: 3.0 * p.grad_objective(x, t))
-    assert not tv.problem.steps_on_landscape(q)
+    assert point_form(q.grad_objective) is None and point_form(q.hess_objective)
     runs = [tv.backward_euler_trajectory(r, np.array([-2.0]), 1e-2, check_x0=False)
             for r in (p, q, _arrays(q))]
     assert np.array_equal(runs[1].states, runs[2].states)
     assert not np.array_equal(runs[1].states, runs[0].states)
 
 
-def test_landscape_problems_step_on_the_landscape():
-    assert tv.problem.steps_on_landscape(_example1(0.4, 10.0))
-    assert tv.problem.steps_on_landscape(_damped(2.0, 0.3))
-    p = _example1(0.4, 10.0)
-    assert not tv.problem.steps_on_landscape(p.replace(hess_objective=lambda x, t: p.hess_objective(x, t)))
-    assert not tv.problem.steps_on_landscape(_arrays(p))
+def test_landscape_problems_step_on_the_landscape(monkeypatch):
+    # the float forms of example1's and damped's maps return floats with
+    # the bits of the maps; with either map replaced, the field Jacobian of
+    # the array path forms the iteration matrix
+    jac = count_calls(monkeypatch, ode_module, "field_jacobian")
+    for p in (_example1(0.4, 10.0), _damped(2.0, 0.3)):
+        grad, hess = point_form(p.grad_objective), point_form(p.hess_objective)
+        for y in (-2.5, -0.375, 0.1, 3.0):
+            for t in (0.0, 0.7, 2.0, p.horizon):
+                assert isinstance(grad(y, t), float) and isinstance(hess(y, t), float)
+                assert grad(y, t) == p.grad_objective(np.array([y]), t).item()
+                assert hess(y, t) == p.hess_objective(np.array([y]), t).item()
+        tv.backward_euler_trajectory(p, np.array([-2.0]), 4e-3, check_x0=False)
+        assert not jac
+        for name in ("grad_objective", "hess_objective"):
+            q = p.replace(**{name: (lambda f: lambda x, t: f(x, t))(getattr(p, name))})
+            tv.backward_euler_trajectory(q, np.array([-2.0]), 4e-3, check_x0=False)
+            assert jac, (p.name, name)
+            jac.clear()
 
 
 def test_matrix_recovery_stays_on_arrays(monkeypatch):

@@ -1,4 +1,3 @@
-import dataclasses
 from collections import Counter
 
 import numpy as np
@@ -9,6 +8,7 @@ import tvland as tv
 import tvland.ode as ode_module
 from conftest import linear_constraint_problem
 from test_discrete import count_calls, counting, scalar_quadratic, spurious_matrec
+from tvland.problem import point_form
 
 
 def _max_step_residual(p, traj):
@@ -125,7 +125,7 @@ class TestBackwardEuler:
         # from the extrapolated start most steps take one or two field
         # evaluations, one gradient call each; the explicit predictor needed
         # about four.  example1 steps in Python floats, where a field
-        # evaluation is one call of its landscape's g'
+        # evaluation is one call of its gradient's float form
         if case == "matrec":
             p, x0 = _matrec_spurious()
             dt = p.horizon / 2000
@@ -133,13 +133,14 @@ class TestBackwardEuler:
         else:
             p, _ = tv.make_example1(10.0, alpha=0.4)
             x0, dt = np.array([-2.0]), 1e-3
-            g, calls = p.landscape.g, Counter()
+            grad, form, calls = p.grad_objective, point_form(p.grad_objective), Counter()
 
-            def dg(y):
+            def counted(y, t):
                 calls["grad_objective"] += 1
-                return g.dg(y)
+                return form(y, t)
 
-            q = p.replace(landscape=p.landscape._replace(g=dataclasses.replace(g, dg=dg)))
+            q = p.replace(grad_objective=lambda x, t: grad(x, t))
+            setattr(q.grad_objective, tv.problem._POINT, counted)
         traj = tv.backward_euler_trajectory(q, x0, dt)
         assert len(traj) - 1 <= calls["grad_objective"] <= 2.5 * (len(traj) - 1)
 
