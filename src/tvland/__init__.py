@@ -12,12 +12,12 @@ from .classify import (ClassificationResult, MembershipRecord, Verdict,
                        classify_trajectory, multistart_builder,
                        tracking_builder)
 from .conditions import (Prop1Report, RegionResult, Thm3Report,
-                         prop1_check, prop1_constants, prop1_region,
+                         prop1_check, prop1_region,
                          thm3_check)
 from .discrete import (check_local_solution, discrete_trajectory,
                        regularized_step)
 from .errors import (EigenConvergenceError, ImplicitSolveError,
-                     InitializationError, RootBracketError, StepSolveError,
+                     InitializationError, StepSolveError,
                      SingularConstraintError, StiffnessError, TvlandError)
 from .geometry import (GeometryResult, KKTResidual, NewtonKKT, eta,
                        kkt_residual, newton_kkt, ode_rhs,
@@ -41,10 +41,10 @@ __all__ = [
     "ClassificationResult", "ConvergenceRow", "EigenConvergenceError",
     "GeometryResult", "ImplicitSolveError", "InitializationError",
     "KKTResidual", "MembershipRecord", "MinimizerCatalog", "NewtonKKT",
-    "ProblemDef", "Prop1Report", "RegionResult",
-    "RootBracketError", "Scalar1DFunction", "SingularConstraintError",
-    "SpectrumReport", "SpectrumSample", "StepSolveError", "StiffnessError",
-    "Thm3Report", "Trajectory", "TvlandError", "ValidationReport", "Verdict",
+    "ProblemDef", "Prop1Report", "RegionResult", "Scalar1DFunction",
+    "SingularConstraintError", "SpectrumReport", "SpectrumSample",
+    "StepSolveError", "StiffnessError", "Thm3Report", "Trajectory",
+    "TvlandError", "ValidationReport", "Verdict",
     "attraction_membership", "backward_euler_trajectory", "build_catalog",
     "check_local_solution", "classify_trajectory", "convergence_study",
     "discrete_trajectory", "eigen_report", "eta", "freeze_data",
@@ -53,7 +53,7 @@ __all__ = [
     "make_damped_sinusoid", "make_example1", "make_matrix_recovery",
     "matrix_recovery_global_state", "matrix_recovery_sign_flip",
     "matrix_recovery_state", "matrix_recovery_target", "multistart_builder",
-    "newton_kkt", "ode_rhs", "prop1_check", "prop1_constants", "prop1_region",
+    "newton_kkt", "ode_rhs", "prop1_check", "prop1_region",
     "regularized_step", "spectrum_along_trajectory",
     "tangent_hessian_eigenvalues", "thm3_check", "tracking_builder",
     "trajectory_with_diagnostics", "validate_problem", "variant_jacobian",

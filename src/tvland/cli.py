@@ -36,11 +36,6 @@ class UsageError(ValueError):
     """A bad command line or config file (exit 1, like the library's ValueError)."""
 
 
-def _fmt(v: float) -> str:
-    """Floats printed with 17 significant digits (binary round-trip exact)."""
-    return format(float(v), ".17g")
-
-
 # ------------------------------ option keys ---------------------------------
 
 def _boolean(raw: str) -> bool:
@@ -254,12 +249,14 @@ def _write(text: str, out) -> None:
             fh.write(text)
 
 
-def _write_rows(out, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v)
-                              for v in row))
-    _write("\n".join(lines) + "\n", out)
+def _write_rows(out, header: list[str], rows: list) -> None:
+    """A CSV of ``rows``, at least one, with floats in 17 significant digits.
+
+    Each column is printed as its first-row value asks: ``%.17g`` (binary
+    round-trip exact) for a float, ``%s`` for anything else.
+    """
+    row = ",".join("%.17g" if isinstance(v, float) else "%s" for v in rows[0])
+    _write("\n".join([",".join(header), *(row % tuple(r) for r in rows)]) + "\n", out)
 
 
 def _write_trajectory_csv(traj: Trajectory, out) -> None:
@@ -268,9 +265,7 @@ def _write_trajectory_csv(traj: Trajectory, out) -> None:
               + ["kkt_stationarity", "feasibility", "sigma_min", "step_norm"])
     table = np.column_stack([traj.times, traj.states, traj.kkt_stationarity,
                              traj.feasibility, traj.sigma_min, traj.step_norm])
-    row = ",".join(["%.17g"] * len(header))  # the digits of _fmt
-    _write("\n".join([",".join(header), *(row % tuple(r) for r in table.tolist())]) + "\n",
-           out)
+    _write_rows(out, header, table.tolist())
 
 
 def _emit_json(payload: dict, out) -> None:
@@ -368,7 +363,7 @@ def _cmd_thm3(opt: _Options) -> int:
     p = _scenario(opt)[0]
     ls = _landscape(p, "thm3")
     rep = _conditions.thm3_check(
-        *_conditions.line_form(ls.g), [np.array([ls.g.y1])], opt.get("R", 0.5),
+        _conditions.line_form(ls.g)[1], [np.array([ls.g.y1])], opt.get("R", 0.5),
         p.alpha, ls.beta, ls.omega, ls.lam, seed=opt.get("seed", 0))
     _emit_report(rep, opt.get("out"))
     return 0

@@ -27,7 +27,6 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import RootBracketError
 from .geometry import _norm
 from .problem import Scalar1DFunction, _is_stackable, _stackable, _vdot
 
@@ -167,8 +166,8 @@ def _max_slope(sf: Scalar1DFunction, samples: int = _DENSE_SAMPLES) -> float:
     return _line_max(sf.dg, sf.y1, sf.y3, samples)
 
 
-def _barrier_left(sf: Scalar1DFunction, level: float) -> float:
-    """Root of g' = level on (-inf, y1], bracket grown geometrically."""
+def _barrier_left(sf: Scalar1DFunction, level: float) -> Optional[float]:
+    """Root of g' = level on (-inf, y1], bracket grown geometrically; None if none is found."""
     fn = lambda y: sf.dg(y) - level
     width = 1.0
     for _ in range(60):
@@ -176,11 +175,11 @@ def _barrier_left(sf: Scalar1DFunction, level: float) -> float:
         if fn(lo) < 0.0:
             return _bisect(fn, lo, sf.y1)
         width *= 2.0
-    raise RootBracketError(f"g' never reaches {level:g} left of y1")
+    return None
 
 
-def _barrier_right(sf: Scalar1DFunction, level: float) -> float:
-    """First root of g' = level on [y1, y3] (g' > 0 beyond y3).
+def _barrier_right(sf: Scalar1DFunction, level: float) -> Optional[float]:
+    """First root of g' = level on [y1, y3] (g' > 0 beyond y3), or None.
 
     The first grid point where g' - level is zero, or the first grid cell
     over which it changes sign (then refined by bisection), whichever comes
@@ -192,39 +191,11 @@ def _barrier_right(sf: Scalar1DFunction, level: float) -> float:
     cross = np.sign(vals[:-1]) * np.sign(vals[1:]) < 0
     hits = np.flatnonzero(zero | np.append(cross, False))
     if hits.size == 0:
-        raise RootBracketError(f"g' never reaches {level:g} right of y1")
+        return None
     j = hits[0]
     if zero[j]:
         return float(zz[j])
     return _bisect(lambda y: sf.dg(y) - level, zz[j], zz[j + 1])
-
-
-def prop1_constants(sf: Scalar1DFunction, alpha: float, beta: float) -> Prop1Report:
-    """Compute C, m1, m2, t1, t2 for the one-dimensional condition.
-
-    Raises RootBracketError when the barrier points m1/m2 do not exist
-    (g' never reaches -alpha beta), in which case the second condition of
-    the checker is false and the constants are absent.
-    """
-    return _with_barriers(sf, Prop1Report(alpha=alpha, beta=beta, C=_max_slope(sf)))
-
-
-def _with_barriers(sf: Scalar1DFunction, report: Prop1Report) -> Prop1Report:
-    """``report``, which holds alpha, beta and C, with m1, m2, t1 and t2 set.
-
-    Raises RootBracketError, leaving ``report`` as it was, when m1 or m2
-    does not exist.
-    """
-    alpha, beta = report.alpha, report.beta
-    if not (0 < alpha < math.inf and 0 < beta < math.inf):
-        raise ValueError(f"alpha and beta must be positive and finite, got {alpha}, {beta}")
-    level = -alpha * beta
-    report.m1, report.m2 = _barrier_left(sf, level), _barrier_right(sf, level)
-    ratio = report.C / (alpha * beta)
-    if ratio <= 1.0:
-        report.t1 = float(np.arccos(-ratio))
-        report.t2 = 2.0 * np.pi - report.t1
-    return report
 
 
 def prop1_check(sf: Scalar1DFunction, alpha: float, beta: float) -> Prop1Report:
@@ -234,22 +205,28 @@ def prop1_check(sf: Scalar1DFunction, alpha: float, beta: float) -> Prop1Report:
     2. barrier points m1 < y1 < m2 with g'(m1) = g'(m2) = -alpha beta exist,
     3. -C/alpha (t2 - t1) - beta (sin t2 - sin t1) + m1 >= m2.
 
-    A missing constant forces the dependent condition false rather than
-    raising.
+    m1, m2, t1 and t2 are reported only when both barrier points exist
+    (t1 and t2 also need alpha beta >= C); a missing constant makes the
+    conditions that need it false.
     """
+    if not (0 < alpha < math.inf and 0 < beta < math.inf):
+        raise ValueError(f"alpha and beta must be positive and finite, got {alpha}, {beta}")
     report = Prop1Report(alpha=alpha, beta=beta, C=_max_slope(sf))
-    try:
-        _with_barriers(sf, report)
-    except RootBracketError:
-        pass  # no barrier points: cond2 and cond3 are false
+    level = -alpha * beta
+    m1 = _barrier_left(sf, level)
+    m2 = None if m1 is None else _barrier_right(sf, level)
     report.cond1 = alpha * beta >= report.C
-    report.cond2 = report.m1 is not None and report.m2 is not None
-    if report.cond2 and report.t1 is not None:
-        lhs = (-report.C / alpha * (report.t2 - report.t1)
-               - beta * (np.sin(report.t2) - np.sin(report.t1)) + report.m1)
-        report.cond3 = bool(lhs >= report.m2)
-    else:
-        report.cond3 = False
+    report.cond2 = m2 is not None
+    report.cond3 = False
+    if report.cond2:
+        report.m1, report.m2 = m1, m2
+        ratio = report.C / (alpha * beta)
+        if ratio <= 1.0:
+            report.t1 = float(np.arccos(-ratio))
+            report.t2 = 2.0 * np.pi - report.t1
+            lhs = (-report.C / alpha * (report.t2 - report.t1)
+                   - beta * (np.sin(report.t2) - np.sin(report.t1)) + m1)
+            report.cond3 = bool(lhs >= m2)
     report.satisfied = bool(report.cond1 and report.cond2 and report.cond3)
     return report
 
@@ -285,40 +262,40 @@ def prop1_region(sf: Scalar1DFunction, alpha_grid, beta_grid) -> RegionResult:
     return RegionResult(alphas, betas, sat, failed)
 
 
-def _ball_samples(center: np.ndarray, R: float, count: int, seed: int) -> np.ndarray:
-    """Quasi-random points filling the ball B(center, R)."""
+def _sobol_directions(n: int, count: int, seed: int, extra: int = 0):
+    """``count`` quasi-random unit directions in R^n, and ``extra`` further coordinates.
+
+    One scrambled Sobol sequence of dimension n + extra: its first n
+    coordinates are mapped through the inverse Gaussian CDF and normalised,
+    the remaining ``extra`` are returned as they are.
+    """
+    from scipy.special import ndtri
     from scipy.stats import qmc  # slow to import; only n >= 2 samples need it
 
-    n = center.size
-    sob = qmc.Sobol(d=n + 1, scramble=True, seed=seed)
-    u = sob.random(count)
-    gauss = _inverse_gauss(u[:, :n])
+    u = qmc.Sobol(d=n + extra, scramble=True, seed=seed).random(count)
+    gauss = ndtri(np.clip(u[:, :n], 1e-12, 1 - 1e-12))
     norms = np.linalg.norm(gauss, axis=1)
     norms[norms == 0] = 1.0
-    radii = R * u[:, n] ** (1.0 / n)
-    return center + (gauss / norms[:, None]) * radii[:, None]
+    return gauss / norms[:, None], u[:, n:]
+
+
+def _ball_samples(center: np.ndarray, R: float, count: int, seed: int) -> np.ndarray:
+    """Quasi-random points filling the ball B(center, R)."""
+    n = center.size
+    dirs, u = _sobol_directions(n, count, seed, extra=1)
+    return center + dirs * (R * u[:, 0] ** (1.0 / n))[:, None]
 
 
 def _sphere_samples(n: int, count: int, seed: int) -> np.ndarray:
-    from scipy.stats import qmc  # slow to import; only n >= 2 samples need it
-
-    sob = qmc.Sobol(d=n, scramble=True, seed=seed)
-    gauss = _inverse_gauss(sob.random(count))
-    norms = np.linalg.norm(gauss, axis=1)
-    norms[norms == 0] = 1.0
-    return gauss / norms[:, None]
-
-
-def _inverse_gauss(u: np.ndarray) -> np.ndarray:
-    from scipy.special import ndtri
-
-    return ndtri(np.clip(u, 1e-12, 1 - 1e-12))
+    """Quasi-random points on the unit sphere of R^n."""
+    return _sobol_directions(n, count, seed)[0]
 
 
 def line_form(sf: Scalar1DFunction):
-    """A scalar landscape and its gradient as functions of y in R^1, as thm3_check takes them.
+    """A scalar landscape and its gradient as functions of y in R^1.
 
-    The gradient also takes an (L, 1) stack, marked array-safe when ``sf.dg`` is.
+    make_damped_sinusoid takes both, thm3_check the gradient.  The gradient
+    also takes an (L, 1) stack, marked array-safe when ``sf.dg`` is.
     """
     def grad(y):
         if getattr(y, "ndim", 1) == 2:  # a stack of points
@@ -330,14 +307,15 @@ def line_form(sf: Scalar1DFunction):
     return (lambda y: sf.g(y[0])), grad
 
 
-def thm3_check(g, grad_g, minima, R: float, alpha: float, beta: float,
+def thm3_check(grad_g, minima, R: float, alpha: float, beta: float,
                omega: float, lam: float,
                ball_samples: int = _DENSE_SAMPLES,
                sphere_samples: int = 1000,
                seed: int = 0) -> Thm3Report:
     """Evaluate the multi-dimensional escape condition around spurious minima.
 
-    ``minima`` lists the spurious local minimizers y_i of g.  The constants
+    ``grad_g`` is the gradient of a landscape g and ``minima`` lists the
+    spurious local minimizers y_i of g.  The constants
 
         C1 = max over union of B(y_i, R) of |grad g|,
         C2 = min over unit d and i of <grad g(y_i - R d), d>,
@@ -375,16 +353,14 @@ def thm3_check(g, grad_g, minima, R: float, alpha: float, beta: float,
                 return np.asarray(grad_g(z[:, None]), dtype=float)[:, 0]
             return float(np.atleast_1d(grad_g(np.array([z])))[0])
 
-        def squared_slope(z):
-            s = slope(z)
-            return s * s
+        def abs_slope(z):
+            return abs(slope(z))
 
         if _is_stackable(grad_g):
-            _stackable(squared_slope)
+            _stackable(abs_slope)
         for y in minima:
             y0 = float(y[0])
-            # sqrt(s * s) == |s| in binary64, so the squared slope gives |g'|
-            C1 = max(C1, math.sqrt(_line_max(squared_slope, y0 - R, y0 + R)))
+            C1 = max(C1, _line_max(abs_slope, y0 - R, y0 + R))
             C2 = min(C2, -slope(y0 + R), slope(y0 - R))
     else:
         for k, y in enumerate(minima):

@@ -37,9 +37,5 @@ class StiffnessError(TvlandError):
     """
 
 
-class RootBracketError(TvlandError):
-    """A required root bracket could not be established."""
-
-
 class EigenConvergenceError(TvlandError):
     """Dense eigenvalue iteration failed to converge."""

@@ -323,7 +323,9 @@ def _shift(beta: float, omega: float, lam: float, sin=np.sin) -> Callable:
     """s(t) = beta e^(-lam t) sin(omega t) at a float t, or at an (L, 1) time column.
 
     ``sin`` is the sine it calls: ``np.sin`` takes both, ``math.sin`` (the
-    same bits on a float, without numpy-scalar arithmetic) a float only.
+    same bits on a float, without numpy-scalar arithmetic) a float only; with
+    ``math.sin`` the factor e^(-lam t) is numpy's, read back as a float
+    (``math.exp`` differs from it in the last bit at some t).
     example1's beta sin t (lam = 0, omega = 1) skips the exact factors e^(-0 t) = 1 and 1 t.
     """
     if not 0 < beta < math.inf:
@@ -333,6 +335,8 @@ def _shift(beta: float, omega: float, lam: float, sin=np.sin) -> Callable:
     b, exp = float(beta), np.exp  # bound here: each call saves two lookups
     if lam == 0 and omega == 1:
         return lambda t: b * sin(t)
+    if sin is math.sin:
+        return lambda t: b * float(exp(-lam * t)) * sin(omega * t)
     return lambda t: b * exp(-lam * t) * sin(omega * t)
 
 

@@ -189,15 +189,15 @@ def test_criterion_9_geometry_invariants(matrec):
 
 def test_criterion_10_thm3_constants():
     """Gradient-fluctuation constants of the escape condition, radius 0.5."""
-    from test_conditions import quartic_dg, quartic_g
-    rep = tv.thm3_check(quartic_g, quartic_dg, [np.array([-2.0])], 0.5,
+    from test_conditions import quartic_dg
+    rep = tv.thm3_check(quartic_dg, [np.array([-2.0])], 0.5,
                         alpha=0.4, beta=10.0, omega=1.0, lam=0.0)
     assert rep.C1 == pytest.approx(4.78125, abs=1e-3)
     assert rep.C2 == pytest.approx(-4.78125, abs=1e-3)
     assert not rep.satisfied
     for R in (0.1, 0.25, 0.5, 0.8):
         for (a, b, w, l) in [(0.4, 10.0, 1.0, 0.0), (1.0, 3.0, 2.0, 0.3)]:
-            r = tv.thm3_check(quartic_g, quartic_dg, [np.array([-2.0])],
+            r = tv.thm3_check(quartic_dg, [np.array([-2.0])],
                               R, a, b, w, l)
             assert r.C1 >= r.C2
     report(10, f"C1={rep.C1:.5f}, C2={rep.C2:.5f}, satisfied={rep.satisfied}; "

@@ -86,7 +86,7 @@ class TestSimulate:
         assert float(rows[-1][0]) == pytest.approx(2 * np.pi)
 
     def test_trajectory_values_in_fmt_digits(self, tmp_path):
-        # every value as _fmt prints it: 17 significant digits, inf and nan
+        # every value in 17 significant digits, inf and nan included
         from tvland.problem import Trajectory
 
         rng = np.random.default_rng(3)
@@ -102,7 +102,7 @@ class TestSimulate:
         for k in range(5):
             values = [traj.times[k], *traj.states[k], traj.kkt_stationarity[k],
                       traj.feasibility[k], traj.sigma_min[k], traj.step_norm[k]]
-            want.append(",".join(cli._fmt(v) for v in values))
+            want.append(",".join(format(v, ".17g") for v in values))
         assert out.read_text() == "\n".join(want) + "\n"
 
     def test_multidimensional_header(self, tmp_path):

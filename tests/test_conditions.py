@@ -31,12 +31,12 @@ def exact_barriers(level):
 
 class TestProp1Constants:
     def test_max_slope_against_closed_form(self, quartic):
-        rep = tv.prop1_constants(quartic, 0.4, 10.0)
+        rep = tv.prop1_check(quartic, 0.4, 10.0)
         assert rep.C == pytest.approx(exact_max_slope(quartic), abs=1e-9)
         assert rep.C == pytest.approx(2.137, abs=1e-2)
 
     def test_barriers_against_companion_roots(self, quartic):
-        rep = tv.prop1_constants(quartic, 0.4, 10.0)  # alpha beta = 4
+        rep = tv.prop1_check(quartic, 0.4, 10.0)  # alpha beta = 4
         roots = exact_barriers(-4.0)
         assert rep.m1 == pytest.approx(roots[0], abs=1e-9)
         assert rep.m2 == pytest.approx(roots[1], abs=1e-9)
@@ -46,21 +46,30 @@ class TestProp1Constants:
         assert rep.m2 == pytest.approx(0.838, abs=1e-2)
 
     def test_phase_window(self, quartic):
-        rep = tv.prop1_constants(quartic, 0.4, 10.0)
+        rep = tv.prop1_check(quartic, 0.4, 10.0)
         assert rep.t1 == pytest.approx(np.arccos(-rep.C / 4.0), abs=1e-12)
         assert rep.t2 == pytest.approx(2 * np.pi - rep.t1, abs=1e-12)
         assert 0 < rep.t1 <= rep.t2 < 2 * np.pi
 
     def test_boundary_case_t1_equals_t2(self, quartic):
         C = exact_max_slope(quartic)
-        rep = tv.prop1_constants(quartic, 1.0, C)  # alpha beta = C exactly
+        rep = tv.prop1_check(quartic, 1.0, C)  # alpha beta = C exactly
         assert rep.t1 == pytest.approx(np.pi, abs=1e-6)
         assert rep.t2 == pytest.approx(np.pi, abs=1e-6)
 
-    def test_missing_barrier_raises(self, quartic):
-        # g' on [y1, y3] never reaches -alpha beta when alpha beta > |min g'|
-        with pytest.raises(tv.RootBracketError):
-            tv.prop1_constants(quartic, 1.0, 10.0)
+    def test_missing_barrier_raises(self, capsys):
+        # g' on [y1, y3] never reaches -alpha beta when alpha beta > |min g'|:
+        # no barrier constant is reported, and the conditions needing them fail
+        from tvland.cli import run
+
+        rep = tv.prop1_check(QUARTIC, 1.0, 10.0)
+        assert (rep.m1, rep.m2, rep.t1, rep.t2) == (None,) * 4
+        assert rep.cond2 is False and rep.cond3 is False
+        assert run(["prop1", "--scenario", "example1", "--alpha", "1", "--beta", "10"]) == 0
+        assert capsys.readouterr().out == (
+            '{"schema": 1, "alpha": 1.0, "beta": 10.0, "C": 2.137392539040352, '
+            '"m1": null, "m2": null, "t1": null, "t2": null, "cond1": true, '
+            '"cond2": false, "cond3": false, "satisfied": false}\n')
 
     def test_barrier_on_a_grid_point(self):
         # g' = y^3 - y equals the level exactly at a point of the barrier
@@ -71,10 +80,10 @@ class TestProp1Constants:
                                  stationary_points=(-1.0, 0.0, 1.0))
         on_grid = np.linspace(sf.y1, sf.y3, 20_001)[13_000]
         level = cubic(on_grid)
-        assert tv.prop1_constants(sf, -level, 1.0).m2 == on_grid
+        assert tv.prop1_check(sf, -level, 1.0).m2 == on_grid
         assert on_grid == pytest.approx(0.3, abs=1e-12)
         # a level just off the grid value finds the same root by bisection
-        off = tv.prop1_constants(sf, -level + 1e-12, 1.0).m2
+        off = tv.prop1_check(sf, -level + 1e-12, 1.0).m2
         assert off == pytest.approx(0.3, abs=1e-9)
 
     def test_resolution_stability(self, quartic):
@@ -83,10 +92,14 @@ class TestProp1Constants:
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     @pytest.mark.parametrize("name", ["alpha", "beta"])
-    def test_rejects_non_finite_parameters(self, quartic, name, value):
+    def test_rejects_non_finite_parameters(self, quartic, name, value, monkeypatch):
+        # refused before C is sampled
+        from tvland import conditions
+
+        monkeypatch.setattr(conditions, "_max_slope", lambda sf: pytest.fail("sampled C"))
         params = {"alpha": 0.4, "beta": 10.0, name: value}
         with pytest.raises(ValueError, match="finite"):
-            tv.prop1_constants(quartic, **params)
+            tv.prop1_check(quartic, **params)
 
 
 class TestProp1Check:
@@ -178,10 +191,6 @@ class TestProp1Region:
             tv.prop1_region(quartic, **grids)
 
 
-def quartic_g(y):
-    return 0.25 * y[0]**4 + 0.125 * y[0]**3 - 2.0 * y[0]**2 - 1.5 * y[0] + 8.0
-
-
 def quartic_dg(y):
     return np.array([y[0]**3 + 0.375 * y[0]**2 - 4.0 * y[0] - 1.5])
 
@@ -190,14 +199,14 @@ class TestThm3:
     def test_one_dimensional_endpoint_constants(self):
         # g' is monotone on B(-2, 0.5) (g'' > 0 there), so the extrema sit at
         # the endpoints: g'(-2.5) = -4.78125 by direct polynomial evaluation
-        rep = tv.thm3_check(quartic_g, quartic_dg, [np.array([-2.0])], 0.5,
+        rep = tv.thm3_check(quartic_dg, [np.array([-2.0])], 0.5,
                             alpha=0.4, beta=10.0, omega=1.0, lam=0.0)
         assert rep.C1 == pytest.approx(4.78125, abs=1e-3)
         assert rep.C2 == pytest.approx(-4.78125, abs=1e-3)
         assert not rep.satisfied
 
     def test_negative_c2_blocks_condition2(self):
-        rep = tv.thm3_check(quartic_g, quartic_dg, [np.array([-2.0])], 0.5,
+        rep = tv.thm3_check(quartic_dg, [np.array([-2.0])], 0.5,
                             alpha=2.0, beta=50.0, omega=3.0, lam=0.1)
         assert rep.C2 < 0
         assert not rep.cond2
@@ -205,7 +214,7 @@ class TestThm3:
 
     def test_necessary_condition_small_radius(self):
         # R = 0.1: C2 = min(g'(-2.1), -g'(-1.9)) = g'(-2.1) = -0.70725 exactly
-        rep = tv.thm3_check(quartic_g, quartic_dg, [np.array([-2.0])], 0.1,
+        rep = tv.thm3_check(quartic_dg, [np.array([-2.0])], 0.1,
                             alpha=0.4, beta=10.0, omega=1.0, lam=0.0)
         assert rep.C2 == pytest.approx(-0.70725, abs=1e-6)
         assert rep.necessary_ok  # 4 >= 0.70725
@@ -213,7 +222,7 @@ class TestThm3:
     def test_c1_at_least_c2_across_instances(self):
         for R in (0.1, 0.3, 0.5, 1.0):
             for (a, b, w, l) in [(0.4, 10, 1, 0), (1.0, 2, 3, 0.5), (0.2, 5, 2, 1.0)]:
-                rep = tv.thm3_check(quartic_g, quartic_dg, [np.array([-2.0])],
+                rep = tv.thm3_check(quartic_dg, [np.array([-2.0])],
                                     R, a, b, w, l)
                 assert rep.C1 >= rep.C2
 
@@ -221,9 +230,8 @@ class TestThm3:
         # double well g(y) = (y1^2 - 1)^2 + y2^2 around the minimum (-1, 0):
         # on B((-1,0), 0.5) the gradient norm peaks at (-1.5, 0) with value
         # 4|y1||y1^2-1| = 7.5 (oracle: monotone growth of the cubic along y1)
-        g = lambda y: (y[0]**2 - 1.0)**2 + y[1]**2
         dg = lambda y: np.array([4.0 * y[0] * (y[0]**2 - 1.0), 2.0 * y[1]])
-        rep = tv.thm3_check(g, dg, [np.array([-1.0, 0.0])], 0.5,
+        rep = tv.thm3_check(dg, [np.array([-1.0, 0.0])], 0.5,
                             alpha=1.0, beta=2.0, omega=1.0, lam=0.0,
                             ball_samples=4096, sphere_samples=512)
         assert rep.C1 == pytest.approx(7.5, abs=2e-3)
@@ -271,8 +279,7 @@ class TestThm3:
         assert conditions._refine_ball_max(dg, center, 0.5, center) == -np.inf
         assert conditions._refine_sphere_min(dg, center, 0.5,
                                              np.array([1.0, 0.0])) == np.inf
-        g = lambda y: (y[0]**2 - 1.0)**2 + y[1]**2
-        rep = tv.thm3_check(g, dg, [center], 0.5, alpha=1.0, beta=2.0,
+        rep = tv.thm3_check(dg, [center], 0.5, alpha=1.0, beta=2.0,
                             omega=1.0, lam=0.0, ball_samples=256,
                             sphere_samples=64)
         assert np.isfinite(rep.C1) and np.isfinite(rep.C2)
@@ -290,13 +297,13 @@ class TestThm3:
             w = float(10 ** rng.uniform(-1, 1.5))
             l = float(rng.uniform(0.0, 5.0))
             R = float(10 ** rng.uniform(-1.5, 0.5))
-            rep = tv.thm3_check(quartic_g, quartic_dg, [np.array([-2.0])],
+            rep = tv.thm3_check(quartic_dg, [np.array([-2.0])],
                                 R, a, b, w, l,
                                 ball_samples=256, sphere_samples=64)
             assert not (rep.cond1 and rep.cond2), rep
 
     def test_resolution_stability_c1_c2(self):
-        reps = [tv.thm3_check(quartic_g, quartic_dg, [np.array([-2.0])], 0.5,
+        reps = [tv.thm3_check(quartic_dg, [np.array([-2.0])], 0.5,
                               0.4, 10.0, 1.0, 0.0, ball_samples=n)
                 for n in (10_000, 20_000)]
         assert abs(reps[0].C1 - reps[1].C1) <= 1e-3
@@ -304,16 +311,16 @@ class TestThm3:
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
-            tv.thm3_check(quartic_g, quartic_dg, [np.array([-2.0])], 0.0,
+            tv.thm3_check(quartic_dg, [np.array([-2.0])], 0.0,
                           0.4, 10.0, 1.0, 0.0)
         with pytest.raises(ValueError):
-            tv.thm3_check(quartic_g, quartic_dg, [], 0.5, 0.4, 10.0, 1.0, 0.0)
+            tv.thm3_check(quartic_dg, [], 0.5, 0.4, 10.0, 1.0, 0.0)
 
     @pytest.mark.parametrize("R", [np.inf, np.nan])
     def test_rejects_non_finite_radius(self, R):
         # an infinite ball would reach a bounded search with infinite bounds
         with pytest.raises(ValueError, match="R must be positive and finite"):
-            tv.thm3_check(quartic_g, quartic_dg, [np.array([-2.0])], R,
+            tv.thm3_check(quartic_dg, [np.array([-2.0])], R,
                           0.4, 10.0, 1.0, 0.0)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -321,7 +328,7 @@ class TestThm3:
     def test_rejects_non_finite_parameters(self, name, value):
         params = {"alpha": 0.4, "beta": 10.0, "omega": 1.0, "lam": 0.0, name: value}
         with pytest.raises(ValueError, match="finite"):
-            tv.thm3_check(quartic_g, quartic_dg, [np.array([-2.0])], 0.5, **params)
+            tv.thm3_check(quartic_dg, [np.array([-2.0])], 0.5, **params)
 
 
 def _counted(fn, calls):
@@ -379,11 +386,11 @@ class TestStackedGrids:
     @pytest.mark.parametrize("case", range(3))
     def test_thm3_reports_equal(self, case):
         sf, alpha, beta = self.CASES[case] if case < 2 else (_grid_root_cubic(), 0.3, 1.0)
-        g, grad = line_form(sf)
+        grad = line_form(sf)[1]
         args = ([np.array([sf.y1])], 0.5, alpha, beta, 1.0, 0.0)
-        marked = tv.thm3_check(g, grad, *args)
-        assert marked == tv.thm3_check(g, lambda y: grad(y), *args)
-        assert marked == tv.thm3_check(*line_form(_unmarked(sf)), *args)
+        marked = tv.thm3_check(grad, *args)
+        assert marked == tv.thm3_check(lambda y: grad(y), *args)
+        assert marked == tv.thm3_check(line_form(_unmarked(sf))[1], *args)
 
     def test_one_call_per_grid(self):
         # prop1 samples 10 000 + 20 001 points and thm3 10 000; marked
@@ -396,9 +403,9 @@ class TestStackedGrids:
         grids = sorted(shape for shape in calls if shape)
         assert grids == [(10_000,), (20_001,)]
         assert len(calls) < 300
-        g, grad = line_form(sf)
+        grad = line_form(sf)[1]
         calls.clear()
-        tv.thm3_check(g, _counted(grad, calls), [np.array([-2.0])], 0.5, 0.4, 10.0, 1.0, 0.0)
+        tv.thm3_check(_counted(grad, calls), [np.array([-2.0])], 0.5, 0.4, 10.0, 1.0, 0.0)
         assert sorted(shape for shape in calls if shape != (1,)) == [(10_000, 1)]
         assert len(calls) < 100
 
@@ -505,7 +512,7 @@ class TestPinnedConstants:
     @pytest.mark.parametrize("regime", list(_PINNED_PROP1), ids=["0.4-10", "0.2-5"])
     @pytest.mark.parametrize("R", list(_PINNED_THM3))
     def test_thm3_constants(self, regime, R):
-        rep = tv.thm3_check(*line_form(QUARTIC), [np.array([QUARTIC.y1])], R,
+        rep = tv.thm3_check(line_form(QUARTIC)[1], [np.array([QUARTIC.y1])], R,
                             *regime, 1.0, 0.0)
         assert (_hex(rep.C1), _hex(rep.C2)) == _PINNED_THM3[R]
 

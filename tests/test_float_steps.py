@@ -154,6 +154,16 @@ def test_landscape_problems_step_on_the_landscape(monkeypatch):
             jac.clear()
 
 
+def test_damped_float_forms_are_python_floats():
+    # the damping factor e^(-lam t) is numpy's, read back as a float, so
+    # damped's objective and float forms return floats, not numpy scalars
+    p = _damped(2.0, 0.3)
+    grad, hess = point_form(p.grad_objective), point_form(p.hess_objective)
+    for y, t in ((-2.5, 0.0), (0.1, 0.7), (3.0, p.horizon)):
+        assert type(p.objective(np.array([y]), t)) is float
+        assert type(grad(y, t)) is float and type(hess(y, t)) is float
+
+
 def test_matrix_recovery_stays_on_arrays(monkeypatch):
     p = tv.make_matrix_recovery(True, alpha=0.5)
     x0 = tv.matrix_recovery_state(p, tv.problem.THE_SPURIOUS_FACTOR, 0.0)
