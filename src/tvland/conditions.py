@@ -309,8 +309,8 @@ def line_form(sf: Scalar1DFunction):
 
 def thm3_check(grad_g, minima, R: float, alpha: float, beta: float,
                omega: float, lam: float,
-               ball_samples: int = _DENSE_SAMPLES,
-               sphere_samples: int = 1000,
+               ball_samples: int = 8192,
+               sphere_samples: int = 1024,
                seed: int = 0) -> Thm3Report:
     """Evaluate the multi-dimensional escape condition around spurious minima.
 
@@ -329,10 +329,12 @@ def thm3_check(grad_g, minima, R: float, alpha: float, beta: float,
     and the necessary condition alpha beta sqrt(omega^2 + lam^2) >= -C2.
     The one-dimensional case is handled exactly (two directions, dense line
     search, one call of ``grad_g`` on the stack (L, 1) of all line points
-    when ``grad_g`` is marked array-safe); higher dimensions use
-    quasi-random sampling with local refinement.  The refined iterate is
-    projected onto the ball (or the unit sphere) and used whatever the
-    optimizer's status; it can only improve on the sampled extremum.
+    when ``grad_g`` is marked array-safe) and reads neither sample count;
+    higher dimensions take ``ball_samples`` and ``sphere_samples`` Sobol'
+    points (powers of 2 keep them balanced) with local refinement.  The
+    refined iterate is projected onto the ball (or the unit sphere) and used
+    whatever the optimizer's status; it can only improve on the sampled
+    extremum.
     """
     if not 0 < R < math.inf:
         raise ValueError(f"R must be positive and finite, got {R}")

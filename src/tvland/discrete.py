@@ -232,6 +232,8 @@ def regularized_step(p: ProblemDef, x_prev: np.ndarray, t_next: float, dt: float
 
     Raises
     ------
+    ValueError
+        Unless ``x_prev`` is a finite (p.n,) vector and ``dt`` a valid step.
     StepSolveError
         If the inner solver does not reach tolerance within ``max_iter``.
     SingularConstraintError
@@ -239,8 +241,8 @@ def regularized_step(p: ProblemDef, x_prev: np.ndarray, t_next: float, dt: float
     """
     if _d is None:
         x_prev = np.asarray(x_prev, dtype=float)
-        if not np.all(np.isfinite(x_prev)):
-            raise ValueError("x_prev must be finite")
+        if x_prev.shape != (p.n,) or not np.isfinite(x_prev).all():
+            raise ValueError(f"x_prev must be finite of shape ({p.n},), got {x_prev!r}")
         _check_dt(p, dt)
         _d = p.data_path(t_next) if p.m else None
 

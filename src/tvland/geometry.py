@@ -145,15 +145,10 @@ def geometry(p: ProblemDef, x: np.ndarray, J: Optional[np.ndarray] = None) -> Ge
     return GeometryResult((Vt.T / S) @ U.T, J, Vt)
 
 
-def eta(p: ProblemDef, x: np.ndarray, t: float,
-        geom: Optional[GeometryResult] = None) -> np.ndarray:
+def eta(p: ProblemDef, x: np.ndarray, t: float) -> np.ndarray:
     """Projected gradient P(x) grad f(x, t); lies in the kernel of J(x)."""
     grad = np.asarray(p.grad_objective(x, t), dtype=float)
-    if p.m == 0:
-        return grad
-    if geom is None:
-        geom = geometry(p, x)
-    return geom.project(grad)
+    return geometry(p, x).project(grad) if p.m else grad
 
 
 def ode_rhs(p: ProblemDef, x: np.ndarray, t: float,

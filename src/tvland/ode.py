@@ -172,7 +172,11 @@ def solve_ivp(*args, **kwargs):
 
 
 def _reference_solution(p: ProblemDef, x0: np.ndarray, rel_tol: float):
-    """Dense adaptive Runge-Kutta solution of the tracking ODE on [0, T]."""
+    """Dense adaptive Runge-Kutta solution of the tracking ODE on [0, T], for a
+    finite ``rel_tol`` at least 100 eps (scipy would raise a smaller one)."""
+    floor = 100 * np.finfo(float).eps
+    if not floor <= rel_tol < np.inf:  # NaN fails
+        raise ValueError(f"rel_tol must be finite and at least {floor:.3g}, got {rel_tol}")
     sol = solve_ivp(
         lambda t, y: ode_rhs(p, y, t),
         (0.0, p.horizon),
@@ -192,8 +196,8 @@ def integrate_reference(p: ProblemDef, x0: np.ndarray, rel_tol: float = REFERENC
     """High-accuracy explicit reference trajectory, sampled on a uniform grid.
 
     The underlying integrator is adaptive with local error control at
-    ``rel_tol``; the returned trajectory holds ``n_samples + 1`` evenly
-    spaced points of its dense output.
+    ``rel_tol`` (finite, at least 100 eps); the returned trajectory holds
+    ``n_samples + 1`` evenly spaced points of its dense output.
     """
     sol = _reference_solution(p, x0, rel_tol)
     times = np.linspace(0.0, p.horizon, n_samples + 1)

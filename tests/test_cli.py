@@ -858,6 +858,24 @@ def test_huge_start_keeps_stderr_to_one_line():
     assert json.loads(out.stderr)["error"] == "StiffnessError"
 
 
+def test_rel_tol_below_scipy_floor_is_one_usage_line():
+    # scipy would raise the tolerance to 100 eps and print a warning; the CLI
+    # refuses it with its one JSON line instead (in a fresh process, where
+    # no test harness captures warnings)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-m", "tvland.cli", "simulate", "--scenario", "example1",
+         "--alpha", "0.4", "--beta", "10", "--x0", "-2", "--method", "reference",
+         "--rel-tol", "1e-20", "--N", "4"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert out.returncode == 1
+    assert out.stdout == ""
+    assert len(out.stderr.splitlines()) == 1
+    err = json.loads(out.stderr)
+    assert err["error"] == "usage"
+    assert "rel_tol must be finite and at least" in err["message"]
+
+
 @pytest.mark.parametrize("grid", ["alpha", "beta"])
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_non_finite_grid_values_are_cell_errors(grid, value, capsys):

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -195,6 +196,11 @@ def quartic_dg(y):
     return np.array([y[0]**3 + 0.375 * y[0]**2 - 4.0 * y[0] - 1.5])
 
 
+def double_well_dg(y):
+    """Gradient of the 2-D double well g(y) = (y1^2 - 1)^2 + y2^2."""
+    return np.array([4.0 * y[0] * (y[0]**2 - 1.0), 2.0 * y[1]])
+
+
 class TestThm3:
     def test_one_dimensional_endpoint_constants(self):
         # g' is monotone on B(-2, 0.5) (g'' > 0 there), so the extrema sit at
@@ -230,7 +236,7 @@ class TestThm3:
         # double well g(y) = (y1^2 - 1)^2 + y2^2 around the minimum (-1, 0):
         # on B((-1,0), 0.5) the gradient norm peaks at (-1.5, 0) with value
         # 4|y1||y1^2-1| = 7.5 (oracle: monotone growth of the cubic along y1)
-        dg = lambda y: np.array([4.0 * y[0] * (y[0]**2 - 1.0), 2.0 * y[1]])
+        dg = double_well_dg
         rep = tv.thm3_check(dg, [np.array([-1.0, 0.0])], 0.5,
                             alpha=1.0, beta=2.0, omega=1.0, lam=0.0,
                             ball_samples=4096, sphere_samples=512)
@@ -254,7 +260,7 @@ class TestThm3:
         from scipy.optimize import OptimizeResult
         from tvland import conditions
 
-        dg = lambda y: np.array([4.0 * y[0] * (y[0]**2 - 1.0), 2.0 * y[1]])
+        dg = double_well_dg
         center = np.array([-1.0, 0.0])
 
         def stop_at(x):
@@ -303,11 +309,20 @@ class TestThm3:
             assert not (rep.cond1 and rep.cond2), rep
 
     def test_resolution_stability_c1_c2(self):
-        reps = [tv.thm3_check(quartic_dg, [np.array([-2.0])], 0.5,
-                              0.4, 10.0, 1.0, 0.0, ball_samples=n)
-                for n in (10_000, 20_000)]
+        # n = 1 reads neither sample count, so the sampled 2-D case is compared
+        reps = [tv.thm3_check(double_well_dg, [np.array([-1.0, 0.0])], 0.5,
+                              0.4, 10.0, 1.0, 0.0, ball_samples=n, sphere_samples=m)
+                for n, m in ((4096, 512), (8192, 1024))]
         assert abs(reps[0].C1 - reps[1].C1) <= 1e-3
         assert abs(reps[0].C2 - reps[1].C2) <= 1e-3
+
+    def test_default_samples_keep_sobol_balanced(self):
+        # a sample count that is not a power of 2 makes scipy warn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = tv.thm3_check(double_well_dg, [np.array([-1.0, 0.0])], 0.5,
+                                0.4, 10.0, 1.0, 0.0)
+        assert rep.C1 == pytest.approx(7.5, abs=2e-3)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):

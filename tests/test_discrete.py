@@ -128,10 +128,17 @@ class TestRegularizedStep:
         with pytest.raises(ValueError, match="degenerate"):
             tv.regularized_step(p, np.array([-2.0]), 0.1, 1e-14 * p.horizon)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_rejects_non_finite_x_prev(self, ex1_04_10, bad):
-        with pytest.raises(ValueError, match="x_prev must be finite"):
-            tv.regularized_step(ex1_04_10[0], np.array([bad]), 0.1, 1e-3)
+    @pytest.mark.parametrize("scenario, x_prev", [
+        ("example1", np.array([np.nan])),
+        ("example1", np.array([np.inf])),
+        ("example1", np.array([[-2.0]])),
+        ("example1", -2.0),
+        ("matrec", np.zeros(5)),
+    ], ids=["nan", "inf", "column", "scalar", "matrec-short"])
+    def test_rejects_non_finite_x_prev(self, ex1_04_10, matrec, scenario, x_prev):
+        p = ex1_04_10[0] if scenario == "example1" else matrec
+        with pytest.raises(ValueError, match=r"^x_prev must be finite of shape \(%d,\)" % p.n):
+            tv.regularized_step(p, x_prev, 0.1, 1e-3)
 
     def test_budget_exhaustion_raises(self, ex1_04_10):
         p, _ = ex1_04_10

@@ -319,6 +319,19 @@ class TestReferenceIntegrator:
         with pytest.raises(tv.StiffnessError):
             tv.integrate_reference(p, np.array([1.0]), n_samples=16)
 
+    @pytest.mark.parametrize("rel_tol", [0.0, 1e-20, np.inf, np.nan])
+    def test_rejects_tolerance_scipy_would_not_honour(self, rel_tol):
+        # below 100 eps scipy raises the tolerance with a warning; NaN never returns
+        p = scalar_quadratic(alpha=1.0)
+        with pytest.raises(ValueError, match="rel_tol must be finite and at least 2.22e-14"):
+            tv.integrate_reference(p, np.array([1.0]), rel_tol=rel_tol, n_samples=4)
+
+    def test_accepts_scipy_floor(self):
+        p = scalar_quadratic(alpha=1.0)
+        traj = tv.integrate_reference(p, np.array([1.0]), rel_tol=100 * np.finfo(float).eps,
+                                      n_samples=4)
+        assert traj.states[-1, 0] == pytest.approx(np.exp(-p.horizon), rel=1e-10)
+
 
 #: Every engine that takes a start vector, as run(p, x0).
 ENGINES = pytest.mark.parametrize("run", [

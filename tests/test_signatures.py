@@ -2,8 +2,8 @@
 
 The functions below once took parameters that no caller set (a residual,
 KKT, zero, validation or singularity tolerance, a Newton budget, a reference
-tolerance, a horizon) or that the function never read (thm3_check's
-landscape g).  Their parameter lists are pinned here, so that such a
+tolerance, a horizon, a geometry already computed) or that the function
+never read (thm3_check's landscape g).  Their parameter lists are pinned here, so that such a
 parameter comes back only by changing this table; and every function of
 ``tvland.__all__`` reads each of its parameters.
 """
@@ -24,6 +24,7 @@ SIGNATURES = {
     tv.check_local_solution: ["p", "x0"],
     tv.convergence_study: ["p", "x0", "dts", "check_x0"],
     tv.eigen_report: ["M"],
+    tv.eta: ["p", "x", "t"],
     tv.SpectrumReport: ["eigenvalues", "scale"],
     tv.spectrum_along_trajectory: ["p", "ztraj"],
     tv.kkt_refine: ["p", "x", "t"],
